@@ -84,6 +84,7 @@ from .errors import (
     ConfigError,
     ConstructionError,
     NonFiniteError,
+    NumericalError,
     ParameterError,
     ShapeError,
     SingularMatrixError,
@@ -108,11 +109,14 @@ from .experiments import (
     sweep_error,
 )
 from .linalg import (
+    CERT_COND_MAX,
     DEFAULT_TOL,
     Tolerance,
+    certified_cholesky,
     circulant_eigenvalues,
     least_squares_min_norm,
     null_space_basis,
+    project,
     rank_of,
     residual_err,
 )

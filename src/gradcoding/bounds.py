@@ -18,7 +18,7 @@ from .designs import AssignmentMatrix, BibdParams, CosetParams, SrgParams
 from .decoding import NonStragglerSet
 from .encoders import EncodingMatrix
 from .errors import ParameterError, SingularMatrixError
-from .linalg import DEFAULT_TOL, Tolerance, rank_of
+from .linalg import DEFAULT_TOL, Tolerance, certified_cholesky, rank_of
 
 EXPECTED_UPPER = "expected_upper"
 BIBD_UPPER = "bibd_upper"
@@ -55,6 +55,12 @@ def compute_c(epsilon: float) -> float:
     return (1.0 + e2 / 3.0) / (1.0 - e2)
 
 
+def _full_rank_gram(gram: np.ndarray, tol: Tolerance) -> bool:
+    """Invertibility test for a PSD Gram-type matrix: certified by its
+    Cholesky factor, or else full rank under the rank rule."""
+    return certified_cholesky(gram) is not None or rank_of(gram, tol) == gram.shape[0]
+
+
 def bound_expected(
     A: AssignmentMatrix,
     workers: NonStragglerSet,
@@ -81,7 +87,7 @@ def bound_expected(
     sub = A.mat[:, members]
     gram = sub.T @ sub
     kmat = gram + c * (m - 1) * np.diag(np.diag(gram))
-    if rank_of(kmat, tol) < kmat.shape[0]:
+    if not _full_rank_gram(kmat, tol):
         raise SingularMatrixError(
             f"Gram-plus-diagonal matrix singular for s={workers.s} (family {A.family})"
         )
@@ -162,7 +168,8 @@ def bound_diag_dominant(
     Replaces the survivors' Gram matrix by the diagonal majorant whose (u,u)
     entry is the absolute row sum, making the solve an entrywise division:
     mk - sum_i 1^T B_i,F Sigma~^{-1} B_i,F^T 1.  Requires the Gram matrix of
-    the surviving columns to be invertible.
+    the surviving columns to be invertible. Both the Gram matrix and the
+    images B_i,F^T 1 are read from B's cached Gram.
     """
     if workers.n != B.n:
         raise ParameterError("non-straggler set size does not match encoding")
@@ -171,17 +178,15 @@ def bound_diag_dominant(
     inputs = {"scheme": B.scheme, "m": m, "s": workers.s}
     if not members:
         return BoundReport(kind=DIAG_DOM_UPPER, value=float(m * k), inputs=inputs)
-    sub = B.mat[:, members]
-    gram = sub.T @ sub
-    if rank_of(gram, tol) < gram.shape[0]:
+    full_gram, full_image = B.gram
+    gram = full_gram[np.ix_(members, members)]
+    if not _full_rank_gram(gram, tol):
         raise SingularMatrixError(
             f"survivor Gram matrix singular for members={members}"
         )
     majorant = np.sum(np.abs(gram), axis=1)  # diagonal entries of Sigma~
-    total = 0.0
-    for i in range(m):
-        row_image = B.block(i)[:, members].sum(axis=0)  # 1^T B_i,F
-        total += float(np.sum(row_image * row_image / majorant))
+    image = full_image[members]  # column i is B_i,F^T 1
+    total = float(np.sum(image * image / majorant[:, None]))
     return BoundReport(kind=DIAG_DOM_UPPER, value=m * k - total, inputs=inputs)
 
 

@@ -49,6 +49,7 @@ from .errors import (
     ConfigError,
     ConstructionError,
     NonFiniteError,
+    NumericalError,
     ParameterError,
     ShapeError,
     SingularMatrixError,
@@ -818,7 +819,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConstructionError, SingularMatrixError, NonFiniteError) as exc:
+    except (ConstructionError, SingularMatrixError, NonFiniteError, NumericalError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
 

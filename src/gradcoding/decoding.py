@@ -3,10 +3,19 @@ approximation error, and gradient block assembly.
 
 The target matrix F is mk x m with column i the indicator of gradient block
 i's rows; the exact aggregate gradient is Z F. For a set of surviving
-workers, decoding solves a minimum-norm least-squares fit of F by the
-surviving columns of B; the approximation error is the squared Frobenius
-residual, computed by projection so that singular Gram matrices need no
-special casing.
+workers S, decoding solves a minimum-norm least-squares fit of F by the
+surviving columns B_S; the approximation error is the squared Frobenius
+residual.
+
+Each set is solved once. When linalg.certified_cholesky certifies the
+survivor Gram matrix G_S = B_S^T B_S (cond_2(G_S) <= 1e8), the normal
+equations are solved through its factor L: with Y = L^{-1} B_S^T F the
+error is mk - ||Y||_F^2 and the coefficients are L^{-T} Y. Any other set,
+rank-deficient ones included, goes through the single-SVD projection
+linalg.project under the 1e-10 rank rule. The two agree within
+1e-9 * mk on every certified set, and each decode is checked against the
+directly computed residual ||B R - F||_F^2, raising NumericalError on a
+disagreement.
 """
 from __future__ import annotations
 
@@ -16,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .encoders import EncodingMatrix
-from .errors import ParameterError, ShapeError
-from .linalg import DEFAULT_TOL, Tolerance, least_squares_min_norm, residual_err
+from .errors import NumericalError, ParameterError, ShapeError
+from .linalg import DEFAULT_TOL, Tolerance, certified_cholesky, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
 
@@ -92,36 +101,68 @@ def build_target(k: int, m: int) -> TargetMatrix:
     return TargetMatrix(mat=mat, k=k, m=m)
 
 
-def decode_matrix(
-    bmat: np.ndarray, m: int, workers: NonStragglerSet, tol: Tolerance = DEFAULT_TOL
-) -> DecodeResult:
-    """Core decode on a raw mk x n encoding matrix."""
+def _check_shapes(bmat: np.ndarray, m: int, workers: NonStragglerSet) -> None:
     rows, n = bmat.shape
     if rows % m != 0:
         raise ShapeError(f"row count {rows} is not a multiple of m={m}")
     if workers.n != n:
         raise ShapeError(f"worker count {workers.n} does not match n={n}")
-    k = rows // m
-    target = build_target(k, m).mat
-    members = list(workers.members)
+
+
+def _decode_survivors(
+    bmat: np.ndarray,
+    m: int,
+    members: list[int],
+    gram: np.ndarray,
+    image: np.ndarray,
+    tol: Tolerance,
+) -> DecodeResult:
+    """Decode a nonempty survivor set given G_S = B_S^T B_S and H_S = B_S^T F."""
+    rows, n = bmat.shape
+    target = build_target(rows // m, m).mat
     coeffs = np.zeros((n, m))
-    if not members:
-        return DecodeResult(coeffs=coeffs, err=float(m * k))
-    sub = bmat[:, members]
-    coeffs[members, :] = least_squares_min_norm(sub, target, tol)
-    err = residual_err(sub, target, tol)
+    factor = certified_cholesky(gram)
+    if factor is not None:
+        _, chol_inv = factor
+        y = chol_inv @ image
+        coeffs[members, :] = chol_inv.T @ y
+        err = max(float(rows) - float(np.sum(y * y)), 0.0)  # ||F||_F^2 = mk = rows
+    else:
+        coeffs[members, :], err = project(bmat[:, members], target, tol)
     direct = float(np.sum((bmat @ coeffs - target) ** 2))
-    assert abs(err - direct) <= _ERR_CONSISTENCY_EPS * max(1.0, direct), (
-        f"projection residual {err} disagrees with direct residual {direct}"
-    )
+    if not abs(err - direct) <= _ERR_CONSISTENCY_EPS * max(1.0, direct):
+        raise NumericalError(
+            f"projection residual {err} disagrees with direct residual {direct}"
+        )
     return DecodeResult(coeffs=coeffs, err=err)
+
+
+def decode_matrix(
+    bmat: np.ndarray, m: int, workers: NonStragglerSet, tol: Tolerance = DEFAULT_TOL
+) -> DecodeResult:
+    """Core decode on a raw mk x n encoding matrix."""
+    _check_shapes(bmat, m, workers)
+    members = list(workers.members)
+    if not members:
+        return DecodeResult(coeffs=np.zeros((bmat.shape[1], m)), err=float(bmat.shape[0]))
+    sub = bmat[:, members]
+    image = sub.reshape(m, -1, len(members)).sum(axis=1).T
+    return _decode_survivors(bmat, m, members, sub.T @ sub, image, tol)
 
 
 def decode(
     B: EncodingMatrix, workers: NonStragglerSet, tol: Tolerance = DEFAULT_TOL
 ) -> DecodeResult:
-    """Optimal decoding of B against its target for the given survivors."""
-    return decode_matrix(B.mat, B.m, workers, tol)
+    """Optimal decoding of B against its target for the given survivors,
+    reading the survivor Gram matrix from B's cached Gram."""
+    _check_shapes(B.mat, B.m, workers)
+    members = list(workers.members)
+    if not members:
+        return DecodeResult(coeffs=np.zeros((B.n, B.m)), err=float(B.mat.shape[0]))
+    gram, image = B.gram
+    return _decode_survivors(
+        B.mat, B.m, members, gram[np.ix_(members, members)], image[members], tol
+    )
 
 
 def split_gradients(partials: Sequence[np.ndarray], m: int) -> GradientBlockMatrix:
@@ -159,7 +200,7 @@ def reconstruct(
 ) -> tuple[np.ndarray, float]:
     """Approximate aggregate gradient blocks Z B R and the Frobenius gap to
     the exact Z F. The operator-norm bound gap^2 <= ||Z||_2^2 * err is
-    asserted."""
+    checked, raising NumericalError when it fails."""
     if Z.k != B.k or Z.m != B.m:
         raise ShapeError("gradient blocks and encoding disagree on (k, m)")
     dec = decode(B, workers, tol)
@@ -170,9 +211,8 @@ def reconstruct(
     if Z.mat.size:
         znorm = float(np.linalg.norm(Z.mat, 2))
         limit = znorm * znorm * dec.err
-        assert gap * gap <= limit * (1.0 + 1e-8) + 1e-8, (
-            f"operator-norm bound violated: gap^2={gap * gap} > {limit}"
-        )
+        if not gap * gap <= limit * (1.0 + 1e-8) + 1e-8:
+            raise NumericalError(f"operator-norm bound violated: gap^2={gap * gap} > {limit}")
     return approx, gap
 
 

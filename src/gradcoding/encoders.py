@@ -13,6 +13,7 @@ B must occupy exactly the support of the parent assignment. Three schemes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,17 @@ class EncodingMatrix:
         """Rows ik..(i+1)k-1, the block multiplying gradient blocks i."""
         k = self.k
         return self.mat[i * k : (i + 1) * k, :]
+
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, H) with G = B^T B (n x n) and H = B^T F (n x m), column i of H
+        being block(i).sum(axis=0). A survivor set S reads G[S, S] and H[S].
+        Computed once per encoding and read-only."""
+        G = self.mat.T @ self.mat
+        H = np.ascontiguousarray(self.mat.reshape(self.m, self.k, self.n).sum(axis=1).T)
+        G.setflags(write=False)
+        H.setflags(write=False)
+        return G, H
 
 
 def sample_diagonal(n: int, law: DiagonalLaw, rng: np.random.Generator) -> np.ndarray:

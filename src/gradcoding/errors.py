@@ -21,6 +21,10 @@ class SingularMatrixError(CodingError):
     """A matrix required to be invertible is numerically singular."""
 
 
+class NumericalError(CodingError):
+    """A computed result failed a runtime consistency check."""
+
+
 class ConstructionError(CodingError):
     """A randomized construction failed within its bounded retry budget."""
 

@@ -7,6 +7,7 @@ results do not depend on scheduling order and reruns are bit-reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -63,6 +64,10 @@ SWEEP_CSV_HEADER = [
 ]
 
 TRAIN_CSV_HEADER = ["scheme", "seed", "iteration", "loss"]
+
+# Most survivor sets that set_draws="all" may enumerate per encoding draw,
+# summed over the grid; v=91 at s=5 alone would be about 4.9e7 sets.
+MAX_EXHAUSTIVE_SETS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +193,13 @@ class SweepConfig:
                 raise ParameterError(f"grid value s={x} outside [0, {n}]")
             if self.grid_kind == "q" and not (0.0 <= float(x) < 1.0):
                 raise ParameterError(f"grid value q={x} outside [0, 1)")
+        if self.set_draws == "all" and self.grid_kind == "s":
+            total = sum(math.comb(n, int(x)) for x in self.grid)
+            if total > MAX_EXHAUSTIVE_SETS:
+                raise ParameterError(
+                    f"set_draws='all' would enumerate {total} sets per encoding draw, "
+                    f"over the cap of {MAX_EXHAUSTIVE_SETS}; use a sampled count"
+                )
         object.__setattr__(self, "grid", tuple(self.grid))
 
 

@@ -1,8 +1,20 @@
 """Dense linear-algebra kernel shared by the encoding and decoding layers.
 
-Every rank decision in the package goes through the same relative
-singular-value cutoff, and residuals are computed by orthogonal projection
-onto the column space, never by forming or inverting normal equations.
+Numerical contract:
+
+  * Rank. Every rank decision goes through one rule: singular values below
+    rank_eps * sigma_max (rank_eps = 1e-10 by default) count as zero.
+  * Certified Gram factor. certified_cholesky accepts the Cholesky factor L
+    of a Gram matrix G = M^T M only when ||L^{-1}||_F^2 * tr(G) <= 1e8
+    (CERT_COND_MAX). The left side bounds cond_2(G) from above, so an
+    accepted factor proves cond_2(M) <= 1e4: M has full column rank under
+    the rank rule with a wide margin, and solving the normal equations
+    through L loses at most about eight digits of the sixteen.
+  * Reference projection. project solves min ||M R - Y||_F with one SVD and
+    the rank rule above; it is the path for every matrix the certificate
+    cannot clear, and the reference the Gram path is tested against
+    (decode errors agree within 1e-9 * ||Y||_F^2).
+
 Complex arithmetic appears only in circulant_eigenvalues.
 """
 from __future__ import annotations
@@ -33,6 +45,10 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+# Largest certified bound on cond_2(G) for which the Gram path is trusted:
+# cond_2(M) <= 1e4, six orders inside the 1e-10 rank rule.
+CERT_COND_MAX = 1e8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -68,11 +84,13 @@ def rank_of(mat, tol: Tolerance = DEFAULT_TOL) -> int:
     return _rank_from_singulars(s, tol.rank_eps)
 
 
-def least_squares_min_norm(mat, rhs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Minimum-Frobenius-norm solution of min ||M R - Y||_F.
+def project(mat, rhs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """Minimum-norm least squares by one SVD: (R, min_R ||M R - Y||_F^2).
 
-    The Moore-Penrose solution, well defined even when M^T M is singular.
-    A 1-D rhs yields a 1-D result.
+    R is the Moore-Penrose solution, well defined even when M^T M is
+    singular; the residual is ||Y||_F^2 - ||P Y||_F^2 with P the orthogonal
+    projector onto col(M), so an a x 0 matrix leaves all of ||Y||_F^2.
+    A 1-D rhs yields a 1-D R.
     """
     m = as_matrix(mat, "M")
     rhs_arr = np.asarray(rhs, dtype=float)
@@ -80,30 +98,48 @@ def least_squares_min_norm(mat, rhs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     y = as_matrix(rhs_arr.reshape(-1, 1) if vector_rhs else rhs_arr, "Y")
     if y.shape[0] != m.shape[0]:
         raise ShapeError(f"row counts differ: M has {m.shape[0]}, Y has {y.shape[0]}")
+    total = float(np.sum(y * y))
     u, s, vt = _svd(m)
     r = _rank_from_singulars(s, tol.rank_eps)
-    coeff = (u[:, :r].T @ y) / s[:r, None] if r else np.zeros((0, y.shape[1]))
-    out = vt[:r].T @ coeff if r else np.zeros((m.shape[1], y.shape[1]))
-    return out[:, 0] if vector_rhs else out
+    if r == 0:
+        out, err = np.zeros((m.shape[1], y.shape[1])), total
+    else:
+        proj = u[:, :r].T @ y
+        out = vt[:r].T @ (proj / s[:r, None])
+        err = max(total - float(np.sum(proj * proj)), 0.0)
+    return (out[:, 0] if vector_rhs else out), err
+
+
+def least_squares_min_norm(mat, rhs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Minimum-Frobenius-norm solution of min ||M R - Y||_F (see project)."""
+    return project(mat, rhs, tol)[0]
 
 
 def residual_err(mat, rhs, tol: Tolerance = DEFAULT_TOL) -> float:
-    """min_R ||M R - Y||_F^2 via projection onto col(M).
+    """min_R ||M R - Y||_F^2 via projection onto col(M) (see project)."""
+    return project(mat, rhs, tol)[1]
 
-    Equals ||Y||_F^2 - ||P Y||_F^2 with P the orthogonal projector; an a x 0
-    matrix projects onto {0} so the residual is ||Y||_F^2.
+
+def certified_cholesky(gram) -> tuple[np.ndarray, np.ndarray] | None:
+    """Cholesky factor L of a symmetric Gram matrix and its inverse, or None.
+
+    The pair is returned only when ||L^{-1}||_F^2 * tr(G) <= CERT_COND_MAX.
+    Since lambda_max(G) <= tr(G) and 1/lambda_min(G) = ||L^{-1}||_2^2 <=
+    ||L^{-1}||_F^2, that product bounds cond_2(G) from above; None means
+    the factorization failed or could not be certified, not that G is
+    singular (rank_of decides that).
     """
-    m = as_matrix(mat, "M")
-    y = as_matrix(rhs, "Y")
-    if y.shape[0] != m.shape[0]:
-        raise ShapeError(f"row counts differ: M has {m.shape[0]}, Y has {y.shape[0]}")
-    total = float(np.sum(y * y))
-    u, s, _ = _svd(m)
-    r = _rank_from_singulars(s, tol.rank_eps)
-    if r == 0:
-        return total
-    proj = u[:, :r].T @ y
-    return max(total - float(np.sum(proj * proj)), 0.0)
+    g = as_matrix(gram, "G")
+    if g.shape[0] != g.shape[1]:
+        raise ShapeError(f"Gram matrix must be square, got shape {g.shape}")
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return None
+    chol_inv = np.linalg.inv(chol)
+    if not float(np.sum(chol_inv * chol_inv)) * float(np.trace(g)) <= CERT_COND_MAX:
+        return None
+    return chol, chol_inv
 
 
 def null_space_basis(mat, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -203,6 +203,20 @@ def test_sweep_multi_scheme_shares_configuration(tmp_path):
     assert (out / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
 
 
+def test_sweep_exhaustive_over_cap_exits_2(tmp_path):
+    config = {
+        "design": {"family": "bibd_transpose", "v": 91},
+        "m": 2,
+        "grid_kind": "s",
+        "grid": [5],
+        "scheme": {"scheme": "random_diagonal"},
+        "set_draws": "all",
+    }
+    rc, out = run_cli(tmp_path, "sweep", config)
+    assert rc == 2
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_svg_flag_writes_chart(tmp_path):
     config = {
         "design": {"family": "bibd_transpose", "v": 7},

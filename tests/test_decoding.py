@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gradcoding as gc
-from gradcoding.errors import ParameterError, ShapeError
+from gradcoding import decoding
+from gradcoding.errors import NumericalError, ParameterError, ShapeError
+from gradcoding.linalg import certified_cholesky, project, rank_of
 
 
 def test_target_columns_indicate_blocks():
@@ -172,3 +176,171 @@ def test_reconstruct_rejects_mismatched_shapes(fano, coset_small):
     B = gc.encode_baseline(coset_small, 2)
     with pytest.raises(ShapeError):
         gc.reconstruct(Z, B, gc.NonStragglerSet.full(6))
+
+
+# ---------------------------------------------------------------------------
+# the certified Gram path against the single-SVD reference
+
+
+FAMILIES = ("fano", "paley13", "coset27", "bireg40")
+SCHEMES = (gc.RANDOM_DIAGONAL, gc.NULLSPACE_HADAMARD, gc.BASELINE)
+
+
+def _encode(A, scheme, seed=0):
+    """Encode A with m = 2, except the null-space chain, which needs n = m*k."""
+    if scheme == gc.NULLSPACE_HADAMARD:
+        return gc.encode_nullspace_hadamard(A, A.n // A.k, seed=seed)
+    if scheme == gc.RANDOM_DIAGONAL:
+        return gc.encode_random_diagonal(A, 2, gc.DiagonalLaw(0.1), seed=seed)
+    return gc.encode_baseline(A, 2)
+
+
+def _survivor_gram(B, members):
+    G, _ = B.gram
+    return G[np.ix_(members, members)]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gram_decode_matches_svd_projection(request, family, scheme):
+    A = request.getfixturevalue(family)
+    B = _encode(A, scheme)
+    F = gc.build_target(B.k, B.m).mat
+    mk = B.m * B.k
+    rng = np.random.default_rng(0)
+    sets = [tuple(range(A.n))]
+    for size in np.linspace(1, A.n - 1, 12).astype(int):
+        sets.append(tuple(np.sort(rng.choice(A.n, size=size, replace=False))))
+    certified = 0
+    for members in sets:
+        members = list(members)
+        got = gc.decode(B, gc.NonStragglerSet(n=A.n, members=members))
+        ref_coeffs, ref_err = project(B.mat[:, members], F)
+        assert abs(got.err - ref_err) <= 1e-9 * mk
+        resid = B.mat[:, members] @ got.coeffs[members] - F
+        ref_resid = B.mat[:, members] @ ref_coeffs - F
+        assert np.allclose(resid, ref_resid, rtol=0.0, atol=1e-8)
+        certified += certified_cholesky(_survivor_gram(B, members)) is not None
+    # the fast path runs wherever the survivor columns are well conditioned
+    assert certified > 0
+
+
+def test_rank_deficient_baseline_is_never_certified(bireg40):
+    # [A; A] has rank at most k = 20, so every set of more than 20 workers
+    # is rank-deficient and must go through the SVD projection
+    B = gc.encode_baseline(bireg40, 2)
+    rng = np.random.default_rng(1)
+    for s in range(0, 17, 2):
+        for _ in range(10):
+            members = list(np.sort(rng.choice(40, size=40 - s, replace=False)))
+            assert certified_cholesky(_survivor_gram(B, members)) is None
+            assert rank_of(B.mat[:, members]) < len(members)
+
+
+# The designs come from session fixtures through `request`; nothing in them
+# is reset between examples, so the function-scoped-fixture check is moot.
+_PROPERTY_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def encoded_sets(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    scheme = draw(st.sampled_from(SCHEMES))
+    seed = draw(st.integers(0, 2**16))
+    return family, scheme, seed, draw(st.data())
+
+
+def _draw_members(data, n, min_size=0):
+    return sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=min_size, max_size=n)))
+
+
+@_PROPERTY_SETTINGS
+@given(encoded_sets())
+def test_property_error_within_zero_and_total_mass(request, case):
+    family, scheme, seed, data = case
+    B = _encode(request.getfixturevalue(family), scheme, seed)
+    members = _draw_members(data, B.n)
+    err = gc.decode(B, gc.NonStragglerSet(n=B.n, members=members)).err
+    assert 0.0 <= err <= B.m * B.k
+
+
+@_PROPERTY_SETTINGS
+@given(encoded_sets())
+def test_property_error_does_not_rise_with_an_added_survivor(request, case):
+    family, scheme, seed, data = case
+    B = _encode(request.getfixturevalue(family), scheme, seed)
+    members = _draw_members(data, B.n)
+    extra = data.draw(st.sampled_from([j for j in range(B.n) if j not in members] or [None]))
+    if extra is None:
+        return
+    before = gc.decode(B, gc.NonStragglerSet(n=B.n, members=members)).err
+    after = gc.decode(B, gc.NonStragglerSet(n=B.n, members=members + [extra])).err
+    assert after <= before + 1e-9 * B.m * B.k
+
+
+@_PROPERTY_SETTINGS
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from((gc.V1_ALL_ONES, gc.V1_GAUSSIAN)),
+    st.integers(0, 2**16),
+)
+def test_property_nullspace_full_set_is_exact(request, family, policy, seed):
+    A = request.getfixturevalue(family)
+    B = gc.encode_nullspace_hadamard(A, A.n // A.k, v1_policy=policy, seed=seed)
+    assert gc.decode(B, gc.NonStragglerSet.full(A.n)).err <= 1e-9 * B.m * B.k
+
+
+@_PROPERTY_SETTINGS
+@given(encoded_sets())
+def test_property_certificate_never_clears_a_deficient_set(request, case):
+    family, scheme, seed, data = case
+    B = _encode(request.getfixturevalue(family), scheme, seed)
+    members = _draw_members(data, B.n, min_size=1)
+    if certified_cholesky(_survivor_gram(B, members)) is not None:
+        assert rank_of(B.mat[:, members]) == len(members)
+
+
+@_PROPERTY_SETTINGS
+@given(st.integers(2, 12), st.integers(0, 2**16), st.floats(-14.0, 0.0))
+def test_property_certificate_rejects_numerically_singular_columns(cols, seed, log_sigma):
+    # columns with singular values spanning [10^log_sigma, 1]: certified only
+    # when every one survives the rank rule
+    rng = np.random.default_rng(seed)
+    q_left, _ = np.linalg.qr(rng.standard_normal((cols + 3, cols)))
+    q_right, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    sigma = np.logspace(0.0, log_sigma, cols)
+    mat = (q_left * sigma) @ q_right
+    if certified_cholesky(mat.T @ mat) is not None:
+        assert rank_of(mat) == cols
+        assert np.linalg.cond(mat) <= 1e4 * (1.0 + 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# runtime checks survive python -O
+
+
+def test_residual_consistency_check_raises(fano, monkeypatch):
+    # a bogus "certified" factor makes the Gram-path error disagree with the
+    # directly computed residual
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    workers = gc.NonStragglerSet(n=7, members=(0, 2, 5))
+    monkeypatch.setattr(decoding, "certified_cholesky", lambda g: (np.eye(len(g)), np.eye(len(g))))
+    with pytest.raises(NumericalError, match="direct residual"):
+        gc.decode(B, workers)
+
+
+def test_operator_norm_check_raises(fano, monkeypatch):
+    # claiming zero error on a straggling set breaks gap^2 <= ||Z||^2 err
+    rng = np.random.default_rng(12)
+    Z = gc.split_gradients([rng.standard_normal(6) for _ in range(7)], 2)
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=3)
+    workers = gc.NonStragglerSet(n=7, members=(0, 1, 4))
+    true = gc.decode(B, workers)
+    assert true.err > 0.1
+    monkeypatch.setattr(
+        decoding, "decode", lambda *a: gc.DecodeResult(coeffs=true.coeffs, err=0.0)
+    )
+    with pytest.raises(NumericalError, match="operator-norm"):
+        gc.reconstruct(Z, B, workers)

@@ -133,6 +133,20 @@ def test_sweep_exhaustive_matches_single_block_formula(fano):
     assert row["upper_bound"] == pytest.approx(want, abs=1e-9)
 
 
+def test_sweep_exhaustive_refuses_enumeration_over_the_cap():
+    # v = 91 at s = 5 would enumerate comb(91, 5), about 4.9e7 sets
+    A = gc.bibd_transpose_from_difference_set(gc.builtin_difference_sets()[91], 91)
+    with pytest.raises(ParameterError, match="enumerate"):
+        gc.SweepConfig(
+            assignment=A,
+            scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL),
+            m=2,
+            grid_kind="s",
+            grid=(5,),
+            set_draws="all",
+        )
+
+
 def test_sweep_exhaustive_requires_count_grid(fano):
     cfg = gc.SweepConfig(
         assignment=fano,

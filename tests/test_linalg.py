@@ -3,10 +3,13 @@ import pytest
 
 from gradcoding.errors import NonFiniteError, ParameterError, ShapeError
 from gradcoding.linalg import (
+    CERT_COND_MAX,
     Tolerance,
+    certified_cholesky,
     circulant_eigenvalues,
     least_squares_min_norm,
     null_space_basis,
+    project,
     rank_of,
     residual_err,
 )
@@ -92,6 +95,41 @@ def test_residual_matches_direct_minimum():
     r = least_squares_min_norm(m, y)
     direct = float(np.sum((m @ r - y) ** 2))
     assert residual_err(m, y) == pytest.approx(direct, abs=1e-9)
+
+
+def test_project_returns_solution_and_residual_together():
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((9, 4))
+    y = rng.standard_normal((9, 2))
+    coeffs, err = project(m, y)
+    assert np.array_equal(coeffs, least_squares_min_norm(m, y))
+    assert err == residual_err(m, y)
+    assert err == pytest.approx(float(np.sum((m @ coeffs - y) ** 2)), abs=1e-12)
+
+
+def test_certified_cholesky_factors_well_conditioned_gram():
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((20, 6))
+    gram = m.T @ m
+    chol, chol_inv = certified_cholesky(gram)
+    assert np.allclose(chol @ chol.T, gram, atol=1e-10)
+    assert np.allclose(chol_inv @ chol, np.eye(6), atol=1e-10)
+
+
+def test_certificate_bounds_condition_number():
+    # cond_2(G) = 1e6 passes; 1e9 fails the 1e8 threshold; singular fails
+    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((5, 5)))
+    for cond, accepted in ((1e6, True), (1e9, False)):
+        gram = (q * np.logspace(0.0, -np.log10(cond), 5)) @ q.T
+        assert (certified_cholesky(gram) is not None) is accepted
+    assert certified_cholesky(np.ones((3, 3))) is None
+    assert certified_cholesky(np.zeros((2, 2))) is None
+    assert CERT_COND_MAX == 1e8
+
+
+def test_certified_cholesky_rejects_non_square():
+    with pytest.raises(ShapeError):
+        certified_cholesky(np.ones((2, 3)))
 
 
 def test_null_space_basis_properties():
