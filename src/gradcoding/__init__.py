@@ -23,6 +23,7 @@ from .bounds import (
     bound_diag_dominant,
     bound_expected,
     bound_srg,
+    closed_form,
     compute_c,
     lower_bound,
     srg_theta,
@@ -110,15 +111,12 @@ from .experiments import (
 )
 from .linalg import (
     CERT_COND_MAX,
-    DEFAULT_TOL,
-    Tolerance,
+    RANK_EPS,
     certified_cholesky,
     circulant_eigenvalues,
-    least_squares_min_norm,
     null_space_basis,
     project,
     rank_of,
-    residual_err,
 )
 
 __version__ = "0.1.0"

@@ -14,11 +14,19 @@ from math import floor, sqrt
 
 import numpy as np
 
-from .designs import AssignmentMatrix, BibdParams, CosetParams, SrgParams
+from .designs import (
+    BIBD_TRANSPOSE,
+    COSET_BIPARTITE,
+    SRG_ADJACENCY,
+    AssignmentMatrix,
+    BibdParams,
+    CosetParams,
+    SrgParams,
+)
 from .decoding import NonStragglerSet
-from .encoders import EncodingMatrix
+from .encoders import BASELINE, RANDOM_DIAGONAL, EncodingMatrix
 from .errors import ParameterError, SingularMatrixError
-from .linalg import DEFAULT_TOL, Tolerance, certified_cholesky, rank_of
+from .linalg import certified_cholesky, rank_of
 
 EXPECTED_UPPER = "expected_upper"
 BIBD_UPPER = "bibd_upper"
@@ -55,18 +63,14 @@ def compute_c(epsilon: float) -> float:
     return (1.0 + e2 / 3.0) / (1.0 - e2)
 
 
-def _full_rank_gram(gram: np.ndarray, tol: Tolerance) -> bool:
+def _full_rank_gram(gram: np.ndarray) -> bool:
     """Invertibility test for a PSD Gram-type matrix: certified by its
     Cholesky factor, or else full rank under the rank rule."""
-    return certified_cholesky(gram) is not None or rank_of(gram, tol) == gram.shape[0]
+    return certified_cholesky(gram) is not None or rank_of(gram) == gram.shape[0]
 
 
 def bound_expected(
-    A: AssignmentMatrix,
-    workers: NonStragglerSet,
-    m: int,
-    c: float,
-    tol: Tolerance = DEFAULT_TOL,
+    A: AssignmentMatrix, workers: NonStragglerSet, m: int, c: float
 ) -> BoundReport:
     """Expected-error upper bound for the random-diagonal scheme on one
     fixed non-straggler set.
@@ -87,7 +91,7 @@ def bound_expected(
     sub = A.mat[:, members]
     gram = sub.T @ sub
     kmat = gram + c * (m - 1) * np.diag(np.diag(gram))
-    if not _full_rank_gram(kmat, tol):
+    if not _full_rank_gram(kmat):
         raise SingularMatrixError(
             f"Gram-plus-diagonal matrix singular for s={workers.s} (family {A.family})"
         )
@@ -160,9 +164,7 @@ def bound_coset(p: CosetParams, s: int, c: float) -> BoundReport:
     )
 
 
-def bound_diag_dominant(
-    B: EncodingMatrix, workers: NonStragglerSet, tol: Tolerance = DEFAULT_TOL
-) -> BoundReport:
+def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundReport:
     """Per-set upper bound on the realized error of a fixed encoding.
 
     Replaces the survivors' Gram matrix by the diagonal majorant whose (u,u)
@@ -180,7 +182,7 @@ def bound_diag_dominant(
         return BoundReport(kind=DIAG_DOM_UPPER, value=float(m * k), inputs=inputs)
     full_gram, full_image = B.gram
     gram = full_gram[np.ix_(members, members)]
-    if not _full_rank_gram(gram, tol):
+    if not _full_rank_gram(gram):
         raise SingularMatrixError(
             f"survivor Gram matrix singular for members={members}"
         )
@@ -260,3 +262,45 @@ def baseline_bibd_error(p: BibdParams, m: int, s: int) -> BoundReport:
         value=float(value),
         inputs={"n": p.n, "k": p.k, "delta": p.delta, "lambda": p.lam, "m": m, "s": s},
     )
+
+
+# ---------------------------------------------------------------------------
+# the closed-form table
+
+# kind -> (family it needs or None for any, needs epsilon = 0, form). The
+# order is the bounds command's default order.
+CLOSED_FORMS = {
+    BIBD_UPPER: (BIBD_TRANSPOSE, True, lambda A, m, s, e: bound_bibd(A.params, m, s)),
+    SRG_UPPER: (SRG_ADJACENCY, True, lambda A, m, s, e: bound_srg(A.params, m, s)),
+    COSET_UPPER: (COSET_BIPARTITE, False, lambda A, m, s, e: bound_coset(A.params, s, compute_c(e))),
+    BASELINE_BIBD: (BIBD_TRANSPOSE, False, lambda A, m, s, e: baseline_bibd_error(A.params, m, s)),
+    LOWER: (None, False, lambda A, m, s, e: lower_bound(A.n, A.k, A.delta, m, s)),
+}
+
+# The closed-form upper bounds a sweep of each scheme reports; at most one
+# applies to a given design.
+SCHEME_UPPER_FORMS = {
+    RANDOM_DIAGONAL: (BIBD_UPPER, SRG_UPPER, COSET_UPPER),
+    BASELINE: (BASELINE_BIBD,),
+}
+
+
+def applicable_kinds(family: str, epsilon: float) -> list[str]:
+    """The closed-form kinds that apply to a design family at this epsilon,
+    in table order."""
+    return [
+        kind
+        for kind, (needs, sign_only, _) in CLOSED_FORMS.items()
+        if needs in (None, family) and not (sign_only and epsilon != 0.0)
+    ]
+
+
+def closed_form(kind: str, A: AssignmentMatrix, m: int, s: int, epsilon: float) -> float | None:
+    """Value of one closed-form bound at s stragglers, or None where the form
+    does not apply: another family, epsilon > 0 for a sign-only form, or
+    s = n for bibd_upper."""
+    if kind not in CLOSED_FORMS:
+        raise ParameterError(f"unknown bound kind {kind!r}")
+    if kind not in applicable_kinds(A.family, epsilon) or (kind == BIBD_UPPER and s == A.n):
+        return None
+    return CLOSED_FORMS[kind][2](A, m, s, epsilon).value

@@ -26,7 +26,7 @@ import numpy as np
 
 from .encoders import EncodingMatrix
 from .errors import NumericalError, ParameterError, ShapeError
-from .linalg import DEFAULT_TOL, Tolerance, certified_cholesky, project
+from .linalg import certified_cholesky, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
 
@@ -115,7 +115,6 @@ def _decode_survivors(
     members: list[int],
     gram: np.ndarray,
     image: np.ndarray,
-    tol: Tolerance,
 ) -> DecodeResult:
     """Decode a nonempty survivor set given G_S = B_S^T B_S and H_S = B_S^T F."""
     rows, n = bmat.shape
@@ -128,7 +127,7 @@ def _decode_survivors(
         coeffs[members, :] = chol_inv.T @ y
         err = max(float(rows) - float(np.sum(y * y)), 0.0)  # ||F||_F^2 = mk = rows
     else:
-        coeffs[members, :], err = project(bmat[:, members], target, tol)
+        coeffs[members, :], err = project(bmat[:, members], target)
     direct = float(np.sum((bmat @ coeffs - target) ** 2))
     if not abs(err - direct) <= _ERR_CONSISTENCY_EPS * max(1.0, direct):
         raise NumericalError(
@@ -137,9 +136,7 @@ def _decode_survivors(
     return DecodeResult(coeffs=coeffs, err=err)
 
 
-def decode_matrix(
-    bmat: np.ndarray, m: int, workers: NonStragglerSet, tol: Tolerance = DEFAULT_TOL
-) -> DecodeResult:
+def decode_matrix(bmat: np.ndarray, m: int, workers: NonStragglerSet) -> DecodeResult:
     """Core decode on a raw mk x n encoding matrix."""
     _check_shapes(bmat, m, workers)
     members = list(workers.members)
@@ -147,12 +144,10 @@ def decode_matrix(
         return DecodeResult(coeffs=np.zeros((bmat.shape[1], m)), err=float(bmat.shape[0]))
     sub = bmat[:, members]
     image = sub.reshape(m, -1, len(members)).sum(axis=1).T
-    return _decode_survivors(bmat, m, members, sub.T @ sub, image, tol)
+    return _decode_survivors(bmat, m, members, sub.T @ sub, image)
 
 
-def decode(
-    B: EncodingMatrix, workers: NonStragglerSet, tol: Tolerance = DEFAULT_TOL
-) -> DecodeResult:
+def decode(B: EncodingMatrix, workers: NonStragglerSet) -> DecodeResult:
     """Optimal decoding of B against its target for the given survivors,
     reading the survivor Gram matrix from B's cached Gram."""
     _check_shapes(B.mat, B.m, workers)
@@ -161,7 +156,7 @@ def decode(
         return DecodeResult(coeffs=np.zeros((B.n, B.m)), err=float(B.mat.shape[0]))
     gram, image = B.gram
     return _decode_survivors(
-        B.mat, B.m, members, gram[np.ix_(members, members)], image[members], tol
+        B.mat, B.m, members, gram[np.ix_(members, members)], image[members]
     )
 
 
@@ -193,17 +188,14 @@ def split_gradients(partials: Sequence[np.ndarray], m: int) -> GradientBlockMatr
 
 
 def reconstruct(
-    Z: GradientBlockMatrix,
-    B: EncodingMatrix,
-    workers: NonStragglerSet,
-    tol: Tolerance = DEFAULT_TOL,
+    Z: GradientBlockMatrix, B: EncodingMatrix, workers: NonStragglerSet
 ) -> tuple[np.ndarray, float]:
     """Approximate aggregate gradient blocks Z B R and the Frobenius gap to
     the exact Z F. The operator-norm bound gap^2 <= ||Z||_2^2 * err is
     checked, raising NumericalError when it fails."""
     if Z.k != B.k or Z.m != B.m:
         raise ShapeError("gradient blocks and encoding disagree on (k, m)")
-    dec = decode(B, workers, tol)
+    dec = decode(B, workers)
     target = build_target(B.k, B.m).mat
     approx = Z.mat @ (B.mat @ dec.coeffs)
     exact = Z.mat @ target

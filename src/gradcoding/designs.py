@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConstructionError, ParameterError
-from .linalg import DEFAULT_TOL, Tolerance, circulant_eigenvalues
+from .linalg import RANK_EPS, circulant_eigenvalues
 
 BIBD_TRANSPOSE = "bibd_transpose"
 SRG_ADJACENCY = "srg_adjacency"
@@ -159,7 +159,7 @@ class ValidationReport:
         }
 
 
-def _as_int_matrix(mat) -> np.ndarray:
+def _integer_matrix(mat) -> np.ndarray:
     m = np.asarray(getattr(mat, "mat", mat), dtype=float)
     return m.astype(np.int64)
 
@@ -272,7 +272,11 @@ def load_difference_set(path) -> tuple[int, list[int]]:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or "v" not in doc or "set" not in doc:
         raise ParameterError(f"{path}: expected a JSON object with keys 'v' and 'set'")
-    return int(doc["v"]), [int(x) for x in doc["set"]]
+    v, diff_set = doc["v"], doc["set"]
+    integers = isinstance(diff_set, list) and all(type(x) is int for x in [v, *diff_set])
+    if not integers:
+        raise ParameterError(f"{path}: 'v' and the entries of 'set' must be JSON integers")
+    return v, diff_set
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +305,11 @@ def bibd_transpose_from_difference_set(diff_set, v: int) -> AssignmentMatrix:
     return out
 
 
-def validate_bibd(mat, p: BibdParams, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
+def validate_bibd(mat, p: BibdParams) -> ValidationReport:
     """Exact integer check of the design identity M^T M = (delta-lam) I + lam J
-    plus row and column sums. tol is accepted for interface uniformity; all
-    checks here are exact."""
+    plus row and column sums."""
     report = ValidationReport(family=BIBD_TRANSPOSE)
-    ints = _as_int_matrix(mat)
+    ints = _integer_matrix(mat)
     if not _binary_check(report, ints, mat):
         return report
     k, n = ints.shape
@@ -385,7 +388,7 @@ def validate_srg(mat, p: SrgParams) -> ValidationReport:
     symmetry, zero diagonal, regularity, and non-degeneracy (the graph must
     be neither complete nor empty)."""
     report = ValidationReport(family=SRG_ADJACENCY)
-    ints = _as_int_matrix(mat)
+    ints = _integer_matrix(mat)
     if not _binary_check(report, ints, mat):
         return report
     k, n = ints.shape
@@ -462,14 +465,14 @@ def coset_base_block(p: CosetParams) -> np.ndarray:
     return coset_bipartite(p).mat[:, : p.k]
 
 
-def coset_is_invertible_base(p: CosetParams, tol: Tolerance = DEFAULT_TOL) -> bool:
+def coset_is_invertible_base(p: CosetParams) -> bool:
     """True iff the base circulant block is invertible: the mask polynomial
     of the generating set is nonzero at every k-th root of unity. When
     k = p^a with p prime and p not dividing delta, this is guaranteed."""
     row = np.zeros(p.k)
     row[list(p.generating_set)] = 1.0
     eig = circulant_eigenvalues(row)
-    return bool(np.min(np.abs(eig)) > tol.rank_eps * p.delta)
+    return bool(np.min(np.abs(eig)) > RANK_EPS * p.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +487,8 @@ def biregular_random(n: int, k: int, delta: int, gamma: int, seed: int) -> Assig
     rejection of parallel edges. Deterministic given seed."""
     if k < 1 or n < 1 or delta < 1 or gamma < 1:
         raise ParameterError("n, k, delta, gamma must be positive")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     if k * gamma != n * delta:
         raise ParameterError(f"infeasible degrees: k*gamma={k * gamma} != n*delta={n * delta}")
     if delta > k or gamma > n:

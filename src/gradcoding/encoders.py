@@ -19,7 +19,7 @@ import numpy as np
 
 from .designs import AssignmentMatrix
 from .errors import ConstructionError, ParameterError
-from .linalg import DEFAULT_TOL, Tolerance, null_space_basis
+from .linalg import null_space_basis
 
 RANDOM_DIAGONAL = "random_diagonal"
 NULLSPACE_HADAMARD = "nullspace_hadamard"
@@ -203,7 +203,6 @@ def encode_nullspace_hadamard(
     v1_policy: str = V1_ALL_ONES,
     constrain_pm1: bool = False,
     seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> EncodingMatrix:
     """Null-space chain construction for square total shape (n = mk).
 
@@ -243,7 +242,7 @@ def encode_nullspace_hadamard(
     blocks = [_rows_from_vector(v1, supports, n)]
     pm1_found = False
     for j in range(1, m):
-        basis = null_space_basis(np.vstack(blocks), tol)
+        basis = null_space_basis(np.vstack(blocks))
         if basis.shape[1] == 0:
             raise ConstructionError(f"null space exhausted before block {j + 1}")
         v = None

@@ -22,13 +22,7 @@ from .decoding import (
     reconstruct,
     split_gradients,
 )
-from .designs import (
-    BI_REGULAR,
-    BIBD_TRANSPOSE,
-    COSET_BIPARTITE,
-    SRG_ADJACENCY,
-    AssignmentMatrix,
-)
+from .designs import BI_REGULAR, COSET_BIPARTITE, AssignmentMatrix
 from .encoders import (
     BASELINE,
     NULLSPACE_HADAMARD,
@@ -42,8 +36,7 @@ from .encoders import (
     encode_random_diagonal,
 )
 from .errors import ParameterError, SingularMatrixError
-from .linalg import DEFAULT_TOL, Tolerance
-from .serialize import write_rows_csv
+from .serialize import read_matrix_csv, write_rows_csv
 
 EXACT = "exact"
 
@@ -136,15 +129,11 @@ class SchemeSpec:
     def randomized(self) -> bool:
         return self.scheme == RANDOM_DIAGONAL
 
-    def build(
-        self, A: AssignmentMatrix, m: int, seed: int, tol: Tolerance = DEFAULT_TOL
-    ) -> EncodingMatrix | None:
+    def build(self, A: AssignmentMatrix, m: int, seed: int) -> EncodingMatrix | None:
         if self.scheme == RANDOM_DIAGONAL:
             return encode_random_diagonal(A, m, DiagonalLaw(self.epsilon), seed)
         if self.scheme == NULLSPACE_HADAMARD:
-            return encode_nullspace_hadamard(
-                A, m, self.v1_policy, self.constrain_pm1, seed, tol
-            )
+            return encode_nullspace_hadamard(A, m, self.v1_policy, self.constrain_pm1, seed)
         if self.scheme == BASELINE:
             return encode_baseline(A, m)
         return None
@@ -172,7 +161,6 @@ class SweepConfig:
     matrix_draws: int = 1
     set_draws: object = 100  # positive integer, or "all" for exhaustive sets
     seed: int = 0
-    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if self.scheme.scheme == EXACT:
@@ -229,20 +217,6 @@ def _iter_sets(cfg: SweepConfig, x, rng: np.random.Generator):
         yield sample_straggler_set(model, n, rng)
 
 
-def _closed_form_upper(cfg: SweepConfig, s: int) -> float | None:
-    A, sc, m = cfg.assignment, cfg.scheme, cfg.m
-    if sc.scheme == BASELINE and A.family == BIBD_TRANSPOSE:
-        return bnd.baseline_bibd_error(A.params, m, s).value
-    if sc.scheme == RANDOM_DIAGONAL:
-        if A.family == BIBD_TRANSPOSE and sc.epsilon == 0.0 and s <= A.params.n - 1:
-            return bnd.bound_bibd(A.params, m, s).value
-        if A.family == SRG_ADJACENCY and sc.epsilon == 0.0:
-            return bnd.bound_srg(A.params, m, s).value
-        if A.family == COSET_BIPARTITE:
-            return bnd.bound_coset(A.params, s, bnd.compute_c(sc.epsilon)).value
-    return None
-
-
 def sweep_error(cfg: SweepConfig) -> ExperimentResult:
     """Decode-error statistics over (matrix draw x straggler draw) grids,
     with the matching upper and lower bounds attached per grid point.
@@ -258,27 +232,29 @@ def sweep_error(cfg: SweepConfig) -> ExperimentResult:
     c_val = bnd.compute_c(sc.epsilon) if sc.scheme == RANDOM_DIAGONAL else None
     result = ExperimentResult(header=list(SWEEP_CSV_HEADER))
     for gi, x in enumerate(cfg.grid):
-        upper = _closed_form_upper(cfg, int(x)) if s_grid else None
+        kinds = bnd.SCHEME_UPPER_FORMS.get(sc.scheme, ()) if s_grid else ()
+        forms = (bnd.closed_form(kind, A, cfg.m, int(x), sc.epsilon) for kind in kinds)
+        upper = next((v for v in forms if v is not None), None)
         per_set = s_grid and upper is None
         errs = []
         set_bounds = []
         for t in range(cfg.matrix_draws):
-            B = sc.build(A, cfg.m, _stream_seed(cfg.seed, gi, t, 0), cfg.tol)
+            B = sc.build(A, cfg.m, _stream_seed(cfg.seed, gi, t, 0))
             rng = np.random.default_rng(_stream(cfg.seed, gi, t, 1))
             for workers in _iter_sets(cfg, x, rng):
-                errs.append(decode(B, workers, cfg.tol).err)
+                errs.append(decode(B, workers).err)
                 if per_set:
                     try:
                         if sc.scheme == RANDOM_DIAGONAL:
-                            set_bounds.append(bnd.bound_expected(A, workers, cfg.m, c_val, cfg.tol).value)
+                            set_bounds.append(bnd.bound_expected(A, workers, cfg.m, c_val).value)
                         else:
-                            set_bounds.append(bnd.bound_diag_dominant(B, workers, cfg.tol).value)
+                            set_bounds.append(bnd.bound_diag_dominant(B, workers).value)
                     except SingularMatrixError:
                         pass
         arr = np.asarray(errs)
         if upper is None and set_bounds:
             upper = float(max(set_bounds))
-        lower = bnd.lower_bound(A.n, A.k, A.delta, cfg.m, int(x)).value if s_grid else None
+        lower = bnd.closed_form(bnd.LOWER, A, cfg.m, int(x), sc.epsilon) if s_grid else None
         sem = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
         result.rows.append(
             {
@@ -349,7 +325,6 @@ def estimate_unbiasedness(
     q: float,
     trials: int,
     seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> UnbiasednessResult:
     """Estimate beta with E[B R] = beta F over (diagonal draw, Bernoulli
     straggler draw) pairs.
@@ -377,7 +352,7 @@ def estimate_unbiasedness(
         B = encode_random_diagonal(A, m, law, int(state[0]))
         rng = np.random.default_rng(int(state[1]))
         workers = sample_straggler_set(model, A.n, rng)
-        combo = B.mat @ decode(B, workers, tol).coeffs
+        combo = B.mat @ decode(B, workers).coeffs
         acc += combo
         betas[t] = float(np.sum(combo * target)) / fnorm2
     mean_mat = acc / trials
@@ -408,7 +383,7 @@ class DatasetSpec:
 
 def make_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.path is not None:
-        raw = np.loadtxt(spec.path, delimiter=",", ndmin=2)
+        raw = read_matrix_csv(spec.path)
         if raw.shape[1] < 2:
             raise ParameterError("external dataset needs features plus a label column")
         features = raw[:, :-1]
@@ -418,6 +393,8 @@ def make_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
         return features, labels
     if spec.samples < spec.classes or spec.classes < 2:
         raise ParameterError("need at least 2 classes and one sample per class")
+    if spec.dim < 1 or spec.seed < 0:
+        raise ParameterError("dim must be positive and seed nonnegative")
     rng = np.random.default_rng(spec.seed)
     means = rng.normal(0.0, 1.0, size=(spec.classes, spec.dim))
     labels = np.arange(spec.samples) % spec.classes
@@ -448,7 +425,6 @@ class TrainConfig:
     dataset: DatasetSpec = DatasetSpec()
     seed: int = 0
     rescale_lr: bool = False
-    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if self.iterations < 1 or self.repetitions < 1:
@@ -524,7 +500,7 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
     eta = cfg.learning_rate
     if cfg.rescale_lr and sc.randomized:
         warm = estimate_unbiasedness(
-            A, sc, cfg.m, cfg.q, _RESCALE_WARMUP_TRIALS, _stream_seed(cfg.seed, 0xE7A), cfg.tol
+            A, sc, cfg.m, cfg.q, _RESCALE_WARMUP_TRIALS, _stream_seed(cfg.seed, 0xE7A)
         )
         eta = eta / warm.beta_hat
 
@@ -537,7 +513,7 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
         enc_rng = np.random.default_rng(int(state[1]))
         B = None
         if sc.scheme in (BASELINE, NULLSPACE_HADAMARD):
-            B = sc.build(A, cfg.m, int(state[2]), cfg.tol)
+            B = sc.build(A, cfg.m, int(state[2]))
         W = np.zeros((dim, classes))
         losses[rep, 0] = logistic_loss(X, y, W)
         for it in range(1, cfg.iterations + 1):
@@ -554,7 +530,7 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
                 workers = sample_straggler_set(Bernoulli(cfg.q), A.n, set_rng)
                 if sc.randomized:
                     B = encode_random_diagonal(A, cfg.m, law, int(enc_rng.integers(2**63)))
-                approx, _ = reconstruct(Z, B, workers, cfg.tol)
+                approx, _ = reconstruct(Z, B, workers)
             grad = merge_blocks(approx, d).reshape((dim, classes), order="F")
             W = W - eta * grad
             loss = logistic_loss(X, y, W)

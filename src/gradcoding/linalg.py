@@ -3,7 +3,7 @@
 Numerical contract:
 
   * Rank. Every rank decision goes through one rule: singular values below
-    rank_eps * sigma_max (rank_eps = 1e-10 by default) count as zero.
+    RANK_EPS * sigma_max (RANK_EPS = 1e-10) count as zero.
   * Certified Gram factor. certified_cholesky accepts the Cholesky factor L
     of a Gram matrix G = M^T M only when ||L^{-1}||_F^2 * tr(G) <= 1e8
     (CERT_COND_MAX). The left side bounds cond_2(G) from above, so an
@@ -19,32 +19,12 @@ Complex arithmetic appears only in circulant_eigenvalues.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NonFiniteError, ParameterError, ShapeError
+from .errors import NonFiniteError, ShapeError
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical policy.
-
-    rank_eps: singular values below rank_eps * sigma_max count as zero.
-    eq_eps: entrywise tolerance for equality checks.
-    """
-
-    rank_eps: float = 1e-10
-    eq_eps: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (self.rank_eps > 0.0):
-            raise ParameterError("rank_eps must be positive")
-        if not (self.eq_eps > 0.0):
-            raise ParameterError("eq_eps must be positive")
-
-
-DEFAULT_TOL = Tolerance()
+# The rank rule: singular values below RANK_EPS * sigma_max count as zero.
+RANK_EPS = 1e-10
 
 # Largest certified bound on cond_2(G) for which the Gram path is trusted:
 # cond_2(M) <= 1e4, six orders inside the 1e-10 rank rule.
@@ -71,20 +51,20 @@ def _svd(mat: np.ndarray):
     return np.linalg.svd(mat, full_matrices=False)
 
 
-def _rank_from_singulars(s: np.ndarray, rank_eps: float) -> int:
+def _rank_from_singulars(s: np.ndarray) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rank_eps * s[0]))
+    return int(np.count_nonzero(s > RANK_EPS * s[0]))
 
 
-def rank_of(mat, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank: count of singular values above rank_eps * sigma_max."""
+def rank_of(mat) -> int:
+    """Numerical rank: count of singular values above RANK_EPS * sigma_max."""
     m = as_matrix(mat)
     _, s, _ = _svd(m)
-    return _rank_from_singulars(s, tol.rank_eps)
+    return _rank_from_singulars(s)
 
 
-def project(mat, rhs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+def project(mat, rhs) -> tuple[np.ndarray, float]:
     """Minimum-norm least squares by one SVD: (R, min_R ||M R - Y||_F^2).
 
     R is the Moore-Penrose solution, well defined even when M^T M is
@@ -100,7 +80,7 @@ def project(mat, rhs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
         raise ShapeError(f"row counts differ: M has {m.shape[0]}, Y has {y.shape[0]}")
     total = float(np.sum(y * y))
     u, s, vt = _svd(m)
-    r = _rank_from_singulars(s, tol.rank_eps)
+    r = _rank_from_singulars(s)
     if r == 0:
         out, err = np.zeros((m.shape[1], y.shape[1])), total
     else:
@@ -108,16 +88,6 @@ def project(mat, rhs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
         out = vt[:r].T @ (proj / s[:r, None])
         err = max(total - float(np.sum(proj * proj)), 0.0)
     return (out[:, 0] if vector_rhs else out), err
-
-
-def least_squares_min_norm(mat, rhs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Minimum-Frobenius-norm solution of min ||M R - Y||_F (see project)."""
-    return project(mat, rhs, tol)[0]
-
-
-def residual_err(mat, rhs, tol: Tolerance = DEFAULT_TOL) -> float:
-    """min_R ||M R - Y||_F^2 via projection onto col(M) (see project)."""
-    return project(mat, rhs, tol)[1]
 
 
 def certified_cholesky(gram) -> tuple[np.ndarray, np.ndarray] | None:
@@ -142,17 +112,17 @@ def certified_cholesky(gram) -> tuple[np.ndarray, np.ndarray] | None:
     return chol, chol_inv
 
 
-def null_space_basis(mat, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def null_space_basis(mat) -> np.ndarray:
     """Orthonormal basis of the numerical null space, as columns.
 
-    Each column x satisfies ||M x|| <= 10 * rank_eps * sigma_max * ||x||.
+    Each column x satisfies ||M x|| <= 10 * RANK_EPS * sigma_max * ||x||.
     Returns an empty-width matrix when the null space is trivial.
     """
     m = as_matrix(mat)
     if m.shape[0] == 0 or m.shape[1] == 0:
         return np.eye(m.shape[1])
     _, s, vt = np.linalg.svd(m, full_matrices=True)
-    r = _rank_from_singulars(s, tol.rank_eps)
+    r = _rank_from_singulars(s)
     return vt[r:].T.copy()
 
 

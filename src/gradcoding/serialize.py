@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 def format_cell(value) -> str:
     if value is None:
@@ -45,7 +47,10 @@ def write_matrix_csv(path, mat, integer: bool = False) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    except ValueError as exc:  # a cell that is not a number, or ragged rows
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
 def write_json(path, doc) -> None:

@@ -184,3 +184,19 @@ def test_bound_reports_carry_kind_tags():
     assert gc.bound_srg(PALEY13, 1, 0).kind == gc.SRG_UPPER
     assert gc.lower_bound(8, 8, 4, 2, 5).kind == gc.LOWER
     assert gc.baseline_bibd_error(FANO, 2, 0).kind == gc.BASELINE_BIBD
+
+
+def test_closed_form_table_applies_by_family_epsilon_and_s(fano, paley13, coset27, bireg40):
+    kinds = gc.bounds.applicable_kinds
+    assert kinds(fano.family, 0.0) == ["bibd_upper", "baseline_bibd", "lower"]
+    assert kinds(fano.family, 0.1) == ["baseline_bibd", "lower"]
+    assert kinds(paley13.family, 0.1) == ["lower"]
+    assert kinds(coset27.family, 0.1) == ["coset_upper", "lower"]
+    assert kinds(bireg40.family, 0.0) == ["lower"]
+    assert gc.closed_form("bibd_upper", fano, 2, 1, 0.0) == gc.bound_bibd(FANO, 2, 1).value
+    assert gc.closed_form("bibd_upper", fano, 2, 7, 0.0) is None  # s = n
+    assert gc.closed_form("bibd_upper", fano, 2, 1, 0.1) is None  # sign-only form
+    assert gc.closed_form("srg_upper", fano, 2, 1, 0.0) is None  # another family
+    assert gc.closed_form("lower", bireg40, 2, 8, 0.0) == gc.lower_bound(40, 20, 3, 2, 8).value
+    with pytest.raises(ParameterError):
+        gc.closed_form("no_such_kind", fano, 2, 1, 0.0)
