@@ -1,7 +1,7 @@
 """Encode, erase workers, decode, and compare against the exact aggregate.
 
 Workers hold delta data subsets each and transmit one scalar combination
-per gradient block; with reduction factor m they send д/m-length vectors.
+per gradient block; with reduction factor m they send d/m-length vectors.
 """
 import numpy as np
 
@@ -22,15 +22,14 @@ for s in (0, 2, 4):
     bound = gc.bound_expected(A, workers, m, gc.compute_c(0.0))
     print(f"s={s}: err={dec.err:.4f}, expected-error bound={bound.value:.4f}")
 
-# The decoded combination drives gradient aggregation: split k per-subset
-# gradients into m blocks, apply B R, merge back.
+# The decoded combination drives gradient aggregation: reconstruct splits
+# the k per-subset gradients into m blocks, applies B R, and stacks the
+# blocks back into one vector.
 rng = np.random.default_rng(7)
-partials = [rng.standard_normal(10) for _ in range(A.k)]
-Z = gc.split_gradients(partials, m)
-exact = np.sum(partials, axis=0)
+partials = rng.standard_normal((A.k, 10))
+exact = partials.sum(axis=0)
 workers = gc.NonStragglerSet(n=A.n, members=tuple(range(1, A.n)))
-approx_blocks, gap = gc.reconstruct(Z, B, workers)
-approx = gc.merge_blocks(approx_blocks, 10)
+approx, gap = gc.reconstruct(partials, B, workers)
 print(f"\naggregate gradient: relative gap "
       f"{np.linalg.norm(approx - exact) / np.linalg.norm(exact):.4f} "
       f"with one straggler")

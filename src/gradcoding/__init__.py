@@ -30,13 +30,9 @@ from .bounds import (
 )
 from .decoding import (
     DecodeResult,
-    GradientBlockMatrix,
     NonStragglerSet,
-    TargetMatrix,
     build_target,
     decode,
-    decode_matrix,
-    merge_blocks,
     reconstruct,
     split_gradients,
 )

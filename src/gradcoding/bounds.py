@@ -39,11 +39,10 @@ BASELINE_BIBD = "baseline_bibd"
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value with its kind tag and an echo of the inputs."""
+    """A bound value with its kind tag."""
 
     kind: str
     value: float
-    inputs: dict
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.value):
@@ -63,12 +62,6 @@ def compute_c(epsilon: float) -> float:
     return (1.0 + e2 / 3.0) / (1.0 - e2)
 
 
-def _full_rank_gram(gram: np.ndarray) -> bool:
-    """Invertibility test for a PSD Gram-type matrix: certified by its
-    Cholesky factor, or else full rank under the rank rule."""
-    return certified_cholesky(gram) is not None or rank_of(gram) == gram.shape[0]
-
-
 def bound_expected(
     A: AssignmentMatrix, workers: NonStragglerSet, m: int, c: float
 ) -> BoundReport:
@@ -85,20 +78,19 @@ def bound_expected(
         raise ParameterError("m must be positive")
     k = A.k
     members = list(workers.members)
-    inputs = {"family": A.family, "m": m, "c": c, "s": workers.s}
     if not members:
-        return BoundReport(kind=EXPECTED_UPPER, value=float(m * k), inputs=inputs)
+        return BoundReport(kind=EXPECTED_UPPER, value=float(m * k))
     sub = A.mat[:, members]
     gram = sub.T @ sub
     kmat = gram + c * (m - 1) * np.diag(np.diag(gram))
-    if not _full_rank_gram(kmat):
+    if certified_cholesky(kmat) is None and rank_of(kmat) < len(members):
         raise SingularMatrixError(
             f"Gram-plus-diagonal matrix singular for s={workers.s} (family {A.family})"
         )
     ones_image = sub.T.sum(axis=1)  # A_F^T 1_k
     solved = np.linalg.solve(kmat, ones_image)
     value = m * k - m * float(ones_image @ solved)
-    return BoundReport(kind=EXPECTED_UPPER, value=value, inputs=inputs)
+    return BoundReport(kind=EXPECTED_UPPER, value=value)
 
 
 def bound_bibd(p: BibdParams, m: int, s: int) -> BoundReport:
@@ -109,11 +101,7 @@ def bound_bibd(p: BibdParams, m: int, s: int) -> BoundReport:
     if m < 1:
         raise ParameterError("m must be positive")
     value = m * p.k - m * p.delta**2 * (p.n - s) / (m * p.delta + (p.n - s - 1) * p.lam)
-    return BoundReport(
-        kind=BIBD_UPPER,
-        value=float(value),
-        inputs={"n": p.n, "k": p.k, "delta": p.delta, "lambda": p.lam, "m": m, "s": s},
-    )
+    return BoundReport(kind=BIBD_UPPER, value=float(value))
 
 
 def srg_theta(p: SrgParams) -> float:
@@ -134,19 +122,7 @@ def bound_srg(p: SrgParams, m: int, s: int) -> BoundReport:
     theta = srg_theta(p)
     denom = (m * p.delta - p.mu) + p.mu * (p.n - s) + (p.lam - p.mu) * theta
     value = m * p.n - m * p.delta**2 * (p.n - s) / denom
-    return BoundReport(
-        kind=SRG_UPPER,
-        value=float(value),
-        inputs={
-            "n": p.n,
-            "delta": p.delta,
-            "lambda": p.lam,
-            "mu": p.mu,
-            "theta": theta,
-            "m": m,
-            "s": s,
-        },
-    )
+    return BoundReport(kind=SRG_UPPER, value=float(value))
 
 
 def bound_coset(p: CosetParams, s: int, c: float) -> BoundReport:
@@ -157,11 +133,7 @@ def bound_coset(p: CosetParams, s: int, c: float) -> BoundReport:
     value = p.m * p.k - p.m * p.delta**2 * (p.m * p.k - s) / (
         p.m * p.delta**2 + c * (p.m - 1) * p.delta
     )
-    return BoundReport(
-        kind=COSET_UPPER,
-        value=float(value),
-        inputs={"k": p.k, "m": p.m, "delta": p.delta, "c": c, "s": s},
-    )
+    return BoundReport(kind=COSET_UPPER, value=float(value))
 
 
 def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundReport:
@@ -169,27 +141,27 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
 
     Replaces the survivors' Gram matrix by the diagonal majorant whose (u,u)
     entry is the absolute row sum, making the solve an entrywise division:
-    mk - sum_i 1^T B_i,F Sigma~^{-1} B_i,F^T 1.  Requires the Gram matrix of
-    the surviving columns to be invertible. Both the Gram matrix and the
-    images B_i,F^T 1 are read from B's cached Gram.
+    mk - sum_i 1^T B_i,F Sigma~^{-1} B_i,F^T 1.  Requires the surviving
+    columns B_S to have full column rank: certified through their Gram
+    matrix, or else under the decode's rank rule applied to B_S itself. Both
+    the Gram matrix and the images B_i,F^T 1 are read from B's cached Gram.
     """
     if workers.n != B.n:
         raise ParameterError("non-straggler set size does not match encoding")
     k, m = B.k, B.m
     members = list(workers.members)
-    inputs = {"scheme": B.scheme, "m": m, "s": workers.s}
     if not members:
-        return BoundReport(kind=DIAG_DOM_UPPER, value=float(m * k), inputs=inputs)
+        return BoundReport(kind=DIAG_DOM_UPPER, value=float(m * k))
     full_gram, full_image = B.gram
     gram = full_gram[np.ix_(members, members)]
-    if not _full_rank_gram(gram):
+    if certified_cholesky(gram) is None and rank_of(B.mat[:, members]) < len(members):
         raise SingularMatrixError(
-            f"survivor Gram matrix singular for members={members}"
+            f"survivor columns rank-deficient for members={members}"
         )
     majorant = np.sum(np.abs(gram), axis=1)  # diagonal entries of Sigma~
     image = full_image[members]  # column i is B_i,F^T 1
     total = float(np.sum(image * image / majorant[:, None]))
-    return BoundReport(kind=DIAG_DOM_UPPER, value=m * k - total, inputs=inputs)
+    return BoundReport(kind=DIAG_DOM_UPPER, value=m * k - total)
 
 
 def lower_bound(n: int, k: int, delta: int, m: int, s: int) -> BoundReport:
@@ -204,11 +176,7 @@ def lower_bound(n: int, k: int, delta: int, m: int, s: int) -> BoundReport:
     best = 0
     for u in range(1, m + 1):
         best = max(best, floor(k * (s + m - u) / (n * delta)) * u)
-    return BoundReport(
-        kind=LOWER,
-        value=float(best),
-        inputs={"n": n, "k": k, "delta": delta, "m": m, "s": s},
-    )
+    return BoundReport(kind=LOWER, value=float(best))
 
 
 def adversarial_straggler_set(
@@ -257,11 +225,7 @@ def baseline_bibd_error(p: BibdParams, m: int, s: int) -> BoundReport:
         value = float(m * p.k)
     else:
         value = m * p.k - p.delta**2 * (p.n - s) / (p.delta + (p.n - s - 1) * p.lam)
-    return BoundReport(
-        kind=BASELINE_BIBD,
-        value=float(value),
-        inputs={"n": p.n, "k": p.k, "delta": p.delta, "lambda": p.lam, "m": m, "s": s},
-    )
+    return BoundReport(kind=BASELINE_BIBD, value=float(value))
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,6 @@ class ConstructCommand:
     command: str = "construct"
     design: Design
     seed: int = 0
-    emit_svg: bool = False
     m: int | None = None
     scheme: SchemeSpec | None = None
 
@@ -336,7 +335,6 @@ class ValidateCommand:
     command: str = "validate"
     design: Design
     seed: int = 0
-    emit_svg: bool = False
     m: int | None = None
     scheme: SchemeSpec | None = None
     design_csv: str | None = None
@@ -779,12 +777,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="approximate gradient coding: designs, encodings, bounds, experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (schema, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--svg", action="store_true", help="also emit SVG charts")
+        if "emit_svg" in {f.name for f in fields(schema)}:
+            p.add_argument("--svg", action="store_true", help="also emit SVG charts")
     return parser
 
 
@@ -798,11 +797,10 @@ def main(argv=None) -> int:
                 f"config is for {doc['command']!r} but {args.command!r} was invoked"
             )
         cfg = from_dict(schema, doc, "config")
-        cfg = replace(
-            cfg,
-            seed=cfg.seed if args.seed is None else args.seed,
-            emit_svg=args.svg or cfg.emit_svg,
-        )
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if getattr(args, "svg", False):
+            cfg = replace(cfg, emit_svg=True)
         if cfg.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
         out = Path(args.out)

@@ -18,7 +18,6 @@ from .decoding import (
     NonStragglerSet,
     build_target,
     decode,
-    merge_blocks,
     reconstruct,
     split_gradients,
 )
@@ -343,7 +342,7 @@ def estimate_unbiasedness(
         raise ParameterError("need at least 2 trials")
     model = Bernoulli(q)
     law = DiagonalLaw(scheme.epsilon)
-    target = build_target(A.k, m).mat
+    target = build_target(A.k, m)
     fnorm2 = float(m * A.k)
     acc = np.zeros_like(target)
     betas = np.empty(trials)
@@ -386,11 +385,10 @@ def make_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
         raw = read_matrix_csv(spec.path)
         if raw.shape[1] < 2:
             raise ParameterError("external dataset needs features plus a label column")
-        features = raw[:, :-1]
-        labels = raw[:, -1].astype(int)
-        if labels.min() < 0:
+        labels = raw[:, -1]
+        if not np.all(np.isfinite(labels) & (labels == np.rint(labels)) & (labels >= 0)):
             raise ParameterError("labels must be nonnegative integers")
-        return features, labels
+        return raw[:, :-1], labels.astype(int)
     if spec.samples < spec.classes or spec.classes < 2:
         raise ParameterError("need at least 2 classes and one sample per class")
     if spec.dim < 1 or spec.seed < 0:
@@ -475,12 +473,12 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
     """Full-batch gradient descent on multinomial logistic regression with
     coded gradient aggregation.
 
-    Per iteration: per-subset gradients (weights flattened column-major) are
-    arranged into the block matrix, a Bernoulli survivor set is drawn, the
-    random-diagonal scheme redraws its diagonals (fixed-matrix schemes keep
-    their encoding), and the decoded approximation drives the update. An
-    empty survivor set decodes to zero coefficients, hence a zero update.
-    The 'exact' scheme skips coding and applies the true aggregate.
+    Per iteration: the k per-subset gradients (weights flattened
+    column-major) come from one batched product, a Bernoulli survivor set is
+    drawn, the random-diagonal scheme redraws its diagonals (fixed-matrix
+    schemes keep their encoding), and the decoded aggregate drives the
+    update. An empty survivor set decodes to zero coefficients, hence a zero
+    update. The 'exact' scheme skips coding and applies the true aggregate.
     """
     A, sc = cfg.assignment, cfg.scheme
     X, y = make_dataset(cfg.dataset)
@@ -495,7 +493,8 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
     onehot = np.zeros((used, classes))
     onehot[np.arange(used), y] = 1.0
     d = dim * classes
-    target = build_target(k, cfg.m).mat
+    target = build_target(k, cfg.m)
+    subsets = X.reshape(k, per, dim).transpose(0, 2, 1)  # X_i^T, stacked
 
     eta = cfg.learning_rate
     if cfg.rescale_lr and sc.randomized:
@@ -519,20 +518,18 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
         for it in range(1, cfg.iterations + 1):
             probs = np.exp(_log_softmax(X @ W))
             resid = probs - onehot
-            partials = [
-                (X[i * per : (i + 1) * per].T @ resid[i * per : (i + 1) * per] / used).ravel(order="F")
-                for i in range(k)
-            ]
-            Z = split_gradients(partials, cfg.m)
+            # row i of partials is X_i^T resid_i / used, the dim x classes
+            # gradient of subset i flattened column-major
+            per_subset = np.matmul(subsets, resid.reshape(k, per, classes)) / used
+            partials = per_subset.transpose(0, 2, 1).reshape(k, d)
             if sc.scheme == EXACT:
-                approx = Z.mat @ target
+                grad = np.ravel(split_gradients(partials, cfg.m) @ target, order="F")[:d]
             else:
                 workers = sample_straggler_set(Bernoulli(cfg.q), A.n, set_rng)
                 if sc.randomized:
                     B = encode_random_diagonal(A, cfg.m, law, int(enc_rng.integers(2**63)))
-                approx, _ = reconstruct(Z, B, workers)
-            grad = merge_blocks(approx, d).reshape((dim, classes), order="F")
-            W = W - eta * grad
+                grad, _ = reconstruct(partials, B, workers)
+            W = W - eta * grad.reshape((dim, classes), order="F")
             loss = logistic_loss(X, y, W)
             losses[rep, it] = loss
             if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:

@@ -255,7 +255,7 @@ def test_criterion_8_error_decomposes_across_block_row_groups():
         R = rng.standard_normal((n, m))
         size = int(rng.integers(0, n + 1))
         members = np.sort(rng.choice(n, size=size, replace=False))
-        F = gc.build_target(k, m).mat
+        F = gc.build_target(k, m)
         fit = B[:, members] @ R[members, :] if size else np.zeros((m * k, m))
         lhs = float(np.sum((fit - F) ** 2))
         rhs = 0.0

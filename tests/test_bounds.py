@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from math import sqrt
 
@@ -6,6 +7,7 @@ import pytest
 
 import gradcoding as gc
 from gradcoding.errors import ParameterError, SingularMatrixError
+from gradcoding.linalg import rank_of
 
 FANO = gc.BibdParams(n=7, k=7, gamma=3, delta=3, lam=1)
 BIG = gc.BibdParams(n=91, k=91, gamma=10, delta=10, lam=1)
@@ -121,6 +123,19 @@ def test_fixed_encoding_bound_requires_invertible_gram(coset_small):
         gc.bound_diag_dominant(B, gc.NonStragglerSet.full(6))
 
 
+def test_fixed_encoding_bound_uses_the_decode_rank_rule(fano):
+    # two survivor columns parallel to within 1e-7: full rank under the rank
+    # rule on B_S (singular values 1e-8 apart), singular on G_S (1e-16)
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    mat = B.mat.copy()
+    mat[:, 1] = mat[:, 0] + 1e-7 * np.random.default_rng(0).standard_normal(14)
+    near = dataclasses.replace(B, mat=mat)
+    workers = gc.NonStragglerSet(n=7, members=(0, 1))
+    assert rank_of(mat[:, :2]) == 2
+    assert rank_of(near.gram[0][:2, :2]) == 1
+    assert gc.bound_diag_dominant(near, workers).value >= gc.decode(near, workers).err
+
+
 def test_gram_bound_empty_and_singular(fano, coset_small):
     empty = gc.NonStragglerSet(n=7, members=())
     assert gc.bound_expected(fano, empty, 2, c=1.0).value == 14.0
@@ -176,7 +191,7 @@ def test_adversarial_set_pads_to_exact_size(fano):
 
 def test_bound_report_rejects_nonfinite():
     with pytest.raises(ParameterError):
-        gc.BoundReport(kind=gc.LOWER, value=float("nan"), inputs={})
+        gc.BoundReport(kind=gc.LOWER, value=float("nan"))
 
 
 def test_bound_reports_carry_kind_tags():

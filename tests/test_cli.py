@@ -170,7 +170,7 @@ _TRAIN_JSON = _FANO_JSON + ', "m": 2, "iterations": 1, "scheme": {"scheme": "bas
             '{"design": {"family": "bibd_transpose", "v": 7, "difference_set": ["0", "1", "3"]}}',
             id="int-string",
         ),
-        pytest.param("construct", "{" + _FANO_JSON + ', "emit_svg": "false"}', id="bool-string"),
+        pytest.param("bounds", "{" + _FANO_JSON + ', "m": 2, "s_grid": [0], "emit_svg": "false"}', id="bool-string"),
         pytest.param(
             "construct",
             '{"design": {"family": "bi_regular", "n": 8, "k": 4, "delta": 2, "gamma": 4}, "m": 2,'
@@ -197,6 +197,8 @@ def _bad_input(tmp_path, case):
     reader used to refuse with a bare ValueError."""
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("1,0\n0,x\n")
+    fractional_csv = tmp_path / "fractional.csv"
+    fractional_csv.write_text("".join(f"{i},{label}\n" for i in range(7) for label in (0.9, 1.7, 0.2)))
     bireg = {"family": "bi_regular", "n": 8, "k": 4, "delta": 2, "gamma": 4}
     train = {"design": FANO, "m": 2, "q": 0.25, "iterations": 1, "scheme": {"scheme": "baseline"}}
     if case.startswith("difference_set_file"):
@@ -219,6 +221,7 @@ def _bad_input(tmp_path, case):
         "planar_v_one": ("construct", {"design": {"family": "bibd_transpose", "v": 1}}),
         "design_csv_cell": ("validate", {"design": FANO, "design_csv": str(bad_csv)}),
         "dataset_csv_cell": ("train", dict(train, dataset={"path": str(bad_csv)})),
+        "dataset_csv_fractional_label": ("train", dict(train, dataset={"path": str(fractional_csv)})),
         "family_not_a_string": ("construct", {"design": {"family": ["bibd_transpose"], "v": 7}}),
     }[case]
 
@@ -236,6 +239,7 @@ def _bad_input(tmp_path, case):
         "planar_v_one",
         "design_csv_cell",
         "dataset_csv_cell",
+        "dataset_csv_fractional_label",
         "difference_set_file_strings",
         "difference_set_file_floats",
         "family_not_a_string",
@@ -371,6 +375,15 @@ def test_sweep_svg_flag_writes_chart(tmp_path):
     text = (out / "sweep.svg").read_text()
     assert text.startswith("<svg")
     assert "</svg>" in text
+
+
+@pytest.mark.parametrize("command", ["construct", "validate"])
+def test_commands_without_a_chart_refuse_svg(tmp_path, command):
+    rc, _ = run_cli(tmp_path, command, {"design": FANO, "emit_svg": True}, out="key")
+    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, command, {"design": FANO}, out="flag", svg=True)
+    assert exc.value.code == 2
 
 
 def test_sweep_requires_exactly_one_scheme_key(tmp_path):

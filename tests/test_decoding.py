@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,10 +14,10 @@ from gradcoding.linalg import certified_cholesky, project, rank_of
 
 def test_target_columns_indicate_blocks():
     F = gc.build_target(3, 2)
-    assert F.mat.shape == (6, 2)
-    assert np.array_equal(F.mat[:, 0], [1, 1, 1, 0, 0, 0])
-    assert np.array_equal(F.mat[:, 1], [0, 0, 0, 1, 1, 1])
-    assert np.array_equal(F.mat.T @ F.mat, 3 * np.eye(2))
+    assert F.shape == (6, 2)
+    assert np.array_equal(F[:, 0], [1, 1, 1, 0, 0, 0])
+    assert np.array_equal(F[:, 1], [0, 0, 0, 1, 1, 1])
+    assert np.array_equal(F.T @ F, 3 * np.eye(2))
 
 
 def test_target_validation():
@@ -46,7 +47,7 @@ def test_full_invertible_set_decodes_exactly(coset27):
     B = gc.encode_random_diagonal(coset27, 2, gc.DiagonalLaw(0.1), seed=0)
     res = gc.decode(B, gc.NonStragglerSet.full(54))
     assert res.err <= 1e-8
-    F = gc.build_target(27, 2).mat
+    F = gc.build_target(27, 2)
     assert np.allclose(B.mat @ res.coeffs, F, atol=1e-6)
 
 
@@ -91,7 +92,7 @@ def test_sign_flipping_a_block_preserves_error(fano):
     flipped[7:14] *= -1.0
     workers = gc.NonStragglerSet(n=7, members=(0, 1, 4, 6))
     a = gc.decode(B, workers).err
-    b = gc.decode_matrix(flipped, 2, workers).err
+    b = gc.decode(dataclasses.replace(B, mat=flipped), workers).err
     assert abs(a - b) <= 1e-8
 
 
@@ -99,7 +100,7 @@ def test_residual_orthogonal_to_survivor_columns(fano):
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.1), seed=5)
     workers = gc.NonStragglerSet(n=7, members=(1, 2, 3, 6))
     res = gc.decode(B, workers)
-    F = gc.build_target(7, 2).mat
+    F = gc.build_target(7, 2)
     resid = B.mat @ res.coeffs - F
     sub = B.mat[:, list(workers.members)]
     assert np.max(np.abs(sub.T @ resid)) <= 1e-9
@@ -109,73 +110,81 @@ def test_error_matches_direct_residual(fano):
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=6)
     workers = gc.NonStragglerSet(n=7, members=(0, 3, 4))
     res = gc.decode(B, workers)
-    F = gc.build_target(7, 2).mat
+    F = gc.build_target(7, 2)
     direct = float(np.sum((B.mat @ res.coeffs - F) ** 2))
     assert res.err == pytest.approx(direct, abs=1e-9)
 
 
-def test_decode_matrix_shape_errors():
+def test_decode_shape_errors(fano):
+    B = gc.encode_baseline(fano, 2)
+    with pytest.raises(ShapeError):  # 13 rows are not m*k = 14
+        gc.decode(dataclasses.replace(B, mat=B.mat[:13]), gc.NonStragglerSet.full(7))
     with pytest.raises(ShapeError):
-        gc.decode_matrix(np.ones((5, 3)), 2, gc.NonStragglerSet.full(3))
-    with pytest.raises(ShapeError):
-        gc.decode_matrix(np.ones((4, 3)), 2, gc.NonStragglerSet.full(5))
+        gc.decode(B, gc.NonStragglerSet.full(5))
 
 
-def test_split_arranges_blocks_and_sums(fano):
+def test_split_arranges_blocks_and_sums():
     rng = np.random.default_rng(7)
-    partials = [rng.standard_normal(7) for _ in range(5)]
+    partials = rng.standard_normal((5, 7))
     Z = gc.split_gradients(partials, 2)
-    assert Z.mat.shape == (4, 10)  # ceil(7/2) = 4 rows, m*k columns
-    assert Z.d == 8 and Z.d_orig == 7
-    F = gc.build_target(5, 2).mat
-    total = gc.merge_blocks(Z.mat @ F, 7)
-    assert np.allclose(total, np.sum(partials, axis=0), atol=1e-12)
+    assert Z.shape == (4, 10)  # ceil(7/2) = 4 rows, m*k columns
+    padded = np.zeros((5, 8))
+    padded[:, :7] = partials
+    for u in range(2):
+        for i in range(5):
+            assert np.array_equal(Z[:, u * 5 + i], padded[i, u * 4 : (u + 1) * 4])
+    F = gc.build_target(5, 2)
+    total = np.ravel(Z @ F, order="F")[:7]
+    assert np.allclose(total, partials.sum(axis=0), atol=1e-12)
 
 
 def test_split_column_layout():
     g = [np.arange(6.0) + 10 * i for i in range(3)]
     Z = gc.split_gradients(g, 2)
     # column u*k + i holds block u of subset i
-    assert np.array_equal(Z.mat[:, 1], [10.0, 11.0, 12.0])
-    assert np.array_equal(Z.mat[:, 3 + 1], [13.0, 14.0, 15.0])
+    assert np.array_equal(Z[:, 1], [10.0, 11.0, 12.0])
+    assert np.array_equal(Z[:, 3 + 1], [13.0, 14.0, 15.0])
+    assert np.array_equal(gc.split_gradients(np.array(g), 2), Z)
 
 
 def test_split_validation():
     with pytest.raises(ParameterError):
         gc.split_gradients([], 2)
+    with pytest.raises(ParameterError):
+        gc.split_gradients([np.zeros(3)], 0)
     with pytest.raises(ShapeError):
         gc.split_gradients([np.zeros(3), np.zeros(4)], 2)
+    with pytest.raises(ShapeError):
+        gc.split_gradients(np.zeros((2, 3, 4)), 2)
 
 
 def test_reconstruct_gap_bounded_by_decode_error(fano):
     rng = np.random.default_rng(8)
     partials = [rng.standard_normal(11) for _ in range(7)]
-    Z = gc.split_gradients(partials, 2)
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=9)
     workers = gc.NonStragglerSet(n=7, members=(0, 2, 3, 5))
-    approx, gap = gc.reconstruct(Z, B, workers)
-    assert approx.shape == (6, 2)
+    approx, gap = gc.reconstruct(partials, B, workers)
+    assert approx.shape == (11,)
+    # the gap also counts the padding entry, which the result drops
+    assert np.linalg.norm(approx - np.sum(partials, axis=0)) <= gap + 1e-12
     err = gc.decode(B, workers).err
-    znorm = np.linalg.norm(Z.mat, 2)
+    znorm = np.linalg.norm(gc.split_gradients(partials, 2), 2)
     assert gap * gap <= znorm * znorm * err * (1 + 1e-8) + 1e-8
 
 
 def test_reconstruct_exact_with_full_recovery(bireg40):
     rng = np.random.default_rng(10)
-    partials = [rng.standard_normal(9) for _ in range(20)]
-    Z = gc.split_gradients(partials, 2)
+    partials = rng.standard_normal((20, 9))
     B = gc.encode_nullspace_hadamard(bireg40, 2, seed=0)
-    approx, gap = gc.reconstruct(Z, B, gc.NonStragglerSet.full(40))
+    approx, gap = gc.reconstruct(partials, B, gc.NonStragglerSet.full(40))
     assert gap <= 1e-8
-    total = gc.merge_blocks(approx, 9)
-    assert np.allclose(total, np.sum(partials, axis=0), atol=1e-8)
+    assert np.allclose(approx, partials.sum(axis=0), atol=1e-8)
 
 
 def test_reconstruct_rejects_mismatched_shapes(fano, coset_small):
-    Z = gc.split_gradients([np.zeros(4)] * 7, 2)
     B = gc.encode_baseline(coset_small, 2)
     with pytest.raises(ShapeError):
-        gc.reconstruct(Z, B, gc.NonStragglerSet.full(6))
+        gc.reconstruct([np.zeros(4)] * 7, B, gc.NonStragglerSet.full(6))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +214,7 @@ def _survivor_gram(B, members):
 def test_gram_decode_matches_svd_projection(request, family, scheme):
     A = request.getfixturevalue(family)
     B = _encode(A, scheme)
-    F = gc.build_target(B.k, B.m).mat
+    F = gc.build_target(B.k, B.m)
     mk = B.m * B.k
     rng = np.random.default_rng(0)
     sets = [tuple(range(A.n))]
@@ -334,7 +343,7 @@ def test_residual_consistency_check_raises(fano, monkeypatch):
 def test_operator_norm_check_raises(fano, monkeypatch):
     # claiming zero error on a straggling set breaks gap^2 <= ||Z||^2 err
     rng = np.random.default_rng(12)
-    Z = gc.split_gradients([rng.standard_normal(6) for _ in range(7)], 2)
+    partials = rng.standard_normal((7, 6))
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=3)
     workers = gc.NonStragglerSet(n=7, members=(0, 1, 4))
     true = gc.decode(B, workers)
@@ -343,4 +352,4 @@ def test_operator_norm_check_raises(fano, monkeypatch):
         decoding, "decode", lambda *a: gc.DecodeResult(coeffs=true.coeffs, err=0.0)
     )
     with pytest.raises(NumericalError, match="operator-norm"):
-        gc.reconstruct(Z, B, workers)
+        gc.reconstruct(partials, B, workers)

@@ -1,0 +1,39 @@
+"""The public examples run: the README's python blocks and the quick demos.
+
+Demos 04 (a Monte Carlo sweep, about 8 s) and 05 (about 2.5 s) are left to
+be run by hand, for the suite's time.
+"""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_python_blocks_run_in_order():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
+@pytest.mark.parametrize("demo", ["01_designs", "02_encode_decode", "03_bounds", "06_training"])
+def test_demo_runs(tmp_path, demo):
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -3,7 +3,7 @@ import pytest
 
 import gradcoding as gc
 from gradcoding.errors import ParameterError
-from gradcoding.experiments import SWEEP_CSV_HEADER, TRAIN_CSV_HEADER
+from gradcoding.experiments import SWEEP_CSV_HEADER, TRAIN_CSV_HEADER, _log_softmax
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +312,15 @@ def test_dataset_from_csv(tmp_path):
         gc.make_dataset(gc.DatasetSpec(path=str(bad)))
 
 
+@pytest.mark.parametrize("label", ["0.9", "1.5", "nan", "inf", "-1"])
+def test_dataset_refuses_labels_that_are_not_class_indices(tmp_path, label):
+    # a fractional label used to be truncated: 0.9, 1.7, 0.2 trained as 0, 1, 0
+    path = tmp_path / "data.csv"
+    path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n5.0,6.0,1\n")
+    with pytest.raises(ParameterError, match="labels"):
+        gc.make_dataset(gc.DatasetSpec(path=str(path)))
+
+
 def test_uniform_predictor_loss():
     X, y = gc.make_dataset(gc.DatasetSpec(samples=90, dim=4, classes=3, seed=1))
     assert gc.logistic_loss(X, y, np.zeros((4, 3))) == pytest.approx(np.log(3.0))
@@ -375,6 +384,35 @@ def test_training_exact_scheme_matches_invertible_coding(coset27):
         )
     )
     assert np.max(np.abs(coded.losses - plain.losses)) <= 1e-6
+
+
+def test_exact_training_matches_the_per_subset_loop(fano):
+    # the reference computes each subset's gradient by its own product, as
+    # the loop that the batched product replaced did; d = 9 pads to 10
+    dataset = gc.DatasetSpec(samples=70, dim=3, classes=3, seed=0)
+    cfg = gc.TrainConfig(
+        assignment=fano,
+        scheme=gc.SchemeSpec(scheme=gc.EXACT),
+        m=2,
+        q=0.0,
+        iterations=3,
+        dataset=dataset,
+    )
+    X, y = gc.make_dataset(dataset)
+    onehot = np.eye(3)[y]
+    F = gc.build_target(7, 2)
+    W = np.zeros((3, 3))
+    losses = [gc.logistic_loss(X, y, W)]
+    for _ in range(3):
+        resid = np.exp(_log_softmax(X @ W)) - onehot
+        partials = [
+            (X[i * 10 : (i + 1) * 10].T @ resid[i * 10 : (i + 1) * 10] / 70).ravel(order="F")
+            for i in range(7)
+        ]
+        grad = np.ravel(gc.split_gradients(partials, 2) @ F, order="F")[:9]
+        W = W - 0.5 * grad.reshape((3, 3), order="F")
+        losses.append(gc.logistic_loss(X, y, W))
+    assert np.array_equal(gc.simulate_training(cfg).losses[0], losses)
 
 
 def test_training_divergence_recorded(fano):
