@@ -5,7 +5,7 @@ import gradcoding as gc
 
 # Symmetric-design transpose from a planar difference set. The row-shift
 # construction makes every row a cyclic translate of the base set.
-diff_set = gc.search_planar_difference_set(7, 3)
+diff_set = gc.search_planar_difference_set(7)
 print(f"planar difference set mod 7: {diff_set}")
 A = gc.bibd_transpose_from_difference_set(diff_set, 7)
 print(f"bibd transpose: k={A.k} n={A.n} delta={A.delta} gamma={A.gamma}")

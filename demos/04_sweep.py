@@ -38,4 +38,4 @@ result.write_csv(out / "sweep.csv")
     line_chart(series, title="fano, m=2", x_label="stragglers s", y_label="decode error")
 )
 print(f"\nwrote {out / 'sweep.csv'} and {out / 'sweep.svg'}")
-print("same run via the CLI: gradcoding sweep --config recipes/fig3-fast.json --out out/fig3 --svg")
+print("same run via the CLI: gradcoding sweep --config recipes/fig3-fast.json --out out/fig3")

@@ -21,4 +21,4 @@ for label, spec in (
     print(f"{label:>16}: final={final:.4f}  loss@0,20,40,60,80: {line}")
 
 print("\nfull comparison via the CLI: "
-      "gradcoding train --config recipes/fig6b.json --out out/fig6b --svg")
+      "gradcoding train --config recipes/fig6b.json --out out/fig6b")

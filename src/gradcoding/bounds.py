@@ -95,9 +95,11 @@ def bound_expected(
 
 def bound_bibd(p: BibdParams, m: int, s: int) -> BoundReport:
     """Family closed form for BIBD transposes under the sign-only diagonal
-    law: mk - m delta^2 (n-s) / (m delta + (n-s-1) lambda)."""
-    if not (0 <= s <= p.n - 1):
-        raise ParameterError(f"s must lie in [0, {p.n - 1}], got {s}")
+    law: mk - m delta^2 (n-s) / (m delta + (n-s-1) lambda). At s = n it is
+    mk, the error with no survivor; the denominator m delta - lambda stays
+    positive there since delta > lambda."""
+    if not (0 <= s <= p.n):
+        raise ParameterError(f"s must lie in [0, {p.n}], got {s}")
     if m < 1:
         raise ParameterError("m must be positive")
     value = m * p.k - m * p.delta**2 * (p.n - s) / (m * p.delta + (p.n - s - 1) * p.lam)
@@ -261,10 +263,9 @@ def applicable_kinds(family: str, epsilon: float) -> list[str]:
 
 def closed_form(kind: str, A: AssignmentMatrix, m: int, s: int, epsilon: float) -> float | None:
     """Value of one closed-form bound at s stragglers, or None where the form
-    does not apply: another family, epsilon > 0 for a sign-only form, or
-    s = n for bibd_upper."""
+    does not apply: another family, or epsilon > 0 for a sign-only form."""
     if kind not in CLOSED_FORMS:
         raise ParameterError(f"unknown bound kind {kind!r}")
-    if kind not in applicable_kinds(A.family, epsilon) or (kind == BIBD_UPPER and s == A.n):
+    if kind not in applicable_kinds(A.family, epsilon):
         return None
     return CLOSED_FORMS[kind][2](A, m, s, epsilon).value

@@ -195,7 +195,7 @@ class BibdDesign(Design):
             v = self.v
             diff_set = builtin_difference_sets().get(v)
             if diff_set is None:
-                diff_set = search_planar_difference_set(v, _planar_delta(v))
+                diff_set = search_planar_difference_set(v)
         else:
             raise ConfigError("design needs v, difference_set, or path")
         A = bibd_transpose_from_difference_set(diff_set, v)
@@ -250,21 +250,13 @@ class BiRegularDesign(Design):
 _DESIGNS = {cls.family: cls for cls in (BibdDesign, SrgDesign, CosetDesign, BiRegularDesign)}
 
 
-def _planar_delta(v: int) -> int:
-    # v = delta^2 - delta + 1 for a planar difference set
-    root = math.isqrt(4 * v - 3) if v >= 2 else 0
-    if root * root != 4 * v - 3 or root % 2 == 0:
-        raise ConfigError(f"no planar difference-set parameters for v={v}")
-    return (1 + root) // 2
-
-
 @dataclass(frozen=True)
 class SweepScheme(SchemeSpec):
-    """A sweep's scheme. Its own matrix_draws overrides the config's, so
-    deterministic schemes skip redundant encoding redraws while sharing the
+    """A sweep's scheme with its own number of encoding draws, so
+    deterministic schemes skip redundant redraws while sharing the
     straggler sets."""
 
-    matrix_draws: int | None = None
+    matrix_draws: int = 1
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -278,20 +270,14 @@ class ConstructCommand:
 
 @dataclass(frozen=True, kw_only=True)
 class SweepCommand:
-    """Give exactly one of scheme and schemes; the resolved config lists
-    schemes, each with its matrix_draws."""
-
     command: str = "sweep"
     design: Design
-    scheme: SweepScheme | None = None
-    schemes: tuple[SweepScheme, ...] | None = None
+    schemes: tuple[SweepScheme, ...]
     m: int
     grid_kind: str
     grid: tuple[float, ...]  # integers on an "s" grid
-    matrix_draws: int = 1
     set_draws: str | int = 100  # or "all"
     seed: int = 0
-    emit_svg: bool = False
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -305,17 +291,13 @@ class BoundsCommand:
     s_grid: tuple[int, ...]
     kinds: tuple[str, ...] | None = None
     seed: int = 0
-    emit_svg: bool = False
 
 
 @dataclass(frozen=True, kw_only=True)
 class TrainCommand:
-    """Give exactly one of scheme and schemes."""
-
     command: str = "train"
     design: Design
-    scheme: SchemeSpec | None = None
-    schemes: tuple[SchemeSpec, ...] | None = None
+    schemes: tuple[SchemeSpec, ...]
     m: int
     q: float
     iterations: int
@@ -324,7 +306,6 @@ class TrainCommand:
     dataset: DatasetSpec | None = None
     rescale_lr: bool = False
     seed: int = 0
-    emit_svg: bool = False
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -382,12 +363,9 @@ class EncodingMeta:
 
 
 def _schemes(cfg: SweepCommand | TrainCommand) -> tuple:
-    if (cfg.scheme is None) == (cfg.schemes is None):
-        raise ConfigError("give exactly one of 'scheme' or 'schemes'")
-    schemes = cfg.schemes if cfg.scheme is None else (cfg.scheme,)
-    if not schemes:
+    if not cfg.schemes:
         raise ConfigError("schemes must be a nonempty list")
-    return schemes
+    return cfg.schemes
 
 
 def _encoding_spec(cfg: ConstructCommand | ValidateCommand) -> SchemeSpec:
@@ -462,10 +440,7 @@ def cmd_sweep(cfg: SweepCommand, out: Path) -> int:
     grid = cfg.grid
     if grid_kind == "s":
         grid = tuple(_scalar(int, x, "config.grid") for x in grid)
-    schemes = tuple(
-        replace(s, matrix_draws=cfg.matrix_draws if s.matrix_draws is None else s.matrix_draws)
-        for s in _schemes(cfg)
-    )
+    schemes = _schemes(cfg)
     rows = []
     svg_series = []
     xs = tuple(float(x) / (A.n if grid_kind == "s" else 1.0) for x in grid)
@@ -498,23 +473,22 @@ def cmd_sweep(cfg: SweepCommand, out: Path) -> int:
     write_rows_csv(out / "sweep.csv", SWEEP_CSV_HEADER, rows)
     write_json(
         out / "resolved_config.json",
-        to_dict(replace(cfg, design=design, scheme=None, schemes=schemes, grid=grid)),
+        to_dict(replace(cfg, design=design, grid=grid)),
     )
-    if cfg.emit_svg:
-        seen = set()
-        unique = []
-        for s in svg_series:
-            if s.label not in seen:
-                seen.add(s.label)
-                unique.append(s)
-        _emit_svg(
-            out,
-            "sweep.svg",
-            unique,
-            title=f"decode error on {A.family}",
-            x_label="straggler fraction s/n" if grid_kind == "s" else "straggler probability q",
-            y_label="decode error",
-        )
+    seen = set()
+    unique = []
+    for s in svg_series:
+        if s.label not in seen:
+            seen.add(s.label)
+            unique.append(s)
+    _emit_svg(
+        out,
+        "sweep.svg",
+        unique,
+        title=f"decode error on {A.family}",
+        x_label="straggler fraction s/n" if grid_kind == "s" else "straggler probability q",
+        y_label="decode error",
+    )
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
@@ -543,19 +517,18 @@ def cmd_bounds(cfg: BoundsCommand, out: Path) -> int:
             rows.append(row)
     write_rows_csv(out / "bounds.csv", SWEEP_CSV_HEADER, rows)
     write_json(out / "resolved_config.json", to_dict(replace(cfg, design=design, kinds=kinds)))
-    if cfg.emit_svg:
-        series = []
-        for kind in kinds:
-            ys = tuple(r.get("upper_bound", r.get("lower_bound")) for r in rows if r["scheme"] == kind)
-            series.append(Series(kind, tuple(float(s) for s in cfg.s_grid), ys))
-        _emit_svg(
-            out,
-            "bounds.svg",
-            series,
-            title=f"error bounds on {A.family}",
-            x_label="stragglers s",
-            y_label="bound value",
-        )
+    series = []
+    for kind in kinds:
+        ys = tuple(r.get("upper_bound", r.get("lower_bound")) for r in rows if r["scheme"] == kind)
+        series.append(Series(kind, tuple(float(s) for s in cfg.s_grid), ys))
+    _emit_svg(
+        out,
+        "bounds.svg",
+        series,
+        title=f"error bounds on {A.family}",
+        x_label="stragglers s",
+        y_label="bound value",
+    )
     print(f"wrote {out / 'bounds.csv'} ({len(rows)} rows)")
     return 0
 
@@ -605,18 +578,16 @@ def cmd_train(cfg: TrainCommand, out: Path) -> int:
         out / "summary.json",
         {"iterations": cfg.iterations, "repetitions": cfg.repetitions, "q": cfg.q, "schemes": summary},
     )
-    resolved = replace(cfg, design=design, scheme=None, schemes=schemes, dataset=dataset)
-    write_json(out / "resolved_config.json", to_dict(resolved))
-    if cfg.emit_svg:
-        _emit_svg(
-            out,
-            "train.svg",
-            svg_series,
-            title="training loss",
-            x_label="iteration",
-            y_label="loss",
-            log_y=True,
-        )
+    write_json(out / "resolved_config.json", to_dict(replace(cfg, design=design, dataset=dataset)))
+    _emit_svg(
+        out,
+        "train.svg",
+        svg_series,
+        title="training loss",
+        x_label="iteration",
+        y_label="loss",
+        log_y=True,
+    )
     print(f"wrote {out / 'train.csv'}")
     return 0
 
@@ -777,13 +748,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="approximate gradient coding: designs, encodings, bounds, experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (schema, _) in _COMMANDS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if "emit_svg" in {f.name for f in fields(schema)}:
-            p.add_argument("--svg", action="store_true", help="also emit SVG charts")
     return parser
 
 
@@ -799,8 +768,6 @@ def main(argv=None) -> int:
         cfg = from_dict(schema, doc, "config")
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if getattr(args, "svg", False):
-            cfg = replace(cfg, emit_svg=True)
         if cfg.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
         out = Path(args.out)

@@ -54,9 +54,6 @@ class NonStragglerSet:
     def full(cls, n: int) -> "NonStragglerSet":
         return cls(n=n, members=tuple(range(n)))
 
-    def to_dict(self) -> dict:
-        return {"members": list(self.members), "s": self.s}
-
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -65,9 +62,6 @@ class DecodeResult:
 
     coeffs: np.ndarray
     err: float
-
-    def to_dict(self, workers: NonStragglerSet) -> dict:
-        return {"members": list(workers.members), "s": workers.s, "err": self.err}
 
 
 def build_target(k: int, m: int) -> np.ndarray:
@@ -139,19 +133,23 @@ def reconstruct(
 
     The server forms Z B R, the survivors' approximation of the blockwise
     sum Z F (Z from split_gradients); its m blocks are stacked back into one
-    length-d vector. The gap is ||Z B R - Z F||_F, and the operator-norm
-    bound gap^2 <= ||Z||_2^2 * err is checked, raising NumericalError when
-    it fails.
+    length-d vector, dropping the zero padding. The gap is that vector's
+    Euclidean distance to the exact sum. The operator-norm bound
+    ||Z B R - Z F||_F^2 <= ||Z||_2^2 * err is checked on the full blockwise
+    matrix, raising NumericalError when it fails.
     """
     Z = split_gradients(partials, B.m)
     if len(partials) != B.k:
         raise ShapeError(f"{len(partials)} partial gradients for an encoding of k={B.k} subsets")
     dec = decode(B, workers)
     approx = Z @ (B.mat @ dec.coeffs)
-    gap = float(np.linalg.norm(approx - Z @ build_target(B.k, B.m)))
+    diff = approx - Z @ build_target(B.k, B.m)
     if Z.size:
+        full_gap = float(np.linalg.norm(diff))
         znorm = float(np.linalg.norm(Z, 2))
         limit = znorm * znorm * dec.err
-        if not gap * gap <= limit * (1.0 + 1e-8) + 1e-8:
-            raise NumericalError(f"operator-norm bound violated: gap^2={gap * gap} > {limit}")
-    return np.ravel(approx, order="F")[: len(partials[0])], gap
+        if not full_gap * full_gap <= limit * (1.0 + 1e-8) + 1e-8:
+            raise NumericalError(f"operator-norm bound violated: gap^2={full_gap * full_gap} > {limit}")
+    d = len(partials[0])
+    gap = float(np.linalg.norm(np.ravel(diff, order="F")[:d]))
+    return np.ravel(approx, order="F")[:d], gap

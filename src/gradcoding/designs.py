@@ -18,6 +18,7 @@ Four families are provided:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -210,16 +211,19 @@ def validate_difference_set(diff_set, v: int) -> int:
     return lam
 
 
-def search_planar_difference_set(v: int, delta: int) -> list[int]:
+def search_planar_difference_set(v: int) -> list[int]:
     """Backtracking search for a perfect difference set mod v with lam = 1.
 
-    Requires delta*(delta-1) = v-1 (every nonzero residue appears exactly
-    once as a difference). Since the difference 1 occurs exactly once, some
-    translate of any such set contains {0, 1}, so the search can fix those
-    two elements and proceed lexicographically.
+    Every nonzero residue appears exactly once as a difference, so the set
+    size delta satisfies delta*(delta-1) = v-1, that is 4v - 3 = (2 delta - 1)^2;
+    v must have this form with delta >= 2. Since the difference 1 occurs
+    exactly once, some translate of any such set contains {0, 1}, so the
+    search can fix those two elements and proceed lexicographically.
     """
-    if delta * (delta - 1) != v - 1:
-        raise ParameterError("planar search needs delta*(delta-1) = v-1")
+    root = math.isqrt(4 * v - 3) if v >= 3 else 0
+    if root * root != 4 * v - 3:
+        raise ParameterError(f"no planar difference-set parameters for v={v}")
+    delta = (1 + root) // 2
     used = np.zeros(v, dtype=bool)
     chosen = [0, 1]
     used[1] = used[v - 1] = True

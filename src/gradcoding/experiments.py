@@ -384,15 +384,20 @@ def make_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.path is not None:
         raw = read_matrix_csv(spec.path)
         if raw.shape[1] < 2:
-            raise ParameterError("external dataset needs features plus a label column")
+            raise ParameterError(f"{spec.path}: external dataset needs features plus a label column")
         labels = raw[:, -1]
         if not np.all(np.isfinite(labels) & (labels == np.rint(labels)) & (labels >= 0)):
-            raise ParameterError("labels must be nonnegative integers")
+            raise ParameterError(f"{spec.path}: labels must be nonnegative integers")
+        # one class trains to loss 0 at once, which says nothing
+        if np.unique(labels).size < 2:
+            raise ParameterError(f"{spec.path}: labels must take at least 2 distinct values")
         return raw[:, :-1], labels.astype(int)
     if spec.samples < spec.classes or spec.classes < 2:
         raise ParameterError("need at least 2 classes and one sample per class")
-    if spec.dim < 1 or spec.seed < 0:
-        raise ParameterError("dim must be positive and seed nonnegative")
+    if spec.dim < 1:
+        raise ParameterError(f"dataset dim must be positive, got {spec.dim}")
+    if spec.seed < 0:
+        raise ParameterError(f"dataset seed must be nonnegative, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     means = rng.normal(0.0, 1.0, size=(spec.classes, spec.dim))
     labels = np.arange(spec.samples) % spec.classes

@@ -40,7 +40,9 @@ def test_design_bound_frozen_values():
 
 def test_design_bound_domain():
     with pytest.raises(ParameterError):
-        gc.bound_bibd(FANO, 2, 7)
+        gc.bound_bibd(FANO, 2, 8)
+    with pytest.raises(ParameterError):
+        gc.bound_bibd(FANO, 2, -1)
     with pytest.raises(ParameterError):
         gc.bound_bibd(FANO, 0, 0)
 
@@ -57,8 +59,9 @@ def test_repetition_error_frozen_values():
 def test_gram_bound_equals_design_closed_form(fano):
     # cross-oracle: the general Gram-form bound must reproduce the design
     # closed form on every survivor-set size (the Gram there is
-    # (delta-lam) I + lam J restricted, making the solve analytic)
-    for s in range(7):
+    # (delta-lam) I + lam J restricted, making the solve analytic); at s = n
+    # both are mk
+    for s in range(8):
         want = gc.bound_bibd(FANO, 2, s).value
         for members in itertools.combinations(range(7), 7 - s):
             got = gc.bound_expected(
@@ -209,7 +212,7 @@ def test_closed_form_table_applies_by_family_epsilon_and_s(fano, paley13, coset2
     assert kinds(coset27.family, 0.1) == ["coset_upper", "lower"]
     assert kinds(bireg40.family, 0.0) == ["lower"]
     assert gc.closed_form("bibd_upper", fano, 2, 1, 0.0) == gc.bound_bibd(FANO, 2, 1).value
-    assert gc.closed_form("bibd_upper", fano, 2, 7, 0.0) is None  # s = n
+    assert gc.closed_form("bibd_upper", fano, 2, 7, 0.0) == 14.0  # s = n: mk, no survivor
     assert gc.closed_form("bibd_upper", fano, 2, 1, 0.1) is None  # sign-only form
     assert gc.closed_form("srg_upper", fano, 2, 1, 0.0) is None  # another family
     assert gc.closed_form("lower", bireg40, 2, 8, 0.0) == gc.lower_bound(40, 20, 3, 2, 8).value

@@ -1,25 +1,27 @@
 import csv
 import json
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gradcoding as gc
-from gradcoding.cli import _diagonal_law_failure, main
+from gradcoding.cli import _COMMANDS, _diagonal_law_failure, from_dict, main
 from gradcoding.serialize import read_matrix_csv
 
+ROOT = Path(__file__).resolve().parents[1]
 
-def run_cli(tmp_path, command, config, out="out", seed=None, svg=False):
+
+def run_cli(tmp_path, command, config, out="out", seed=None, extra=()):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     out_dir = tmp_path / out
-    argv = [command, "--config", str(cfg_path), "--out", str(out_dir)]
+    argv = [command, "--config", str(cfg_path), "--out", str(out_dir), *extra]
     if seed is not None:
         argv += ["--seed", str(seed)]
-    if svg:
-        argv.append("--svg")
     return main(argv), out_dir
 
 
@@ -53,9 +55,8 @@ FIXED_POINT_CONFIGS = {
         "grid": [0, 2],
         "schemes": [{"scheme": "random_diagonal", "matrix_draws": 2}, {"scheme": "baseline"}],
         "set_draws": 4,
-        "emit_svg": True,
     },
-    "bounds": {"design": FANO, "m": 2, "s_grid": [0, 1, 2], "emit_svg": True},
+    "bounds": {"design": FANO, "m": 2, "s_grid": [0, 1, 2]},
     "train": {
         "design": FANO,
         "m": 2,
@@ -158,71 +159,102 @@ def test_non_integer_parameter_exits_2(tmp_path):
 
 
 _FANO_JSON = '"design": {"family": "bibd_transpose", "v": 7}'
-_TRAIN_JSON = _FANO_JSON + ', "m": 2, "iterations": 1, "scheme": {"scheme": "baseline"}'
+_TRAIN_JSON = _FANO_JSON + ', "m": 2, "iterations": 1, "schemes": [{"scheme": "baseline"}]'
 
 
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, key",
     [
-        pytest.param("construct", '{"design": {"family": "bibd_transpose", "v": 1e999}}', id="int-overflow"),
+        pytest.param(
+            "construct", '{"design": {"family": "bibd_transpose", "v": 1e999}}', "config.design.v", id="int-overflow"
+        ),
         pytest.param(
             "construct",
             '{"design": {"family": "bibd_transpose", "v": 7, "difference_set": ["0", "1", "3"]}}',
+            "config.design.difference_set[0]",
             id="int-string",
         ),
-        pytest.param("bounds", "{" + _FANO_JSON + ', "m": 2, "s_grid": [0], "emit_svg": "false"}', id="bool-string"),
+        pytest.param(
+            "train", "{" + _TRAIN_JSON + ', "q": 0.25, "rescale_lr": "false"}', "config.rescale_lr", id="bool-string"
+        ),
         pytest.param(
             "construct",
             '{"design": {"family": "bi_regular", "n": 8, "k": 4, "delta": 2, "gamma": 4}, "m": 2,'
             ' "scheme": {"scheme": "nullspace_hadamard", "constrain_pm1": "false"}}',
+            "config.scheme.constrain_pm1",
             id="nested-bool-string",
         ),
-        pytest.param("bounds", "{" + _FANO_JSON + ', "m": 2, "s_grid": [0], "epsilon": "0.2"}', id="float-string"),
-        pytest.param("bounds", "{" + _FANO_JSON + ', "m": 2, "s_grid": [0], "epsilon": NaN}', id="float-nan"),
-        pytest.param("train", "{" + _TRAIN_JSON + ', "q": "0.25"}', id="q-string"),
-        pytest.param("train", "{" + _TRAIN_JSON + ', "q": 0.25, "rescale_lr": "no"}', id="rescale-string"),
-        pytest.param("train", "{" + _TRAIN_JSON + ', "q": 0.25, "learning_rate": Infinity}', id="float-inf"),
-        pytest.param("train", "{" + _TRAIN_JSON + ', "q": 0.25, "repetitions": 1e300}', id="int-beyond-64-bit"),
+        pytest.param(
+            "bounds", "{" + _FANO_JSON + ', "m": 2, "s_grid": [0], "epsilon": "0.2"}', "config.epsilon", id="float-string"
+        ),
+        pytest.param(
+            "bounds", "{" + _FANO_JSON + ', "m": 2, "s_grid": [0], "epsilon": NaN}', "config.epsilon", id="float-nan"
+        ),
+        pytest.param("train", "{" + _TRAIN_JSON + ', "q": "0.25"}', "config.q", id="q-string"),
+        pytest.param(
+            "train", "{" + _TRAIN_JSON + ', "q": 0.25, "rescale_lr": "no"}', "config.rescale_lr", id="rescale-string"
+        ),
+        pytest.param(
+            "train", "{" + _TRAIN_JSON + ', "q": 0.25, "learning_rate": Infinity}', "config.learning_rate", id="float-inf"
+        ),
+        pytest.param(
+            "train", "{" + _TRAIN_JSON + ', "q": 0.25, "repetitions": 1e300}', "config.repetitions", id="int-beyond-64-bit"
+        ),
     ],
 )
-def test_json_scalars_are_strict(tmp_path, command, text):
+def test_json_scalars_are_strict(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+    assert f"error: {key} must be " in capsys.readouterr().err
 
 
 def _bad_input(tmp_path, case):
-    """(command, config) for one kind of bad input that numpy or the JSON
-    reader used to refuse with a bare ValueError."""
+    """(command, config, what stderr must name) for one kind of bad input
+    that numpy or the JSON reader used to refuse with a bare ValueError, or
+    that used to run."""
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("1,0\n0,x\n")
     fractional_csv = tmp_path / "fractional.csv"
     fractional_csv.write_text("".join(f"{i},{label}\n" for i in range(7) for label in (0.9, 1.7, 0.2)))
+    one_class_csv = tmp_path / "one_class.csv"
+    one_class_csv.write_text("".join(f"{i},{i % 3},0\n" for i in range(21)))
     bireg = {"family": "bi_regular", "n": 8, "k": 4, "delta": 2, "gamma": 4}
-    train = {"design": FANO, "m": 2, "q": 0.25, "iterations": 1, "scheme": {"scheme": "baseline"}}
+    train = {"design": FANO, "m": 2, "q": 0.25, "iterations": 1, "schemes": [{"scheme": "baseline"}]}
     if case.startswith("difference_set_file"):
         doc = {"v": 7, "set": ["0", 1, 3]} if case.endswith("strings") else {"v": 7.0, "set": [0, 1, 3]}
         (tmp_path / "set.json").write_text(json.dumps(doc))
-        return "construct", {"design": {"family": "bibd_transpose", "path": str(tmp_path / "set.json")}}
+        path = str(tmp_path / "set.json")
+        return "construct", {"design": {"family": "bibd_transpose", "path": path}}, path
     if case == "encoding_meta_negative_seed":
         made = _construct_with_encoding(tmp_path)
         meta = json.loads((made / "encoding.json").read_text())
         (made / "encoding.json").write_text(json.dumps(dict(meta, seed=-1)))
         config = {"design": dict(bireg, seed=1), "m": 2}
-        return "validate", dict(config, encoding_csv=str(made / "encoding.csv"), encoding_meta=str(made / "encoding.json"))
+        config = dict(config, encoding_csv=str(made / "encoding.csv"), encoding_meta=str(made / "encoding.json"))
+        return "validate", config, "encoding_meta.seed must be nonnegative"
     return {
-        "negative_seed": ("construct", {"design": FANO, "seed": -1}),
-        "negative_design_seed": ("construct", {"design": dict(bireg, seed=-1)}),
-        "negative_dataset_seed": ("train", dict(train, dataset={"seed": -1})),
-        "negative_dataset_dim": ("train", dict(train, dataset={"dim": -1})),
-        "planar_v_zero": ("construct", {"design": {"family": "bibd_transpose", "v": 0}}),
-        "planar_v_negative": ("construct", {"design": {"family": "bibd_transpose", "v": -3}}),
-        "planar_v_one": ("construct", {"design": {"family": "bibd_transpose", "v": 1}}),
-        "design_csv_cell": ("validate", {"design": FANO, "design_csv": str(bad_csv)}),
-        "dataset_csv_cell": ("train", dict(train, dataset={"path": str(bad_csv)})),
-        "dataset_csv_fractional_label": ("train", dict(train, dataset={"path": str(fractional_csv)})),
-        "family_not_a_string": ("construct", {"design": {"family": ["bibd_transpose"], "v": 7}}),
+        "negative_seed": ("construct", {"design": FANO, "seed": -1}, "seed must be nonnegative"),
+        "negative_design_seed": ("construct", {"design": dict(bireg, seed=-1)}, "seed must be nonnegative"),
+        "negative_dataset_seed": ("train", dict(train, dataset={"seed": -1}), "dataset seed"),
+        "negative_dataset_dim": ("train", dict(train, dataset={"dim": -1}), "dataset dim"),
+        "planar_v_zero": ("construct", {"design": {"family": "bibd_transpose", "v": 0}}, "v=0"),
+        "planar_v_negative": ("construct", {"design": {"family": "bibd_transpose", "v": -3}}, "v=-3"),
+        "planar_v_one": ("construct", {"design": {"family": "bibd_transpose", "v": 1}}, "v=1"),
+        "design_csv_cell": ("validate", {"design": FANO, "design_csv": str(bad_csv)}, str(bad_csv)),
+        "dataset_csv_cell": ("train", dict(train, dataset={"path": str(bad_csv)}), str(bad_csv)),
+        "dataset_csv_fractional_label": (
+            "train",
+            dict(train, dataset={"path": str(fractional_csv)}),
+            f"{fractional_csv}: labels",
+        ),
+        "dataset_csv_one_class": (
+            "train",
+            dict(train, dataset={"path": str(one_class_csv)}),
+            f"{one_class_csv}: labels",
+        ),
+        "family_not_a_string": ("construct", {"design": {"family": ["bibd_transpose"], "v": 7}}, "'family'"),
     }[case]
 
 
@@ -240,15 +272,18 @@ def _bad_input(tmp_path, case):
         "design_csv_cell",
         "dataset_csv_cell",
         "dataset_csv_fractional_label",
+        "dataset_csv_one_class",
         "difference_set_file_strings",
         "difference_set_file_floats",
         "family_not_a_string",
     ],
 )
-def test_bad_input_exits_2(tmp_path, case):
-    command, config = _bad_input(tmp_path, case)
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    command, config, named = _bad_input(tmp_path, case)
+    capsys.readouterr()
     rc, _ = run_cli(tmp_path, command, config, out="check")
     assert rc == 2
+    assert named in capsys.readouterr().err
 
 
 def test_seed_flag_refuses_negative_seed(tmp_path):
@@ -261,7 +296,7 @@ def test_program_errors_are_not_reported_as_bad_input(tmp_path, monkeypatch):
         raise TypeError("a bug in the program")
 
     monkeypatch.setattr("gradcoding.cli.sweep_error", broken)
-    config = {"design": FANO, "m": 2, "grid_kind": "s", "grid": [0], "scheme": {"scheme": "baseline"}}
+    config = {"design": FANO, "m": 2, "grid_kind": "s", "grid": [0], "schemes": [{"scheme": "baseline"}]}
     with pytest.raises(TypeError, match="a bug in the program"):
         run_cli(tmp_path, "sweep", config)
 
@@ -304,6 +339,15 @@ def test_bounds_out_of_range_s_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_bounds_default_kinds_reach_s_equal_n(tmp_path):
+    config = {"design": {"family": "bibd_transpose", "v": 13}, "m": 2, "s_grid": [0, 1, 3, 6, 12, 13]}
+    rc, out = run_cli(tmp_path, "bounds", config)
+    assert rc == 0
+    rows = read_csv_rows(out / "bounds.csv")
+    at_n = [float(r["upper_bound"]) for r in rows if r["scheme"] == "bibd_upper" and r["x"] == "13.0"]
+    assert at_n == [26.0]  # mk: the error when no worker survives
+
+
 def test_bounds_epsilon_guard_exits_2(tmp_path):
     config = {
         "design": {"family": "bibd_transpose", "v": 7},
@@ -339,7 +383,6 @@ def test_sweep_multi_scheme_shares_configuration(tmp_path):
     assert len(rows) == 4
     base = [r for r in rows if r["scheme"] == "baseline"]
     assert float(base[0]["mean_err"]) == pytest.approx(7.0, abs=1e-8)
-    assert not (out / "sweep.svg").exists()
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["schemes"][0]["matrix_draws"] == 2
     rc2, out2 = run_cli(tmp_path, "sweep", resolved, out="again")
@@ -353,7 +396,7 @@ def test_sweep_exhaustive_over_cap_exits_2(tmp_path):
         "m": 2,
         "grid_kind": "s",
         "grid": [5],
-        "scheme": {"scheme": "random_diagonal"},
+        "schemes": [{"scheme": "random_diagonal"}],
         "set_draws": "all",
     }
     rc, out = run_cli(tmp_path, "sweep", config)
@@ -361,43 +404,53 @@ def test_sweep_exhaustive_over_cap_exits_2(tmp_path):
     assert not (out / "sweep.csv").exists()
 
 
-def test_sweep_svg_flag_writes_chart(tmp_path):
-    config = {
-        "design": {"family": "bibd_transpose", "v": 7},
-        "m": 2,
-        "grid_kind": "s",
-        "grid": [0, 2],
-        "scheme": {"scheme": "baseline"},
-        "set_draws": 3,
-    }
-    rc, out = run_cli(tmp_path, "sweep", config, svg=True)
-    assert rc == 0
-    text = (out / "sweep.svg").read_text()
-    assert text.startswith("<svg")
-    assert "</svg>" in text
-
-
-@pytest.mark.parametrize("command", ["construct", "validate"])
-def test_commands_without_a_chart_refuse_svg(tmp_path, command):
-    rc, _ = run_cli(tmp_path, command, {"design": FANO, "emit_svg": True}, out="key")
+@pytest.mark.parametrize("command", sorted(FIXED_POINT_CONFIGS))
+def test_charts_need_no_switch(tmp_path, capsys, command):
+    config = FIXED_POINT_CONFIGS[command]
+    rc, _ = run_cli(tmp_path, command, dict(config, emit_svg=True), out="key")
     assert rc == 2
+    assert "unknown config keys: emit_svg" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        run_cli(tmp_path, command, {"design": FANO}, out="flag", svg=True)
+        run_cli(tmp_path, command, config, out="flag", extra=["--svg"])
     assert exc.value.code == 2
+    assert "--svg" in capsys.readouterr().err
+    rc, out = run_cli(tmp_path, command, config, out="chart")
+    assert rc == 0
+    charts = sorted(p.name for p in out.glob("*.svg"))
+    assert charts == ([f"{command}.svg"] if command in ("sweep", "bounds", "train") else [])
+    for name in charts:
+        text = (out / name).read_text()
+        assert text.startswith("<svg")
+        assert "</svg>" in text
 
 
-def test_sweep_requires_exactly_one_scheme_key(tmp_path):
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        pytest.param("sweep", "scheme", {"scheme": "baseline"}, id="sweep-scheme"),
+        pytest.param("sweep", "matrix_draws", 2, id="sweep-matrix_draws"),
+        pytest.param("train", "scheme", {"scheme": "exact"}, id="train-scheme"),
+    ],
+)
+def test_removed_keys_are_refused_by_name(tmp_path, capsys, command, key, value):
+    rc, _ = run_cli(tmp_path, command, dict(FIXED_POINT_CONFIGS[command], **{key: value}))
+    assert rc == 2
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
+def test_sweep_requires_exactly_one_scheme_key(tmp_path, capsys):
     base = {
         "design": {"family": "bibd_transpose", "v": 7},
         "m": 2,
         "grid_kind": "s",
         "grid": [0],
     }
-    both = dict(base, scheme={"scheme": "baseline"}, schemes=[{"scheme": "baseline"}])
-    rc, _ = run_cli(tmp_path, "sweep", both, out="a")
+    rc, _ = run_cli(tmp_path, "sweep", base, out="a")
     assert rc == 2
-    rc, _ = run_cli(tmp_path, "sweep", base, out="b")
+    assert "missing config keys: schemes" in capsys.readouterr().err
+    rc, _ = run_cli(tmp_path, "sweep", dict(base, schemes=[]), out="b")
     assert rc == 2
+    assert "schemes must be a nonempty list" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +466,6 @@ def test_train_writes_losses_summary_and_chart(tmp_path):
         "repetitions": 2,
         "schemes": [{"scheme": "baseline"}, {"scheme": "exact"}],
         "dataset": {"samples": 70, "dim": 3, "classes": 3, "seed": 0},
-        "emit_svg": True,
     }
     rc, out = run_cli(tmp_path, "train", config)
     assert rc == 0
@@ -560,3 +612,22 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "design: bibd_transpose" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the configs shipped with the repository
+
+
+# the benchmark runs these configs, so a schema change that breaks one fails here first
+BENCH_WORKLOADS = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["WORKLOADS"]
+SHIPPED_CONFIGS = {
+    **{f"recipes/{p.name}": json.loads(p.read_text()) for p in sorted((ROOT / "recipes").glob("*.json"))},
+    **{f"bench/{name}": w.config(0) for name, w in BENCH_WORKLOADS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_configs_parse_under_their_schema(name):
+    doc = SHIPPED_CONFIGS[name]
+    schema, _ = _COMMANDS[doc["command"]]
+    assert from_dict(schema, doc, "config").command == doc["command"]

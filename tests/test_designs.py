@@ -32,20 +32,21 @@ def test_validate_difference_set_rejects_bad_divisibility():
 
 
 def test_search_planar_finds_lexicographic_minimum():
-    assert gc.search_planar_difference_set(7, 3) == [0, 1, 3]
-    assert gc.search_planar_difference_set(13, 4) == [0, 1, 3, 9]
+    assert gc.search_planar_difference_set(7) == [0, 1, 3]
+    assert gc.search_planar_difference_set(13) == [0, 1, 3, 9]
 
 
 def test_search_planar_backtracks_past_internal_collisions():
     # candidates can collide with their own fresh differences, not only with
     # already-used residues; the search must reject and move on
-    found = gc.search_planar_difference_set(21, 5)
+    found = gc.search_planar_difference_set(21)
     assert gc.validate_difference_set(found, 21) == 1
 
 
 def test_search_planar_rejects_wrong_arithmetic():
-    with pytest.raises(ParameterError):
-        gc.search_planar_difference_set(8, 3)
+    for v in (8, 2, 1, 0, -3):
+        with pytest.raises(ParameterError, match=f"v={v}"):
+            gc.search_planar_difference_set(v)
 
 
 def test_builtin_table_entries_validate():
