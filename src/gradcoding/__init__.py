@@ -108,7 +108,7 @@ from .experiments import (
 from .linalg import (
     CERT_COND_MAX,
     RANK_EPS,
-    certified_cholesky,
+    certify_gram,
     circulant_eigenvalues,
     null_space_basis,
     project,

@@ -26,7 +26,7 @@ from .designs import (
 from .decoding import NonStragglerSet
 from .encoders import BASELINE, RANDOM_DIAGONAL, EncodingMatrix
 from .errors import ParameterError, SingularMatrixError
-from .linalg import certified_cholesky, rank_of
+from .linalg import certify_gram, rank_of
 
 EXPECTED_UPPER = "expected_upper"
 BIBD_UPPER = "bibd_upper"
@@ -83,7 +83,7 @@ def bound_expected(
     sub = A.mat[:, members]
     gram = sub.T @ sub
     kmat = gram + c * (m - 1) * np.diag(np.diag(gram))
-    if certified_cholesky(kmat) is None and rank_of(kmat) < len(members):
+    if not certify_gram(kmat) and rank_of(kmat) < len(members):
         raise SingularMatrixError(
             f"Gram-plus-diagonal matrix singular for s={workers.s} (family {A.family})"
         )
@@ -151,17 +151,17 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
     if workers.n != B.n:
         raise ParameterError("non-straggler set size does not match encoding")
     k, m = B.k, B.m
-    members = list(workers.members)
-    if not members:
+    if not workers.members:
         return BoundReport(kind=DIAG_DOM_UPPER, value=float(m * k))
+    idx = np.array(workers.members, dtype=np.intp)
     full_gram, full_image = B.gram
-    gram = full_gram[np.ix_(members, members)]
-    if certified_cholesky(gram) is None and rank_of(B.mat[:, members]) < len(members):
+    gram = full_gram.take(idx, axis=0).take(idx, axis=1)
+    if not certify_gram(gram) and rank_of(B.mat.take(idx, axis=1)) < idx.size:
         raise SingularMatrixError(
-            f"survivor columns rank-deficient for members={members}"
+            f"survivor columns rank-deficient for members={list(workers.members)}"
         )
     majorant = np.sum(np.abs(gram), axis=1)  # diagonal entries of Sigma~
-    image = full_image[members]  # column i is B_i,F^T 1
+    image = full_image.take(idx, axis=0)  # column i is B_i,F^T 1
     total = float(np.sum(image * image / majorant[:, None]))
     return BoundReport(kind=DIAG_DOM_UPPER, value=m * k - total)
 

@@ -663,7 +663,7 @@ def _check_fresh_encoding(
         dominated = True
         for _ in range(3):
             members = np.sort(rng.choice(A.n, size=A.n - A.n // 4, replace=False))
-            workers = NonStragglerSet(n=A.n, members=tuple(int(j) for j in members))
+            workers = NonStragglerSet(n=A.n, members=members)
             try:
                 limit = bnd.bound_diag_dominant(B, workers).value
             except SingularMatrixError:
@@ -765,9 +765,9 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config is for {doc['command']!r} but {args.command!r} was invoked"
             )
+        if args.seed is not None and isinstance(doc, dict):
+            doc = {**doc, "seed": args.seed}
         cfg = from_dict(schema, doc, "config")
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
         if cfg.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
         out = Path(args.out)

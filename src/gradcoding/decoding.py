@@ -7,15 +7,15 @@ workers S, decoding solves a minimum-norm least-squares fit of F by the
 surviving columns B_S; the approximation error is the squared Frobenius
 residual.
 
-Each set is solved once. When linalg.certified_cholesky certifies the
-survivor Gram matrix G_S = B_S^T B_S (cond_2(G_S) <= 1e8), the normal
-equations are solved through its factor L: with Y = L^{-1} B_S^T F the
-error is mk - ||Y||_F^2 and the coefficients are L^{-T} Y. Any other set,
-rank-deficient ones included, goes through the single-SVD projection
-linalg.project under the 1e-10 rank rule. The two agree within
-1e-9 * mk on every certified set, and each decode is checked against the
-directly computed residual ||B R - F||_F^2, raising NumericalError on a
-disagreement.
+Each set is solved once. When linalg.certify_gram certifies the survivor
+Gram matrix G_S = B_S^T B_S (one shifted Cholesky proving cond_2(G_S) <
+1e8), the normal equations G_S R = H_S, H_S = B_S^T F, are solved by one
+LU solve: the coefficients are R and the error is mk - <H_S, R>, clamped
+to [0, mk]. Any other set, rank-deficient ones included, goes through the
+single-SVD projection linalg.project under the 1e-10 rank rule. The two
+agree within 1e-9 * mk on every certified set, and each decode is checked
+against the directly computed residual ||B R - F||_F^2, raising
+NumericalError on a disagreement.
 """
 from __future__ import annotations
 
@@ -25,25 +25,42 @@ import numpy as np
 
 from .encoders import EncodingMatrix
 from .errors import NumericalError, ParameterError, ShapeError
-from .linalg import certified_cholesky, project
+from .linalg import certify_gram, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
+
+_BOOLS = frozenset((bool, np.bool_))
 
 
 @dataclass(frozen=True)
 class NonStragglerSet:
-    """Sorted 0-based indices of workers that returned their result."""
+    """Sorted 0-based indices of workers that returned their result.
+
+    members may be any flat sequence or array of integers and is stored as
+    a sorted tuple of ints; fractional, float and bool entries are refused
+    rather than truncated."""
 
     n: int
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mem = tuple(int(i) for i in self.members)
-        if any(not (0 <= i < self.n) for i in mem):
+        raw = self.members
+        mem = np.asarray(raw)
+        if mem.ndim != 1:
+            raise ParameterError(f"members must be a flat sequence, got shape {mem.shape}")
+        # np.asarray folds bools into an integer array, so look at the items
+        # of a plain sequence; an array shows its kind in its dtype
+        if mem.size and (
+            mem.dtype.kind not in "iu"
+            or (not isinstance(raw, np.ndarray) and not _BOOLS.isdisjoint(map(type, raw)))
+        ):
+            raise ParameterError(f"member indices must be integers, got {raw!r}")
+        mem = np.sort(mem)
+        if mem.size and not (mem[0] >= 0 and mem[-1] < self.n):
             raise ParameterError("member index out of range")
-        if len(set(mem)) != len(mem):
+        if np.any(mem[1:] == mem[:-1]):
             raise ParameterError("duplicate member index")
-        object.__setattr__(self, "members", tuple(sorted(mem)))
+        object.__setattr__(self, "members", tuple(mem.tolist()))
 
     @property
     def s(self) -> int:
@@ -80,19 +97,20 @@ def decode(B: EncodingMatrix, workers: NonStragglerSet) -> DecodeResult:
     if workers.n != n:
         raise ShapeError(f"worker count {workers.n} does not match n={n}")
     coeffs = np.zeros((n, B.m))
-    members = list(workers.members)
-    if not members:
+    if not workers.members:
         return DecodeResult(coeffs=coeffs, err=float(rows))
+    idx = np.array(workers.members, dtype=np.intp)
     target = build_target(B.k, B.m)
     gram, image = B.gram
-    factor = certified_cholesky(gram[np.ix_(members, members)])
-    if factor is not None:
-        _, chol_inv = factor
-        y = chol_inv @ image[members]
-        coeffs[members, :] = chol_inv.T @ y
-        err = max(float(rows) - float(np.sum(y * y)), 0.0)  # ||F||_F^2 = mk = rows
+    gram_s = gram.take(idx, axis=0).take(idx, axis=1)
+    image_s = image.take(idx, axis=0)
+    if certify_gram(gram_s):
+        solved = np.linalg.solve(gram_s, image_s)
+        coeffs[idx] = solved
+        # ||F||_F^2 = mk = rows, and <H_S, R> = ||P_S F||_F^2
+        err = min(max(float(rows) - float(np.sum(image_s * solved)), 0.0), float(rows))
     else:
-        coeffs[members, :], err = project(B.mat[:, members], target)
+        coeffs[idx], err = project(B.mat.take(idx, axis=1), target)
     direct = float(np.sum((B.mat @ coeffs - target) ** 2))
     if not abs(err - direct) <= _ERR_CONSISTENCY_EPS * max(1.0, direct):
         raise NumericalError(

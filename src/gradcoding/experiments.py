@@ -90,10 +90,10 @@ def sample_straggler_set(model, n: int, rng: np.random.Generator) -> NonStraggle
         if not (0 <= model.s <= n):
             raise ParameterError(f"s must lie in [0, {n}], got {model.s}")
         members = np.sort(rng.choice(n, size=n - model.s, replace=False))
-        return NonStragglerSet(n=n, members=tuple(int(i) for i in members))
+        return NonStragglerSet(n=n, members=members)
     if isinstance(model, Bernoulli):
         kept = np.nonzero(rng.random(n) >= model.q)[0]
-        return NonStragglerSet(n=n, members=tuple(int(i) for i in kept))
+        return NonStragglerSet(n=n, members=kept)
     raise ParameterError(f"unknown straggler model {model!r}")
 
 

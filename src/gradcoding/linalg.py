@@ -4,12 +4,12 @@ Numerical contract:
 
   * Rank. Every rank decision goes through one rule: singular values below
     RANK_EPS * sigma_max (RANK_EPS = 1e-10) count as zero.
-  * Certified Gram factor. certified_cholesky accepts the Cholesky factor L
-    of a Gram matrix G = M^T M only when ||L^{-1}||_F^2 * tr(G) <= 1e8
-    (CERT_COND_MAX). The left side bounds cond_2(G) from above, so an
-    accepted factor proves cond_2(M) <= 1e4: M has full column rank under
+  * Certified Gram matrix. certify_gram(G) needs one Cholesky factorization
+    of G - tau I, tau = tr(G) * (1/CERT_COND_MAX + (n+2) eps), to complete;
+    by Rump's theorem that proves cond_2(G) < 1e8 (CERT_COND_MAX), so a
+    certified G = M^T M has cond_2(M) < 1e4: M has full column rank under
     the rank rule with a wide margin, and solving the normal equations
-    through L loses at most about eight digits of the sixteen.
+    G R = M^T Y loses at most about eight digits of the sixteen.
   * Reference projection. project solves min ||M R - Y||_F with one SVD and
     the rank rule above; it is the path for every matrix the certificate
     cannot clear, and the reference the Gram path is tested against
@@ -29,6 +29,8 @@ RANK_EPS = 1e-10
 # Largest certified bound on cond_2(G) for which the Gram path is trusted:
 # cond_2(M) <= 1e4, six orders inside the 1e-10 rank rule.
 CERT_COND_MAX = 1e8
+
+_EPS = float(np.finfo(float).eps)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -90,26 +92,35 @@ def project(mat, rhs) -> tuple[np.ndarray, float]:
     return (out[:, 0] if vector_rhs else out), err
 
 
-def certified_cholesky(gram) -> tuple[np.ndarray, np.ndarray] | None:
-    """Cholesky factor L of a symmetric Gram matrix and its inverse, or None.
+def certify_gram(gram) -> bool:
+    """True when a Cholesky factorization of G - tau I completes, with
+    tau = tr(G) * (1/CERT_COND_MAX + (n+2) eps); this proves cond_2(G) <
+    CERT_COND_MAX for the symmetric n x n matrix G.
 
-    The pair is returned only when ||L^{-1}||_F^2 * tr(G) <= CERT_COND_MAX.
-    Since lambda_max(G) <= tr(G) and 1/lambda_min(G) = ||L^{-1}||_2^2 <=
-    ||L^{-1}||_F^2, that product bounds cond_2(G) from above; None means
-    the factorization failed or could not be certified, not that G is
-    singular (rank_of decides that).
+    Rump's bound (BIT 46, 2006, after Demmel): a floating-point Cholesky of
+    a symmetric A that runs to completion is the exact factor of A + E with
+    ||E||_2 <= alpha tr(A), alpha = gamma_{n+1} / (1 - gamma_{n+1}) =
+    (n+1) u (1 + O(n u)) and u = eps / 2. For A = fl(G - tau I) this gives
+    lambda_min(G) >= tau - (alpha + u) tr(G), u tr(G) covering the rounded
+    shifted diagonal. tau carries 2 (n+2) u of tr(G) and is itself computed
+    to relative accuracy (n+3) u, so a completed factorization proves
+    lambda_min(G) > tr(G) / CERT_COND_MAX >= lambda_max(G) / CERT_COND_MAX
+    with about (n+2) u tr(G) to spare (barring underflow). False means G
+    could not be certified, not that it is singular (rank_of decides that).
+    Up to O(n eps) at the threshold, every G with tr(G^{-1}) tr(G) <=
+    CERT_COND_MAX is certified, since tr(G^{-1}) >= 1 / lambda_min(G).
     """
     g = as_matrix(gram, "G")
-    if g.shape[0] != g.shape[1]:
+    n = g.shape[0]
+    if g.shape[1] != n:
         raise ShapeError(f"Gram matrix must be square, got shape {g.shape}")
+    shifted = g.copy()
+    shifted.flat[:: n + 1] -= float(g.trace()) * (1.0 / CERT_COND_MAX + (n + 2) * _EPS)
     try:
-        chol = np.linalg.cholesky(g)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        return None
-    chol_inv = np.linalg.inv(chol)
-    if not float(np.sum(chol_inv * chol_inv)) * float(np.trace(g)) <= CERT_COND_MAX:
-        return None
-    return chol, chol_inv
+        return False
+    return True
 
 
 def null_space_basis(mat) -> np.ndarray:

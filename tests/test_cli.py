@@ -291,6 +291,15 @@ def test_seed_flag_refuses_negative_seed(tmp_path):
     assert rc == 2
 
 
+def test_seed_flag_gets_the_config_seed_check(tmp_path, capsys):
+    # --seed goes through the same 64-bit check as the config's "seed", so no
+    # resolved_config.json is written that the same command would refuse
+    rc, out = run_cli(tmp_path, "construct", {"design": FANO}, seed=99999999999999999999)
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
 def test_program_errors_are_not_reported_as_bad_input(tmp_path, monkeypatch):
     def broken(cfg):
         raise TypeError("a bug in the program")

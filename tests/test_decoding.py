@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import gradcoding as gc
 from gradcoding import decoding
 from gradcoding.errors import NumericalError, ParameterError, ShapeError
-from gradcoding.linalg import certified_cholesky, project, rank_of
+from gradcoding.linalg import certify_gram, project, rank_of
 
 
 def test_target_columns_indicate_blocks():
@@ -34,6 +34,46 @@ def test_nonstraggler_set_invariants():
         gc.NonStragglerSet(n=3, members=(0, 3))
     with pytest.raises(ParameterError):
         gc.NonStragglerSet(n=3, members=(1, 1))
+
+
+def test_nonstraggler_set_takes_integer_arrays():
+    w = gc.NonStragglerSet(n=6, members=np.array([5, 1, 3], dtype=np.int32))
+    assert w.members == (1, 3, 5)
+    assert all(type(i) is int for i in w.members)
+    assert gc.NonStragglerSet(n=6, members=np.array([], dtype=np.intp)).members == ()
+    assert gc.NonStragglerSet(n=6, members=(np.int64(2), 0)).members == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        (1.5, 3.9),
+        np.array([0.7, 2.2]),
+        (1.0, 2.0),
+        (True,),
+        (True, 2),
+        np.array([True, False]),
+        (np.bool_(True), 3),
+        ("1", "2"),
+        True,
+        np.array([[0, 1]]),
+    ],
+    ids=[
+        "fractional-tuple",
+        "fractional-array",
+        "float-tuple",
+        "bool",
+        "bool-with-int",
+        "bool-array",
+        "numpy-bool",
+        "strings",
+        "scalar",
+        "2-d",
+    ],
+)
+def test_nonstraggler_set_refuses_non_integer_members(members):
+    with pytest.raises(ParameterError):
+        gc.NonStragglerSet(n=5, members=members)
 
 
 def test_empty_set_decodes_to_total_mass(fano):
@@ -229,9 +269,32 @@ def test_gram_decode_matches_svd_projection(request, family, scheme):
         resid = B.mat[:, members] @ got.coeffs[members] - F
         ref_resid = B.mat[:, members] @ ref_coeffs - F
         assert np.allclose(resid, ref_resid, rtol=0.0, atol=1e-8)
-        certified += certified_cholesky(_survivor_gram(B, members)) is not None
+        certified += certify_gram(_survivor_gram(B, members))
     # the fast path runs wherever the survivor columns are well conditioned
     assert certified > 0
+
+
+def test_gram_decode_matches_svd_projection_near_the_threshold(coset27):
+    # Bernoulli(0.25) survivors of the coset design (k = 27, delta = 5) with
+    # the epsilon = 0.1 diagonal: certified Grams with cond_2 from 1e6 up to
+    # the 1e8 threshold still decode within 1e-9 * mk of the SVD projection
+    F = gc.build_target(27, 2)
+    mk = 54
+    near_threshold = 0
+    for seed in (0, 2):
+        B = gc.encode_random_diagonal(coset27, 2, gc.DiagonalLaw(0.1), seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            workers = gc.sample_straggler_set(gc.Bernoulli(0.25), B.n, rng)
+            members = list(workers.members)
+            got = gc.decode(B, workers)
+            ref_coeffs, ref_err = project(B.mat[:, members], F)
+            assert abs(got.err - ref_err) <= 1e-9 * mk
+            resid = B.mat[:, members] @ got.coeffs[members] - F
+            assert np.allclose(resid, B.mat[:, members] @ ref_coeffs - F, rtol=0.0, atol=1e-8)
+            gram = _survivor_gram(B, members)
+            near_threshold += certify_gram(gram) and 1e6 <= np.linalg.cond(gram) <= 1e8
+    assert near_threshold >= 10
 
 
 def test_rank_deficient_baseline_is_never_certified(bireg40):
@@ -242,7 +305,7 @@ def test_rank_deficient_baseline_is_never_certified(bireg40):
     for s in range(0, 17, 2):
         for _ in range(10):
             members = list(np.sort(rng.choice(40, size=40 - s, replace=False)))
-            assert certified_cholesky(_survivor_gram(B, members)) is None
+            assert not certify_gram(_survivor_gram(B, members))
             assert rank_of(B.mat[:, members]) < len(members)
 
 
@@ -307,7 +370,7 @@ def test_property_certificate_never_clears_a_deficient_set(request, case):
     family, scheme, seed, data = case
     B = _encode(request.getfixturevalue(family), scheme, seed)
     members = _draw_members(data, B.n, min_size=1)
-    if certified_cholesky(_survivor_gram(B, members)) is not None:
+    if certify_gram(_survivor_gram(B, members)):
         assert rank_of(B.mat[:, members]) == len(members)
 
 
@@ -321,7 +384,7 @@ def test_property_certificate_rejects_numerically_singular_columns(cols, seed, l
     q_right, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
     sigma = np.logspace(0.0, log_sigma, cols)
     mat = (q_left * sigma) @ q_right
-    if certified_cholesky(mat.T @ mat) is not None:
+    if certify_gram(mat.T @ mat):
         assert rank_of(mat) == cols
         assert np.linalg.cond(mat) <= 1e4 * (1.0 + 1e-6)
 
@@ -330,12 +393,15 @@ def test_property_certificate_rejects_numerically_singular_columns(cols, seed, l
 # runtime checks survive python -O
 
 
-def test_residual_consistency_check_raises(fano, monkeypatch):
-    # a bogus "certified" factor makes the Gram-path error disagree with the
-    # directly computed residual
+def test_residual_consistency_check_raises(fano):
+    # a cached Gram doubled behind the decode's back still certifies, so the
+    # Gram path returns half the coefficients with an error that disagrees
+    # with the directly computed residual
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
     workers = gc.NonStragglerSet(n=7, members=(0, 2, 5))
-    monkeypatch.setattr(decoding, "certified_cholesky", lambda g: (np.eye(len(g)), np.eye(len(g))))
+    gram, image = B.gram
+    B.__dict__["gram"] = (2.0 * gram, image)
+    assert certify_gram(_survivor_gram(B, list(workers.members)))
     with pytest.raises(NumericalError, match="direct residual"):
         gc.decode(B, workers)
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcoding.errors import NonFiniteError, ShapeError
 from gradcoding.linalg import (
     CERT_COND_MAX,
-    certified_cholesky,
+    certify_gram,
     circulant_eigenvalues,
     null_space_basis,
     project,
@@ -95,13 +97,16 @@ def test_project_returns_solution_and_residual_together():
     assert err == pytest.approx(float(np.sum((m @ coeffs - y) ** 2)), abs=1e-12)
 
 
-def test_certified_cholesky_factors_well_conditioned_gram():
+def test_certify_gram_clears_well_conditioned_gram():
+    # a tall Gaussian matrix has cond_2(G) in the tens; the certificate reads
+    # G alone and leaves it untouched
     rng = np.random.default_rng(8)
     m = rng.standard_normal((20, 6))
     gram = m.T @ m
-    chol, chol_inv = certified_cholesky(gram)
-    assert np.allclose(chol @ chol.T, gram, atol=1e-10)
-    assert np.allclose(chol_inv @ chol, np.eye(6), atol=1e-10)
+    before = gram.copy()
+    assert certify_gram(gram) is True
+    assert np.array_equal(gram, before)
+    assert np.linalg.cond(gram) < 1e3
 
 
 def test_certificate_bounds_condition_number():
@@ -109,15 +114,51 @@ def test_certificate_bounds_condition_number():
     q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((5, 5)))
     for cond, accepted in ((1e6, True), (1e9, False)):
         gram = (q * np.logspace(0.0, -np.log10(cond), 5)) @ q.T
-        assert (certified_cholesky(gram) is not None) is accepted
-    assert certified_cholesky(np.ones((3, 3))) is None
-    assert certified_cholesky(np.zeros((2, 2))) is None
+        assert certify_gram(gram) is accepted
+    assert not certify_gram(np.ones((3, 3)))
+    assert not certify_gram(np.zeros((2, 2)))
     assert CERT_COND_MAX == 1e8
 
 
-def test_certified_cholesky_rejects_non_square():
+@pytest.mark.parametrize("ratio, certified", [(0.5e8, True), (2e8, False)])
+def test_certificate_threshold_is_trace_over_smallest_eigenvalue(ratio, certified):
+    # tr(G) / lambda_min(G) on either side of CERT_COND_MAX, with the other
+    # eigenvalues equal so that cond_2(G) stays close to the ratio
+    n = 6
+    q, _ = np.linalg.qr(np.random.default_rng(10).standard_normal((n, n)))
+    eig = np.full(n, (ratio - 1.0) / (n - 1))
+    eig[0] = 1.0
+    gram = (q * eig) @ q.T
+    gram = (gram + gram.T) / 2.0
+    assert np.trace(gram) / np.linalg.eigvalsh(gram)[0] == pytest.approx(ratio, rel=1e-6)
+    assert certify_gram(gram) is certified
+
+
+def test_certificate_refuses_rank_one_and_zero_grams():
+    u = np.arange(1.0, 6.0)
+    assert not certify_gram(np.outer(u, u))
+    assert not certify_gram(np.zeros((4, 4)))
+    assert not certify_gram(np.zeros((1, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**16), st.floats(6.0, 10.0))
+def test_property_certified_gram_is_within_the_condition_bound(n, seed, log_cond):
+    # spectra from cond 1e6 to 1e10 straddle the threshold; whatever the
+    # certificate clears has cond_2(G) <= 1e8 up to the SVD's own rounding
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = np.sort(10.0 ** -rng.uniform(0.0, log_cond, n))
+    eig[0], eig[-1] = 10.0**-log_cond, 1.0
+    gram = (q * eig) @ q.T
+    gram = (gram + gram.T) / 2.0
+    if certify_gram(gram):
+        assert np.linalg.cond(gram) <= CERT_COND_MAX * (1.0 + 1e-6)
+
+
+def test_certify_gram_rejects_non_square():
     with pytest.raises(ShapeError):
-        certified_cholesky(np.ones((2, 3)))
+        certify_gram(np.ones((2, 3)))
 
 
 def test_null_space_basis_properties():
