@@ -145,8 +145,10 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
     entry is the absolute row sum, making the solve an entrywise division:
     mk - sum_i 1^T B_i,F Sigma~^{-1} B_i,F^T 1.  Requires the surviving
     columns B_S to have full column rank: certified through their Gram
-    matrix, or else under the decode's rank rule applied to B_S itself. Both
-    the Gram matrix and the images B_i,F^T 1 are read from B's cached Gram.
+    matrix, or else under the decode's rank rule applied to B_S itself; a
+    stacked-copies baseline with more than k survivors is refused without
+    either, its rank being at most k. Both the Gram matrix and the images
+    B_i,F^T 1 are read from B's cached Gram.
     """
     if workers.n != B.n:
         raise ParameterError("non-straggler set size does not match encoding")
@@ -156,7 +158,11 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
     idx = np.array(workers.members, dtype=np.intp)
     full_gram, full_image = B.gram
     gram = full_gram.take(idx, axis=0).take(idx, axis=1)
-    if not certify_gram(gram) and rank_of(B.mat.take(idx, axis=1)) < idx.size:
+    # stacked copies have rank(B_S) = rank(A_S) <= k, so more than k
+    # survivors are rank-deficient without a factorization
+    if (B.stacked_copies and idx.size > k) or (
+        not certify_gram(gram) and rank_of(B.mat.take(idx, axis=1)) < idx.size
+    ):
         raise SingularMatrixError(
             f"survivor columns rank-deficient for members={list(workers.members)}"
         )

@@ -13,9 +13,20 @@ Gram matrix G_S = B_S^T B_S (one shifted Cholesky proving cond_2(G_S) <
 LU solve: the coefficients are R and the error is mk - <H_S, R>, clamped
 to [0, mk]. Any other set, rank-deficient ones included, goes through the
 single-SVD projection linalg.project under the 1e-10 rank rule. The two
-agree within 1e-9 * mk on every certified set, and each decode is checked
-against the directly computed residual ||B R - F||_F^2, raising
-NumericalError on a disagreement.
+agree within 1e-9 * mk on every certified set.
+
+The stacked-copies baseline B = 1_m (x) A is decoded on its k-row block
+A_S: B_S^+ = (1_m^T / m) (x) A_S^+, so every column of R is x / m with
+x = A_S^+ 1_k, and the error is mk - ||A_S x||^2. A set of more than k
+survivors has rank(B_S) <= k < |S| and skips the column certificate. A set
+the column certificate does not clear takes x = A_S^T y with
+A_S A_S^T y = 1_k when certify_gram clears that k x k row Gram (x lies in
+the row space of A_S, so it is the minimum-norm solution), and otherwise
+x from project(A_S, 1_k), whose rank rule decides as on B_S because
+sigma(B_S) = sqrt(m) sigma(A_S).
+
+Each decode is checked against the directly computed residual
+||B R - F||_F^2, raising NumericalError on a disagreement.
 """
 from __future__ import annotations
 
@@ -103,12 +114,17 @@ def decode(B: EncodingMatrix, workers: NonStragglerSet) -> DecodeResult:
     target = build_target(B.k, B.m)
     gram, image = B.gram
     gram_s = gram.take(idx, axis=0).take(idx, axis=1)
-    image_s = image.take(idx, axis=0)
-    if certify_gram(gram_s):
+    # a stacked-copies set of more than k survivors has rank(B_S) <= k < |S|,
+    # so its column certificate would fail: it is not tried
+    doomed = B.stacked_copies and idx.size > B.k
+    if not doomed and certify_gram(gram_s):
+        image_s = image.take(idx, axis=0)
         solved = np.linalg.solve(gram_s, image_s)
         coeffs[idx] = solved
         # ||F||_F^2 = mk = rows, and <H_S, R> = ||P_S F||_F^2
         err = min(max(float(rows) - float(np.sum(image_s * solved)), 0.0), float(rows))
+    elif B.stacked_copies:
+        coeffs[idx], err = _decode_stacked(B.block(0).take(idx, axis=1), B.m)
     else:
         coeffs[idx], err = project(B.mat.take(idx, axis=1), target)
     direct = float(np.sum((B.mat @ coeffs - target) ** 2))
@@ -117,6 +133,31 @@ def decode(B: EncodingMatrix, workers: NonStragglerSet) -> DecodeResult:
             f"projection residual {err} disagrees with direct residual {direct}"
         )
     return DecodeResult(coeffs=coeffs, err=err)
+
+
+def _decode_stacked(a_s: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """The minimum-norm decode of B_S = 1_m (x) A_S on its k-row block
+    A_S, as set out above: (R_S, err), every column of R_S being
+    A_S^+ 1_k / m. The row Gram A_S A_S^T can be certified only for
+    |S| >= k."""
+    k, size = a_s.shape
+    ones = np.ones(k)
+    row_gram = a_s @ a_s.T
+    if size >= k and certify_gram(row_gram):
+        x = a_s.T @ np.linalg.solve(row_gram, ones)
+    else:
+        x, _ = project(a_s, ones)
+    fit = a_s @ x
+    total = float(m * k)
+    err = min(max(total - float(fit @ fit), 0.0), total)
+    return np.repeat(x[:, None] / m, m, axis=1), err
+
+
+def _spectral_norm_sq(Z: np.ndarray) -> float:
+    """||Z||_2^2 as the largest eigenvalue of the smaller Gram of Z, which a
+    symmetric eigensolver finds to O(eps) relative accuracy."""
+    gram = Z @ Z.T if Z.shape[0] <= Z.shape[1] else Z.T @ Z
+    return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
 
 
 def split_gradients(partials, m: int) -> np.ndarray:
@@ -164,8 +205,7 @@ def reconstruct(
     diff = approx - Z @ build_target(B.k, B.m)
     if Z.size:
         full_gap = float(np.linalg.norm(diff))
-        znorm = float(np.linalg.norm(Z, 2))
-        limit = znorm * znorm * dec.err
+        limit = _spectral_norm_sq(Z) * dec.err
         if not full_gap * full_gap <= limit * (1.0 + 1e-8) + 1e-8:
             raise NumericalError(f"operator-norm bound violated: gap^2={full_gap * full_gap} > {limit}")
     d = len(partials[0])

@@ -100,6 +100,17 @@ class EncodingMatrix:
         H.setflags(write=False)
         return G, H
 
+    @cached_property
+    def stacked_copies(self) -> bool:
+        """True for a baseline encoding whose m row blocks all equal
+        block(0): B = 1_m (x) A, the structure decoding and the per-set
+        bound exploit. Checked once per encoding, so a stored baseline whose
+        blocks were altered takes the general path."""
+        if self.scheme != BASELINE:
+            return False
+        first = self.block(0)
+        return all(np.array_equal(self.block(i), first) for i in range(1, self.m))
+
 
 def sample_diagonal(n: int, law: DiagonalLaw, rng: np.random.Generator) -> np.ndarray:
     """One diagonal draw: n i.i.d. entries, sign then magnitude."""

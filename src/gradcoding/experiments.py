@@ -407,8 +407,8 @@ def make_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def logistic_loss(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> float:
@@ -438,6 +438,13 @@ class TrainConfig:
 
 DIVERGENCE_LIMIT = 1e6
 _RESCALE_WARMUP_TRIALS = 2000
+
+# Most elements any one array of a training run may hold: the features
+# (samples x dim), the loss table (repetitions x (iterations + 1)), the
+# lockstep logits (repetitions x samples x classes) and the per-subset
+# gradients (repetitions x k x dim x classes). 2**27 float64 elements are
+# 1 GiB.
+MAX_TRAIN_ELEMENTS = 2**27
 
 
 @dataclass
@@ -474,6 +481,28 @@ class TrainResult:
         write_rows_csv(path, TRAIN_CSV_HEADER, self.rows())
 
 
+def _check_train_size(cfg: TrainConfig, samples: int, dim: int, classes: int) -> None:
+    """Refuse a run with an array over MAX_TRAIN_ELEMENTS elements, naming
+    the config keys that size it. samples, dim and classes are the
+    dataset's: the spec's for synthetic data, the CSV's for a file."""
+    if cfg.dataset.path is None:
+        rows, cols, labels = "dataset.samples", "dataset.dim", "dataset.classes"
+    else:
+        rows, cols, labels = "dataset.path rows", "dataset.path features", "dataset.path classes"
+    reps = cfg.repetitions
+    arrays = (
+        (samples * dim, f"{rows} x {cols}"),
+        (reps * (cfg.iterations + 1), "repetitions x (iterations + 1)"),
+        (reps * samples * classes, f"repetitions x {rows} x {labels}"),
+        (reps * cfg.assignment.k * dim * classes, f"repetitions x k x {cols} x {labels}"),
+    )
+    for size, keys in arrays:
+        if size > MAX_TRAIN_ELEMENTS:
+            raise ParameterError(
+                f"{keys} is {size} elements, over the cap of {MAX_TRAIN_ELEMENTS}"
+            )
+
+
 def simulate_training(cfg: TrainConfig) -> TrainResult:
     """Full-batch gradient descent on multinomial logistic regression with
     coded gradient aggregation.
@@ -484,9 +513,26 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
     schemes keep their encoding), and the decoded aggregate drives the
     update. An empty survivor set decodes to zero coefficients, hence a zero
     update. The 'exact' scheme skips coding and applies the true aggregate.
+
+    The repetitions run in lockstep: their weights form one
+    (repetitions, dim, classes) stack, so one product and one log-softmax
+    per iteration give every live repetition's loss and the residual of its
+    next gradient, and one batched product gives all their per-subset
+    gradients. Each repetition keeps its own survivor and encoding streams
+    and its own fixed encoding, drawn from the same (seed, repetition)
+    states as when the repetitions ran one after another, and its survivor
+    set is decoded on its own. A repetition that diverges leaves the stack.
+
+    Refuses, before allocating, a run with an array over
+    MAX_TRAIN_ELEMENTS elements.
     """
     A, sc = cfg.assignment, cfg.scheme
-    X, y = make_dataset(cfg.dataset)
+    spec = cfg.dataset
+    if spec.path is None:
+        _check_train_size(cfg, spec.samples, spec.dim, spec.classes)
+    X, y = make_dataset(spec)
+    if spec.path is not None:
+        _check_train_size(cfg, X.shape[0], X.shape[1], int(y.max()) + 1)
     k = A.k
     per = len(X) // k
     if per == 0:
@@ -497,6 +543,7 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
     dim = X.shape[1]
     onehot = np.zeros((used, classes))
     onehot[np.arange(used), y] = 1.0
+    picked = np.arange(used) * classes + y  # flat index of each sample's label
     d = dim * classes
     target = build_target(k, cfg.m)
     subsets = X.reshape(k, per, dim).transpose(0, 2, 1)  # X_i^T, stacked
@@ -508,36 +555,43 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
         )
         eta = eta / warm.beta_hat
 
-    losses = np.full((cfg.repetitions, cfg.iterations + 1), np.nan)
-    diverged = [False] * cfg.repetitions
+    reps = cfg.repetitions
+    losses = np.full((reps, cfg.iterations + 1), np.nan)
+    diverged = [False] * reps
     law = DiagonalLaw(sc.epsilon) if sc.randomized else None
-    for rep in range(cfg.repetitions):
+    fixed = sc.scheme in (BASELINE, NULLSPACE_HADAMARD)
+    set_rngs, enc_rngs, encodings = [], [], []
+    for rep in range(reps):
         state = _stream(cfg.seed, rep).generate_state(3, dtype=np.uint64)
-        set_rng = np.random.default_rng(int(state[0]))
-        enc_rng = np.random.default_rng(int(state[1]))
-        B = None
-        if sc.scheme in (BASELINE, NULLSPACE_HADAMARD):
-            B = sc.build(A, cfg.m, int(state[2]))
-        W = np.zeros((dim, classes))
-        losses[rep, 0] = logistic_loss(X, y, W)
-        for it in range(1, cfg.iterations + 1):
-            probs = np.exp(_log_softmax(X @ W))
-            resid = probs - onehot
-            # row i of partials is X_i^T resid_i / used, the dim x classes
-            # gradient of subset i flattened column-major
-            per_subset = np.matmul(subsets, resid.reshape(k, per, classes)) / used
-            partials = per_subset.transpose(0, 2, 1).reshape(k, d)
-            if sc.scheme == EXACT:
-                grad = np.ravel(split_gradients(partials, cfg.m) @ target, order="F")[:d]
-            else:
-                workers = sample_straggler_set(Bernoulli(cfg.q), A.n, set_rng)
-                if sc.randomized:
-                    B = encode_random_diagonal(A, cfg.m, law, int(enc_rng.integers(2**63)))
-                grad, _ = reconstruct(partials, B, workers)
-            W = W - eta * grad.reshape((dim, classes), order="F")
-            loss = logistic_loss(X, y, W)
-            losses[rep, it] = loss
-            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+        set_rngs.append(np.random.default_rng(int(state[0])))
+        enc_rngs.append(np.random.default_rng(int(state[1])))
+        encodings.append(sc.build(A, cfg.m, int(state[2])) if fixed else None)
+    live = np.arange(reps)
+    W = np.zeros((reps, dim, classes))
+    for it in range(cfg.iterations + 1):
+        logp = _log_softmax(np.matmul(X, W))
+        loss = -np.mean(np.take(logp.reshape(live.size, -1), picked, axis=1), axis=1)
+        losses[live, it] = loss
+        if it:
+            stop = ~np.isfinite(loss) | (loss > DIVERGENCE_LIMIT)
+            for rep in live[stop]:
                 diverged[rep] = True
-                break
+            live, W, logp = live[~stop], W[~stop], logp[~stop]
+        if it == cfg.iterations or not live.size:
+            break
+        resid = np.exp(logp) - onehot
+        # row i of partials[j] is X_i^T resid_i / used for live repetition j,
+        # the dim x classes gradient of subset i flattened column-major
+        per_subset = np.matmul(subsets, resid.reshape(live.size, k, per, classes)) / used
+        partials = per_subset.transpose(0, 1, 3, 2).reshape(live.size, k, d)
+        for j, rep in enumerate(live):
+            if sc.scheme == EXACT:
+                grad = np.ravel(split_gradients(partials[j], cfg.m) @ target, order="F")[:d]
+            else:
+                workers = sample_straggler_set(Bernoulli(cfg.q), A.n, set_rngs[rep])
+                if sc.randomized:
+                    seed = int(enc_rngs[rep].integers(2**63))
+                    encodings[rep] = encode_random_diagonal(A, cfg.m, law, seed)
+                grad, _ = reconstruct(partials[j], encodings[rep], workers)
+            W[j] -= eta * grad.reshape((dim, classes), order="F")
     return TrainResult(scheme_label=sc.label, losses=losses, diverged=diverged)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gradcoding as gc
+from gradcoding import bounds
 from gradcoding.errors import ParameterError, SingularMatrixError
 from gradcoding.linalg import rank_of
 
@@ -124,6 +125,24 @@ def test_fixed_encoding_bound_requires_invertible_gram(coset_small):
     B = gc.encode_baseline(coset_small, 2)
     with pytest.raises(SingularMatrixError):
         gc.bound_diag_dominant(B, gc.NonStragglerSet.full(6))
+
+
+def test_stacked_baseline_shortcut_agrees_with_the_rank_rule(bireg40, coset27, monkeypatch):
+    # more than k survivors of 1_m (x) A are refused without a rank_of call,
+    # and the rank rule on B_S agrees that each such set is deficient
+    calls = []
+    monkeypatch.setattr(bounds, "rank_of", lambda mat: calls.append(1) or rank_of(mat))
+    for A in (bireg40, coset27):
+        for m in (1, 2):
+            B = gc.encode_baseline(A, m)
+            rng = np.random.default_rng(m)
+            for size in range(A.k + 1, A.n + 1):
+                members = list(np.sort(rng.choice(A.n, size=size, replace=False)))
+                calls.clear()
+                with pytest.raises(SingularMatrixError):
+                    gc.bound_diag_dominant(B, gc.NonStragglerSet(n=A.n, members=members))
+                assert not calls
+                assert rank_of(B.mat[:, members]) < size
 
 
 def test_fixed_encoding_bound_uses_the_decode_rank_rule(fano):

@@ -486,6 +486,30 @@ def test_train_writes_losses_summary_and_chart(tmp_path):
     assert (out / "train.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"dataset": {"samples": 1e12, "dim": 3, "classes": 3}}, "dataset.samples"),
+        ({"iterations": 1e12}, "iterations"),
+    ],
+)
+def test_train_refuses_sizes_over_the_cap(tmp_path, capsys, override, key):
+    # both sizes pass the 64-bit check; the first would allocate a
+    # 1e12 x 3 feature matrix and the second a 1 x (1e12 + 1) loss table
+    config = {
+        "design": {"family": "bibd_transpose", "v": 7},
+        "m": 2,
+        "q": 0.25,
+        "iterations": 2,
+        "schemes": [{"scheme": "baseline"}],
+        **override,
+    }
+    rc, out = run_cli(tmp_path, "train", config)
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "train.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 

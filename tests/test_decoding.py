@@ -309,6 +309,60 @@ def test_rank_deficient_baseline_is_never_certified(bireg40):
             assert rank_of(B.mat[:, members]) < len(members)
 
 
+# ---------------------------------------------------------------------------
+# the stacked-copies baseline, decoded on its k-row block
+
+
+def _check_against_projection(B, members):
+    """decode(B, S) against project(B_S, F): error, fitted combination and
+    the minimum-norm coefficients themselves."""
+    F = gc.build_target(B.k, B.m)
+    mk = B.m * B.k
+    got = gc.decode(B, gc.NonStragglerSet(n=B.n, members=members))
+    ref_coeffs, ref_err = project(B.mat[:, members], F)
+    assert abs(got.err - ref_err) <= 1e-9 * mk
+    assert np.allclose(B.mat @ got.coeffs, B.mat[:, members] @ ref_coeffs, rtol=0.0, atol=1e-9)
+    scale = max(1.0, float(np.abs(ref_coeffs).max(initial=0.0)))
+    assert np.allclose(got.coeffs[members], ref_coeffs, rtol=0.0, atol=1e-9 * scale)
+
+
+def test_stacked_baseline_decode_matches_svd_projection(fano, coset27, bireg40, monkeypatch):
+    # the column certificate (|S| <= k), the row Gram certificate and the
+    # SVD of A_S each decode some of these sets; the column certificate is
+    # never tried on more than k survivors, whose B_S has rank <= k < |S|
+    paths, grams = [], []
+    stacked, proj, cert = decoding._decode_stacked, decoding.project, decoding.certify_gram
+
+    def spy_stacked(a_s, m):
+        paths[-1] = "row"
+        return stacked(a_s, m)
+
+    def spy_project(mat, rhs):
+        if np.ndim(rhs) == 1:
+            paths[-1] = "svd"
+        return proj(mat, rhs)
+
+    def spy_cert(gram):
+        grams.append(len(gram))
+        return cert(gram)
+
+    monkeypatch.setattr(decoding, "_decode_stacked", spy_stacked)
+    monkeypatch.setattr(decoding, "project", spy_project)
+    monkeypatch.setattr(decoding, "certify_gram", spy_cert)
+    for A in (fano, coset27, bireg40):
+        for m in (2, 3):
+            B = gc.encode_baseline(A, m)
+            rng = np.random.default_rng(m)
+            for size in list(range(1, A.n + 1)) * 2:
+                members = list(np.sort(rng.choice(A.n, size=size, replace=False)))
+                paths.append("column")
+                grams.clear()
+                _check_against_projection(B, members)
+                if size > A.k:
+                    assert paths[-1] != "column" and len(members) not in grams
+    assert {"column", "row", "svd"} <= set(paths)
+
+
 # The designs come from session fixtures through `request`; nothing in them
 # is reset between examples, so the function-scoped-fixture check is moot.
 _PROPERTY_SETTINGS = settings(
@@ -419,3 +473,37 @@ def test_operator_norm_check_raises(fano, monkeypatch):
     )
     with pytest.raises(NumericalError, match="operator-norm"):
         gc.reconstruct(partials, B, workers)
+
+
+@_PROPERTY_SETTINGS
+@given(st.sampled_from(FAMILIES), st.integers(1, 3), st.data())
+def test_property_stacked_baseline_decode_matches_svd_projection(request, family, m, data):
+    B = gc.encode_baseline(request.getfixturevalue(family), m)
+    _check_against_projection(B, _draw_members(data, B.n, min_size=1))
+
+
+def test_stacked_copies_needs_equal_blocks(fano):
+    B = gc.encode_baseline(fano, 2)
+    assert B.stacked_copies
+    mat = B.mat.copy()
+    mat[7:] *= 2.0
+    altered = gc.EncodingMatrix(mat=mat, m=2, scheme=B.scheme, parent=fano, seed=None, randomness=None)
+    assert not altered.stacked_copies
+    assert not gc.encode_random_diagonal(fano, 1, gc.DiagonalLaw(0.0), seed=0).stacked_copies
+    # an altered baseline takes the general path and still decodes
+    _check_against_projection(altered, [0, 2, 3, 5])
+
+
+@pytest.mark.parametrize(
+    "Z",
+    [
+        np.random.default_rng(0).standard_normal((15, 54)),
+        np.random.default_rng(1).standard_normal((40, 6)),
+        np.outer(np.arange(1.0, 8.0), np.linspace(-1.0, 2.0, 20)),
+        np.zeros((5, 14)),
+    ],
+    ids=["random", "tall", "rank-one", "zero"],
+)
+def test_spectral_norm_from_the_gram_matches_the_svd(Z):
+    expected = float(np.linalg.norm(Z, 2)) ** 2
+    assert abs(decoding._spectral_norm_sq(Z) - expected) <= 1e-12 * expected

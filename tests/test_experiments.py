@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gradcoding as gc
+from gradcoding import experiments
 from gradcoding.errors import ParameterError
 from gradcoding.experiments import SWEEP_CSV_HEADER, TRAIN_CSV_HEADER, _log_softmax
 
@@ -472,3 +473,133 @@ def test_train_config_validation(fano):
     )
     with pytest.raises(ParameterError):
         gc.simulate_training(small)  # fewer samples than subsets
+
+
+# ---------------------------------------------------------------------------
+# lockstep repetitions against one repetition at a time
+
+
+def _reference_training(cfg):
+    """The training loop that ran the repetitions one after another, each
+    with its own X @ W products; kept to check the lockstep stack."""
+    A, sc = cfg.assignment, cfg.scheme
+    X, y = gc.make_dataset(cfg.dataset)
+    k = A.k
+    per = len(X) // k
+    used = per * k
+    X, y = X[:used], y[:used]
+    classes = int(y.max()) + 1
+    dim = X.shape[1]
+    onehot = np.eye(classes)[y]
+    d = dim * classes
+    target = gc.build_target(k, cfg.m)
+    subsets = X.reshape(k, per, dim).transpose(0, 2, 1)
+    losses = np.full((cfg.repetitions, cfg.iterations + 1), np.nan)
+    diverged = [False] * cfg.repetitions
+    for rep in range(cfg.repetitions):
+        state = experiments._stream(cfg.seed, rep).generate_state(3, dtype=np.uint64)
+        set_rng = np.random.default_rng(int(state[0]))
+        enc_rng = np.random.default_rng(int(state[1]))
+        B = None
+        if sc.scheme in (gc.BASELINE, gc.NULLSPACE_HADAMARD):
+            B = sc.build(A, cfg.m, int(state[2]))
+        W = np.zeros((dim, classes))
+        losses[rep, 0] = gc.logistic_loss(X, y, W)
+        for it in range(1, cfg.iterations + 1):
+            resid = np.exp(_log_softmax(X @ W)) - onehot
+            per_subset = np.matmul(subsets, resid.reshape(k, per, classes)) / used
+            partials = per_subset.transpose(0, 2, 1).reshape(k, d)
+            if sc.scheme == gc.EXACT:
+                grad = np.ravel(gc.split_gradients(partials, cfg.m) @ target, order="F")[:d]
+            else:
+                workers = gc.sample_straggler_set(gc.Bernoulli(cfg.q), A.n, set_rng)
+                if sc.randomized:
+                    law = gc.DiagonalLaw(sc.epsilon)
+                    B = gc.encode_random_diagonal(A, cfg.m, law, int(enc_rng.integers(2**63)))
+                grad, _ = gc.reconstruct(partials, B, workers)
+            W = W - cfg.learning_rate * grad.reshape((dim, classes), order="F")
+            loss = gc.logistic_loss(X, y, W)
+            losses[rep, it] = loss
+            if not np.isfinite(loss) or loss > experiments.DIVERGENCE_LIMIT:
+                diverged[rep] = True
+                break
+    return losses, diverged
+
+
+def _lockstep_config(A, scheme, **kw):
+    base = dict(
+        assignment=A,
+        scheme=scheme,
+        m=2,
+        q=0.25,
+        iterations=12,
+        repetitions=4,
+        dataset=gc.DatasetSpec(samples=160, dim=3, classes=3, seed=1),
+        seed=5,
+    )
+    return gc.TrainConfig(**{**base, **kw})
+
+
+def _assert_same_runs(result, losses, diverged):
+    assert result.diverged == diverged
+    assert np.array_equal(np.isnan(result.losses), np.isnan(losses))
+    finite = ~np.isnan(losses)
+    assert np.allclose(result.losses[finite], losses[finite], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        gc.SchemeSpec(scheme=gc.EXACT),
+        gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1),
+        gc.SchemeSpec(scheme=gc.BASELINE),
+        gc.SchemeSpec(scheme=gc.NULLSPACE_HADAMARD),
+    ],
+    ids=lambda sc: sc.label,
+)
+def test_lockstep_training_matches_one_repetition_at_a_time(bireg40, scheme):
+    cfg = _lockstep_config(bireg40, scheme)
+    losses, diverged = _reference_training(cfg)
+    _assert_same_runs(gc.simulate_training(cfg), losses, diverged)
+
+
+def test_lockstep_repetitions_leave_the_stack_when_they_diverge(bireg40, monkeypatch):
+    # a limit between the repetitions' peak losses stops some of them early
+    # while the others run to the end
+    cfg = _lockstep_config(
+        bireg40, gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1), learning_rate=4.0, repetitions=5
+    )
+    free, _ = _reference_training(cfg)
+    peaks = np.sort(np.nanmax(free[:, 1:], axis=1))
+    limit = 0.5 * (peaks[1] + peaks[2])
+    monkeypatch.setattr(experiments, "DIVERGENCE_LIMIT", limit)
+    losses, diverged = _reference_training(cfg)
+    assert 0 < sum(diverged) < cfg.repetitions
+    assert np.isnan(losses[diverged]).any()
+    _assert_same_runs(gc.simulate_training(cfg), losses, diverged)
+
+
+@pytest.mark.parametrize(
+    "dataset, key",
+    [
+        (gc.DatasetSpec(samples=10**12, dim=10, classes=3), "dataset.samples x dataset.dim"),
+        (gc.DatasetSpec(samples=600, dim=10, classes=10**9), "dataset.classes"),
+    ],
+)
+def test_training_refuses_arrays_over_the_cap(fano, dataset, key):
+    cfg = gc.TrainConfig(fano, gc.SchemeSpec(scheme=gc.BASELINE), 2, 0.25, 5, dataset=dataset)
+    with pytest.raises(ParameterError, match=key):
+        gc.simulate_training(cfg)
+
+
+def test_training_cap_reads_an_external_dataset(tmp_path, fano):
+    # a label of 1e9 means 1e9 + 1 classes of logits for 14 rows
+    rows = [[float(i), float(i % 2)] for i in range(14)]
+    rows[0][1] = 1e9
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(",".join(repr(v) for v in row) for row in rows) + "\n")
+    cfg = gc.TrainConfig(
+        fano, gc.SchemeSpec(scheme=gc.BASELINE), 2, 0.25, 5, dataset=gc.DatasetSpec(path=str(path))
+    )
+    with pytest.raises(ParameterError, match="dataset.path classes"):
+        gc.simulate_training(cfg)
