@@ -33,6 +33,7 @@ from .decoding import (
     NonStragglerSet,
     build_target,
     decode,
+    decode_sets,
     reconstruct,
     split_gradients,
 )

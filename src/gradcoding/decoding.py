@@ -25,12 +25,34 @@ the row space of A_S, so it is the minimum-norm solution), and otherwise
 x from project(A_S, 1_k), whose rank rule decides as on B_S because
 sigma(B_S) = sqrt(m) sigma(A_S).
 
+Many sets of one encoding are decoded by decode_sets. When certify_gram
+clears the whole n x n Gram G (EncodingMatrix.gram_inverse), Cauchy
+interlacing gives lambda_min(G_SS) >= lambda_min(G) > tr(G) / 1e8 >=
+tr(G_SS) / 1e8 for every survivor set S: the certificate each G_SS would
+earn on its own. With K = G^-1 and R = K H, the block-inverse (Schur
+complement) identity gives, for the stragglers T (s = |T|),
+
+    R_S = R[S] - K[S, T] K[T, T]^-1 R[T],
+    err = err_0 + <R[T], K[T, T]^-1 R[T]>,  err_0 = mk - <H, R>,
+
+an s x s solve per set, with cond(K[T, T]) <= cond(G) < 1e8. An explicit
+inverse is backward stable only to about cond(G) eps, not eps, so R_S is
+refined by one step: the residual H_S - G_SS R_S, read from the cached
+Gram, is solved through the same identity and added, and the error is
+mk - <H_S, R_S> as on the certified path of decode. Where the survivors'
+own system is no larger than these two s x s solves (|S|^3 <= 2 s^3),
+G_SS R_S = H_S is solved directly instead. Sets of one size are solved as
+one batched stack. An encoding whose Gram is not certified is decoded set
+by set through decode.
+
 Each decode is checked against the directly computed residual
 ||B R - F||_F^2, raising NumericalError on a disagreement.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,20 +115,36 @@ class DecodeResult:
 
 
 def build_target(k: int, m: int) -> np.ndarray:
-    """The mk x m target F, column i indicating rows ik..(i+1)k-1; F^T F = k I."""
+    """The mk x m target F, column i indicating rows ik..(i+1)k-1; F^T F = k I.
+    Built once per (k, m) and read-only."""
     if k < 1 or m < 1:
         raise ParameterError("k and m must be positive")
-    return np.repeat(np.eye(m), k, axis=0)
+    return _target(int(k), int(m))
+
+
+@lru_cache(maxsize=None)
+def _target(k: int, m: int) -> np.ndarray:
+    target = np.repeat(np.eye(m), k, axis=0)
+    target.setflags(write=False)
+    return target
+
+
+def _check_shapes(B: EncodingMatrix, sets) -> tuple[int, int]:
+    """(mk, n) of B, refusing an encoding that is not mk x n or a set drawn
+    for another worker count."""
+    rows, n = B.mat.shape
+    if (rows, n) != (B.m * B.k, B.n):
+        raise ShapeError(f"encoding has shape {B.mat.shape}, not mk x n = {(B.m * B.k, B.n)}")
+    for workers in sets:
+        if workers.n != n:
+            raise ShapeError(f"worker count {workers.n} does not match n={n}")
+    return rows, n
 
 
 def decode(B: EncodingMatrix, workers: NonStragglerSet) -> DecodeResult:
     """Optimal decoding of B against its target for the given survivors,
     reading the survivor Gram block G_S and image H_S from B's cached Gram."""
-    rows, n = B.mat.shape
-    if (rows, n) != (B.m * B.k, B.n):
-        raise ShapeError(f"encoding has shape {B.mat.shape}, not mk x n = {(B.m * B.k, B.n)}")
-    if workers.n != n:
-        raise ShapeError(f"worker count {workers.n} does not match n={n}")
+    rows, n = _check_shapes(B, (workers,))
     coeffs = np.zeros((n, B.m))
     if not workers.members:
         return DecodeResult(coeffs=coeffs, err=float(rows))
@@ -133,6 +171,89 @@ def decode(B: EncodingMatrix, workers: NonStragglerSet) -> DecodeResult:
             f"projection residual {err} disagrees with direct residual {direct}"
         )
     return DecodeResult(coeffs=coeffs, err=err)
+
+
+def decode_sets(B: EncodingMatrix, sets: Iterable[NonStragglerSet]) -> list[DecodeResult]:
+    """The decode of B for every set in sets, in order.
+
+    When B's whole Gram is certified (B.gram_inverse), the sets of one
+    size are solved as one batched stack, through the inverse K = G^-1 by
+    s x s systems in their stragglers or through their own survivor Grams,
+    as set out above. The results then match decode(B, w) within 1e-9 * mk
+    in err, with the same coefficient support (the survivors' rows); the
+    coefficients come from another solve, so they agree only to rounding.
+    Otherwise each set goes through decode and the results are exactly
+    decode's. Every set is checked against its direct residual."""
+    sets = list(sets)  # an iterator would be spent by the shape check
+    _check_shapes(B, sets)
+    inverse = B.gram_inverse
+    if inverse is None:
+        return [decode(B, workers) for workers in sets]
+    by_size: dict[int, list[int]] = {}
+    for i, workers in enumerate(sets):
+        by_size.setdefault(len(workers.members), []).append(i)
+    results: list[DecodeResult | None] = [None] * len(sets)
+    for size, picked in by_size.items():
+        coeffs, err = _decode_group(B, inverse, [sets[i].members for i in picked], size)
+        for j, i in enumerate(picked):
+            results[i] = DecodeResult(coeffs=coeffs[j], err=float(err[j]))
+    return results
+
+
+def _decode_group(
+    B: EncodingMatrix, inverse: tuple[np.ndarray, np.ndarray], members: list, size: int
+):
+    """(coefficients g x n x m, errors g) of g survivor sets of one size,
+    each set in the cheaper of two stacked solves, as set out above."""
+    rows, n = B.mat.shape
+    g, m = len(members), B.m
+    s = n - size
+    total = float(rows)
+    gram, image = B.gram
+    col = np.arange(g)[:, None]
+    # the survivor systems G_SS R_S = H_S when they are no larger than the
+    # two s x s solves of the straggler route. Timed per route (BENCH_9.json),
+    # the straggler route is the faster below this size and the slower above
+    # it, the crossover lying near s = 40 at n = 91 and s = 18 at n = 40
+    if size**3 <= 2 * s**3:
+        idx = np.array(members, dtype=np.intp).reshape(g, size)
+        coeffs = np.zeros((n, g, m))  # set j in column j
+        if size:
+            coeffs[idx, col] = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]], image[idx])
+    else:
+        K, full = inverse
+        coeffs = np.repeat(full[:, None, :], g, axis=1)
+        if s:
+            straggles = np.ones((g, n), dtype=bool)
+            straggles[col, np.array(members, dtype=np.intp)] = False
+            t = np.nonzero(straggles)[1].reshape(g, s)
+            k_tt = K[t[:, :, None], t[:, None, :]]
+
+            def drop_stragglers(v: np.ndarray) -> np.ndarray:
+                """v - K[:, T] K[T, T]^-1 v[T], zero on T: for v = K u, the
+                solution of G_SS x = u[S], lifted to n rows."""
+                lifted = np.zeros((n, g, m))
+                lifted[t, col] = np.linalg.solve(k_tt, v[t, col])
+                v -= (K @ lifted.reshape(n, g * m)).reshape(n, g, m)
+                v[t, col] = 0.0
+                return v
+
+            coeffs = drop_stragglers(coeffs)
+            resid = image[:, None, :] - (gram @ coeffs.reshape(n, g * m)).reshape(n, g, m)
+            resid[t, col] = 0.0
+            coeffs += drop_stragglers((K @ resid.reshape(n, g * m)).reshape(n, g, m))
+    # mk - <H_S, R_S>, the straggler rows of R being zero
+    err = np.clip(total - np.einsum("ngm,nm->g", coeffs, image), 0.0, total)
+    fitted = (B.mat @ coeffs.reshape(n, g * m)).reshape(rows, g, m)
+    diff = fitted - build_target(B.k, m)[:, None, :]
+    direct = np.einsum("rgm,rgm->g", diff, diff)
+    bad = ~(np.abs(err - direct) <= _ERR_CONSISTENCY_EPS * np.maximum(1.0, direct))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"projection residual {err[i]} disagrees with direct residual {direct[i]}"
+        )
+    return np.ascontiguousarray(coeffs.transpose(1, 0, 2)), err
 
 
 def _decode_stacked(a_s: np.ndarray, m: int) -> tuple[np.ndarray, float]:
@@ -202,7 +323,7 @@ def reconstruct(
         raise ShapeError(f"{len(partials)} partial gradients for an encoding of k={B.k} subsets")
     dec = decode(B, workers)
     approx = Z @ (B.mat @ dec.coeffs)
-    diff = approx - Z @ build_target(B.k, B.m)
+    diff = approx - Z.reshape(Z.shape[0], B.m, B.k).sum(axis=2)  # Z F
     if Z.size:
         full_gap = float(np.linalg.norm(diff))
         limit = _spectral_norm_sq(Z) * dec.err

@@ -19,7 +19,7 @@ import numpy as np
 
 from .designs import AssignmentMatrix
 from .errors import ConstructionError, ParameterError
-from .linalg import null_space_basis
+from .linalg import certify_gram, null_space_basis
 
 RANDOM_DIAGONAL = "random_diagonal"
 NULLSPACE_HADAMARD = "nullspace_hadamard"
@@ -99,6 +99,25 @@ class EncodingMatrix:
         G.setflags(write=False)
         H.setflags(write=False)
         return G, H
+
+    @cached_property
+    def gram_inverse(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(K, R) with K = G^-1 and R = G^-1 H, the full set's coefficients,
+        when certify_gram clears the whole n x n Gram G, else None. By
+        Cauchy interlacing every survivor block G_SS is then certified too,
+        and decoding.decode_sets solves each set through this one inverse.
+        R is K H refined by one step against G. Computed once per encoding
+        and read-only."""
+        G, H = self.gram
+        if not certify_gram(G):
+            return None
+        K = np.linalg.inv(G)
+        K = 0.5 * (K + K.T)  # exactly symmetric: K[S, T] = K[T, S]^T
+        R = K @ H
+        R += K @ (H - G @ R)
+        K.setflags(write=False)
+        R.setflags(write=False)
+        return K, R
 
     @cached_property
     def stacked_copies(self) -> bool:

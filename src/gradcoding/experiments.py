@@ -6,6 +6,7 @@ results do not depend on scheduling order and reruns are bit-reproducible.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -18,8 +19,8 @@ from .decoding import (
     NonStragglerSet,
     build_target,
     decode,
+    decode_sets,
     reconstruct,
-    split_gradients,
 )
 from .designs import BI_REGULAR, COSET_BIPARTITE, AssignmentMatrix
 from .encoders import (
@@ -60,6 +61,11 @@ TRAIN_CSV_HEADER = ["scheme", "seed", "iteration", "loss"]
 # Most survivor sets that set_draws="all" may enumerate per encoding draw,
 # summed over the grid; v=91 at s=5 alone would be about 4.9e7 sets.
 MAX_EXHAUSTIVE_SETS = 1_000_000
+
+# Most survivor sets a sweep hands to one decode_sets call, which bounds the
+# stacks it gathers when set_draws="all" enumerates up to
+# MAX_EXHAUSTIVE_SETS sets.
+DECODE_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +226,9 @@ def sweep_error(cfg: SweepConfig) -> ExperimentResult:
     """Decode-error statistics over (matrix draw x straggler draw) grids,
     with the matching upper and lower bounds attached per grid point.
 
+    The sets of each (encoding draw, grid point) are decoded together by
+    decode_sets, in chunks of at most DECODE_CHUNK sets.
+
     Where no family closed form applies on a straggler-count grid, per-set
     bounds are evaluated on every sampled set (the diagonally-dominant
     bound for fixed encodings, the expected-error bound for the diagonal
@@ -240,9 +249,12 @@ def sweep_error(cfg: SweepConfig) -> ExperimentResult:
         for t in range(cfg.matrix_draws):
             B = sc.build(A, cfg.m, _stream_seed(cfg.seed, gi, t, 0))
             rng = np.random.default_rng(_stream(cfg.seed, gi, t, 1))
-            for workers in _iter_sets(cfg, x, rng):
-                errs.append(decode(B, workers).err)
-                if per_set:
+            sets = _iter_sets(cfg, x, rng)
+            while chunk := list(itertools.islice(sets, DECODE_CHUNK)):
+                errs.extend(dec.err for dec in decode_sets(B, chunk))
+                if not per_set:
+                    continue
+                for workers in chunk:
                     try:
                         if sc.scheme == RANDOM_DIAGONAL:
                             set_bounds.append(bnd.bound_expected(A, workers, cfg.m, c_val).value)
@@ -407,8 +419,11 @@ def make_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # numpy reduces a short last axis slowly (it is 3 long in every recipe),
+    # so the max and the sum are elementwise ops over the class slices
+    shifted = z - functools.reduce(np.maximum, np.moveaxis(z, -1, 0))[..., None]
+    total = functools.reduce(np.add, np.moveaxis(np.exp(shifted), -1, 0))
+    return shifted - np.log(total)[..., None]
 
 
 def logistic_loss(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> float:
@@ -545,7 +560,6 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
     onehot[np.arange(used), y] = 1.0
     picked = np.arange(used) * classes + y  # flat index of each sample's label
     d = dim * classes
-    target = build_target(k, cfg.m)
     subsets = X.reshape(k, per, dim).transpose(0, 2, 1)  # X_i^T, stacked
 
     eta = cfg.learning_rate
@@ -586,7 +600,7 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
         partials = per_subset.transpose(0, 1, 3, 2).reshape(live.size, k, d)
         for j, rep in enumerate(live):
             if sc.scheme == EXACT:
-                grad = np.ravel(split_gradients(partials[j], cfg.m) @ target, order="F")[:d]
+                grad = partials[j].sum(axis=0)  # Z F, without building Z
             else:
                 workers = sample_straggler_set(Bernoulli(cfg.q), A.n, set_rngs[rep])
                 if sc.randomized:

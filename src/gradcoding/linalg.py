@@ -10,6 +10,12 @@ Numerical contract:
     certified G = M^T M has cond_2(M) < 1e4: M has full column rank under
     the rank rule with a wide margin, and solving the normal equations
     G R = M^T Y loses at most about eight digits of the sixteen.
+  * Whole-Gram certificate. When certify_gram clears an encoding's whole
+    Gram G, Cauchy interlacing (Horn & Johnson, Matrix Analysis, Thm
+    4.3.28) carries it to every principal block: lambda_min(G_SS) >=
+    lambda_min(G) > tr(G) / 1e8 >= tr(G_SS) / 1e8, which is what the
+    certificate proves for G_SS itself. decoding.decode_sets relies on this
+    to decode many survivor sets from one inverse of G.
   * Reference projection. project solves min ||M R - Y||_F with one SVD and
     the rank rule above; it is the path for every matrix the certificate
     cannot clear, and the reference the Gram path is tested against

@@ -29,3 +29,9 @@ def coset27():
 @pytest.fixture(scope="session")
 def bireg40():
     return gc.biregular_random(n=40, k=20, delta=3, gamma=6, seed=11)
+
+
+@pytest.fixture(scope="session")
+def bibd91():
+    # the fig3 design: 91 workers, delta = gamma = 10, lambda = 1
+    return gc.bibd_transpose_from_difference_set(gc.builtin_difference_sets()[91], 91)

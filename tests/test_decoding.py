@@ -20,6 +20,14 @@ def test_target_columns_indicate_blocks():
     assert np.array_equal(F.T @ F, 3 * np.eye(2))
 
 
+def test_target_is_built_once_and_read_only():
+    F = gc.build_target(4, 3)
+    assert gc.build_target(4, 3) is F
+    assert not F.flags.writeable
+    with pytest.raises(ValueError):
+        F[0, 0] = 2.0
+
+
 def test_target_validation():
     with pytest.raises(ParameterError):
         gc.build_target(0, 2)
@@ -444,6 +452,148 @@ def test_property_certificate_rejects_numerically_singular_columns(cols, seed, l
 
 
 # ---------------------------------------------------------------------------
+# many sets of one encoding through the whole-Gram inverse
+
+
+def _mixed_sets(n, rng):
+    """Sets of mixed sizes, the empty and the full set among them, shuffled."""
+    sizes = [0, n, n, n - 1] + list(np.linspace(1, n - 1, 9).astype(int)) * 2
+    rng.shuffle(sizes)
+    return [gc.NonStragglerSet(n=n, members=rng.choice(n, size=size, replace=False)) for size in sizes]
+
+
+def _support(coeffs):
+    return np.any(coeffs != 0.0, axis=1)
+
+
+def _check_sets_against_decode(B, sets):
+    mk = B.m * B.k
+    got = gc.decode_sets(B, sets)
+    assert len(got) == len(sets)
+    for workers, res in zip(sets, got):
+        ref = gc.decode(B, workers)
+        assert abs(res.err - ref.err) <= 1e-9 * mk
+        assert res.coeffs.shape == (B.n, B.m)
+        assert np.array_equal(_support(res.coeffs), _support(ref.coeffs))
+        assert np.allclose(B.mat @ res.coeffs, B.mat @ ref.coeffs, rtol=0.0, atol=1e-8)
+    return got
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("family", ("fano", "bibd91", "coset27", "bireg40"))
+def test_decode_sets_matches_decode(request, family, scheme):
+    A = request.getfixturevalue(family)
+    rng = np.random.default_rng(7)
+    for seed in range(3):
+        B = _encode(A, scheme, seed)
+        _check_sets_against_decode(B, _mixed_sets(A.n, rng))
+
+
+def test_decode_sets_covers_certified_and_uncertified_encodings(fano, bibd91, coset27, bireg40):
+    # the cases above take both paths: the whole-Gram inverse and the loop
+    for A in (fano, bibd91):
+        for scheme in SCHEMES:
+            assert _encode(A, scheme).gram_inverse is not None
+    assert _encode(coset27, gc.NULLSPACE_HADAMARD).gram_inverse is not None
+    assert _encode(coset27, gc.BASELINE).gram_inverse is None
+    assert _encode(bireg40, gc.BASELINE).gram_inverse is None
+    K, R = _encode(fano, gc.RANDOM_DIAGONAL).gram_inverse
+    assert not K.flags.writeable and not R.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "family,scheme,seed",
+    [
+        ("coset27", gc.RANDOM_DIAGONAL, 0),
+        ("coset27", gc.RANDOM_DIAGONAL, 2),
+        ("bireg40", gc.NULLSPACE_HADAMARD, 1),
+        ("bireg40", gc.NULLSPACE_HADAMARD, 4),
+    ],
+)
+def test_decode_sets_near_the_threshold(request, family, scheme, seed):
+    # whole Grams with cond_2 between 1e6 and the 1e8 threshold: every set
+    # still decodes within 1e-9 * mk of the SVD projection
+    A = request.getfixturevalue(family)
+    B = _encode(A, scheme, seed)
+    G, _ = B.gram
+    assert B.gram_inverse is not None
+    assert 1e6 <= np.linalg.cond(G) <= 1e8
+    F = gc.build_target(B.k, B.m)
+    rng = np.random.default_rng(seed)
+    sets = [gc.sample_straggler_set(gc.Bernoulli(0.25), B.n, rng) for _ in range(40)]
+    for workers, res in zip(sets, _check_sets_against_decode(B, sets)):
+        members = list(workers.members)
+        ref_coeffs, ref_err = project(B.mat[:, members], F)
+        assert abs(res.err - ref_err) <= 1e-9 * B.m * B.k
+        assert np.allclose(B.mat @ res.coeffs, B.mat[:, members] @ ref_coeffs, rtol=0.0, atol=1e-8)
+
+
+def test_decode_sets_keeps_order_across_sizes(bireg40):
+    B = _encode(bireg40, gc.NULLSPACE_HADAMARD, 1)
+    assert B.gram_inverse is not None
+    full = gc.NonStragglerSet.full(40)
+    empty = gc.NonStragglerSet(n=40, members=())
+    sets = [full, gc.NonStragglerSet(n=40, members=range(5)), empty, full]
+    sets += [gc.NonStragglerSet(n=40, members=range(i, 40)) for i in (3, 1, 3, 20)]
+    got = _check_sets_against_decode(B, sets)
+    assert got[2].err == 40.0 and not got[2].coeffs.any()
+    assert got[0].err == got[3].err <= 1e-9 * 40
+    # more survivors, no more error; one set twice, one error
+    assert got[7].err >= got[4].err >= got[5].err - 1e-12
+    assert got[4].err == got[6].err
+    assert gc.decode_sets(B, []) == []
+    # any iterable of sets is taken, in order
+    assert [r.err for r in gc.decode_sets(B, iter(sets))] == [r.err for r in got]
+
+
+def test_decode_sets_loops_over_decode_without_a_certified_gram(bireg40, monkeypatch):
+    B = gc.encode_baseline(bireg40, 2)
+    assert B.gram_inverse is None
+    calls = []
+    original = decoding.decode
+
+    def spy(B_, workers):
+        calls.append(workers)
+        return original(B_, workers)
+
+    monkeypatch.setattr(decoding, "decode", spy)
+    sets = _mixed_sets(40, np.random.default_rng(3))
+    got = gc.decode_sets(B, sets)
+    assert calls == sets
+    for workers, res in zip(sets, got):
+        ref = original(B, workers)
+        assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
+    # a certified encoding never calls decode
+    calls.clear()
+    gc.decode_sets(_encode(bireg40, gc.NULLSPACE_HADAMARD, 1), sets)
+    assert calls == []
+
+
+def test_decode_sets_checks_shapes(fano):
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    with pytest.raises(ShapeError):
+        gc.decode_sets(B, [gc.NonStragglerSet.full(7), gc.NonStragglerSet.full(6)])
+
+
+@_PROPERTY_SETTINGS
+@given(encoded_sets())
+def test_property_decode_sets_matches_projection(request, case):
+    family, scheme, seed, data = case
+    B = _encode(request.getfixturevalue(family), scheme, seed)
+    F = gc.build_target(B.k, B.m)
+    sets = [
+        gc.NonStragglerSet(n=B.n, members=_draw_members(data, B.n))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    for workers, res in zip(sets, gc.decode_sets(B, sets)):
+        members = list(workers.members)
+        ref_coeffs, ref_err = project(B.mat[:, members], F)
+        assert abs(res.err - ref_err) <= 1e-9 * B.m * B.k
+        assert np.allclose(B.mat @ res.coeffs, B.mat[:, members] @ ref_coeffs, rtol=0.0, atol=1e-8)
+        assert not res.coeffs[np.setdiff1d(np.arange(B.n), members)].any()
+
+
+# ---------------------------------------------------------------------------
 # runtime checks survive python -O
 
 
@@ -458,6 +608,25 @@ def test_residual_consistency_check_raises(fano):
     assert certify_gram(_survivor_gram(B, list(workers.members)))
     with pytest.raises(NumericalError, match="direct residual"):
         gc.decode(B, workers)
+
+
+def test_decode_sets_residual_check_raises(fano):
+    # the cached inverse of the doubled Gram, behind the decode's back: the
+    # coefficients it yields are not the survivors' optimum, and their
+    # error disagrees with the directly computed residual. Sets of 7 and 5
+    # survivors go through the inverse; one of 3 solves its own Gram, and
+    # a doubled cached Gram trips it the same way
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    K, R = B.gram_inverse
+    B.__dict__["gram_inverse"] = (K / 2.0, R / 2.0)
+    for members in (tuple(range(7)), (0, 1, 3, 4, 6)):
+        with pytest.raises(NumericalError, match="direct residual"):
+            gc.decode_sets(B, [gc.NonStragglerSet(n=7, members=members)])
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    gram, image = B.gram
+    B.__dict__["gram"] = (2.0 * gram, image)
+    with pytest.raises(NumericalError, match="direct residual"):
+        gc.decode_sets(B, [gc.NonStragglerSet(n=7, members=(0, 2, 5))])
 
 
 def test_operator_norm_check_raises(fano, monkeypatch):

@@ -1,7 +1,6 @@
 """The public examples run: the README's python blocks and the quick demos.
 
-Demos 04 (a Monte Carlo sweep, about 8 s) and 05 (about 2.5 s) are left to
-be run by hand, for the suite's time.
+Demo 05 (about 2.5 s) is left to be run by hand, for the suite's time.
 """
 import os
 import re
@@ -23,7 +22,7 @@ def test_readme_python_blocks_run_in_order():
         exec(compile(block, "README.md", "exec"), namespace)
 
 
-@pytest.mark.parametrize("demo", ["01_designs", "02_encode_decode", "03_bounds", "06_training"])
+@pytest.mark.parametrize("demo", ["01_designs", "02_encode_decode", "03_bounds", "04_sweep", "06_training"])
 def test_demo_runs(tmp_path, demo):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

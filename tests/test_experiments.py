@@ -213,6 +213,69 @@ def test_sweep_probability_grid_rows(fano):
     assert rows[0]["epsilon"] == 0.1
 
 
+def test_sweep_decodes_each_grid_point_in_chunks(bireg40, monkeypatch):
+    # each (encoding draw, grid point) hands its sets to decode_sets as
+    # lists of at most DECODE_CHUNK sets; the chunking does not change rows
+    def run():
+        cfg = gc.SweepConfig(
+            assignment=bireg40,
+            scheme=gc.SchemeSpec(scheme=gc.NULLSPACE_HADAMARD),
+            m=2,
+            grid_kind="s",
+            grid=(2, 6),
+            matrix_draws=2,
+            set_draws=8,
+            seed=0,
+        )
+        return gc.sweep_error(cfg).rows
+
+    calls = []
+    original = experiments.decode_sets
+
+    def spy(B, sets):
+        calls.append((type(sets), len(sets)))
+        return original(B, sets)
+
+    whole = run()
+    monkeypatch.setattr(experiments, "decode_sets", spy)
+    monkeypatch.setattr(experiments, "DECODE_CHUNK", 3)
+    chunked = run()
+    assert calls == [(list, 3), (list, 3), (list, 2)] * 4
+    for a, b in zip(whole, chunked):
+        assert a["upper_bound"] == b["upper_bound"]
+        for key in ("mean_err", "min_err", "max_err"):
+            assert b[key] == pytest.approx(a[key], rel=1e-12, abs=1e-14)
+
+
+def test_sweep_exhaustive_sets_arrive_in_chunks(fano, monkeypatch):
+    calls = []
+    original = experiments.decode_sets
+    monkeypatch.setattr(experiments, "DECODE_CHUNK", 4)
+    monkeypatch.setattr(
+        experiments, "decode_sets", lambda B, sets: calls.append(len(sets)) or original(B, sets)
+    )
+    cfg = gc.SweepConfig(
+        assignment=fano,
+        scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL),
+        m=1,
+        grid_kind="s",
+        grid=(2,),
+        set_draws="all",
+        seed=0,
+    )
+    row = gc.sweep_error(cfg).rows[0]
+    assert calls == [4, 4, 4, 4, 4, 1]  # comb(7, 2) = 21 sets
+    assert row["mean_err"] == pytest.approx(7.0 - 45.0 / 7.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(8, 594, 3), (594, 3), (4, 160, 5), (2, 10, 2), (3, 1)])
+def test_log_softmax_matches_the_axis_reduction(shape):
+    z = np.random.default_rng(len(shape)).standard_normal(shape) * 30.0
+    shifted = z - z.max(axis=-1, keepdims=True)
+    want = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    assert np.array_equal(_log_softmax(z), want)
+
+
 def test_experiment_result_csv_roundtrip(tmp_path, fano):
     cfg = gc.SweepConfig(
         assignment=fano,
