@@ -58,6 +58,7 @@ from .designs import (
     search_planar_difference_set,
     srg_paley,
     validate_bibd,
+    validate_design,
     validate_difference_set,
     validate_srg,
 )

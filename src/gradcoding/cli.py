@@ -38,12 +38,10 @@ from .designs import (
     biregular_random,
     builtin_difference_sets,
     coset_bipartite,
-    coset_is_invertible_base,
     load_difference_set,
     search_planar_difference_set,
     srg_paley,
-    validate_bibd,
-    validate_srg,
+    validate_design,
 )
 from .encoders import (
     BASELINE,
@@ -310,14 +308,12 @@ class TrainCommand:
 
 @dataclass(frozen=True, kw_only=True)
 class ValidateCommand:
-    """encoding_csv and encoding_meta go together; without them a scheme is
-    built afresh and checked."""
+    """encoding_csv and encoding_meta go together."""
 
     command: str = "validate"
     design: Design
     seed: int = 0
     m: int | None = None
-    scheme: SchemeSpec | None = None
     design_csv: str | None = None
     encoding_csv: str | None = None
     encoding_meta: str | None = None
@@ -326,7 +322,7 @@ class ValidateCommand:
 @dataclass(frozen=True, kw_only=True)
 class EncodingMeta:
     """encoding.json, how to rebuild a stored encoding. seed is null for the
-    unseeded baseline; the optional keys belong to one scheme each."""
+    unseeded baseline only; the optional keys belong to one scheme each."""
 
     scheme: str
     m: int
@@ -337,6 +333,13 @@ class EncodingMeta:
     pm1_found: bool | None = None
 
     def __post_init__(self) -> None:
+        if self.scheme not in (RANDOM_DIAGONAL, NULLSPACE_HADAMARD, BASELINE):
+            raise ConfigError(
+                f"encoding_meta.scheme must be {RANDOM_DIAGONAL}, {NULLSPACE_HADAMARD} or {BASELINE},"
+                f" got {self.scheme!r}"
+            )
+        if self.seed is None and self.scheme != BASELINE:
+            raise ConfigError(f"encoding_meta.seed must be an integer for {self.scheme}, got null")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"encoding_meta.seed must be nonnegative, got {self.seed}")
 
@@ -368,37 +371,12 @@ def _schemes(cfg: SweepCommand | TrainCommand) -> tuple:
     return cfg.schemes
 
 
-def _encoding_spec(cfg: ConstructCommand | ValidateCommand) -> SchemeSpec:
+def _encoding_spec(cfg: ConstructCommand) -> SchemeSpec:
     if cfg.m is None:
         raise ConfigError("an encoding scheme needs m")
     if cfg.scheme.scheme == EXACT:
         raise ConfigError(f"{cfg.command} needs an encoding scheme, not 'exact'")
     return cfg.scheme
-
-
-def _design_report(A: AssignmentMatrix) -> ValidationReport:
-    if A.family == BIBD_TRANSPOSE:
-        return validate_bibd(A.mat, A.params)
-    if A.family == SRG_ADJACENCY:
-        return validate_srg(A.mat, A.params)
-    report = ValidationReport(family=A.family)
-    ints = A.mat.astype(np.int64)
-    report.add("binary", bool(np.array_equal(ints, A.mat)))
-    report.add("column_weight", bool(np.all(ints.sum(axis=0) == A.delta)), f"delta={A.delta}")
-    report.add("row_weight", bool(np.all(ints.sum(axis=1) == A.gamma)), f"gamma={A.gamma}")
-    if A.family == COSET_BIPARTITE:
-        k = A.params.k
-        blocks_equal = all(
-            np.array_equal(A.mat[:, :k], A.mat[:, t * k : (t + 1) * k])
-            for t in range(1, A.params.m)
-        )
-        report.add("identical_blocks", blocks_equal)
-        report.add(
-            "base_block_invertible",
-            coset_is_invertible_base(A.params),
-            f"generating_set={list(A.params.generating_set)}",
-        )
-    return report
 
 
 def _print_report(checks: list[dict]) -> None:
@@ -419,7 +397,7 @@ def _emit_svg(out: Path, name: str, series: list[Series], **kwargs) -> None:
 
 def cmd_construct(cfg: ConstructCommand, out: Path) -> int:
     A, design = cfg.design.build(cfg.m, cfg.seed)
-    report = _design_report(A)
+    report = validate_design(A.mat, A)
     write_matrix_csv(out / "design.csv", A.mat, integer=True)
     write_json(out / "validation.json", report.to_dict())
     if cfg.scheme is not None:
@@ -592,19 +570,6 @@ def cmd_train(cfg: TrainCommand, out: Path) -> int:
     return 0
 
 
-def _check_encoding(report: ValidationReport, B: EncodingMatrix) -> None:
-    """The checks of a stored and of a freshly built encoding alike: its
-    support, and exact recovery from the full set for the null-space chain."""
-    report.add("encoding:support", verify_support(B), "off-support entries must be exactly zero")
-    if B.scheme == NULLSPACE_HADAMARD:
-        err = decode(B, NonStragglerSet.full(B.n)).err
-        report.add(
-            "encoding:full_set_exact",
-            err <= _EXACTNESS_CHECK_EPS,
-            f"full-set decode error {err:.3e}",
-        )
-
-
 def _diagonal_law_failure(B: EncodingMatrix, epsilon: float) -> str:
     """Where a stored random-diagonal encoding first breaks its law, by block
     then column: entries on a column's support that differ, or a magnitude
@@ -627,7 +592,7 @@ def _diagonal_law_failure(B: EncodingMatrix, epsilon: float) -> str:
     return f"block {i} column {col} magnitude {magnitude[i, col]!r}"
 
 
-def _check_loaded_encoding(
+def _check_stored_encoding(
     report: ValidationReport, A: AssignmentMatrix, loaded: np.ndarray, meta: EncodingMeta
 ) -> None:
     m = meta.m
@@ -636,63 +601,23 @@ def _check_loaded_encoding(
     if not shape_ok:
         return
     B = EncodingMatrix(mat=loaded, m=m, scheme=meta.scheme, parent=A, seed=meta.seed, randomness=None)
-    _check_encoding(report, B)
-    if meta.scheme == BASELINE:
-        same = all(np.array_equal(B.block(i), A.mat) for i in range(m))
-        report.add("encoding:blocks_equal_assignment", same)
+    report.add("encoding:support", verify_support(B), "off-support entries must be exactly zero")
+    if meta.scheme == NULLSPACE_HADAMARD:
+        err = decode(B, NonStragglerSet.full(B.n)).err
+        report.add(
+            "encoding:full_set_exact",
+            err <= _EXACTNESS_CHECK_EPS,
+            f"full-set decode error {err:.3e}",
+        )
     elif meta.scheme == RANDOM_DIAGONAL:
         detail = _diagonal_law_failure(B, meta.epsilon or 0.0)
         report.add("encoding:diagonal_law", not detail, detail)
-    if meta.seed is not None and meta.scheme in (RANDOM_DIAGONAL, NULLSPACE_HADAMARD, BASELINE):
-        rebuilt = meta.spec().build(A, m, meta.seed)
-        report.add(
-            "encoding:rebuild_match",
-            bool(np.array_equal(rebuilt.mat, loaded)),
-            "stored entries must equal the seeded reconstruction",
-        )
-
-
-def _check_fresh_encoding(
-    report: ValidationReport, A: AssignmentMatrix, spec: SchemeSpec, m: int, seed: int
-) -> None:
-    B = spec.build(A, m, seed)
-    _check_encoding(report, B)
-    if spec.scheme == NULLSPACE_HADAMARD:
-        # Per-set dominance is deterministic for a fixed encoding.
-        rng = np.random.default_rng(seed)
-        dominated = True
-        for _ in range(3):
-            members = np.sort(rng.choice(A.n, size=A.n - A.n // 4, replace=False))
-            workers = NonStragglerSet(n=A.n, members=members)
-            try:
-                limit = bnd.bound_diag_dominant(B, workers).value
-            except SingularMatrixError:
-                continue
-            err_s = decode(B, workers).err
-            dominated = dominated and err_s <= limit + _EXACTNESS_CHECK_EPS
-        report.add(
-            "encoding:diag_dominant_bound",
-            dominated,
-            "sampled-set error within the diagonally-dominant bound",
-        )
-    if spec.scheme == BASELINE and A.family == BIBD_TRANSPOSE:
-        err = decode(B, NonStragglerSet.full(A.n)).err
-        expected = bnd.baseline_bibd_error(A.params, m, 0).value
-        report.add(
-            "encoding:baseline_closed_form",
-            abs(err - expected) <= _EXACTNESS_CHECK_EPS,
-            f"full-set error {err:.6g} vs closed form {expected:.6g}",
-        )
-    if spec.scheme == RANDOM_DIAGONAL and m == 1 and spec.epsilon == 0.0:
-        # For m = 1 the realized error is diagonal-free and matches the
-        # expected-error formula exactly.
-        err = decode(B, NonStragglerSet.full(A.n)).err
-        expected = bnd.bound_expected(A, NonStragglerSet.full(A.n), 1, 1.0).value
-        report.add(
-            "encoding:m1_exact_formula",
-            abs(err - expected) <= _EXACTNESS_CHECK_EPS,
-            f"full-set error {err:.6g} vs formula {expected:.6g}",
-        )
+    rebuilt = meta.spec().build(A, m, meta.seed)
+    report.add(
+        "encoding:rebuild_match",
+        bool(np.array_equal(rebuilt.mat, loaded)),
+        "stored entries must equal the seeded reconstruction",
+    )
 
 
 def cmd_validate(cfg: ValidateCommand, out: Path) -> int:
@@ -700,31 +625,15 @@ def cmd_validate(cfg: ValidateCommand, out: Path) -> int:
         raise ConfigError("encoding_csv and encoding_meta go together")
     A, design = cfg.design.build(cfg.m, cfg.seed)
     report = ValidationReport(family=A.family)
-    for name, passed, detail in _design_report(A).checks:
+    for name, passed, detail in validate_design(A.mat, A).checks:
         report.add(f"design:{name}", passed, detail)
     if cfg.design_csv is not None:
-        loaded = read_matrix_csv(cfg.design_csv)
-        if A.family == BIBD_TRANSPOSE:
-            sub = validate_bibd(loaded, A.params)
-        elif A.family == SRG_ADJACENCY:
-            sub = validate_srg(loaded, A.params)
-        else:
-            sub = ValidationReport(family=A.family)
-            sub.add("matches_construction", bool(np.array_equal(loaded, A.mat)))
-        for name, passed, detail in sub.checks:
+        for name, passed, detail in validate_design(read_matrix_csv(cfg.design_csv), A).checks:
             report.add(f"design_csv:{name}", passed, detail)
     if cfg.encoding_csv is not None:
         meta_doc = json.loads(Path(cfg.encoding_meta).read_text(encoding="utf-8"))
         meta = from_dict(EncodingMeta, meta_doc, "encoding_meta")
-        if cfg.scheme is not None:
-            report.add(
-                "encoding:meta_matches_config",
-                cfg.scheme.scheme == meta.scheme,
-                f"config {cfg.scheme.scheme!r} vs stored {meta.scheme!r}",
-            )
-        _check_loaded_encoding(report, A, read_matrix_csv(cfg.encoding_csv), meta)
-    elif cfg.scheme is not None:
-        _check_fresh_encoding(report, A, _encoding_spec(cfg), cfg.m, cfg.seed)
+        _check_stored_encoding(report, A, read_matrix_csv(cfg.encoding_csv), meta)
     checks = report.to_dict()["checks"]
     write_json(out / "validation_report.json", {"passed": report.ok, "checks": checks})
     write_json(out / "resolved_config.json", to_dict(replace(cfg, design=design)))

@@ -510,3 +510,30 @@ def biregular_random(n: int, k: int, delta: int, gamma: int, seed: int) -> Assig
     raise ConstructionError(
         f"no simple bi-regular graph found in {_PAIRING_RETRIES} pairing attempts"
     )
+
+
+# ---------------------------------------------------------------------------
+# one validator for every family
+
+
+def validate_design(mat, A: AssignmentMatrix) -> ValidationReport:
+    """The checks that mat, a built or a stored matrix, is the design A.
+
+    A BIBD transpose and a strongly regular graph get their family identity
+    in exact integers. A coset or bi-regular matrix must equal A.mat exactly,
+    since its identities are refused at construction; a coset design also
+    needs an invertible base block, which its bounds rest on.
+    """
+    if A.family == BIBD_TRANSPOSE:
+        return validate_bibd(mat, A.params)
+    if A.family == SRG_ADJACENCY:
+        return validate_srg(mat, A.params)
+    report = ValidationReport(family=A.family)
+    report.add("matches_construction", bool(np.array_equal(mat, A.mat)))
+    if A.family == COSET_BIPARTITE:
+        report.add(
+            "base_block_invertible",
+            coset_is_invertible_base(A.params),
+            f"generating_set={list(A.params.generating_set)}",
+        )
+    return report

@@ -158,6 +158,23 @@ def test_fixed_encoding_bound_uses_the_decode_rank_rule(fano):
     assert gc.bound_diag_dominant(near, workers).value >= gc.decode(near, workers).err
 
 
+@pytest.mark.parametrize("design", ["paley13", "coset27_m1"])
+def test_random_diagonal_m1_error_is_the_expected_formula(request, design):
+    # For m = 1 the diagonal cancels from the decode, so with epsilon = 0 the
+    # realized error equals the expected-error formula on every set.
+    if design == "paley13":
+        A = request.getfixturevalue("paley13")
+    else:
+        A = gc.coset_bipartite(gc.CosetParams(k=27, m=1, delta=5, generating_set=tuple(range(5))))
+    B = gc.encode_random_diagonal(A, 1, gc.DiagonalLaw(0.0), seed=0)
+    rng = np.random.default_rng(0)
+    sets = [gc.NonStragglerSet.full(A.n)]
+    sets += [gc.sample_straggler_set(gc.FixedCount(s), A.n, rng) for s in range(1, 6) for _ in range(4)]
+    for workers in sets:
+        expected = gc.bound_expected(A, workers, 1, 1.0).value
+        assert abs(gc.decode(B, workers).err - expected) <= 1e-8, workers.s
+
+
 def test_gram_bound_empty_and_singular(fano, coset_small):
     empty = gc.NonStragglerSet(n=7, members=())
     assert gc.bound_expected(fano, empty, 2, c=1.0).value == 14.0

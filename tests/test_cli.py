@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import gradcoding as gc
 from gradcoding.cli import _COMMANDS, _diagonal_law_failure, from_dict, main
-from gradcoding.serialize import read_matrix_csv
+from gradcoding.serialize import read_matrix_csv, write_matrix_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,7 +66,7 @@ FIXED_POINT_CONFIGS = {
         "schemes": [{"scheme": "random_diagonal"}, {"scheme": "exact"}],
         "dataset": {"samples": 70, "dim": 3, "classes": 3},
     },
-    "validate": {"design": BIREG8, "m": 2, "scheme": {"scheme": "nullspace_hadamard"}, "seed": 3},
+    "validate": {"design": BIREG8, "m": 2, "seed": 3},
 }
 
 
@@ -227,13 +228,18 @@ def _bad_input(tmp_path, case):
         (tmp_path / "set.json").write_text(json.dumps(doc))
         path = str(tmp_path / "set.json")
         return "construct", {"design": {"family": "bibd_transpose", "path": path}}, path
-    if case == "encoding_meta_negative_seed":
-        made = _construct_with_encoding(tmp_path)
+    meta_edits = {
+        "encoding_meta_negative_seed": ({"seed": -1}, "encoding_meta.seed must be nonnegative"),
+        "encoding_meta_unknown_scheme": ({"scheme": "bogus"}, "encoding_meta.scheme"),
+        "encoding_meta_null_seed": ({"seed": None}, "encoding_meta.seed"),
+    }
+    if case in meta_edits:
+        edit, named = meta_edits[case]
+        made = _construct_with_encoding(tmp_path, scheme=RANDOM_DIAGONAL)
         meta = json.loads((made / "encoding.json").read_text())
-        (made / "encoding.json").write_text(json.dumps(dict(meta, seed=-1)))
-        config = {"design": dict(bireg, seed=1), "m": 2}
-        config = dict(config, encoding_csv=str(made / "encoding.csv"), encoding_meta=str(made / "encoding.json"))
-        return "validate", config, "encoding_meta.seed must be nonnegative"
+        (made / "encoding.json").write_text(json.dumps(dict(meta, **edit)))
+        config = {"design": BIREG8, "m": 2, "encoding_csv": str(made / "encoding.csv")}
+        return "validate", dict(config, encoding_meta=str(made / "encoding.json")), named
     return {
         "negative_seed": ("construct", {"design": FANO, "seed": -1}, "seed must be nonnegative"),
         "negative_design_seed": ("construct", {"design": dict(bireg, seed=-1)}, "seed must be nonnegative"),
@@ -266,6 +272,8 @@ def _bad_input(tmp_path, case):
         "negative_dataset_seed",
         "negative_dataset_dim",
         "encoding_meta_negative_seed",
+        "encoding_meta_unknown_scheme",
+        "encoding_meta_null_seed",
         "planar_v_zero",
         "planar_v_negative",
         "planar_v_one",
@@ -439,6 +447,7 @@ def test_charts_need_no_switch(tmp_path, capsys, command):
         pytest.param("sweep", "scheme", {"scheme": "baseline"}, id="sweep-scheme"),
         pytest.param("sweep", "matrix_draws", 2, id="sweep-matrix_draws"),
         pytest.param("train", "scheme", {"scheme": "exact"}, id="train-scheme"),
+        pytest.param("validate", "scheme", {"scheme": "baseline"}, id="validate-scheme"),
     ],
 )
 def test_removed_keys_are_refused_by_name(tmp_path, capsys, command, key, value):
@@ -514,13 +523,13 @@ def test_train_refuses_sizes_over_the_cap(tmp_path, capsys, override, key):
 # validate
 
 
-def _construct_with_encoding(tmp_path, out="made"):
-    config = {
-        "design": {"family": "bi_regular", "n": 8, "k": 4, "delta": 2, "gamma": 4, "seed": 1},
-        "m": 2,
-        "scheme": {"scheme": "nullspace_hadamard"},
-        "seed": 3,
-    }
+NULLSPACE = {"scheme": "nullspace_hadamard"}
+RANDOM_DIAGONAL = {"scheme": "random_diagonal", "epsilon": 0.1}
+
+
+def _construct_with_encoding(tmp_path, out="made", design=BIREG8, scheme=NULLSPACE):
+    """construct's artifacts; a null scheme writes the design only."""
+    config = {"design": design, "m": 2, "scheme": scheme, "seed": 3}
     rc, out_dir = run_cli(tmp_path, "construct", config, out=out)
     assert rc == 0
     return out_dir
@@ -529,7 +538,7 @@ def _construct_with_encoding(tmp_path, out="made"):
 def test_validate_passes_on_intact_artifacts(tmp_path):
     made = _construct_with_encoding(tmp_path)
     config = {
-        "design": {"family": "bi_regular", "n": 8, "k": 4, "delta": 2, "gamma": 4, "seed": 1},
+        "design": BIREG8,
         "m": 2,
         "design_csv": str(made / "design.csv"),
         "encoding_csv": str(made / "encoding.csv"),
@@ -545,26 +554,90 @@ def test_validate_passes_on_intact_artifacts(tmp_path):
     assert "design_csv:matches_construction" in names
 
 
-def test_validate_catches_corrupted_encoding(tmp_path):
-    made = _construct_with_encoding(tmp_path)
-    mat = read_matrix_csv(made / "encoding.csv")
-    i, j = np.argwhere(mat != 0.0)[0]
-    mat[i, j] *= 1.5
-    from gradcoding.serialize import write_matrix_csv
+def _flip_first_cell(mat):
+    mat[0, 0] = 1.0 - mat[0, 0]
+    return mat
 
-    write_matrix_csv(made / "encoding.csv", mat)
-    config = {
-        "design": {"family": "bi_regular", "n": 8, "k": 4, "delta": 2, "gamma": 4, "seed": 1},
-        "m": 2,
-        "encoding_csv": str(made / "encoding.csv"),
-        "encoding_meta": str(made / "encoding.json"),
-        "seed": 3,
-    }
+
+def _break_symmetry(mat):
+    mat[0, 1] = 1.0 - mat[0, 1]
+    return mat
+
+
+def _fill_off_support(mat):
+    mat[tuple(np.argwhere(mat == 0.0)[0])] = 1.0
+    return mat
+
+
+def _scale_block0_column(mat):
+    mat[: BIREG8["k"], 0] *= 1.5  # every support entry alike, so only the magnitude breaks
+    return mat
+
+
+def _copy_block0_into_block1(mat):
+    mat[BIREG8["k"] :] = mat[: BIREG8["k"]]
+    return mat
+
+
+def _scale_one_entry(mat):
+    mat[tuple(np.argwhere(mat != 0.0)[0])] *= 1.5
+    return mat
+
+
+# case: (design, scheme, the file corrupted, how, the checks that must fail)
+CORRUPTIONS = {
+    "bibd-flipped-cell": (FANO, None, "design.csv", _flip_first_cell, {"row_sums", "gram_identity"}),
+    "srg-asymmetric": ({"family": "srg_adjacency", "p": 13}, None, "design.csv", _break_symmetry, {"symmetry"}),
+    "biregular-flipped-cell": (BIREG8, None, "design.csv", _flip_first_cell, {"matches_construction"}),
+    "coset-flipped-cell": (
+        {"family": "coset_bipartite", "k": 3, "delta": 2},
+        None,
+        "design.csv",
+        _flip_first_cell,
+        {"matches_construction"},
+    ),
+    "encoding-shape": (BIREG8, NULLSPACE, "encoding.csv", lambda mat: mat[:-1], {"shape"}),
+    "encoding-support": (BIREG8, NULLSPACE, "encoding.csv", _fill_off_support, {"support"}),
+    "encoding-diagonal_law": (BIREG8, RANDOM_DIAGONAL, "encoding.csv", _scale_block0_column, {"diagonal_law"}),
+    "encoding-full_set_exact": (BIREG8, NULLSPACE, "encoding.csv", _copy_block0_into_block1, {"full_set_exact"}),
+    "encoding-rebuild_match": (BIREG8, NULLSPACE, "encoding.csv", _scale_one_entry, {"rebuild_match"}),
+}
+
+
+def _corrupted_artifacts(tmp_path, case):
+    """A validate config for artifacts with one corrupted file, and the
+    names of the checks that must fail on it."""
+    design, scheme, name, corrupt, failing = CORRUPTIONS[case]
+    made = _construct_with_encoding(tmp_path, design=design, scheme=scheme)
+    write_matrix_csv(made / name, corrupt(read_matrix_csv(made / name)))
+    config = {"design": design, "m": 2, "seed": 3}
+    if name == "design.csv":
+        return dict(config, design_csv=str(made / name)), {f"design_csv:{c}" for c in failing}
+    config = dict(config, encoding_csv=str(made / name), encoding_meta=str(made / "encoding.json"))
+    return config, {f"encoding:{c}" for c in failing}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_validate_check_fails_on_corrupted_file(tmp_path, case):
+    config, failing = _corrupted_artifacts(tmp_path, case)
     rc, out = run_cli(tmp_path, "validate", config, out="check")
     assert rc == 1
     report = json.loads((out / "validation_report.json").read_text())
-    failed = {c["name"] for c in report["checks"] if not c["passed"]}
-    assert "encoding:rebuild_match" in failed
+    assert report["passed"] is False
+    assert failing <= {c["name"] for c in report["checks"] if not c["passed"]}
+
+
+def test_validate_checks_survive_python_O(tmp_path):
+    # the checks are runtime checks, not asserts, so -O does not strip them
+    config, failing = _corrupted_artifacts(tmp_path, "encoding-full_set_exact")
+    (tmp_path / "validate.json").write_text(json.dumps(config))
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = ["validate", "--config", str(tmp_path / "validate.json"), "--out", str(tmp_path / "check")]
+    proc = subprocess.run([sys.executable, "-O", "-m", "gradcoding", *command], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads((tmp_path / "check" / "validation_report.json").read_text())
+    assert failing <= {c["name"] for c in report["checks"] if not c["passed"]}
 
 
 def _diagonal_law_reference(B, epsilon, eps=1e-12):
@@ -598,26 +671,9 @@ def test_diagonal_law_check_matches_column_loop(bireg40, seed):
     assert (got == "") == (seed % 4 == 0)
 
 
-def test_validate_fresh_encoding_checks(tmp_path):
-    config = {
-        "design": {"family": "bibd_transpose", "v": 7},
-        "m": 2,
-        "scheme": {"scheme": "baseline"},
-    }
-    rc, out = run_cli(tmp_path, "validate", config)
-    assert rc == 0
-    report = json.loads((out / "validation_report.json").read_text())
-    names = {c["name"] for c in report["checks"]}
-    assert "encoding:baseline_closed_form" in names
-
-
 def test_validate_requires_paired_encoding_inputs(tmp_path):
     made = _construct_with_encoding(tmp_path)
-    config = {
-        "design": {"family": "bi_regular", "n": 8, "k": 4, "delta": 2, "gamma": 4, "seed": 1},
-        "m": 2,
-        "encoding_csv": str(made / "encoding.csv"),
-    }
+    config = {"design": BIREG8, "m": 2, "encoding_csv": str(made / "encoding.csv")}
     rc, _ = run_cli(tmp_path, "validate", config, out="check")
     assert rc == 2
 

@@ -241,3 +241,23 @@ def test_assignment_matrix_rejects_wrong_weights(fano):
     bad[0, 0] = 2.0
     with pytest.raises(ParameterError):
         gc.AssignmentMatrix(bad, delta=3, gamma=3, family="x", params=None)
+
+
+@pytest.mark.parametrize(
+    "family, names",
+    [
+        ("fano", ["binary_entries", "shape", "delta_exceeds_lambda", "row_sums", "column_sums", "gram_identity"]),
+        ("paley13", ["binary_entries", "square", "symmetry", "zero_diagonal", "not_empty", "not_complete",
+                     "regularity", "srg_identity"]),
+        ("coset_small", ["matches_construction", "base_block_invertible"]),
+        ("bireg40", ["matches_construction"]),
+    ],
+)
+def test_validate_design_picks_the_family_checks(request, family, names):
+    A = request.getfixturevalue(family)
+    report = gc.validate_design(A.mat, A)
+    assert report.ok and report.family == A.family
+    assert [name for name, _, _ in report.checks] == names
+    flipped = A.mat.copy()
+    flipped[0, 0] = 1.0 - flipped[0, 0]
+    assert not gc.validate_design(flipped, A).ok

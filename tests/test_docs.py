@@ -1,7 +1,4 @@
-"""The public examples run: the README's python blocks and the quick demos.
-
-Demo 05 (about 2.5 s) is left to be run by hand, for the suite's time.
-"""
+"""The public examples run: the README's python blocks and every demo."""
 import os
 import re
 import subprocess
@@ -22,7 +19,7 @@ def test_readme_python_blocks_run_in_order():
         exec(compile(block, "README.md", "exec"), namespace)
 
 
-@pytest.mark.parametrize("demo", ["01_designs", "02_encode_decode", "03_bounds", "04_sweep", "06_training"])
+@pytest.mark.parametrize("demo", ["01_designs", "02_encode_decode", "03_bounds", "04_sweep", "05_unbiasedness", "06_training"])
 def test_demo_runs(tmp_path, demo):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
