@@ -33,8 +33,10 @@ from .decoding import (
     NonStragglerSet,
     build_target,
     decode,
+    decode_each,
     decode_sets,
     reconstruct,
+    reconstruct_each,
     split_gradients,
 )
 from .designs import (
@@ -109,6 +111,7 @@ from .experiments import (
 )
 from .linalg import (
     CERT_COND_MAX,
+    QR_COND_MAX,
     RANK_EPS,
     certify_gram,
     circulant_eigenvalues,

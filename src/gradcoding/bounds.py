@@ -147,7 +147,9 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
     columns B_S to have full column rank: certified through their Gram
     matrix, or else under the decode's rank rule applied to B_S itself; a
     stacked-copies baseline with more than k survivors is refused without
-    either, its rank being at most k. Both the Gram matrix and the images
+    either, its rank being at most k. When B's whole Gram is certified
+    (B.gram_inverse), Cauchy interlacing certifies every survivor block,
+    so no per-set certificate is run. Both the Gram matrix and the images
     B_i,F^T 1 are read from B's cached Gram.
     """
     if workers.n != B.n:
@@ -161,7 +163,9 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
     # stacked copies have rank(B_S) = rank(A_S) <= k, so more than k
     # survivors are rank-deficient without a factorization
     if (B.stacked_copies and idx.size > k) or (
-        not certify_gram(gram) and rank_of(B.mat.take(idx, axis=1)) < idx.size
+        B.gram_inverse is None
+        and not certify_gram(gram)
+        and rank_of(B.mat.take(idx, axis=1)) < idx.size
     ):
         raise SingularMatrixError(
             f"survivor columns rank-deficient for members={list(workers.members)}"

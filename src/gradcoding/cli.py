@@ -48,6 +48,7 @@ from .encoders import (
     NULLSPACE_HADAMARD,
     RANDOM_DIAGONAL,
     V1_ALL_ONES,
+    V1_GAUSSIAN,
     EncodingMatrix,
     verify_support,
 )
@@ -319,6 +320,15 @@ class ValidateCommand:
     encoding_meta: str | None = None
 
 
+# the scheme each optional key of encoding.json belongs to
+_META_KEY_SCHEME = {
+    "epsilon": RANDOM_DIAGONAL,
+    "v1_policy": NULLSPACE_HADAMARD,
+    "constrain_pm1": NULLSPACE_HADAMARD,
+    "pm1_found": NULLSPACE_HADAMARD,
+}
+
+
 @dataclass(frozen=True, kw_only=True)
 class EncodingMeta:
     """encoding.json, how to rebuild a stored encoding. seed is null for the
@@ -342,6 +352,14 @@ class EncodingMeta:
             raise ConfigError(f"encoding_meta.seed must be an integer for {self.scheme}, got null")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"encoding_meta.seed must be nonnegative, got {self.seed}")
+        for key, owner in _META_KEY_SCHEME.items():
+            if getattr(self, key) is not None and owner != self.scheme:
+                raise ConfigError(f"encoding_meta.{key} belongs to {owner}, not {self.scheme}")
+        if self.v1_policy not in (None, V1_ALL_ONES, V1_GAUSSIAN):
+            raise ConfigError(
+                f"encoding_meta.v1_policy must be {V1_ALL_ONES} or {V1_GAUSSIAN},"
+                f" got {self.v1_policy!r}"
+            )
 
     @classmethod
     def of(cls, spec: SchemeSpec, B: EncodingMatrix) -> EncodingMeta:
@@ -618,6 +636,13 @@ def _check_stored_encoding(
         bool(np.array_equal(rebuilt.mat, loaded)),
         "stored entries must equal the seeded reconstruction",
     )
+    if meta.scheme == NULLSPACE_HADAMARD:
+        found = rebuilt.randomness.pm1_found
+        report.add(
+            "encoding:pm1_found",
+            meta.pm1_found == found,
+            f"stored pm1_found {meta.pm1_found}, the reconstruction's {found}",
+        )
 
 
 def cmd_validate(cfg: ValidateCommand, out: Path) -> int:

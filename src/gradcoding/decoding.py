@@ -7,23 +7,45 @@ workers S, decoding solves a minimum-norm least-squares fit of F by the
 surviving columns B_S; the approximation error is the squared Frobenius
 residual.
 
-Each set is solved once. When linalg.certify_gram certifies the survivor
-Gram matrix G_S = B_S^T B_S (one shifted Cholesky proving cond_2(G_S) <
-1e8), the normal equations G_S R = H_S, H_S = B_S^T F, are solved by one
-LU solve: the coefficients are R and the error is mk - <H_S, R>, clamped
-to [0, mk]. Any other set, rank-deficient ones included, goes through the
-single-SVD projection linalg.project under the 1e-10 rank rule. The two
-agree within 1e-9 * mk on every certified set.
+Each set is solved once, by the first route of this table that it
+clears; decode and decode_each share it:
+
+  1. Gram solve. When linalg.certify_gram certifies the survivor Gram
+     matrix G_S = B_S^T B_S (one shifted Cholesky proving cond_2(G_S) <
+     1e8), the normal equations G_S R = H_S, H_S = B_S^T F, are solved by
+     one LU solve: the coefficients are R and the error is mk - <H_S, R>,
+     clamped to [0, mk].
+  2. Stacked copies, decoded on the k-row block of A (below).
+  3. QR. When certify_gram(G_S, QR_COND_MAX) proves cond_2(G_S) < 1e12,
+     so cond_2(B_S) < 1e6, B_S = QU is factored by Householder QR: R =
+     U^-1 Q^T F and the error is mk - ||Q^T F||_F^2. This keeps the
+     residual's relative error near cond_2(B_S) eps where the normal
+     equations would square it.
+  4. Any other set, rank-deficient ones included, goes through the
+     single-SVD projection linalg.project under the 1e-10 rank rule.
+
+Routes 1 to 3 agree with route 4 within 1e-9 * mk on every set they
+clear, and none changes a rank decision: each certificate leaves B_S of
+full column rank with orders of magnitude to spare.
 
 The stacked-copies baseline B = 1_m (x) A is decoded on its k-row block
 A_S: B_S^+ = (1_m^T / m) (x) A_S^+, so every column of R is x / m with
 x = A_S^+ 1_k, and the error is mk - ||A_S x||^2. A set of more than k
-survivors has rank(B_S) <= k < |S| and skips the column certificate. A set
-the column certificate does not clear takes x = A_S^T y with
-A_S A_S^T y = 1_k when certify_gram clears that k x k row Gram (x lies in
-the row space of A_S, so it is the minimum-norm solution), and otherwise
-x from project(A_S, 1_k), whose rank rule decides as on B_S because
-sigma(B_S) = sqrt(m) sigma(A_S).
+survivors has rank(B_S) <= k < |S| and skips route 1, and so does a set
+holding two equal columns of A. Such columns are merged first: with U
+the column classes among S, c_u their sizes and E the |U| x |S| matrix
+whose column j indicates the class of worker j, A_S = A_U E =
+(A_U C^1/2) Q with C = diag(c_u) and Q = C^-1/2 E, whose rows are
+orthonormal, so A_S^+ = Q^T (A_U C^1/2)^+. When A_U has full column rank
+this is E^T (E E^T)^-1 A_U^+: each of the c_u copies of u gets x_U / c_u.
+The classes are computed once per encoding
+(EncodingMatrix.column_classes), and nothing is merged when A repeats no
+column. The block, merged or not, takes x from its column Gram when
+certify_gram clears it (at most k columns), else x = A_S^T y with
+A_S A_S^T y = 1_k when certify_gram clears that k x k row Gram (x lies
+in the row space of A_S, so it is the minimum-norm solution), and
+otherwise x from project(A_S, 1_k), whose rank rule decides as on B_S
+because sigma(B_S) = sqrt(m) sigma(A_S).
 
 Many sets of one encoding are decoded by decode_sets. When certify_gram
 clears the whole n x n Gram G (EncodingMatrix.gram_inverse), Cauchy
@@ -45,6 +67,11 @@ G_SS R_S = H_S is solved directly instead. Sets of one size are solved as
 one batched stack. An encoding whose Gram is not certified is decoded set
 by set through decode.
 
+decode_each decodes one survivor set per encoding, the shape of a
+training iteration: each set takes the route table above, and the direct
+residuals of all of them are computed together. reconstruct_each builds
+on it the decoded gradients of every set at once.
+
 Each decode is checked against the directly computed residual
 ||B R - F||_F^2, raising NumericalError on a disagreement.
 """
@@ -58,7 +85,7 @@ import numpy as np
 
 from .encoders import EncodingMatrix
 from .errors import NumericalError, ParameterError, ShapeError
-from .linalg import certify_gram, project
+from .linalg import QR_COND_MAX, certify_gram, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
 
@@ -143,34 +170,115 @@ def _check_shapes(B: EncodingMatrix, sets) -> tuple[int, int]:
 
 def decode(B: EncodingMatrix, workers: NonStragglerSet) -> DecodeResult:
     """Optimal decoding of B against its target for the given survivors,
-    reading the survivor Gram block G_S and image H_S from B's cached Gram."""
-    rows, n = _check_shapes(B, (workers,))
+    reading the survivor Gram block G_S and image H_S from B's cached Gram:
+    decode_each([B], [workers])[0]."""
+    return decode_each((B,), (workers,))[0]
+
+
+def decode_each(
+    encodings: Iterable[EncodingMatrix], sets: Iterable[NonStragglerSet]
+) -> list[DecodeResult]:
+    """The decode of encodings[j] for sets[j], for every j, in order: one
+    survivor set per encoding, as in one training iteration. Each set takes
+    the route table above, so every result is decode's; the direct
+    residuals are computed together, one product per distinct encoding."""
+    encodings, sets = list(encodings), list(sets)
+    if len(encodings) != len(sets):
+        raise ShapeError(f"{len(encodings)} encodings for {len(sets)} survivor sets")
+    for B, workers in zip(encodings, sets):
+        _check_shapes(B, (workers,))
+    solved = [_route(B, workers) for B, workers in zip(encodings, sets)]
+    direct = np.empty(len(solved))
+    for picked, fitted in _fitted(encodings, [coeffs for coeffs, _ in solved]):
+        B = encodings[picked[0]]
+        diff = fitted - build_target(B.k, B.m)
+        direct[picked] = np.einsum("jrm,jrm->j", diff, diff)
+    _check_residuals([err for _, err in solved], direct)
+    return [DecodeResult(coeffs=coeffs, err=err) for coeffs, err in solved]
+
+
+def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, float]:
+    """(coefficients n x m, error) of one set, by the route table above."""
+    rows, n = B.mat.shape
+    total = float(rows)
     coeffs = np.zeros((n, B.m))
     if not workers.members:
-        return DecodeResult(coeffs=coeffs, err=float(rows))
+        return coeffs, total
     idx = np.array(workers.members, dtype=np.intp)
-    target = build_target(B.k, B.m)
+    merge = _column_merge(B, idx) if B.stacked_copies else None
+    # a stacked-copies set of more than k survivors, or one with two equal
+    # columns, has rank(B_S) < |S|, so its column certificate would fail:
+    # it is not tried
+    doomed = B.stacked_copies and (idx.size > B.k or merge is not None)
     gram, image = B.gram
-    gram_s = gram.take(idx, axis=0).take(idx, axis=1)
-    # a stacked-copies set of more than k survivors has rank(B_S) <= k < |S|,
-    # so its column certificate would fail: it is not tried
-    doomed = B.stacked_copies and idx.size > B.k
-    if not doomed and certify_gram(gram_s):
+    gram_s = None if doomed else gram.take(idx, axis=0).take(idx, axis=1)
+    if gram_s is not None and certify_gram(gram_s):
         image_s = image.take(idx, axis=0)
         solved = np.linalg.solve(gram_s, image_s)
         coeffs[idx] = solved
         # ||F||_F^2 = mk = rows, and <H_S, R> = ||P_S F||_F^2
-        err = min(max(float(rows) - float(np.sum(image_s * solved)), 0.0), float(rows))
+        err = total - float(np.sum(image_s * solved))
+    elif merge is not None:
+        firsts, inverse, counts = merge
+        root = np.sqrt(counts)
+        merged, err = _decode_stacked(B.block(0).take(firsts, axis=1) * root, B.m)
+        coeffs[idx] = (merged / root[:, None])[inverse]
     elif B.stacked_copies:
         coeffs[idx], err = _decode_stacked(B.block(0).take(idx, axis=1), B.m)
+    elif certify_gram(gram_s, QR_COND_MAX):
+        coeffs[idx], err = _solve_qr(B.mat.take(idx, axis=1), build_target(B.k, B.m))
     else:
-        coeffs[idx], err = project(B.mat.take(idx, axis=1), target)
-    direct = float(np.sum((B.mat @ coeffs - target) ** 2))
-    if not abs(err - direct) <= _ERR_CONSISTENCY_EPS * max(1.0, direct):
-        raise NumericalError(
-            f"projection residual {err} disagrees with direct residual {direct}"
-        )
-    return DecodeResult(coeffs=coeffs, err=err)
+        coeffs[idx], err = project(B.mat.take(idx, axis=1), build_target(B.k, B.m))
+    return coeffs, min(max(err, 0.0), total)
+
+
+def _column_merge(B: EncodingMatrix, idx: np.ndarray):
+    """(the first column of each class among the survivors idx, each
+    survivor's position among those classes, the class sizes), or None
+    when no two survivors have equal columns of A."""
+    classes = B.column_classes
+    if classes is None:
+        return None
+    labels, firsts = classes
+    lab = labels.take(idx)
+    counts = np.bincount(lab, minlength=firsts.size)
+    present = np.flatnonzero(counts)
+    if present.size == idx.size:
+        return None
+    position = np.empty(firsts.size, dtype=np.intp)
+    position[present] = np.arange(present.size)
+    return firsts.take(present), position.take(lab), counts.take(present).astype(float)
+
+
+def _solve_qr(b_s: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """min ||B_S R - F||_F by Householder QR, for B_S of full column rank:
+    (R, ||F||_F^2 - ||Q^T F||_F^2). The triangular factor has exact zeros
+    below its diagonal, so the LU solve with it never pivots and is back
+    substitution."""
+    q, upper = np.linalg.qr(b_s)
+    proj = q.T @ target
+    err = float(np.sum(target * target)) - float(np.sum(proj * proj))
+    return np.linalg.solve(upper, proj), err
+
+
+def _fitted(encodings: list, coeffs: list):
+    """(positions, B R for the coefficients at those positions) per distinct
+    encoding B: the sets of one encoding share one product, so an encoding
+    that recurs is never copied per set."""
+    groups: dict[int, list[int]] = {}
+    for j, B in enumerate(encodings):
+        groups.setdefault(id(B), []).append(j)
+    for picked in groups.values():
+        stack = np.array([coeffs[j] for j in picked])
+        yield picked, np.matmul(encodings[picked[0]].mat, stack)
+
+
+def _check_residuals(errs, direct: np.ndarray) -> None:
+    """Raise NumericalError where a decode's error disagrees with its
+    directly computed residual (a NaN disagrees with everything)."""
+    for err, res in zip(errs, direct.tolist()):
+        if not abs(err - res) <= _ERR_CONSISTENCY_EPS * max(1.0, res):
+            raise NumericalError(f"projection residual {err} disagrees with direct residual {res}")
 
 
 def decode_sets(B: EncodingMatrix, sets: Iterable[NonStragglerSet]) -> list[DecodeResult]:
@@ -246,25 +354,20 @@ def _decode_group(
     err = np.clip(total - np.einsum("ngm,nm->g", coeffs, image), 0.0, total)
     fitted = (B.mat @ coeffs.reshape(n, g * m)).reshape(rows, g, m)
     diff = fitted - build_target(B.k, m)[:, None, :]
-    direct = np.einsum("rgm,rgm->g", diff, diff)
-    bad = ~(np.abs(err - direct) <= _ERR_CONSISTENCY_EPS * np.maximum(1.0, direct))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericalError(
-            f"projection residual {err[i]} disagrees with direct residual {direct[i]}"
-        )
+    _check_residuals(err.tolist(), np.einsum("rgm,rgm->g", diff, diff))
     return np.ascontiguousarray(coeffs.transpose(1, 0, 2)), err
 
 
 def _decode_stacked(a_s: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     """The minimum-norm decode of B_S = 1_m (x) A_S on its k-row block
     A_S, as set out above: (R_S, err), every column of R_S being
-    A_S^+ 1_k / m. The row Gram A_S A_S^T can be certified only for
-    |S| >= k."""
+    A_S^+ 1_k / m. The column Gram A_S^T A_S can be certified only for
+    |S| <= k, the row Gram A_S A_S^T only for |S| >= k."""
     k, size = a_s.shape
     ones = np.ones(k)
-    row_gram = a_s @ a_s.T
-    if size >= k and certify_gram(row_gram):
+    if size <= k and certify_gram(col_gram := a_s.T @ a_s):
+        x = np.linalg.solve(col_gram, a_s.sum(axis=0))
+    elif size >= k and certify_gram(row_gram := a_s @ a_s.T):
         x = a_s.T @ np.linalg.solve(row_gram, ones)
     else:
         x, _ = project(a_s, ones)
@@ -274,11 +377,36 @@ def _decode_stacked(a_s: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     return np.repeat(x[:, None] / m, m, axis=1), err
 
 
-def _spectral_norm_sq(Z: np.ndarray) -> float:
+def _spectral_norm_sq(Z: np.ndarray) -> np.ndarray:
     """||Z||_2^2 as the largest eigenvalue of the smaller Gram of Z, which a
-    symmetric eigensolver finds to O(eps) relative accuracy."""
-    gram = Z @ Z.T if Z.shape[0] <= Z.shape[1] else Z.T @ Z
-    return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+    symmetric eigensolver finds to O(eps) relative accuracy; a stack of
+    matrices gives one value each, from one stacked eigensolve."""
+    Zt = np.swapaxes(Z, -1, -2)
+    gram = Z @ Zt if Z.shape[-2] <= Z.shape[-1] else Zt @ Z
+    return np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)
+
+
+def _as_gradients(partials) -> np.ndarray:
+    """The k per-subset gradients, a k x d array or k vectors of length d,
+    as a k x d float array."""
+    if len(partials) == 0:
+        raise ParameterError("need at least one partial gradient")
+    try:
+        grads = np.asarray(partials, dtype=float)
+    except ValueError:
+        raise ShapeError("partial gradients are not k numeric vectors of one length") from None
+    if grads.ndim != 2:
+        raise ShapeError(f"partial gradients must form a k x d array, got shape {grads.shape}")
+    return grads
+
+
+def _split(grads: np.ndarray, m: int) -> np.ndarray:
+    """split_gradients of each k x d slice of a g x k x d stack."""
+    g, k, d = grads.shape
+    sub = -(-d // m)  # ceil
+    padded = np.zeros((g, k, m * sub))
+    padded[..., :d] = grads
+    return padded.reshape(g, k, m, sub).transpose(0, 3, 2, 1).reshape(g, sub, m * k)
 
 
 def split_gradients(partials, m: int) -> np.ndarray:
@@ -289,27 +417,17 @@ def split_gradients(partials, m: int) -> np.ndarray:
     m blocks; Z has shape ceil(d / m) x mk with column u*k + i equal to block
     u of g_i, so that Z F sums the subset gradients blockwise.
     """
-    if len(partials) == 0:
-        raise ParameterError("need at least one partial gradient")
+    grads = _as_gradients(partials)
     if m < 1:
         raise ParameterError("m must be positive")
-    try:
-        grads = np.asarray(partials, dtype=float)
-    except ValueError:
-        raise ShapeError("partial gradients are not k numeric vectors of one length") from None
-    if grads.ndim != 2:
-        raise ShapeError(f"partial gradients must form a k x d array, got shape {grads.shape}")
-    k, d = grads.shape
-    sub = -(-d // m)  # ceil
-    padded = np.zeros((k, m * sub))
-    padded[:, :d] = grads
-    return padded.reshape(k, m, sub).transpose(2, 1, 0).reshape(sub, m * k)
+    return _split(grads[None], m)[0]
 
 
 def reconstruct(
     partials, B: EncodingMatrix, workers: NonStragglerSet
 ) -> tuple[np.ndarray, float]:
-    """The decoded aggregate of the k per-subset gradients and its gap.
+    """The decoded aggregate of the k per-subset gradients and its gap:
+    reconstruct_each of the one set.
 
     The server forms Z B R, the survivors' approximation of the blockwise
     sum Z F (Z from split_gradients); its m blocks are stacked back into one
@@ -318,17 +436,55 @@ def reconstruct(
     ||Z B R - Z F||_F^2 <= ||Z||_2^2 * err is checked on the full blockwise
     matrix, raising NumericalError when it fails.
     """
-    Z = split_gradients(partials, B.m)
-    if len(partials) != B.k:
-        raise ShapeError(f"{len(partials)} partial gradients for an encoding of k={B.k} subsets")
-    dec = decode(B, workers)
-    approx = Z @ (B.mat @ dec.coeffs)
-    diff = approx - Z.reshape(Z.shape[0], B.m, B.k).sum(axis=2)  # Z F
+    grads = _as_gradients(partials)
+    approx, gaps = reconstruct_each(grads[None], (B,), (workers,))
+    return approx[0], float(gaps[0])
+
+
+def reconstruct_each(
+    partials, encodings: Iterable[EncodingMatrix], sets: Iterable[NonStragglerSet]
+) -> tuple[np.ndarray, np.ndarray]:
+    """reconstruct for every j, in order: the k per-subset gradients
+    partials[j] (a g x k x d array) decoded through encodings[j] and the
+    survivors sets[j]. Returns the g x d decoded aggregates and the g gaps.
+
+    Every encoding has the same k and m. One decode_each call decodes all
+    the sets; the blockwise split, the fitted combinations, the gaps and
+    the operator-norm check, with one stacked eigensolve for the ||Z_j||_2,
+    each run once for the whole stack.
+    """
+    encodings, sets = list(encodings), list(sets)
+    try:
+        grads = np.asarray(partials, dtype=float)
+    except ValueError:
+        raise ShapeError("partial gradients are not g x k x d numbers") from None
+    if grads.ndim != 3 or grads.shape[0] != len(encodings):
+        raise ShapeError(
+            f"partial gradients of shape {grads.shape} for {len(encodings)} encodings"
+        )
+    g, k, d = grads.shape
+    if not g:
+        return np.zeros((0, d)), np.zeros(0)
+    m = encodings[0].m
+    for B in encodings:
+        if (B.k, B.m) != (k, m):
+            raise ShapeError(
+                f"{k} partial gradients with m={m} for an encoding of k={B.k} subsets, m={B.m}"
+            )
+    Z = _split(grads, m)
+    decs = decode_each(encodings, sets)
+    fitted = np.empty((g, m * k, m))
+    for picked, product in _fitted(encodings, [dec.coeffs for dec in decs]):
+        fitted[picked] = product
+    approx = Z @ fitted
+    diff = approx - Z.reshape(g, -1, m, k).sum(axis=3)  # Z F
     if Z.size:
-        full_gap = float(np.linalg.norm(diff))
-        limit = _spectral_norm_sq(Z) * dec.err
-        if not full_gap * full_gap <= limit * (1.0 + 1e-8) + 1e-8:
-            raise NumericalError(f"operator-norm bound violated: gap^2={full_gap * full_gap} > {limit}")
-    d = len(partials[0])
-    gap = float(np.linalg.norm(np.ravel(diff, order="F")[:d]))
-    return np.ravel(approx, order="F")[:d], gap
+        gap_sq = np.einsum("jum,jum->j", diff, diff)
+        limit = _spectral_norm_sq(Z) * np.array([dec.err for dec in decs])
+        bad = ~(gap_sq <= limit * (1.0 + 1e-8) + 1e-8)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise NumericalError(f"operator-norm bound violated: gap^2={gap_sq[j]} > {limit[j]}")
+    # column-major within each set: block u of the gradient, then block u+1
+    gaps = np.linalg.norm(diff.transpose(0, 2, 1).reshape(g, -1)[:, :d], axis=1)
+    return approx.transpose(0, 2, 1).reshape(g, -1)[:, :d], gaps

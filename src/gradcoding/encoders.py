@@ -130,6 +130,24 @@ class EncodingMatrix:
         first = self.block(0)
         return all(np.array_equal(self.block(i), first) for i in range(1, self.m))
 
+    @cached_property
+    def column_classes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """For stacked copies whose block(0) repeats a column, (labels,
+        firsts): column j of block(0) equals column firsts[labels[j]], the
+        first of its class. None for any other encoding, and when no two
+        columns are equal. Computed once per encoding and read-only."""
+        if not self.stacked_copies:
+            return None
+        _, firsts, labels = np.unique(
+            self.block(0).T, axis=0, return_index=True, return_inverse=True
+        )
+        if firsts.size == self.n:
+            return None
+        labels = labels.reshape(-1)
+        labels.setflags(write=False)
+        firsts.setflags(write=False)
+        return labels, firsts
+
 
 def sample_diagonal(n: int, law: DiagonalLaw, rng: np.random.Generator) -> np.ndarray:
     """One diagonal draw: n i.i.d. entries, sign then magnitude."""
@@ -147,10 +165,9 @@ def encode_random_diagonal(
     if m < 1:
         raise ParameterError("m must be at least 1")
     rng = np.random.default_rng(seed)
-    diagonals = np.vstack([sample_diagonal(A.n, law, rng) for _ in range(m)])
-    blocks = [A.mat * d[None, :] for d in diagonals]
+    diagonals = np.array([sample_diagonal(A.n, law, rng) for _ in range(m)])
     return EncodingMatrix(
-        mat=np.vstack(blocks),
+        mat=(A.mat * diagonals[:, None, :]).reshape(m * A.k, A.n),
         m=m,
         scheme=RANDOM_DIAGONAL,
         parent=A,

@@ -18,9 +18,9 @@ from . import bounds as bnd
 from .decoding import (
     NonStragglerSet,
     build_target,
-    decode,
+    decode_each,
     decode_sets,
-    reconstruct,
+    reconstruct_each,
 )
 from .designs import BI_REGULAR, COSET_BIPARTITE, AssignmentMatrix
 from .encoders import (
@@ -64,8 +64,15 @@ MAX_EXHAUSTIVE_SETS = 1_000_000
 
 # Most survivor sets a sweep hands to one decode_sets call, which bounds the
 # stacks it gathers when set_draws="all" enumerates up to
-# MAX_EXHAUSTIVE_SETS sets.
+# MAX_EXHAUSTIVE_SETS sets; also the most trials estimate_unbiasedness
+# hands to one decode_each call.
 DECODE_CHUNK = 256
+
+# Most float64 entries of the encodings (m k x n, and the n x n Gram each
+# caches) that one estimate_unbiasedness chunk holds: 2**20, 8 MiB. A chunk
+# of a large design holds fewer than DECODE_CHUNK trials; 256 trials on the
+# 91-worker BIBD with m = 2 raised the peak RSS from 37 to 121 MB.
+CHUNK_ELEMENTS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +350,11 @@ def estimate_unbiasedness(
     Applies to the random-diagonal scheme on families with the required
     symmetry: BIBD transposes, (vertex-transitive) SRG adjacency, and coset
     bipartite graphs with an invertible base block.
+
+    Each trial draws its encoding and its survivors from its own streams;
+    the trials are decoded by decode_each in chunks of at most DECODE_CHUNK
+    trials and CHUNK_ELEMENTS encoding entries, and the fitted combinations
+    B R of a chunk come from one batched product.
     """
     if scheme.scheme != RANDOM_DIAGONAL:
         raise ParameterError("unbiasedness holds for the random-diagonal scheme")
@@ -358,14 +370,18 @@ def estimate_unbiasedness(
     fnorm2 = float(m * A.k)
     acc = np.zeros_like(target)
     betas = np.empty(trials)
-    for t in range(trials):
-        state = _stream(seed, t).generate_state(2, dtype=np.uint64)
-        B = encode_random_diagonal(A, m, law, int(state[0]))
-        rng = np.random.default_rng(int(state[1]))
-        workers = sample_straggler_set(model, A.n, rng)
-        combo = B.mat @ decode(B, workers).coeffs
-        acc += combo
-        betas[t] = float(np.sum(combo * target)) / fnorm2
+    chunk = max(1, min(DECODE_CHUNK, CHUNK_ELEMENTS // ((m * A.k + A.n) * A.n)))
+    for start in range(0, trials, chunk):
+        encodings, sets = [], []
+        for t in range(start, min(start + chunk, trials)):
+            state = _stream(seed, t).generate_state(2, dtype=np.uint64)
+            encodings.append(encode_random_diagonal(A, m, law, int(state[0])))
+            rng = np.random.default_rng(int(state[1]))
+            sets.append(sample_straggler_set(model, A.n, rng))
+        coeffs = np.stack([dec.coeffs for dec in decode_each(encodings, sets)])
+        combos = np.matmul(np.stack([B.mat for B in encodings]), coeffs)
+        acc += combos.sum(axis=0)
+        betas[start : start + len(sets)] = np.einsum("jrm,rm->j", combos, target) / fnorm2
     mean_mat = acc / trials
     beta_hat = float(betas.mean())
     beta_se = float(betas.std(ddof=1) / np.sqrt(trials))
@@ -535,8 +551,9 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
     next gradient, and one batched product gives all their per-subset
     gradients. Each repetition keeps its own survivor and encoding streams
     and its own fixed encoding, drawn from the same (seed, repetition)
-    states as when the repetitions ran one after another, and its survivor
-    set is decoded on its own. A repetition that diverges leaves the stack.
+    states as when the repetitions ran one after another, and one
+    reconstruct_each call decodes every live repetition's survivor set with
+    its own encoding. A repetition that diverges leaves the stack.
 
     Refuses, before allocating, a run with an array over
     MAX_TRAIN_ELEMENTS elements.
@@ -573,6 +590,7 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
     losses = np.full((reps, cfg.iterations + 1), np.nan)
     diverged = [False] * reps
     law = DiagonalLaw(sc.epsilon) if sc.randomized else None
+    model = Bernoulli(cfg.q)
     fixed = sc.scheme in (BASELINE, NULLSPACE_HADAMARD)
     set_rngs, enc_rngs, encodings = [], [], []
     for rep in range(reps):
@@ -598,14 +616,15 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
         # the dim x classes gradient of subset i flattened column-major
         per_subset = np.matmul(subsets, resid.reshape(live.size, k, per, classes)) / used
         partials = per_subset.transpose(0, 1, 3, 2).reshape(live.size, k, d)
-        for j, rep in enumerate(live):
-            if sc.scheme == EXACT:
-                grad = partials[j].sum(axis=0)  # Z F, without building Z
-            else:
-                workers = sample_straggler_set(Bernoulli(cfg.q), A.n, set_rngs[rep])
-                if sc.randomized:
+        if sc.scheme == EXACT:
+            grads = partials.sum(axis=1)  # Z F, without building Z
+        else:
+            sets = [sample_straggler_set(model, A.n, set_rngs[rep]) for rep in live]
+            if sc.randomized:
+                for rep in live:
                     seed = int(enc_rngs[rep].integers(2**63))
                     encodings[rep] = encode_random_diagonal(A, cfg.m, law, seed)
-                grad, _ = reconstruct(partials[j], encodings[rep], workers)
-            W[j] -= eta * grad.reshape((dim, classes), order="F")
+            grads, _ = reconstruct_each(partials, [encodings[rep] for rep in live], sets)
+        # each row is a dim x classes gradient flattened column-major
+        W -= eta * grads.reshape(live.size, classes, dim).transpose(0, 2, 1)
     return TrainResult(scheme_label=sc.label, losses=losses, diverged=diverged)

@@ -16,9 +16,17 @@ Numerical contract:
     lambda_min(G) > tr(G) / 1e8 >= tr(G_SS) / 1e8, which is what the
     certificate proves for G_SS itself. decoding.decode_sets relies on this
     to decode many survivor sets from one inverse of G.
+  * QR tier. certify_gram(G, QR_COND_MAX) runs the same test with the shift
+    1/QR_COND_MAX = 1e-12 and proves cond_2(G) < 1e12, so cond_2(M) < 1e6:
+    M still has full column rank under the rank rule, four orders inside
+    it. Such an M is solved by Householder QR, whose residual carries a
+    relative error of about cond_2(M) eps, not the cond_2(M)^2 eps of the
+    normal equations (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 19-20); that is why the Gram solve keeps the
+    1e8 tier. A set this tier clears changes no rank decision.
   * Reference projection. project solves min ||M R - Y||_F with one SVD and
     the rank rule above; it is the path for every matrix the certificate
-    cannot clear, and the reference the Gram path is tested against
+    cannot clear, and the reference the Gram and QR paths are tested against
     (decode errors agree within 1e-9 * ||Y||_F^2).
 
 Complex arithmetic appears only in circulant_eigenvalues.
@@ -35,6 +43,10 @@ RANK_EPS = 1e-10
 # Largest certified bound on cond_2(G) for which the Gram path is trusted:
 # cond_2(M) <= 1e4, six orders inside the 1e-10 rank rule.
 CERT_COND_MAX = 1e8
+
+# Largest certified bound on cond_2(G) for which a set is solved by QR of M:
+# cond_2(M) < 1e6, four orders inside the rank rule.
+QR_COND_MAX = 1e12
 
 _EPS = float(np.finfo(float).eps)
 
@@ -98,10 +110,11 @@ def project(mat, rhs) -> tuple[np.ndarray, float]:
     return (out[:, 0] if vector_rhs else out), err
 
 
-def certify_gram(gram) -> bool:
+def certify_gram(gram, cond_max: float = CERT_COND_MAX) -> bool:
     """True when a Cholesky factorization of G - tau I completes, with
-    tau = tr(G) * (1/CERT_COND_MAX + (n+2) eps); this proves cond_2(G) <
-    CERT_COND_MAX for the symmetric n x n matrix G.
+    tau = tr(G) * (1/cond_max + (n+2) eps); this proves cond_2(G) <
+    cond_max for the symmetric n x n matrix G. cond_max is CERT_COND_MAX
+    (1e8) for the Gram solve or QR_COND_MAX (1e12) for the QR tier.
 
     Rump's bound (BIT 46, 2006, after Demmel): a floating-point Cholesky of
     a symmetric A that runs to completion is the exact factor of A + E with
@@ -110,18 +123,18 @@ def certify_gram(gram) -> bool:
     lambda_min(G) >= tau - (alpha + u) tr(G), u tr(G) covering the rounded
     shifted diagonal. tau carries 2 (n+2) u of tr(G) and is itself computed
     to relative accuracy (n+3) u, so a completed factorization proves
-    lambda_min(G) > tr(G) / CERT_COND_MAX >= lambda_max(G) / CERT_COND_MAX
-    with about (n+2) u tr(G) to spare (barring underflow). False means G
-    could not be certified, not that it is singular (rank_of decides that).
-    Up to O(n eps) at the threshold, every G with tr(G^{-1}) tr(G) <=
-    CERT_COND_MAX is certified, since tr(G^{-1}) >= 1 / lambda_min(G).
+    lambda_min(G) > tr(G) / cond_max >= lambda_max(G) / cond_max with about
+    (n+2) u tr(G) to spare (barring underflow). False means G could not be
+    certified, not that it is singular (rank_of decides that). Up to
+    O(n eps) at the threshold, every G with tr(G^{-1}) tr(G) <= cond_max is
+    certified, since tr(G^{-1}) >= 1 / lambda_min(G).
     """
     g = as_matrix(gram, "G")
     n = g.shape[0]
     if g.shape[1] != n:
         raise ShapeError(f"Gram matrix must be square, got shape {g.shape}")
     shifted = g.copy()
-    shifted.flat[:: n + 1] -= float(g.trace()) * (1.0 / CERT_COND_MAX + (n + 2) * _EPS)
+    shifted.flat[:: n + 1] -= float(g.trace()) * (1.0 / cond_max + (n + 2) * _EPS)
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

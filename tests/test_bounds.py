@@ -145,6 +145,24 @@ def test_stacked_baseline_shortcut_agrees_with_the_rank_rule(bireg40, coset27, m
                 assert rank_of(B.mat[:, members]) < size
 
 
+def test_fixed_encoding_bound_skips_the_certificate_under_a_certified_gram(bireg40, monkeypatch):
+    # a whole Gram that certify_gram clears certifies every survivor block
+    # by interlacing: no per-set certificate runs, and each bound is the
+    # one the per-set certificate gives
+    B = gc.encode_nullspace_hadamard(bireg40, 2, seed=1)
+    assert B.gram_inverse is not None
+    per_set = gc.encode_nullspace_hadamard(bireg40, 2, seed=1)
+    per_set.__dict__["gram_inverse"] = None
+    rng = np.random.default_rng(2)
+    sets = [gc.NonStragglerSet(n=40, members=rng.choice(40, size=size, replace=False)) for size in range(1, 41, 3)]
+    expected = [gc.bound_diag_dominant(per_set, workers).value for workers in sets]
+    calls = []
+    monkeypatch.setattr(bounds, "certify_gram", lambda gram: calls.append(1) or True)
+    monkeypatch.setattr(bounds, "rank_of", lambda mat: calls.append(1) or 0)
+    assert [gc.bound_diag_dominant(B, workers).value for workers in sets] == expected
+    assert not calls
+
+
 def test_fixed_encoding_bound_uses_the_decode_rank_rule(fano):
     # two survivor columns parallel to within 1e-7: full rank under the rank
     # rule on B_S (singular values 1e-8 apart), singular on G_S (1e-16)

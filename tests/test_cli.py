@@ -229,13 +229,15 @@ def _bad_input(tmp_path, case):
         path = str(tmp_path / "set.json")
         return "construct", {"design": {"family": "bibd_transpose", "path": path}}, path
     meta_edits = {
-        "encoding_meta_negative_seed": ({"seed": -1}, "encoding_meta.seed must be nonnegative"),
-        "encoding_meta_unknown_scheme": ({"scheme": "bogus"}, "encoding_meta.scheme"),
-        "encoding_meta_null_seed": ({"seed": None}, "encoding_meta.seed"),
+        "encoding_meta_negative_seed": ({"seed": -1}, "encoding_meta.seed must be nonnegative", RANDOM_DIAGONAL),
+        "encoding_meta_unknown_scheme": ({"scheme": "bogus"}, "encoding_meta.scheme", RANDOM_DIAGONAL),
+        "encoding_meta_null_seed": ({"seed": None}, "encoding_meta.seed", RANDOM_DIAGONAL),
+        "encoding_meta_bad_v1_policy": ({"v1_policy": "bogus"}, "encoding_meta.v1_policy", NULLSPACE),
+        "encoding_meta_other_scheme_key": ({"epsilon": 0.3}, "encoding_meta.epsilon", NULLSPACE),
     }
     if case in meta_edits:
-        edit, named = meta_edits[case]
-        made = _construct_with_encoding(tmp_path, scheme=RANDOM_DIAGONAL)
+        edit, named, scheme = meta_edits[case]
+        made = _construct_with_encoding(tmp_path, scheme=scheme)
         meta = json.loads((made / "encoding.json").read_text())
         (made / "encoding.json").write_text(json.dumps(dict(meta, **edit)))
         config = {"design": BIREG8, "m": 2, "encoding_csv": str(made / "encoding.csv")}
@@ -274,6 +276,8 @@ def _bad_input(tmp_path, case):
         "encoding_meta_negative_seed",
         "encoding_meta_unknown_scheme",
         "encoding_meta_null_seed",
+        "encoding_meta_bad_v1_policy",
+        "encoding_meta_other_scheme_key",
         "planar_v_zero",
         "planar_v_negative",
         "planar_v_one",
@@ -584,6 +588,10 @@ def _scale_one_entry(mat):
     return mat
 
 
+def _flip_pm1_found(meta):
+    return dict(meta, pm1_found=not meta["pm1_found"])
+
+
 # case: (design, scheme, the file corrupted, how, the checks that must fail)
 CORRUPTIONS = {
     "bibd-flipped-cell": (FANO, None, "design.csv", _flip_first_cell, {"row_sums", "gram_identity"}),
@@ -601,6 +609,7 @@ CORRUPTIONS = {
     "encoding-diagonal_law": (BIREG8, RANDOM_DIAGONAL, "encoding.csv", _scale_block0_column, {"diagonal_law"}),
     "encoding-full_set_exact": (BIREG8, NULLSPACE, "encoding.csv", _copy_block0_into_block1, {"full_set_exact"}),
     "encoding-rebuild_match": (BIREG8, NULLSPACE, "encoding.csv", _scale_one_entry, {"rebuild_match"}),
+    "encoding-pm1_found": (BIREG8, NULLSPACE, "encoding.json", _flip_pm1_found, {"pm1_found"}),
 }
 
 
@@ -609,11 +618,14 @@ def _corrupted_artifacts(tmp_path, case):
     names of the checks that must fail on it."""
     design, scheme, name, corrupt, failing = CORRUPTIONS[case]
     made = _construct_with_encoding(tmp_path, design=design, scheme=scheme)
-    write_matrix_csv(made / name, corrupt(read_matrix_csv(made / name)))
+    if name == "encoding.json":
+        (made / name).write_text(json.dumps(corrupt(json.loads((made / name).read_text()))))
+    else:
+        write_matrix_csv(made / name, corrupt(read_matrix_csv(made / name)))
     config = {"design": design, "m": 2, "seed": 3}
     if name == "design.csv":
         return dict(config, design_csv=str(made / name)), {f"design_csv:{c}" for c in failing}
-    config = dict(config, encoding_csv=str(made / name), encoding_meta=str(made / "encoding.json"))
+    config = dict(config, encoding_csv=str(made / "encoding.csv"), encoding_meta=str(made / "encoding.json"))
     return config, {f"encoding:{c}" for c in failing}
 
 

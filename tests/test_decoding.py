@@ -637,8 +637,11 @@ def test_operator_norm_check_raises(fano, monkeypatch):
     workers = gc.NonStragglerSet(n=7, members=(0, 1, 4))
     true = gc.decode(B, workers)
     assert true.err > 0.1
+    # reconstruct decodes through decode_each, one result per set
     monkeypatch.setattr(
-        decoding, "decode", lambda *a: gc.DecodeResult(coeffs=true.coeffs, err=0.0)
+        decoding,
+        "decode_each",
+        lambda encodings, sets: [gc.DecodeResult(coeffs=true.coeffs, err=0.0)],
     )
     with pytest.raises(NumericalError, match="operator-norm"):
         gc.reconstruct(partials, B, workers)
@@ -676,3 +679,220 @@ def test_stacked_copies_needs_equal_blocks(fano):
 def test_spectral_norm_from_the_gram_matches_the_svd(Z):
     expected = float(np.linalg.norm(Z, 2)) ** 2
     assert abs(decoding._spectral_norm_sq(Z) - expected) <= 1e-12 * expected
+
+
+# ---------------------------------------------------------------------------
+# one survivor set per encoding, the QR tier and merged stacked copies
+
+
+def _check_against_route_references(B, workers, res):
+    """res against decode(B, workers), exactly, and against the SVD
+    projection within 1e-9 * mk."""
+    ref = gc.decode(B, workers)
+    assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
+    members = list(workers.members)
+    F = gc.build_target(B.k, B.m)
+    ref_coeffs, ref_err = project(B.mat[:, members], F)
+    assert abs(res.err - ref_err) <= 1e-9 * B.m * B.k
+    assert np.allclose(B.mat @ res.coeffs, B.mat[:, members] @ ref_coeffs, rtol=0.0, atol=1e-8)
+    assert not res.coeffs[np.setdiff1d(np.arange(B.n), members)].any()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_decode_each_matches_decode_and_projection(request, family, scheme):
+    A = request.getfixturevalue(family)
+    rng = np.random.default_rng(11)
+    sets = _mixed_sets(A.n, rng)  # the empty and the full set among them
+    assert {len(w.members) for w in sets} >= {0, A.n}
+    # three encodings, each recurring, in an order that interleaves them
+    pool = [_encode(A, scheme, seed) for seed in range(3)]
+    encodings = [pool[j % 3] for j in range(len(sets))]
+    got = gc.decode_each(encodings, sets)
+    assert len(got) == len(sets)
+    for B, workers, res in zip(encodings, sets, got):
+        _check_against_route_references(B, workers, res)
+
+
+def test_decode_each_checks_its_inputs(fano):
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    assert gc.decode_each([], []) == []
+    with pytest.raises(ShapeError):
+        gc.decode_each([B, B], [gc.NonStragglerSet.full(7)])
+    with pytest.raises(ShapeError):
+        gc.decode_each([B], [gc.NonStragglerSet.full(6)])
+
+
+def test_decode_each_residual_check_raises(fano):
+    # a doubled cached Gram behind the decode's back, on the second of
+    # three sets: the batched direct residual catches that one
+    good = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    bad = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    gram, image = bad.gram
+    bad.__dict__["gram"] = (2.0 * gram, image)
+    workers = gc.NonStragglerSet(n=7, members=(0, 2, 5))
+    gc.decode_each([good, good], [workers, workers])
+    with pytest.raises(NumericalError, match="direct residual"):
+        gc.decode_each([good, bad, good], [workers] * 3)
+
+
+def _spy_routes(monkeypatch):
+    """Record the route each decode takes past the Gram solve: 'qr' or
+    'svd' for the general routes."""
+    routes = []
+    qr, proj = decoding._solve_qr, decoding.project
+
+    def spy_qr(b_s, target):
+        routes.append("qr")
+        return qr(b_s, target)
+
+    def spy_project(mat, rhs):
+        routes.append("svd")
+        return proj(mat, rhs)
+
+    monkeypatch.setattr(decoding, "_solve_qr", spy_qr)
+    monkeypatch.setattr(decoding, "project", spy_project)
+    return routes
+
+
+def test_qr_tier_matches_projection_between_the_certificates(coset27, monkeypatch):
+    # Bernoulli(0.25) survivors of the coset design with the epsilon = 0.1
+    # diagonal: the sets that the 1e8 certificate refuses and the 1e12 one
+    # clears are solved by QR, within 1e-9 * mk of the SVD projection. On
+    # these two draws 46 of the 80 sets fall between the certificates, 31
+    # of them with cond_2(G_S) above 1e8 (the certificate bounds the
+    # larger tr(G_S) / lambda_min)
+    routes = _spy_routes(monkeypatch)
+    F = gc.build_target(27, 2)
+    between = 0
+    for seed in (1, 5):
+        B = gc.encode_random_diagonal(coset27, 2, gc.DiagonalLaw(0.1), seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            workers = gc.sample_straggler_set(gc.Bernoulli(0.25), B.n, rng)
+            members = list(workers.members)
+            gram = _survivor_gram(B, members)
+            routes.clear()
+            got = gc.decode(B, workers)
+            tier = certify_gram(gram), certify_gram(gram, gc.QR_COND_MAX)
+            assert routes == ([] if tier[0] else ["qr"] if tier[1] else ["svd"])
+            if routes != ["qr"]:
+                continue
+            cond = np.linalg.cond(gram)
+            assert cond < 1e12
+            between += cond > 1e8
+            ref_coeffs, ref_err = project(B.mat[:, members], F)
+            assert abs(got.err - ref_err) <= 1e-9 * 54
+            fitted = B.mat[:, members] @ ref_coeffs
+            assert np.allclose(B.mat @ got.coeffs, fitted, rtol=0.0, atol=1e-9)
+            scale = float(np.abs(ref_coeffs).max())
+            assert np.allclose(got.coeffs[members], ref_coeffs, rtol=0.0, atol=1e-9 * scale)
+    assert between >= 20
+
+
+def test_rank_deficient_set_never_takes_the_qr_tier(fano, monkeypatch):
+    # a random-diagonal encoding with one column repeated: every set that
+    # holds both copies is rank-deficient and goes to the SVD
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.1), seed=1)
+    mat = B.mat.copy()
+    mat[:, 4] = mat[:, 2]
+    twin = dataclasses.replace(B, mat=mat)
+    routes = _spy_routes(monkeypatch)
+    rng = np.random.default_rng(4)
+    for size in range(2, 8):
+        for _ in range(5):
+            rest = rng.choice([0, 1, 3, 5, 6], size=size - 2, replace=False)
+            workers = gc.NonStragglerSet(n=7, members=[2, 4, *rest])
+            assert rank_of(mat[:, list(workers.members)]) < size
+            assert not certify_gram(_survivor_gram(twin, list(workers.members)), gc.QR_COND_MAX)
+            routes.clear()
+            _check_against_route_references(twin, workers, gc.decode(twin, workers))
+            assert "qr" not in routes and "svd" in routes
+
+
+@_PROPERTY_SETTINGS
+@given(st.integers(2, 12), st.integers(0, 2**16), st.floats(-14.0, 0.0))
+def test_property_qr_certificate_rejects_numerically_singular_columns(cols, seed, log_sigma):
+    # the 1e12 certificate clears only columns with cond_2 < 1e6, full rank
+    # under the rank rule
+    rng = np.random.default_rng(seed)
+    q_left, _ = np.linalg.qr(rng.standard_normal((cols + 3, cols)))
+    q_right, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    sigma = np.logspace(0.0, log_sigma, cols)
+    mat = (q_left * sigma) @ q_right
+    if certify_gram(mat.T @ mat, gc.QR_COND_MAX):
+        assert rank_of(mat) == cols
+        assert np.linalg.cond(mat) <= 1e6 * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("k,delta", [(27, 5), (25, 4), (7, 3)])
+@pytest.mark.parametrize("copies", [2, 3])
+def test_merged_stacked_baseline_matches_svd_projection(k, delta, copies, monkeypatch):
+    # the coset design repeats every column `copies` times: sets holding
+    # two equal columns are merged and decode like the SVD projection
+    A = gc.coset_bipartite(gc.CosetParams(k=k, m=copies, delta=delta, generating_set=tuple(range(delta))))
+    stacked, merged = decoding._decode_stacked, []
+    monkeypatch.setattr(
+        decoding, "_decode_stacked", lambda a_s, m: merged.append(a_s.shape[1]) or stacked(a_s, m)
+    )
+    for m in (2, 3):
+        B = gc.encode_baseline(A, m)
+        labels, firsts = B.column_classes
+        assert firsts.size == k and np.array_equal(A.mat[:, firsts[labels]], A.mat)
+        rng = np.random.default_rng(k + m)
+        for size in range(1, A.n + 1):
+            members = list(np.sort(rng.choice(A.n, size=size, replace=False)))
+            merged.clear()
+            _check_against_projection(B, members)
+            classes = np.unique(labels[members]).size
+            if classes < size:
+                assert merged == [classes]
+
+
+def test_column_classes_only_where_copies_repeat_a_column(fano, bireg40, coset27):
+    assert gc.encode_baseline(fano, 2).column_classes is None
+    assert gc.encode_baseline(bireg40, 2).column_classes is None
+    assert gc.encode_random_diagonal(coset27, 2, gc.DiagonalLaw(0.0), seed=0).column_classes is None
+    labels, firsts = gc.encode_baseline(coset27, 2).column_classes
+    assert np.array_equal(labels, np.tile(labels[:27], 2)) and firsts.size == 27
+    assert not labels.flags.writeable
+
+
+@_PROPERTY_SETTINGS
+@given(
+    st.sampled_from(FAMILIES + ("coset25",)),
+    st.sampled_from(SCHEMES),
+    st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    st.data(),
+)
+def test_property_decode_each_matches_decode_and_projection(request, family, scheme, picks, data):
+    if family == "coset25":
+        A = gc.coset_bipartite(gc.CosetParams(k=25, m=2, delta=4, generating_set=(0, 1, 2, 3)))
+    else:
+        A = request.getfixturevalue(family)
+    # a seed drawn twice names one encoding object, recurring in the list
+    pool = {seed: _encode(A, scheme, seed) for seed in set(picks)}
+    encodings = [pool[seed] for seed in picks]
+    sets = [gc.NonStragglerSet(n=A.n, members=_draw_members(data, A.n)) for _ in picks]
+    for B, workers, res in zip(encodings, sets, gc.decode_each(encodings, sets)):
+        _check_against_route_references(B, workers, res)
+
+
+def test_reconstruct_each_matches_reconstruct(coset27):
+    rng = np.random.default_rng(5)
+    partials = rng.standard_normal((4, 27, 11))
+    encodings = [gc.encode_random_diagonal(coset27, 2, gc.DiagonalLaw(0.1), seed=s) for s in range(3)]
+    encodings.append(encodings[1])
+    sets = [gc.sample_straggler_set(gc.Bernoulli(0.25), 54, rng) for _ in range(4)]
+    approx, gaps = gc.reconstruct_each(partials, encodings, sets)
+    assert approx.shape == (4, 11) and gaps.shape == (4,)
+    for j in range(4):
+        one, gap = gc.reconstruct(partials[j], encodings[j], sets[j])
+        assert np.allclose(approx[j], one, rtol=1e-12, atol=1e-14)
+        assert abs(gaps[j] - gap) <= 1e-12 * max(1.0, gap)
+    empty_approx, empty_gaps = gc.reconstruct_each(np.zeros((0, 27, 11)), [], [])
+    assert empty_approx.shape == (0, 11) and empty_gaps.shape == (0,)
+    with pytest.raises(ShapeError):
+        gc.reconstruct_each(partials[:3], encodings, sets)
+    with pytest.raises(ShapeError):
+        gc.reconstruct_each(partials, [encodings[0], gc.encode_baseline(coset27, 3)] * 2, sets)

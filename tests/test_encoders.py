@@ -35,6 +35,17 @@ def test_random_diagonal_blocks_scale_columns(fano):
         assert np.allclose(B.block(i), fano.mat * d[None, :])
 
 
+def test_random_diagonal_draws_each_diagonal_in_turn(bireg40):
+    # block i is A D_i exactly, with d_i the i-th sample_diagonal draw of
+    # the seed's stream
+    for m, eps in ((1, 0.0), (3, 0.2)):
+        B = gc.encode_random_diagonal(bireg40, m, gc.DiagonalLaw(eps), seed=7)
+        rng = np.random.default_rng(7)
+        drawn = [gc.sample_diagonal(40, gc.DiagonalLaw(eps), rng) for _ in range(m)]
+        assert np.array_equal(B.randomness.diagonals, np.array(drawn))
+        assert np.array_equal(B.mat, np.vstack([bireg40.mat * d for d in drawn]))
+
+
 def test_random_diagonal_reproducible(fano):
     a = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=5)
     b = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=5)

@@ -342,6 +342,45 @@ def test_coset_symmetry_gate_cases(coset27, coset_small):
     )
 
 
+def _reference_unbiasedness(A, scheme, m, q, trials, seed):
+    """The trial-by-trial loop the chunked estimator replaced: (beta_hat,
+    beta_se, rel_residual)."""
+    target = gc.build_target(A.k, m)
+    acc = np.zeros_like(target)
+    betas = []
+    for t in range(trials):
+        state = experiments._stream(seed, t).generate_state(2, dtype=np.uint64)
+        B = gc.encode_random_diagonal(A, m, gc.DiagonalLaw(scheme.epsilon), int(state[0]))
+        workers = gc.sample_straggler_set(gc.Bernoulli(q), A.n, np.random.default_rng(int(state[1])))
+        combo = B.mat @ gc.decode(B, workers).coeffs
+        acc += combo
+        betas.append(float(np.sum(combo * target)) / (m * A.k))
+    beta = float(np.mean(betas))
+    rel = float(np.linalg.norm(acc / trials - beta * target)) / (abs(beta) * np.sqrt(m * A.k))
+    return beta, float(np.std(betas, ddof=1) / np.sqrt(trials)), rel
+
+
+@pytest.mark.parametrize("chunk_trials", [None, 3])
+def test_unbiasedness_matches_the_trial_loop_in_any_chunking(fano, coset27, monkeypatch, chunk_trials):
+    # chunks of DECODE_CHUNK trials, or of 3 trials when CHUNK_ELEMENTS
+    # holds just three encodings; each trial keeps its own streams
+    calls = []
+    original = experiments.decode_each
+    monkeypatch.setattr(experiments, "decode_each", lambda encs, sets: calls.append(len(sets)) or original(encs, sets))
+    for A, trials in ((fano, 300), (coset27, 40)):
+        if chunk_trials:
+            monkeypatch.setattr(experiments, "CHUNK_ELEMENTS", chunk_trials * (2 * A.k + A.n) * A.n)
+        calls.clear()
+        diag = gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1)
+        got = gc.estimate_unbiasedness(A, diag, 2, 0.25, trials, seed=4)
+        step = chunk_trials or experiments.DECODE_CHUNK
+        assert calls == [min(step, trials - i) for i in range(0, trials, step)]
+        beta, se, rel = _reference_unbiasedness(A, diag, 2, 0.25, trials, 4)
+        assert got.beta_hat == pytest.approx(beta, rel=1e-12)
+        assert got.beta_se == pytest.approx(se, rel=1e-12)
+        assert got.rel_residual == pytest.approx(rel, rel=1e-12)
+
+
 def test_unbiasedness_reproducible(fano):
     diag = gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL)
     a = gc.estimate_unbiasedness(fano, diag, 2, 0.25, 50, seed=0)
