@@ -34,7 +34,6 @@ from .decoding import (
     build_target,
     decode,
     decode_each,
-    decode_sets,
     reconstruct,
     reconstruct_each,
     split_gradients,

@@ -7,15 +7,21 @@ workers S, decoding solves a minimum-norm least-squares fit of F by the
 surviving columns B_S; the approximation error is the squared Frobenius
 residual.
 
-Each set is solved once, by the first route of this table that it
-clears; decode and decode_each share it:
+decode_each is the one batch decoder, and decode is its one-set case. It
+groups its positions by distinct encoding. The sets of an encoding that
+carries more than one set in the call and whose whole Gram is certified
+(EncodingMatrix.gram_inverse) are solved together through that Gram's
+inverse (below): a sweep hands it many sets of one encoding. Every other
+set is solved once, by the first route of this table that it clears: a
+training iteration and the estimator hand it one set per encoding, which
+never pays for the n x n inverse.
 
-  1. Gram solve. When linalg.certify_gram certifies the survivor Gram
+  1. Stacked copies, decoded on the k-row block of A (below).
+  2. Gram solve. When linalg.certify_gram certifies the survivor Gram
      matrix G_S = B_S^T B_S (one shifted Cholesky proving cond_2(G_S) <
      1e8), the normal equations G_S R = H_S, H_S = B_S^T F, are solved by
      one LU solve: the coefficients are R and the error is mk - <H_S, R>,
      clamped to [0, mk].
-  2. Stacked copies, decoded on the k-row block of A (below).
   3. QR. When certify_gram(G_S, QR_COND_MAX) proves cond_2(G_S) < 1e12,
      so cond_2(B_S) < 1e6, B_S = QU is factored by Householder QR: R =
      U^-1 Q^T F and the error is mk - ||Q^T F||_F^2. This keeps the
@@ -30,29 +36,27 @@ full column rank with orders of magnitude to spare.
 
 The stacked-copies baseline B = 1_m (x) A is decoded on its k-row block
 A_S: B_S^+ = (1_m^T / m) (x) A_S^+, so every column of R is x / m with
-x = A_S^+ 1_k, and the error is mk - ||A_S x||^2. A set of more than k
-survivors has rank(B_S) <= k < |S| and skips route 1, and so does a set
-holding two equal columns of A. Such columns are merged first: with U
-the column classes among S, c_u their sizes and E the |U| x |S| matrix
-whose column j indicates the class of worker j, A_S = A_U E =
-(A_U C^1/2) Q with C = diag(c_u) and Q = C^-1/2 E, whose rows are
-orthonormal, so A_S^+ = Q^T (A_U C^1/2)^+. When A_U has full column rank
-this is E^T (E E^T)^-1 A_U^+: each of the c_u copies of u gets x_U / c_u.
-The classes are computed once per encoding
-(EncodingMatrix.column_classes), and nothing is merged when A repeats no
-column. The block, merged or not, takes x from its column Gram when
-certify_gram clears it (at most k columns), else x = A_S^T y with
-A_S A_S^T y = 1_k when certify_gram clears that k x k row Gram (x lies
-in the row space of A_S, so it is the minimum-norm solution), and
-otherwise x from project(A_S, 1_k), whose rank rule decides as on B_S
-because sigma(B_S) = sqrt(m) sigma(A_S).
+x = A_S^+ 1_k, and the error is mk - ||A_S x||^2. Equal columns of A
+among the survivors are merged first: with U the column classes among S,
+c_u their sizes and E the |U| x |S| matrix whose column j indicates the
+class of worker j, A_S = A_U E = (A_U C^1/2) Q with C = diag(c_u) and
+Q = C^-1/2 E, whose rows are orthonormal, so A_S^+ = Q^T (A_U C^1/2)^+.
+When A_U has full column rank this is E^T (E E^T)^-1 A_U^+: each of the
+c_u copies of u gets x_U / c_u. The classes are computed once per
+encoding (EncodingMatrix.column_classes); where no two survivors share a
+column, every class is one survivor and the block is A_S itself. The
+block takes x from its column Gram when certify_gram clears it (at most
+k columns; this is the certificate of G_S = m A_S^T A_S up to rounding),
+else x = A_S^T y with A_S A_S^T y = 1_k when certify_gram clears that
+k x k row Gram (x lies in the row space of A_S, so it is the minimum-norm
+solution), and otherwise x from project(A_S, 1_k), whose rank rule
+decides as on B_S because sigma(B_S) = sqrt(m) sigma(A_S).
 
-Many sets of one encoding are decoded by decode_sets. When certify_gram
-clears the whole n x n Gram G (EncodingMatrix.gram_inverse), Cauchy
-interlacing gives lambda_min(G_SS) >= lambda_min(G) > tr(G) / 1e8 >=
-tr(G_SS) / 1e8 for every survivor set S: the certificate each G_SS would
-earn on its own. With K = G^-1 and R = K H, the block-inverse (Schur
-complement) identity gives, for the stragglers T (s = |T|),
+When certify_gram clears the whole n x n Gram G, Cauchy interlacing gives
+lambda_min(G_SS) >= lambda_min(G) > tr(G) / 1e8 >= tr(G_SS) / 1e8 for
+every survivor set S: the certificate each G_SS would earn on its own.
+With K = G^-1 and R = K H, the block-inverse (Schur complement) identity
+gives, for the stragglers T (s = |T|),
 
     R_S = R[S] - K[S, T] K[T, T]^-1 R[T],
     err = err_0 + <R[T], K[T, T]^-1 R[T]>,  err_0 = mk - <H, R>,
@@ -61,19 +65,15 @@ an s x s solve per set, with cond(K[T, T]) <= cond(G) < 1e8. An explicit
 inverse is backward stable only to about cond(G) eps, not eps, so R_S is
 refined by one step: the residual H_S - G_SS R_S, read from the cached
 Gram, is solved through the same identity and added, and the error is
-mk - <H_S, R_S> as on the certified path of decode. Where the survivors'
-own system is no larger than these two s x s solves (|S|^3 <= 2 s^3),
-G_SS R_S = H_S is solved directly instead. Sets of one size are solved as
-one batched stack. An encoding whose Gram is not certified is decoded set
-by set through decode.
-
-decode_each decodes one survivor set per encoding, the shape of a
-training iteration: each set takes the route table above, and the direct
-residuals of all of them are computed together. reconstruct_each builds
-on it the decoded gradients of every set at once.
+mk - <H_S, R_S> as on the Gram solve. Where the survivors' own system is
+no larger than these two s x s solves (|S|^3 <= 2 s^3), G_SS R_S = H_S
+is solved directly instead. Sets of one size are solved as one batched
+stack.
 
 Each decode is checked against the directly computed residual
-||B R - F||_F^2, raising NumericalError on a disagreement.
+||B R - F||_F^2, one product per distinct encoding, raising
+NumericalError on a disagreement. reconstruct_each builds on decode_each
+the decoded gradients of every set at once.
 """
 from __future__ import annotations
 
@@ -156,45 +156,61 @@ def _target(k: int, m: int) -> np.ndarray:
     return target
 
 
-def _check_shapes(B: EncodingMatrix, sets) -> tuple[int, int]:
-    """(mk, n) of B, refusing an encoding that is not mk x n or a set drawn
-    for another worker count."""
+def _check_shapes(B: EncodingMatrix, sets) -> None:
+    """Refuse an encoding that is not mk x n, or a set drawn for another
+    worker count."""
     rows, n = B.mat.shape
     if (rows, n) != (B.m * B.k, B.n):
         raise ShapeError(f"encoding has shape {B.mat.shape}, not mk x n = {(B.m * B.k, B.n)}")
     for workers in sets:
         if workers.n != n:
             raise ShapeError(f"worker count {workers.n} does not match n={n}")
-    return rows, n
 
 
 def decode(B: EncodingMatrix, workers: NonStragglerSet) -> DecodeResult:
-    """Optimal decoding of B against its target for the given survivors,
-    reading the survivor Gram block G_S and image H_S from B's cached Gram:
-    decode_each([B], [workers])[0]."""
+    """Optimal decoding of B against its target for the given survivors, by
+    the route table above: decode_each([B], [workers])[0]."""
     return decode_each((B,), (workers,))[0]
 
 
 def decode_each(
     encodings: Iterable[EncodingMatrix], sets: Iterable[NonStragglerSet]
 ) -> list[DecodeResult]:
-    """The decode of encodings[j] for sets[j], for every j, in order: one
-    survivor set per encoding, as in one training iteration. Each set takes
-    the route table above, so every result is decode's; the direct
-    residuals are computed together, one product per distinct encoding."""
+    """The decode of encodings[j] for sets[j], for every j, in order.
+
+    The sets of an encoding that recurs in the call and whose whole Gram is
+    certified (B.gram_inverse) are solved by size as batched stacks,
+    through K = G^-1 by s x s systems in their stragglers or through their
+    own survivor Grams, as set out above. Their errors match decode(B, w)
+    within 1e-9 * mk, with the same coefficient support (the survivors'
+    rows); the coefficients come from another solve, so they agree only to
+    rounding. Every other set takes the route table, and its result is
+    exactly decode's. Every set is checked against its direct residual,
+    with one product per distinct encoding."""
     encodings, sets = list(encodings), list(sets)
     if len(encodings) != len(sets):
         raise ShapeError(f"{len(encodings)} encodings for {len(sets)} survivor sets")
-    for B, workers in zip(encodings, sets):
-        _check_shapes(B, (workers,))
-    solved = [_route(B, workers) for B, workers in zip(encodings, sets)]
-    direct = np.empty(len(solved))
-    for picked, fitted in _fitted(encodings, [coeffs for coeffs, _ in solved]):
+    results: list = [None] * len(sets)
+    direct = np.empty(len(sets))
+    for picked in _by_encoding(encodings):
         B = encodings[picked[0]]
-        diff = fitted - build_target(B.k, B.m)
+        _check_shapes(B, [sets[j] for j in picked])
+        inverse = B.gram_inverse if len(picked) > 1 else None
+        if inverse is None:
+            for j in picked:
+                results[j] = DecodeResult(*_route(B, sets[j]))
+        else:
+            by_size: dict[int, list[int]] = {}
+            for j in picked:
+                by_size.setdefault(len(sets[j].members), []).append(j)
+            for size, same in by_size.items():
+                coeffs, errs = _decode_group(B, inverse, [sets[j].members for j in same], size)
+                for j, one, err in zip(same, coeffs, errs.tolist()):
+                    results[j] = DecodeResult(coeffs=one, err=err)
+        diff = _fitted(B, [results[j].coeffs for j in picked]) - build_target(B.k, B.m)
         direct[picked] = np.einsum("jrm,jrm->j", diff, diff)
-    _check_residuals([err for _, err in solved], direct)
-    return [DecodeResult(coeffs=coeffs, err=err) for coeffs, err in solved]
+    _check_residuals([res.err for res in results], direct)
+    return results
 
 
 def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, float]:
@@ -205,26 +221,20 @@ def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, flo
     if not workers.members:
         return coeffs, total
     idx = np.array(workers.members, dtype=np.intp)
-    merge = _column_merge(B, idx) if B.stacked_copies else None
-    # a stacked-copies set of more than k survivors, or one with two equal
-    # columns, has rank(B_S) < |S|, so its column certificate would fail:
-    # it is not tried
-    doomed = B.stacked_copies and (idx.size > B.k or merge is not None)
+    if B.stacked_copies:
+        firsts, inverse, counts = _column_merge(B, idx)
+        root = np.sqrt(counts)
+        merged, err = _decode_stacked(B.block(0).take(firsts, axis=1) * root, B.m)
+        coeffs[idx] = (merged / root[:, None])[inverse]
+        return coeffs, err
     gram, image = B.gram
-    gram_s = None if doomed else gram.take(idx, axis=0).take(idx, axis=1)
-    if gram_s is not None and certify_gram(gram_s):
+    gram_s = gram.take(idx, axis=0).take(idx, axis=1)
+    if certify_gram(gram_s):
         image_s = image.take(idx, axis=0)
         solved = np.linalg.solve(gram_s, image_s)
         coeffs[idx] = solved
         # ||F||_F^2 = mk = rows, and <H_S, R> = ||P_S F||_F^2
         err = total - float(np.sum(image_s * solved))
-    elif merge is not None:
-        firsts, inverse, counts = merge
-        root = np.sqrt(counts)
-        merged, err = _decode_stacked(B.block(0).take(firsts, axis=1) * root, B.m)
-        coeffs[idx] = (merged / root[:, None])[inverse]
-    elif B.stacked_copies:
-        coeffs[idx], err = _decode_stacked(B.block(0).take(idx, axis=1), B.m)
     elif certify_gram(gram_s, QR_COND_MAX):
         coeffs[idx], err = _solve_qr(B.mat.take(idx, axis=1), build_target(B.k, B.m))
     else:
@@ -234,20 +244,20 @@ def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, flo
 
 def _column_merge(B: EncodingMatrix, idx: np.ndarray):
     """(the first column of each class among the survivors idx, each
-    survivor's position among those classes, the class sizes), or None
-    when no two survivors have equal columns of A."""
+    survivor's position among those classes, the class sizes); the
+    identity classes (idx, 0..|S|-1, ones) when no two survivors have equal
+    columns of A."""
     classes = B.column_classes
-    if classes is None:
-        return None
-    labels, firsts = classes
-    lab = labels.take(idx)
-    counts = np.bincount(lab, minlength=firsts.size)
-    present = np.flatnonzero(counts)
-    if present.size == idx.size:
-        return None
-    position = np.empty(firsts.size, dtype=np.intp)
-    position[present] = np.arange(present.size)
-    return firsts.take(present), position.take(lab), counts.take(present).astype(float)
+    if classes is not None:
+        labels, firsts = classes
+        lab = labels.take(idx)
+        counts = np.bincount(lab, minlength=firsts.size)
+        present = np.flatnonzero(counts)
+        if present.size < idx.size:
+            position = np.empty(firsts.size, dtype=np.intp)
+            position[present] = np.arange(present.size)
+            return firsts.take(present), position.take(lab), counts.take(present).astype(float)
+    return idx, np.arange(idx.size), np.ones(idx.size)
 
 
 def _solve_qr(b_s: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
@@ -261,16 +271,20 @@ def _solve_qr(b_s: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return np.linalg.solve(upper, proj), err
 
 
-def _fitted(encodings: list, coeffs: list):
-    """(positions, B R for the coefficients at those positions) per distinct
-    encoding B: the sets of one encoding share one product, so an encoding
+def _by_encoding(encodings: list) -> list[list[int]]:
+    """The positions of each distinct encoding, in order of first
+    appearance: the sets of one encoding share one product, so an encoding
     that recurs is never copied per set."""
     groups: dict[int, list[int]] = {}
     for j, B in enumerate(encodings):
         groups.setdefault(id(B), []).append(j)
-    for picked in groups.values():
-        stack = np.array([coeffs[j] for j in picked])
-        yield picked, np.matmul(encodings[picked[0]].mat, stack)
+    return list(groups.values())
+
+
+def _fitted(B: EncodingMatrix, coeffs: list) -> np.ndarray:
+    """B R for each n x m coefficient matrix R of B's sets, as one batched
+    product (g x mk x m)."""
+    return np.matmul(B.mat, np.array(coeffs))
 
 
 def _check_residuals(errs, direct: np.ndarray) -> None:
@@ -279,33 +293,6 @@ def _check_residuals(errs, direct: np.ndarray) -> None:
     for err, res in zip(errs, direct.tolist()):
         if not abs(err - res) <= _ERR_CONSISTENCY_EPS * max(1.0, res):
             raise NumericalError(f"projection residual {err} disagrees with direct residual {res}")
-
-
-def decode_sets(B: EncodingMatrix, sets: Iterable[NonStragglerSet]) -> list[DecodeResult]:
-    """The decode of B for every set in sets, in order.
-
-    When B's whole Gram is certified (B.gram_inverse), the sets of one
-    size are solved as one batched stack, through the inverse K = G^-1 by
-    s x s systems in their stragglers or through their own survivor Grams,
-    as set out above. The results then match decode(B, w) within 1e-9 * mk
-    in err, with the same coefficient support (the survivors' rows); the
-    coefficients come from another solve, so they agree only to rounding.
-    Otherwise each set goes through decode and the results are exactly
-    decode's. Every set is checked against its direct residual."""
-    sets = list(sets)  # an iterator would be spent by the shape check
-    _check_shapes(B, sets)
-    inverse = B.gram_inverse
-    if inverse is None:
-        return [decode(B, workers) for workers in sets]
-    by_size: dict[int, list[int]] = {}
-    for i, workers in enumerate(sets):
-        by_size.setdefault(len(workers.members), []).append(i)
-    results: list[DecodeResult | None] = [None] * len(sets)
-    for size, picked in by_size.items():
-        coeffs, err = _decode_group(B, inverse, [sets[i].members for i in picked], size)
-        for j, i in enumerate(picked):
-            results[i] = DecodeResult(coeffs=coeffs[j], err=float(err[j]))
-    return results
 
 
 def _decode_group(
@@ -352,9 +339,6 @@ def _decode_group(
             coeffs += drop_stragglers((K @ resid.reshape(n, g * m)).reshape(n, g, m))
     # mk - <H_S, R_S>, the straggler rows of R being zero
     err = np.clip(total - np.einsum("ngm,nm->g", coeffs, image), 0.0, total)
-    fitted = (B.mat @ coeffs.reshape(n, g * m)).reshape(rows, g, m)
-    diff = fitted - build_target(B.k, m)[:, None, :]
-    _check_residuals(err.tolist(), np.einsum("rgm,rgm->g", diff, diff))
     return np.ascontiguousarray(coeffs.transpose(1, 0, 2)), err
 
 
@@ -474,8 +458,8 @@ def reconstruct_each(
     Z = _split(grads, m)
     decs = decode_each(encodings, sets)
     fitted = np.empty((g, m * k, m))
-    for picked, product in _fitted(encodings, [dec.coeffs for dec in decs]):
-        fitted[picked] = product
+    for picked in _by_encoding(encodings):
+        fitted[picked] = _fitted(encodings[picked[0]], [decs[j].coeffs for j in picked])
     approx = Z @ fitted
     diff = approx - Z.reshape(g, -1, m, k).sum(axis=3)  # Z F
     if Z.size:

@@ -105,7 +105,8 @@ class EncodingMatrix:
         """(K, R) with K = G^-1 and R = G^-1 H, the full set's coefficients,
         when certify_gram clears the whole n x n Gram G, else None. By
         Cauchy interlacing every survivor block G_SS is then certified too,
-        and decoding.decode_sets solves each set through this one inverse.
+        and decoding.decode_each solves the sets of an encoding that recurs
+        in one call through this one inverse.
         R is K H refined by one step against G. Computed once per encoding
         and read-only."""
         G, H = self.gram

@@ -19,7 +19,6 @@ from .decoding import (
     NonStragglerSet,
     build_target,
     decode_each,
-    decode_sets,
     reconstruct_each,
 )
 from .designs import BI_REGULAR, COSET_BIPARTITE, AssignmentMatrix
@@ -62,7 +61,7 @@ TRAIN_CSV_HEADER = ["scheme", "seed", "iteration", "loss"]
 # summed over the grid; v=91 at s=5 alone would be about 4.9e7 sets.
 MAX_EXHAUSTIVE_SETS = 1_000_000
 
-# Most survivor sets a sweep hands to one decode_sets call, which bounds the
+# Most survivor sets a sweep hands to one decode_each call, which bounds the
 # stacks it gathers when set_draws="all" enumerates up to
 # MAX_EXHAUSTIVE_SETS sets; also the most trials estimate_unbiasedness
 # hands to one decode_each call.
@@ -181,19 +180,22 @@ class SweepConfig:
             raise ParameterError(f"grid_kind must be 's' or 'q', got {self.grid_kind!r}")
         if len(self.grid) == 0:
             raise ParameterError("grid must be nonempty")
-        if self.matrix_draws < 1:
-            raise ParameterError("matrix_draws must be at least 1")
-        if self.set_draws != "all" and (
-            not isinstance(self.set_draws, int) or self.set_draws < 1
-        ):
-            raise ParameterError("set_draws must be a positive integer or 'all'")
+        # a bool is an int to Python, and True would silently mean 1 draw
+        if type(self.matrix_draws) is not int or self.matrix_draws < 1:
+            raise ParameterError(f"matrix_draws must be an integer >= 1, got {self.matrix_draws}")
+        if self.set_draws != "all" and (type(self.set_draws) is not int or self.set_draws < 1):
+            raise ParameterError(f"set_draws must be an integer >= 1 or 'all', got {self.set_draws}")
+        if self.set_draws == "all" and self.grid_kind != "s":
+            raise ParameterError("set_draws='all' needs a straggler-count grid")
         n = self.assignment.n
         for x in self.grid:
+            if self.grid_kind == "s" and not float(x).is_integer():
+                raise ParameterError(f"grid value s={x} is not an integer")
             if self.grid_kind == "s" and not (0 <= int(x) <= n):
                 raise ParameterError(f"grid value s={x} outside [0, {n}]")
             if self.grid_kind == "q" and not (0.0 <= float(x) < 1.0):
                 raise ParameterError(f"grid value q={x} outside [0, 1)")
-        if self.set_draws == "all" and self.grid_kind == "s":
+        if self.set_draws == "all":
             total = sum(math.comb(n, int(x)) for x in self.grid)
             if total > MAX_EXHAUSTIVE_SETS:
                 raise ParameterError(
@@ -218,8 +220,6 @@ class ExperimentResult:
 def _iter_sets(cfg: SweepConfig, x, rng: np.random.Generator):
     n = cfg.assignment.n
     if cfg.set_draws == "all":
-        if cfg.grid_kind != "s":
-            raise ParameterError("exhaustive sets need a straggler-count grid")
         size = n - int(x)
         for members in itertools.combinations(range(n), size):
             yield NonStragglerSet(n=n, members=members)
@@ -234,7 +234,7 @@ def sweep_error(cfg: SweepConfig) -> ExperimentResult:
     with the matching upper and lower bounds attached per grid point.
 
     The sets of each (encoding draw, grid point) are decoded together by
-    decode_sets, in chunks of at most DECODE_CHUNK sets.
+    decode_each, in chunks of at most DECODE_CHUNK sets of the one encoding.
 
     Where no family closed form applies on a straggler-count grid, per-set
     bounds are evaluated on every sampled set (the diagonally-dominant
@@ -258,7 +258,7 @@ def sweep_error(cfg: SweepConfig) -> ExperimentResult:
             rng = np.random.default_rng(_stream(cfg.seed, gi, t, 1))
             sets = _iter_sets(cfg, x, rng)
             while chunk := list(itertools.islice(sets, DECODE_CHUNK)):
-                errs.extend(dec.err for dec in decode_sets(B, chunk))
+                errs.extend(dec.err for dec in decode_each([B] * len(chunk), chunk))
                 if not per_set:
                     continue
                 for workers in chunk:
@@ -465,6 +465,8 @@ class TrainConfig:
             raise ParameterError("iterations and repetitions must be positive")
         if not (0.0 <= self.q < 1.0):
             raise ParameterError(f"q must lie in [0, 1), got {self.q}")
+        if not self.learning_rate >= 0.0:
+            raise ParameterError(f"learning_rate must be nonnegative, got {self.learning_rate}")
 
 
 DIVERGENCE_LIMIT = 1e6
@@ -584,6 +586,11 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
         warm = estimate_unbiasedness(
             A, sc, cfg.m, cfg.q, _RESCALE_WARMUP_TRIALS, _stream_seed(cfg.seed, 0xE7A)
         )
+        if warm.suspicious_zero:
+            raise ParameterError(
+                f"rescale_lr: the warm-up estimate beta = {warm.beta_hat:.3g} +/- "
+                f"{warm.beta_se:.2g} at q = {cfg.q} is indistinguishable from zero"
+            )
         eta = eta / warm.beta_hat
 
     reps = cfg.repetitions

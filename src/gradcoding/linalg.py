@@ -14,8 +14,8 @@ Numerical contract:
     Gram G, Cauchy interlacing (Horn & Johnson, Matrix Analysis, Thm
     4.3.28) carries it to every principal block: lambda_min(G_SS) >=
     lambda_min(G) > tr(G) / 1e8 >= tr(G_SS) / 1e8, which is what the
-    certificate proves for G_SS itself. decoding.decode_sets relies on this
-    to decode many survivor sets from one inverse of G.
+    certificate proves for G_SS itself. decoding.decode_each relies on this
+    to decode many survivor sets of one encoding from one inverse of G.
   * QR tier. certify_gram(G, QR_COND_MAX) runs the same test with the shift
     1/QR_COND_MAX = 1e-12 and proves cond_2(G) < 1e12, so cond_2(M) < 1e6:
     M still has full column rank under the rank rule, four orders inside

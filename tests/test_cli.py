@@ -247,6 +247,7 @@ def _bad_input(tmp_path, case):
         "negative_design_seed": ("construct", {"design": dict(bireg, seed=-1)}, "seed must be nonnegative"),
         "negative_dataset_seed": ("train", dict(train, dataset={"seed": -1}), "dataset seed"),
         "negative_dataset_dim": ("train", dict(train, dataset={"dim": -1}), "dataset dim"),
+        "negative_learning_rate": ("train", dict(train, learning_rate=-0.5), "learning_rate"),
         "planar_v_zero": ("construct", {"design": {"family": "bibd_transpose", "v": 0}}, "v=0"),
         "planar_v_negative": ("construct", {"design": {"family": "bibd_transpose", "v": -3}}, "v=-3"),
         "planar_v_one": ("construct", {"design": {"family": "bibd_transpose", "v": 1}}, "v=1"),
@@ -273,6 +274,7 @@ def _bad_input(tmp_path, case):
         "negative_design_seed",
         "negative_dataset_seed",
         "negative_dataset_dim",
+        "negative_learning_rate",
         "encoding_meta_negative_seed",
         "encoding_meta_unknown_scheme",
         "encoding_meta_null_seed",

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 
@@ -335,15 +336,24 @@ def _check_against_projection(B, members):
 
 
 def test_stacked_baseline_decode_matches_svd_projection(fano, coset27, bireg40, monkeypatch):
-    # the column certificate (|S| <= k), the row Gram certificate and the
-    # SVD of A_S each decode some of these sets; the column certificate is
-    # never tried on more than k survivors, whose B_S has rank <= k < |S|
-    paths, grams = [], []
+    # every stacked-copies set is decoded on its block A_S, merged where
+    # survivors share a column of A: by the column Gram certificate (at
+    # most k columns), the row Gram certificate or the SVD of A_S, each on
+    # some of these sets. The column certificate is never tried on more
+    # than k columns, whose B_S has rank <= k < |S|
+    paths, certs = [], []
     stacked, proj, cert = decoding._decode_stacked, decoding.project, decoding.certify_gram
 
     def spy_stacked(a_s, m):
-        paths[-1] = "row"
-        return stacked(a_s, m)
+        k, cols = a_s.shape
+        paths.append(None)
+        certs.clear()
+        solved = stacked(a_s, m)
+        if paths[-1] is None:
+            paths[-1] = "column" if cols <= k and certs[0] == (cols, True) else "row"
+        if cols > k:
+            assert cols not in [size for size, _ in certs]
+        return solved
 
     def spy_project(mat, rhs):
         if np.ndim(rhs) == 1:
@@ -351,8 +361,9 @@ def test_stacked_baseline_decode_matches_svd_projection(fano, coset27, bireg40, 
         return proj(mat, rhs)
 
     def spy_cert(gram):
-        grams.append(len(gram))
-        return cert(gram)
+        ok = cert(gram)
+        certs.append((len(gram), ok))
+        return ok
 
     monkeypatch.setattr(decoding, "_decode_stacked", spy_stacked)
     monkeypatch.setattr(decoding, "project", spy_project)
@@ -363,12 +374,33 @@ def test_stacked_baseline_decode_matches_svd_projection(fano, coset27, bireg40, 
             rng = np.random.default_rng(m)
             for size in list(range(1, A.n + 1)) * 2:
                 members = list(np.sort(rng.choice(A.n, size=size, replace=False)))
-                paths.append("column")
-                grams.clear()
+                before = len(paths)
                 _check_against_projection(B, members)
-                if size > A.k:
-                    assert paths[-1] != "column" and len(members) not in grams
+                assert len(paths) == before + 1
     assert {"column", "row", "svd"} <= set(paths)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_baseline_set_of_at_most_k_never_reaches_the_svd(request, family, monkeypatch):
+    # a set of at most k survivors whose Gram G_S = m A_S^T A_S the Gram
+    # solve would certify is cleared by the column Gram A_S^T A_S of its
+    # block instead, and never reaches the SVD
+    A = request.getfixturevalue(family)
+    routes = _spy_routes(monkeypatch)
+    rng = np.random.default_rng(23)
+    cleared = 0
+    for m in (2, 3):
+        B = gc.encode_baseline(A, m)
+        for size in range(1, A.k + 1):
+            for _ in range(3):
+                members = list(np.sort(rng.choice(A.n, size=size, replace=False)))
+                if not certify_gram(_survivor_gram(B, members)):
+                    continue
+                routes.clear()
+                _check_against_projection(B, members)
+                assert routes == []
+                cleared += 1
+    assert cleared >= A.k
 
 
 # The designs come from session fixtures through `request`; nothing in them
@@ -468,7 +500,7 @@ def _support(coeffs):
 
 def _check_sets_against_decode(B, sets):
     mk = B.m * B.k
-    got = gc.decode_sets(B, sets)
+    got = gc.decode_each([B] * len(sets), sets)
     assert len(got) == len(sets)
     for workers, res in zip(sets, got):
         ref = gc.decode(B, workers)
@@ -481,7 +513,7 @@ def _check_sets_against_decode(B, sets):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("family", ("fano", "bibd91", "coset27", "bireg40"))
-def test_decode_sets_matches_decode(request, family, scheme):
+def test_recurring_encoding_matches_decode(request, family, scheme):
     A = request.getfixturevalue(family)
     rng = np.random.default_rng(7)
     for seed in range(3):
@@ -489,8 +521,8 @@ def test_decode_sets_matches_decode(request, family, scheme):
         _check_sets_against_decode(B, _mixed_sets(A.n, rng))
 
 
-def test_decode_sets_covers_certified_and_uncertified_encodings(fano, bibd91, coset27, bireg40):
-    # the cases above take both paths: the whole-Gram inverse and the loop
+def test_recurring_encoding_covers_certified_and_uncertified_encodings(fano, bibd91, coset27, bireg40):
+    # the cases above take both paths: the whole-Gram inverse and the route table
     for A in (fano, bibd91):
         for scheme in SCHEMES:
             assert _encode(A, scheme).gram_inverse is not None
@@ -510,7 +542,7 @@ def test_decode_sets_covers_certified_and_uncertified_encodings(fano, bibd91, co
         ("bireg40", gc.NULLSPACE_HADAMARD, 4),
     ],
 )
-def test_decode_sets_near_the_threshold(request, family, scheme, seed):
+def test_recurring_encoding_near_the_threshold(request, family, scheme, seed):
     # whole Grams with cond_2 between 1e6 and the 1e8 threshold: every set
     # still decodes within 1e-9 * mk of the SVD projection
     A = request.getfixturevalue(family)
@@ -528,7 +560,7 @@ def test_decode_sets_near_the_threshold(request, family, scheme, seed):
         assert np.allclose(B.mat @ res.coeffs, B.mat[:, members] @ ref_coeffs, rtol=0.0, atol=1e-8)
 
 
-def test_decode_sets_keeps_order_across_sizes(bireg40):
+def test_recurring_encoding_keeps_order_across_sizes(bireg40):
     B = _encode(bireg40, gc.NULLSPACE_HADAMARD, 1)
     assert B.gram_inverse is not None
     full = gc.NonStragglerSet.full(40)
@@ -541,43 +573,49 @@ def test_decode_sets_keeps_order_across_sizes(bireg40):
     # more survivors, no more error; one set twice, one error
     assert got[7].err >= got[4].err >= got[5].err - 1e-12
     assert got[4].err == got[6].err
-    assert gc.decode_sets(B, []) == []
-    # any iterable of sets is taken, in order
-    assert [r.err for r in gc.decode_sets(B, iter(sets))] == [r.err for r in got]
+    assert gc.decode_each([], []) == []
+    # any iterables of encodings and sets are taken, in order
+    again = gc.decode_each(itertools.repeat(B, len(sets)), iter(sets))
+    assert [r.err for r in again] == [r.err for r in got]
 
 
-def test_decode_sets_loops_over_decode_without_a_certified_gram(bireg40, monkeypatch):
+def test_recurring_encoding_takes_the_route_table_without_a_certified_gram(bireg40, monkeypatch):
     B = gc.encode_baseline(bireg40, 2)
     assert B.gram_inverse is None
-    calls = []
-    original = decoding.decode
+    routed, grouped = [], []
+    route, group = decoding._route, decoding._decode_group
 
-    def spy(B_, workers):
-        calls.append(workers)
-        return original(B_, workers)
+    def spy_route(B_, workers):
+        routed.append(workers)
+        return route(B_, workers)
 
-    monkeypatch.setattr(decoding, "decode", spy)
+    def spy_group(B_, inverse, members, size):
+        grouped.append(len(members))
+        return group(B_, inverse, members, size)
+
+    monkeypatch.setattr(decoding, "_route", spy_route)
+    monkeypatch.setattr(decoding, "_decode_group", spy_group)
     sets = _mixed_sets(40, np.random.default_rng(3))
-    got = gc.decode_sets(B, sets)
-    assert calls == sets
+    got = gc.decode_each([B] * len(sets), sets)
+    assert routed == sets and grouped == []
     for workers, res in zip(sets, got):
-        ref = original(B, workers)
+        ref = gc.decode(B, workers)
         assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
-    # a certified encoding never calls decode
-    calls.clear()
-    gc.decode_sets(_encode(bireg40, gc.NULLSPACE_HADAMARD, 1), sets)
-    assert calls == []
+    # a certified encoding that recurs never takes the route table
+    routed.clear()
+    gc.decode_each([_encode(bireg40, gc.NULLSPACE_HADAMARD, 1)] * len(sets), sets)
+    assert routed == [] and sum(grouped) == len(sets)
 
 
-def test_decode_sets_checks_shapes(fano):
+def test_recurring_encoding_checks_shapes(fano):
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
     with pytest.raises(ShapeError):
-        gc.decode_sets(B, [gc.NonStragglerSet.full(7), gc.NonStragglerSet.full(6)])
+        gc.decode_each([B, B], [gc.NonStragglerSet.full(7), gc.NonStragglerSet.full(6)])
 
 
 @_PROPERTY_SETTINGS
 @given(encoded_sets())
-def test_property_decode_sets_matches_projection(request, case):
+def test_property_recurring_encoding_matches_projection(request, case):
     family, scheme, seed, data = case
     B = _encode(request.getfixturevalue(family), scheme, seed)
     F = gc.build_target(B.k, B.m)
@@ -585,7 +623,7 @@ def test_property_decode_sets_matches_projection(request, case):
         gc.NonStragglerSet(n=B.n, members=_draw_members(data, B.n))
         for _ in range(data.draw(st.integers(1, 4)))
     ]
-    for workers, res in zip(sets, gc.decode_sets(B, sets)):
+    for workers, res in zip(sets, gc.decode_each([B] * len(sets), sets)):
         members = list(workers.members)
         ref_coeffs, ref_err = project(B.mat[:, members], F)
         assert abs(res.err - ref_err) <= 1e-9 * B.m * B.k
@@ -610,23 +648,24 @@ def test_residual_consistency_check_raises(fano):
         gc.decode(B, workers)
 
 
-def test_decode_sets_residual_check_raises(fano):
+def test_recurring_encoding_residual_check_raises(fano):
     # the cached inverse of the doubled Gram, behind the decode's back: the
     # coefficients it yields are not the survivors' optimum, and their
     # error disagrees with the directly computed residual. Sets of 7 and 5
     # survivors go through the inverse; one of 3 solves its own Gram, and
-    # a doubled cached Gram trips it the same way
+    # a doubled cached Gram trips it the same way. Each set is handed in
+    # twice, so that the encoding recurs and takes the whole-Gram inverse
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
     K, R = B.gram_inverse
     B.__dict__["gram_inverse"] = (K / 2.0, R / 2.0)
     for members in (tuple(range(7)), (0, 1, 3, 4, 6)):
         with pytest.raises(NumericalError, match="direct residual"):
-            gc.decode_sets(B, [gc.NonStragglerSet(n=7, members=members)])
+            gc.decode_each([B, B], [gc.NonStragglerSet(n=7, members=members)] * 2)
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
     gram, image = B.gram
     B.__dict__["gram"] = (2.0 * gram, image)
     with pytest.raises(NumericalError, match="direct residual"):
-        gc.decode_sets(B, [gc.NonStragglerSet(n=7, members=(0, 2, 5))])
+        gc.decode_each([B, B], [gc.NonStragglerSet(n=7, members=(0, 2, 5))] * 2)
 
 
 def test_operator_norm_check_raises(fano, monkeypatch):
@@ -685,11 +724,16 @@ def test_spectral_norm_from_the_gram_matches_the_svd(Z):
 # one survivor set per encoding, the QR tier and merged stacked copies
 
 
-def _check_against_route_references(B, workers, res):
-    """res against decode(B, workers), exactly, and against the SVD
+def _check_against_route_references(B, workers, res, exact=True):
+    """res against decode(B, workers), exactly, or when not exact within
+    1e-9 * mk with the same coefficient support; and against the SVD
     projection within 1e-9 * mk."""
     ref = gc.decode(B, workers)
-    assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
+    if exact:
+        assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
+    else:
+        assert abs(res.err - ref.err) <= 1e-9 * B.m * B.k
+        assert np.array_equal(_support(res.coeffs), _support(ref.coeffs))
     members = list(workers.members)
     F = gc.build_target(B.k, B.m)
     ref_coeffs, ref_err = project(B.mat[:, members], F)
@@ -698,20 +742,58 @@ def _check_against_route_references(B, workers, res):
     assert not res.coeffs[np.setdiff1d(np.arange(B.n), members)].any()
 
 
+def _exact_positions(encodings):
+    """Whether decode_each's result at each position is exactly decode's:
+    every set but those of a recurring encoding with a certified Gram."""
+    counts = collections.Counter(map(id, encodings))
+    return [counts[id(B)] == 1 or B.gram_inverse is None for B in encodings]
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_decode_each_matches_decode_and_projection(request, family, scheme):
+    # results are exactly decode's for a single set and for an encoding
+    # whose Gram is not certified, and within 1e-9 * mk of it for a
+    # recurring certified encoding
     A = request.getfixturevalue(family)
     rng = np.random.default_rng(11)
     sets = _mixed_sets(A.n, rng)  # the empty and the full set among them
     assert {len(w.members) for w in sets} >= {0, A.n}
-    # three encodings, each recurring, in an order that interleaves them
+    # three encodings, each recurring, in an order that interleaves them,
+    # then three that each carry one set
     pool = [_encode(A, scheme, seed) for seed in range(3)]
-    encodings = [pool[j % 3] for j in range(len(sets))]
+    encodings = [pool[j % 3] for j in range(len(sets) - 3)]
+    encodings += [_encode(A, scheme, seed) for seed in range(3, 6)]
     got = gc.decode_each(encodings, sets)
     assert len(got) == len(sets)
-    for B, workers, res in zip(encodings, sets, got):
-        _check_against_route_references(B, workers, res)
+    exact = _exact_positions(encodings)
+    assert exact[-3:] == [True] * 3
+    for B, workers, res, bit_equal in zip(encodings, sets, got, exact):
+        _check_against_route_references(B, workers, res, exact=bit_equal)
+
+
+def test_decode_each_mixed_call_keeps_order(fano, bibd91, bireg40, coset27):
+    # a recurring certified encoding, a recurring uncertified one and
+    # single encodings of other designs, interleaved in one call
+    certified = _encode(fano, gc.RANDOM_DIAGONAL, 1)
+    uncertified = gc.encode_baseline(bireg40, 2)
+    assert certified.gram_inverse is not None and uncertified.gram_inverse is None
+    singles = [_encode(bibd91, gc.NULLSPACE_HADAMARD), _encode(coset27, gc.RANDOM_DIAGONAL, 2)]
+    rng = np.random.default_rng(17)
+    fano_sets, bireg_sets = _mixed_sets(7, rng)[:6], _mixed_sets(40, rng)[:6]
+    encodings, sets = [], []
+    for j in range(6):
+        encodings += [certified, uncertified]
+        sets += [fano_sets[j], bireg_sets[j]]
+        if j < len(singles):
+            encodings.append(singles[j])
+            sets.append(gc.sample_straggler_set(gc.Bernoulli(0.25), singles[j].n, rng))
+    got = gc.decode_each(encodings, sets)
+    assert len(got) == len(sets) == 14
+    for B, workers, res, bit_equal in zip(encodings, sets, got, _exact_positions(encodings)):
+        assert bit_equal == (B is not certified)
+        assert res.coeffs.shape == (B.n, B.m)
+        _check_against_route_references(B, workers, res, exact=bit_equal)
 
 
 def test_decode_each_checks_its_inputs(fano):
@@ -874,8 +956,9 @@ def test_property_decode_each_matches_decode_and_projection(request, family, sch
     pool = {seed: _encode(A, scheme, seed) for seed in set(picks)}
     encodings = [pool[seed] for seed in picks]
     sets = [gc.NonStragglerSet(n=A.n, members=_draw_members(data, A.n)) for _ in picks]
-    for B, workers, res in zip(encodings, sets, gc.decode_each(encodings, sets)):
-        _check_against_route_references(B, workers, res)
+    got = gc.decode_each(encodings, sets)
+    for B, workers, res, exact in zip(encodings, sets, got, _exact_positions(encodings)):
+        _check_against_route_references(B, workers, res, exact=exact)
 
 
 def test_reconstruct_each_matches_reconstruct(coset27):

@@ -91,6 +91,15 @@ def test_sweep_config_validation(fano):
         gc.SweepConfig(fano, diag, 2, "q", (1.0,))
     with pytest.raises(ParameterError):
         gc.SweepConfig(fano, diag, 2, "s", (0,), set_draws=0)
+    with pytest.raises(ParameterError, match="not an integer"):
+        gc.SweepConfig(fano, diag, 2, "s", (2.5,))
+    for draws in ("set_draws", "matrix_draws"):
+        with pytest.raises(ParameterError, match=draws):
+            gc.SweepConfig(fano, diag, 2, "s", (0,), **{draws: True})
+    with pytest.raises(ParameterError, match="straggler-count grid"):
+        gc.SweepConfig(fano, diag, 1, "q", (0.1,), set_draws="all")
+    # an integral float stays valid
+    assert gc.SweepConfig(fano, diag, 2, "s", (2.0, 3))
 
 
 def test_sweep_repetition_rows_match_closed_form(fano):
@@ -148,20 +157,6 @@ def test_sweep_exhaustive_refuses_enumeration_over_the_cap():
         )
 
 
-def test_sweep_exhaustive_requires_count_grid(fano):
-    cfg = gc.SweepConfig(
-        assignment=fano,
-        scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL),
-        m=1,
-        grid_kind="q",
-        grid=(0.1,),
-        set_draws="all",
-        seed=0,
-    )
-    with pytest.raises(ParameterError):
-        gc.sweep_error(cfg)
-
-
 def test_sweep_reproducible_and_seed_sensitive(fano):
     def run(seed):
         cfg = gc.SweepConfig(
@@ -214,8 +209,9 @@ def test_sweep_probability_grid_rows(fano):
 
 
 def test_sweep_decodes_each_grid_point_in_chunks(bireg40, monkeypatch):
-    # each (encoding draw, grid point) hands its sets to decode_sets as
-    # lists of at most DECODE_CHUNK sets; the chunking does not change rows
+    # each (encoding draw, grid point) hands its sets to decode_each as
+    # lists of at most DECODE_CHUNK sets of its one encoding; the chunking
+    # does not change rows
     def run():
         cfg = gc.SweepConfig(
             assignment=bireg40,
@@ -230,14 +226,15 @@ def test_sweep_decodes_each_grid_point_in_chunks(bireg40, monkeypatch):
         return gc.sweep_error(cfg).rows
 
     calls = []
-    original = experiments.decode_sets
+    original = experiments.decode_each
 
-    def spy(B, sets):
+    def spy(encodings, sets):
         calls.append((type(sets), len(sets)))
-        return original(B, sets)
+        assert len(encodings) == len(sets) and all(B is encodings[0] for B in encodings)
+        return original(encodings, sets)
 
     whole = run()
-    monkeypatch.setattr(experiments, "decode_sets", spy)
+    monkeypatch.setattr(experiments, "decode_each", spy)
     monkeypatch.setattr(experiments, "DECODE_CHUNK", 3)
     chunked = run()
     assert calls == [(list, 3), (list, 3), (list, 2)] * 4
@@ -249,10 +246,10 @@ def test_sweep_decodes_each_grid_point_in_chunks(bireg40, monkeypatch):
 
 def test_sweep_exhaustive_sets_arrive_in_chunks(fano, monkeypatch):
     calls = []
-    original = experiments.decode_sets
+    original = experiments.decode_each
     monkeypatch.setattr(experiments, "DECODE_CHUNK", 4)
     monkeypatch.setattr(
-        experiments, "decode_sets", lambda B, sets: calls.append(len(sets)) or original(B, sets)
+        experiments, "decode_each", lambda encs, sets: calls.append(len(sets)) or original(encs, sets)
     )
     cfg = gc.SweepConfig(
         assignment=fano,
@@ -565,6 +562,8 @@ def test_train_config_validation(fano):
         gc.TrainConfig(fano, gc.SchemeSpec(scheme=gc.BASELINE), 2, 0.25, 0)
     with pytest.raises(ParameterError):
         gc.TrainConfig(fano, gc.SchemeSpec(scheme=gc.BASELINE), 2, 1.0, 5)
+    with pytest.raises(ParameterError, match="learning_rate"):
+        gc.TrainConfig(fano, gc.SchemeSpec(scheme=gc.BASELINE), 2, 0.25, 5, learning_rate=-0.5)
     small = gc.TrainConfig(
         fano,
         gc.SchemeSpec(scheme=gc.BASELINE),
@@ -575,6 +574,19 @@ def test_train_config_validation(fano):
     )
     with pytest.raises(ParameterError):
         gc.simulate_training(small)  # fewer samples than subsets
+
+
+def test_rescale_lr_refuses_a_warm_up_estimate_indistinguishable_from_zero(fano):
+    # at q = 0.9999 nearly every worker straggles, and the warm-up estimate
+    # of beta is within three standard errors of zero: dividing by it would
+    # blow the learning rate up by three orders of magnitude
+    def run(q):
+        scheme = gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL)
+        return gc.simulate_training(gc.TrainConfig(fano, scheme, 2, q, 2, rescale_lr=True))
+
+    with pytest.raises(ParameterError, match=r"rescale_lr.* q = 0\.9999 "):
+        run(0.9999)
+    assert np.all(np.isfinite(run(0.25).losses))
 
 
 # ---------------------------------------------------------------------------
