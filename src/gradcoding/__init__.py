@@ -83,6 +83,7 @@ from .errors import (
     CodingError,
     ConfigError,
     ConstructionError,
+    FieldError,
     NonFiniteError,
     NumericalError,
     ParameterError,

@@ -10,7 +10,7 @@ is achieved by an explicit adversarial straggler set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, sqrt
+from math import floor, gcd, sqrt
 
 import numpy as np
 
@@ -180,14 +180,28 @@ def lower_bound(n: int, k: int, delta: int, m: int, s: int) -> BoundReport:
     """Worst-case error floor over straggler sets of size s, for any
     encoding with column weight at most delta:
     max over u in 1..m of floor(k (s+m-u) / (n delta)) * u. Exact integers.
+
+    With N = n delta, G = gcd(k, N) and L = N / G, the floor drops by
+    exactly k / G when u grows by L, so along each residue class u0 + jL
+    the product is a concave quadratic in j. Its maximum lies at an end of
+    the class or on an integer next to the vertex, which takes
+    O(min(L, m)) <= O(n delta) steps for any m.
     """
     if min(n, k, delta, m) < 1:
         raise ParameterError("n, k, delta, m must be positive")
     if not (0 <= s <= n):
         raise ParameterError(f"s must lie in [0, {n}], got {s}")
+    N = n * delta
+    step, drop = N // gcd(k, N), k // gcd(k, N)
     best = 0
-    for u in range(1, m + 1):
-        best = max(best, floor(k * (s + m - u) / (n * delta)) * u)
+    for u0 in range(1, min(step, m) + 1):
+        # (a0 - drop j) (u0 + step j) for j in 0..last
+        a0 = k * (s + m - u0) // N
+        last = (m - u0) // step
+        vertex = (a0 * step - drop * u0) // (2 * drop * step)
+        for j in (0, last, vertex, vertex + 1):
+            if 0 <= j <= last:
+                best = max(best, (a0 - drop * j) * (u0 + step * j))
     return BoundReport(kind=LOWER, value=float(best))
 
 

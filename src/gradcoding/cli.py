@@ -19,7 +19,7 @@ import math
 import sys
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,14 +47,14 @@ from .encoders import (
     BASELINE,
     NULLSPACE_HADAMARD,
     RANDOM_DIAGONAL,
-    V1_ALL_ONES,
-    V1_GAUSSIAN,
+    DiagonalLaw,
     EncodingMatrix,
     verify_support,
 )
 from .errors import (
     ConfigError,
     ConstructionError,
+    FieldError,
     NonFiniteError,
     NumericalError,
     ParameterError,
@@ -64,6 +64,7 @@ from .errors import (
 from .experiments import (
     EXACT,
     SWEEP_CSV_HEADER,
+    TRAIN_CSV_HEADER,
     DatasetSpec,
     SchemeSpec,
     SweepConfig,
@@ -92,7 +93,8 @@ _JSON_TYPE = {
 
 def from_dict(cls, doc, where: str):
     """Parse a JSON object into the config dataclass cls, refusing unknown
-    keys, missing keys and values of the wrong JSON type."""
+    keys, missing keys and values of the wrong JSON type. A value that cls
+    refuses (FieldError) is named by its path."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
@@ -102,7 +104,11 @@ def from_dict(cls, doc, where: str):
     if missing:
         raise ConfigError(f"missing {where} keys: {', '.join(missing)}")
     hints = typing.get_type_hints(cls)
-    return cls(**{key: _from_json(hints[key], doc[key], f"{where}.{key}") for key in doc})
+    values = {key: _from_json(hints[key], doc[key], f"{where}.{key}") for key in doc}
+    try:
+        return cls(**values)
+    except FieldError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 def to_dict(node) -> dict:
@@ -266,6 +272,12 @@ class ConstructCommand:
     m: int | None = None
     scheme: SchemeSpec | None = None
 
+    def __post_init__(self) -> None:
+        if self.scheme is not None and self.m is None:
+            raise FieldError("m must be given with a scheme")
+        if self.scheme is not None and self.scheme.scheme == EXACT:
+            raise FieldError(f"scheme.scheme must be an encoding scheme, not {EXACT!r}")
+
 
 @dataclass(frozen=True, kw_only=True)
 class SweepCommand:
@@ -290,6 +302,11 @@ class BoundsCommand:
     s_grid: tuple[int, ...]
     kinds: tuple[str, ...] | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        DiagonalLaw(self.epsilon)
+        if self.kinds is not None and len(set(self.kinds)) < len(self.kinds):
+            raise FieldError(f"kinds names a kind more than once: {', '.join(self.kinds)}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -320,81 +337,37 @@ class ValidateCommand:
     encoding_meta: str | None = None
 
 
-# the scheme each optional key of encoding.json belongs to
-_META_KEY_SCHEME = {
-    "epsilon": RANDOM_DIAGONAL,
-    "v1_policy": NULLSPACE_HADAMARD,
-    "constrain_pm1": NULLSPACE_HADAMARD,
-    "pm1_found": NULLSPACE_HADAMARD,
-}
-
-
 @dataclass(frozen=True, kw_only=True)
-class EncodingMeta:
-    """encoding.json, how to rebuild a stored encoding. seed is null for the
-    unseeded baseline only; the optional keys belong to one scheme each."""
+class EncodingMeta(SchemeSpec):
+    """encoding.json, how to rebuild a stored encoding: its scheme entry,
+    m, the seed (null for the unseeded baseline only) and, for the
+    null-space scheme, whether the +/-1 search found v_2."""
 
-    scheme: str
+    OWNED_KEYS: typing.ClassVar[dict] = {**SchemeSpec.OWNED_KEYS, "pm1_found": (NULLSPACE_HADAMARD, None)}
+
     m: int
     seed: int | None
-    epsilon: float | None = None
-    v1_policy: str | None = None
-    constrain_pm1: bool | None = None
     pm1_found: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.scheme not in (RANDOM_DIAGONAL, NULLSPACE_HADAMARD, BASELINE):
-            raise ConfigError(
-                f"encoding_meta.scheme must be {RANDOM_DIAGONAL}, {NULLSPACE_HADAMARD} or {BASELINE},"
-                f" got {self.scheme!r}"
-            )
+        super().__post_init__()
+        if self.scheme == EXACT:
+            raise FieldError(f"scheme must be an encoding scheme, not {EXACT!r}")
         if self.seed is None and self.scheme != BASELINE:
-            raise ConfigError(f"encoding_meta.seed must be an integer for {self.scheme}, got null")
+            raise FieldError(f"seed must be an integer for {self.scheme}, got null")
         if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"encoding_meta.seed must be nonnegative, got {self.seed}")
-        for key, owner in _META_KEY_SCHEME.items():
-            if getattr(self, key) is not None and owner != self.scheme:
-                raise ConfigError(f"encoding_meta.{key} belongs to {owner}, not {self.scheme}")
-        if self.v1_policy not in (None, V1_ALL_ONES, V1_GAUSSIAN):
-            raise ConfigError(
-                f"encoding_meta.v1_policy must be {V1_ALL_ONES} or {V1_GAUSSIAN},"
-                f" got {self.v1_policy!r}"
-            )
+            raise FieldError(f"seed must be nonnegative, got {self.seed}")
 
     @classmethod
     def of(cls, spec: SchemeSpec, B: EncodingMatrix) -> EncodingMeta:
-        nullspace = spec.scheme == NULLSPACE_HADAMARD
-        return cls(
-            scheme=spec.scheme,
-            m=B.m,
-            seed=B.seed,
-            epsilon=spec.epsilon if spec.scheme == RANDOM_DIAGONAL else None,
-            v1_policy=spec.v1_policy if nullspace else None,
-            constrain_pm1=spec.constrain_pm1 if nullspace else None,
-            pm1_found=B.randomness.pm1_found if nullspace else None,
-        )
-
-    def spec(self) -> SchemeSpec:
-        return SchemeSpec(
-            scheme=self.scheme,
-            epsilon=self.epsilon or 0.0,
-            v1_policy=self.v1_policy or V1_ALL_ONES,
-            constrain_pm1=bool(self.constrain_pm1),
-        )
+        found = B.randomness.pm1_found if spec.scheme == NULLSPACE_HADAMARD else None
+        return cls(**asdict(spec), m=B.m, seed=B.seed, pm1_found=found)
 
 
 def _schemes(cfg: SweepCommand | TrainCommand) -> tuple:
     if not cfg.schemes:
         raise ConfigError("schemes must be a nonempty list")
     return cfg.schemes
-
-
-def _encoding_spec(cfg: ConstructCommand) -> SchemeSpec:
-    if cfg.m is None:
-        raise ConfigError("an encoding scheme needs m")
-    if cfg.scheme.scheme == EXACT:
-        raise ConfigError(f"{cfg.command} needs an encoding scheme, not 'exact'")
-    return cfg.scheme
 
 
 def _print_report(checks: list[dict]) -> None:
@@ -419,11 +392,10 @@ def cmd_construct(cfg: ConstructCommand, out: Path) -> int:
     write_matrix_csv(out / "design.csv", A.mat, integer=True)
     write_json(out / "validation.json", report.to_dict())
     if cfg.scheme is not None:
-        spec = _encoding_spec(cfg)
-        B = spec.build(A, cfg.m, cfg.seed)
+        B = cfg.scheme.build(A, cfg.m, cfg.seed)
         write_matrix_csv(out / "encoding.csv", B.mat)
-        write_json(out / "encoding.json", to_dict(EncodingMeta.of(spec, B)))
-        print(f"encoding: {spec.label}, shape {B.mat.shape}")
+        write_json(out / "encoding.json", to_dict(EncodingMeta.of(cfg.scheme, B)))
+        print(f"encoding: {cfg.scheme.label}, shape {B.mat.shape}")
     write_json(out / "resolved_config.json", to_dict(replace(cfg, design=design)))
     print(f"design: {A.family}, k={A.k} n={A.n} delta={A.delta} gamma={A.gamma}")
     _print_report(report.to_dict()["checks"])
@@ -569,7 +541,7 @@ def cmd_train(cfg: TrainCommand, out: Path) -> int:
             f"  {result.scheme_label}: mean final loss {summary[-1]['mean_final_loss']:.6g}, "
             f"{summary[-1]['diverged_runs']} diverged"
         )
-    write_rows_csv(out / "train.csv", ["scheme", "seed", "iteration", "loss"], all_rows)
+    write_rows_csv(out / "train.csv", TRAIN_CSV_HEADER, all_rows)
     write_json(
         out / "summary.json",
         {"iterations": cfg.iterations, "repetitions": cfg.repetitions, "q": cfg.q, "schemes": summary},
@@ -628,9 +600,9 @@ def _check_stored_encoding(
             f"full-set decode error {err:.3e}",
         )
     elif meta.scheme == RANDOM_DIAGONAL:
-        detail = _diagonal_law_failure(B, meta.epsilon or 0.0)
+        detail = _diagonal_law_failure(B, meta.epsilon)
         report.add("encoding:diagonal_law", not detail, detail)
-    rebuilt = meta.spec().build(A, m, meta.seed)
+    rebuilt = meta.build(A, m, meta.seed)
     report.add(
         "encoding:rebuild_match",
         bool(np.array_equal(rebuilt.mat, loaded)),
@@ -704,9 +676,7 @@ def main(argv=None) -> int:
         cfg = from_dict(schema, doc, "config")
         if cfg.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return command(cfg, out)
+        return command(cfg, Path(args.out))
     except (
         ConfigError,
         ParameterError,

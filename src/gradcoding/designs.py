@@ -165,7 +165,7 @@ def _integer_matrix(mat) -> np.ndarray:
     return m.astype(np.int64)
 
 
-def _binary_check(report: ValidationReport, ints: np.ndarray, raw) -> bool:
+def _binary_check(report: ValidationReport, raw) -> bool:
     m = np.asarray(getattr(raw, "mat", raw), dtype=float)
     bad = np.argwhere((m != 0) & (m != 1))
     if bad.size:
@@ -314,7 +314,7 @@ def validate_bibd(mat, p: BibdParams) -> ValidationReport:
     plus row and column sums."""
     report = ValidationReport(family=BIBD_TRANSPOSE)
     ints = _integer_matrix(mat)
-    if not _binary_check(report, ints, mat):
+    if not _binary_check(report, mat):
         return report
     k, n = ints.shape
     report.add("shape", k == p.k and n == p.n, f"got {k}x{n}, expected {p.k}x{p.n}")
@@ -393,7 +393,7 @@ def validate_srg(mat, p: SrgParams) -> ValidationReport:
     be neither complete nor empty)."""
     report = ValidationReport(family=SRG_ADJACENCY)
     ints = _integer_matrix(mat)
-    if not _binary_check(report, ints, mat):
+    if not _binary_check(report, mat):
         return report
     k, n = ints.shape
     report.add("square", k == n and n == p.n, f"got {k}x{n}, expected {p.n}x{p.n}")

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .designs import AssignmentMatrix
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, FieldError, ParameterError
 from .linalg import certify_gram, null_space_basis
 
 RANDOM_DIAGONAL = "random_diagonal"
@@ -45,7 +45,7 @@ class DiagonalLaw:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.epsilon < 1.0):
-            raise ParameterError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+            raise FieldError(f"epsilon must lie in [0, 1), got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ class ParameterError(CodingError):
     """A parameter is outside its admissible range or fails validation."""
 
 
+class FieldError(ParameterError):
+    """A parameter refused under its field name: the message begins with
+    that name, so a config reader can prefix the path of the key."""
+
+
 class SingularMatrixError(CodingError):
     """A matrix required to be invertible is numerically singular."""
 

@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .encoders import (
     encode_nullspace_hadamard,
     encode_random_diagonal,
 )
-from .errors import ParameterError, SingularMatrixError
+from .errors import FieldError, ParameterError, SingularMatrixError
 from .serialize import read_matrix_csv, write_rows_csv
 
 EXACT = "exact"
@@ -116,18 +117,37 @@ def sample_straggler_set(model, n: int, rng: np.random.Generator) -> NonStraggle
 @dataclass(frozen=True)
 class SchemeSpec:
     """Which encoder to run and with what parameters. The tag 'exact' is the
-    centralized no-coding reference used by training comparisons."""
+    centralized no-coding reference used by training comparisons.
+
+    Each optional key belongs to one scheme (OWNED_KEYS): left unset, it
+    takes its default under that scheme and stays None under the others,
+    which refuse it. epsilon is held to DiagonalLaw's rule."""
+
+    # optional key -> (the scheme that owns it, its value when unset)
+    OWNED_KEYS: ClassVar[dict] = {
+        "epsilon": (RANDOM_DIAGONAL, 0.0),
+        "v1_policy": (NULLSPACE_HADAMARD, V1_ALL_ONES),
+        "constrain_pm1": (NULLSPACE_HADAMARD, False),
+    }
 
     scheme: str
-    epsilon: float = 0.0
-    v1_policy: str = V1_ALL_ONES
-    constrain_pm1: bool = False
+    epsilon: float | None = None
+    v1_policy: str | None = None
+    constrain_pm1: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.scheme not in (RANDOM_DIAGONAL, NULLSPACE_HADAMARD, BASELINE, EXACT):
-            raise ParameterError(f"unknown scheme {self.scheme!r}")
-        if self.v1_policy not in (V1_ALL_ONES, V1_GAUSSIAN):
-            raise ParameterError(f"unknown v1 policy {self.v1_policy!r}")
+        names = (RANDOM_DIAGONAL, NULLSPACE_HADAMARD, BASELINE, EXACT)
+        if self.scheme not in names:
+            raise FieldError(f"scheme must be one of {', '.join(names)}, got {self.scheme!r}")
+        for key, (owner, default) in self.OWNED_KEYS.items():
+            if getattr(self, key) is None and owner == self.scheme:
+                object.__setattr__(self, key, default)
+            elif getattr(self, key) is not None and owner != self.scheme:
+                raise FieldError(f"{key} belongs to {owner}, not {self.scheme}")
+        if self.epsilon is not None:
+            DiagonalLaw(self.epsilon)
+        if self.v1_policy not in (None, V1_ALL_ONES, V1_GAUSSIAN):
+            raise FieldError(f"v1_policy must be {V1_ALL_ONES} or {V1_GAUSSIAN}, got {self.v1_policy!r}")
 
     @property
     def label(self) -> str:
@@ -245,10 +265,11 @@ def sweep_error(cfg: SweepConfig) -> ExperimentResult:
     A, sc = cfg.assignment, cfg.scheme
     s_grid = cfg.grid_kind == "s"
     c_val = bnd.compute_c(sc.epsilon) if sc.scheme == RANDOM_DIAGONAL else None
+    epsilon = sc.epsilon or 0.0  # the closed forms' epsilon; None outside the diagonal scheme
     result = ExperimentResult(header=list(SWEEP_CSV_HEADER))
     for gi, x in enumerate(cfg.grid):
         kinds = bnd.SCHEME_UPPER_FORMS.get(sc.scheme, ()) if s_grid else ()
-        forms = (bnd.closed_form(kind, A, cfg.m, int(x), sc.epsilon) for kind in kinds)
+        forms = (bnd.closed_form(kind, A, cfg.m, int(x), epsilon) for kind in kinds)
         upper = next((v for v in forms if v is not None), None)
         per_set = s_grid and upper is None
         errs = []
@@ -272,14 +293,14 @@ def sweep_error(cfg: SweepConfig) -> ExperimentResult:
         arr = np.asarray(errs)
         if upper is None and set_bounds:
             upper = float(max(set_bounds))
-        lower = bnd.closed_form(bnd.LOWER, A, cfg.m, int(x), sc.epsilon) if s_grid else None
+        lower = bnd.closed_form(bnd.LOWER, A, cfg.m, int(x), epsilon) if s_grid else None
         sem = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
         result.rows.append(
             {
                 "scheme": sc.label,
                 "family": A.family,
                 "m": cfg.m,
-                "epsilon": sc.epsilon if sc.scheme == RANDOM_DIAGONAL else None,
+                "epsilon": sc.epsilon,
                 "x_kind": cfg.grid_kind,
                 "x": float(x),
                 "mean_err": float(arr.mean()),

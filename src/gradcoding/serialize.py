@@ -28,11 +28,19 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def _write_text(path, text: str) -> None:
+    """Write a file, making its directory first: a run refused before its
+    first output leaves no directory behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def write_rows_csv(path, header: list[str], rows: list[dict]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_cell(row.get(col)) for col in header))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_matrix_csv(path, mat, integer: bool = False) -> None:
@@ -43,7 +51,7 @@ def write_matrix_csv(path, mat, integer: bool = False) -> None:
             lines.append(",".join(str(int(round(v))) for v in row))
         else:
             lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -54,4 +62,4 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")

@@ -210,6 +210,19 @@ def test_worst_case_floor_frozen_integer_values():
         assert v == float(int(v))
 
 
+def _floor_by_loop(n, k, delta, m, s):
+    # the definition: one product per u = 1..m
+    return max(0, *((k * (s + m - u) // (n * delta)) * u for u in range(1, m + 1)))
+
+
+@pytest.mark.parametrize("design", ["fano", "paley13", "coset_small", "coset27", "bireg40", "bibd91"])
+def test_worst_case_floor_matches_the_loop(request, design):
+    A = request.getfixturevalue(design)
+    for m, s in itertools.product(range(1, 25), range(A.n + 1)):
+        got = gc.lower_bound(A.n, A.k, A.delta, m, s).value
+        assert got == float(_floor_by_loop(A.n, A.k, A.delta, m, s)), (m, s)
+
+
 def test_worst_case_floor_validation():
     with pytest.raises(ParameterError):
         gc.lower_bound(8, 8, 4, 2, 9)

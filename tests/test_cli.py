@@ -26,6 +26,13 @@ def run_cli(tmp_path, command, config, out="out", seed=None, extra=()):
     return main(argv), out_dir
 
 
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    running the package in a subprocess."""
+    src = str(ROOT / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -70,6 +77,16 @@ FIXED_POINT_CONFIGS = {
 }
 
 
+# the optional keys each scheme owns; a resolved scheme entry carries these
+# and no other scheme's
+OWN_KEYS = {
+    "random_diagonal": {"epsilon"},
+    "nullspace_hadamard": {"v1_policy", "constrain_pm1"},
+    "baseline": set(),
+    "exact": set(),
+}
+
+
 @pytest.mark.parametrize("command", sorted(FIXED_POINT_CONFIGS))
 def test_resolved_config_is_a_fixed_point(tmp_path, command):
     config = FIXED_POINT_CONFIGS[command]
@@ -84,6 +101,9 @@ def test_resolved_config_is_a_fixed_point(tmp_path, command):
     rc, out = run_cli(tmp_path, command, config, out="first")
     assert rc == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
+    entries = resolved.get("schemes", [resolved["scheme"]] if "scheme" in resolved else [])
+    for entry in entries:
+        assert set(entry) - {"scheme", "matrix_draws"} == OWN_KEYS[entry["scheme"]], entry
     rc2, out2 = run_cli(tmp_path, command, resolved, out="second")
     assert rc2 == 0
     names = sorted(p.name for p in out.iterdir())
@@ -223,6 +243,7 @@ def _bad_input(tmp_path, case):
     one_class_csv.write_text("".join(f"{i},{i % 3},0\n" for i in range(21)))
     bireg = {"family": "bi_regular", "n": 8, "k": 4, "delta": 2, "gamma": 4}
     train = {"design": FANO, "m": 2, "q": 0.25, "iterations": 1, "schemes": [{"scheme": "baseline"}]}
+    bounds = {"design": FANO, "m": 2, "s_grid": [0, 1]}
     if case.startswith("difference_set_file"):
         doc = {"v": 7, "set": ["0", 1, 3]} if case.endswith("strings") else {"v": 7.0, "set": [0, 1, 3]}
         (tmp_path / "set.json").write_text(json.dumps(doc))
@@ -234,6 +255,8 @@ def _bad_input(tmp_path, case):
         "encoding_meta_null_seed": ({"seed": None}, "encoding_meta.seed", RANDOM_DIAGONAL),
         "encoding_meta_bad_v1_policy": ({"v1_policy": "bogus"}, "encoding_meta.v1_policy", NULLSPACE),
         "encoding_meta_other_scheme_key": ({"epsilon": 0.3}, "encoding_meta.epsilon", NULLSPACE),
+        "encoding_meta_exact": ({"scheme": "exact"}, "encoding_meta.scheme", {"scheme": "baseline"}),
+        "encoding_meta_other_scheme_pm1_found": ({"pm1_found": True}, "encoding_meta.pm1_found", RANDOM_DIAGONAL),
     }
     if case in meta_edits:
         edit, named, scheme = meta_edits[case]
@@ -248,6 +271,9 @@ def _bad_input(tmp_path, case):
         "negative_dataset_seed": ("train", dict(train, dataset={"seed": -1}), "dataset seed"),
         "negative_dataset_dim": ("train", dict(train, dataset={"dim": -1}), "dataset dim"),
         "negative_learning_rate": ("train", dict(train, learning_rate=-0.5), "learning_rate"),
+        "bounds_negative_epsilon": ("bounds", dict(bounds, epsilon=-0.5), "config.epsilon must lie in [0, 1)"),
+        "bounds_epsilon_one": ("bounds", dict(bounds, epsilon=1.0), "config.epsilon must lie in [0, 1)"),
+        "bounds_repeated_kind": ("bounds", dict(bounds, kinds=["lower", "lower"]), "config.kinds"),
         "planar_v_zero": ("construct", {"design": {"family": "bibd_transpose", "v": 0}}, "v=0"),
         "planar_v_negative": ("construct", {"design": {"family": "bibd_transpose", "v": -3}}, "v=-3"),
         "planar_v_one": ("construct", {"design": {"family": "bibd_transpose", "v": 1}}, "v=1"),
@@ -275,11 +301,16 @@ def _bad_input(tmp_path, case):
         "negative_dataset_seed",
         "negative_dataset_dim",
         "negative_learning_rate",
+        "bounds_negative_epsilon",
+        "bounds_epsilon_one",
+        "bounds_repeated_kind",
         "encoding_meta_negative_seed",
         "encoding_meta_unknown_scheme",
         "encoding_meta_null_seed",
         "encoding_meta_bad_v1_policy",
         "encoding_meta_other_scheme_key",
+        "encoding_meta_exact",
+        "encoding_meta_other_scheme_pm1_found",
         "planar_v_zero",
         "planar_v_negative",
         "planar_v_one",
@@ -295,9 +326,53 @@ def _bad_input(tmp_path, case):
 def test_bad_input_exits_2(tmp_path, capsys, case):
     command, config, named = _bad_input(tmp_path, case)
     capsys.readouterr()
-    rc, _ = run_cli(tmp_path, command, config, out="check")
+    rc, out = run_cli(tmp_path, command, config, out="check")
     assert rc == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()  # refused before the first output
+
+
+def _scheme_entry_config(tmp_path, place, entry):
+    """A config whose scheme entry at one place is entry, and the path of
+    that entry; "encoding.json" stores it in the meta validate reads."""
+    if place == "construct.scheme":
+        return "construct", {"design": BIREG8, "m": 2, "scheme": entry}, "config.scheme"
+    if place == "sweep.schemes[]":
+        config = dict(FIXED_POINT_CONFIGS["sweep"], schemes=[{"scheme": "baseline"}, entry])
+        return "sweep", config, "config.schemes[1]"
+    if place == "train.schemes[]":
+        return "train", dict(FIXED_POINT_CONFIGS["train"], schemes=[entry]), "config.schemes[0]"
+    made = _construct_with_encoding(tmp_path, scheme={"scheme": entry["scheme"]})
+    meta = json.loads((made / "encoding.json").read_text())
+    (made / "encoding.json").write_text(json.dumps(dict(meta, **entry)))
+    config = {"design": BIREG8, "m": 2, "seed": 3, "encoding_csv": str(made / "encoding.csv")}
+    return "validate", dict(config, encoding_meta=str(made / "encoding.json")), "encoding_meta"
+
+
+@pytest.mark.parametrize("place", ["construct.scheme", "sweep.schemes[]", "train.schemes[]", "encoding.json"])
+@pytest.mark.parametrize(
+    "entry, key",
+    [
+        pytest.param({"scheme": "baseline", "epsilon": 0.5}, "epsilon", id="baseline-epsilon"),
+        pytest.param({"scheme": "random_diagonal", "v1_policy": "gaussian"}, "v1_policy", id="diagonal-v1_policy"),
+        pytest.param({"scheme": "nullspace_hadamard", "epsilon": 0.0}, "epsilon", id="nullspace-epsilon"),
+    ],
+)
+def test_another_schemes_key_is_refused_by_path(tmp_path, capsys, place, entry, key):
+    command, config, where = _scheme_entry_config(tmp_path, place, entry)
+    capsys.readouterr()
+    rc, out = run_cli(tmp_path, command, config, out="check")
+    assert rc == 2
+    assert f"error: {where}.{key} belongs to " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_construct_refuses_epsilon_outside_the_diagonal_law_before_writing(tmp_path, capsys):
+    config = {"design": FANO, "m": 2, "scheme": {"scheme": "random_diagonal", "epsilon": 1.5}}
+    rc, out = run_cli(tmp_path, "construct", config)
+    assert rc == 2
+    assert "error: config.scheme.epsilon must lie in [0, 1), got 1.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_flag_refuses_negative_seed(tmp_path):
@@ -354,6 +429,19 @@ def test_bounds_floor_grid_on_uniform_design(tmp_path):
     rows = read_csv_rows(out / "bounds.csv")
     got = {r["x"]: float(r["lower_bound"]) for r in rows}
     assert got == {"3.0": 1.0, "5.0": 2.0}
+
+
+def test_bounds_runs_at_a_huge_m(tmp_path):
+    # the lower bound takes O(n delta) steps, not one per u = 1..m
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"design": FANO, "m": 10**12, "s_grid": [0, 3, 7]}))
+    command = ["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradcoding", *command], env=src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = read_csv_rows(tmp_path / "o" / "bounds.csv")
+    assert [r["scheme"] for r in rows if r["x"] == "3.0"] == ["bibd_upper", "baseline_bibd", "lower"]
 
 
 def test_bounds_out_of_range_s_exits_2(tmp_path):
@@ -645,10 +733,8 @@ def test_validate_checks_survive_python_O(tmp_path):
     # the checks are runtime checks, not asserts, so -O does not strip them
     config, failing = _corrupted_artifacts(tmp_path, "encoding-full_set_exact")
     (tmp_path / "validate.json").write_text(json.dumps(config))
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     command = ["validate", "--config", str(tmp_path / "validate.json"), "--out", str(tmp_path / "check")]
-    proc = subprocess.run([sys.executable, "-O", "-m", "gradcoding", *command], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-O", "-m", "gradcoding", *command], env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     report = json.loads((tmp_path / "check" / "validation_report.json").read_text())
     assert failing <= {c["name"] for c in report["checks"] if not c["passed"]}

@@ -73,6 +73,35 @@ def test_scheme_spec_validation():
     assert not gc.SchemeSpec(scheme=gc.BASELINE).randomized
 
 
+def test_scheme_spec_keys_belong_to_one_scheme():
+    # a scheme's own keys take their defaults; the others stay unset
+    keys = ("epsilon", "v1_policy", "constrain_pm1")
+    got = {
+        name: tuple(getattr(gc.SchemeSpec(scheme=name), key) for key in keys)
+        for name in (gc.RANDOM_DIAGONAL, gc.NULLSPACE_HADAMARD, gc.BASELINE, gc.EXACT)
+    }
+    assert got == {
+        gc.RANDOM_DIAGONAL: (0.0, None, None),
+        gc.NULLSPACE_HADAMARD: (None, gc.V1_ALL_ONES, False),
+        gc.BASELINE: (None, None, None),
+        gc.EXACT: (None, None, None),
+    }
+    for name, key, value in [
+        (gc.BASELINE, "epsilon", 0.5),
+        (gc.EXACT, "epsilon", 0.0),
+        (gc.RANDOM_DIAGONAL, "constrain_pm1", False),
+        (gc.NULLSPACE_HADAMARD, "epsilon", 0.1),
+        (gc.BASELINE, "v1_policy", gc.V1_GAUSSIAN),
+    ]:
+        with pytest.raises(gc.FieldError, match=f"^{key} belongs to "):
+            gc.SchemeSpec(scheme=name, **{key: value})
+    for bad in (-0.1, 1.0, 1.5):
+        with pytest.raises(gc.FieldError, match=r"^epsilon must lie in \[0, 1\)"):
+            gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=bad)
+    with pytest.raises(gc.FieldError, match="^v1_policy must be"):
+        gc.SchemeSpec(scheme=gc.NULLSPACE_HADAMARD, v1_policy="sparse")
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
