@@ -179,13 +179,17 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
 def lower_bound(n: int, k: int, delta: int, m: int, s: int) -> BoundReport:
     """Worst-case error floor over straggler sets of size s, for any
     encoding with column weight at most delta:
-    max over u in 1..m of floor(k (s+m-u) / (n delta)) * u. Exact integers.
+    max over u in 1..m of min(floor(k (s+m-u) / (n delta)), k) * u, the
+    count of data subsets clipped at k as adversarial_straggler_set clips
+    it, so the floor never exceeds mk. Exact integers.
 
-    With N = n delta, G = gcd(k, N) and L = N / G, the floor drops by
-    exactly k / G when u grows by L, so along each residue class u0 + jL
-    the product is a concave quadratic in j. Its maximum lies at an end of
-    the class or on an integer next to the vertex, which takes
-    O(min(L, m)) <= O(n delta) steps for any m.
+    With N = n delta, the count is clipped exactly for u <= s + m - N,
+    where the product k u grows with u and peaks at the last such u. Above
+    it, with G = gcd(k, N) and L = N / G, the floor drops by exactly k / G
+    when u grows by L, so along each residue class u0 + jL the product is a
+    concave quadratic in j. Its maximum lies at an end of the class or on
+    an integer next to the vertex, which takes O(min(L, m)) <= O(n delta)
+    steps for any m.
     """
     if min(n, k, delta, m) < 1:
         raise ParameterError("n, k, delta, m must be positive")
@@ -193,8 +197,9 @@ def lower_bound(n: int, k: int, delta: int, m: int, s: int) -> BoundReport:
         raise ParameterError(f"s must lie in [0, {n}], got {s}")
     N = n * delta
     step, drop = N // gcd(k, N), k // gcd(k, N)
-    best = 0
-    for u0 in range(1, min(step, m) + 1):
+    lo = max(1, s + m - N + 1)  # the first u whose count is below k
+    best = k * min(lo - 1, m)
+    for u0 in range(lo, min(lo + step, m + 1)):
         # (a0 - drop j) (u0 + step j) for j in 0..last
         a0 = k * (s + m - u0) // N
         last = (m - u0) // step

@@ -305,7 +305,14 @@ class BoundsCommand:
 
     def __post_init__(self) -> None:
         DiagonalLaw(self.epsilon)
-        if self.kinds is not None and len(set(self.kinds)) < len(self.kinds):
+        if self.kinds is None:
+            return
+        for kind in self.kinds:
+            if kind not in bnd.CLOSED_FORMS:
+                raise FieldError(
+                    f"kinds names an unknown kind {kind!r}; known: {', '.join(bnd.CLOSED_FORMS)}"
+                )
+        if len(set(self.kinds)) < len(self.kinds):
             raise FieldError(f"kinds names a kind more than once: {', '.join(self.kinds)}")
 
 

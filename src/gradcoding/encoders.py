@@ -28,8 +28,10 @@ BASELINE = "baseline"
 V1_ALL_ONES = "ones"
 V1_GAUSSIAN = "gaussian"
 
+# Both even, so each batch of the search reads whole 64-bit raw words;
+# 2,000 candidates at n = 40 are 320 KB of them.
 _PM1_SEARCH_BUDGET = 100_000
-_PM1_ACCEPT = 1e-9
+_PM1_BATCH = 2_000
 _RESTRICTION_FLOOR = 1e-8
 _REDRAW_BUDGET = 100
 _EXACTNESS_EPS = 1e-10
@@ -227,20 +229,49 @@ def _draw_null_vector(
     )
 
 
-def _search_pm1_null_vector(
-    first_block: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray | None:
-    # Randomized search for a +/-1 vector annihilated by the first block.
-    # Batched for speed; the acceptance threshold is on the max entry.
-    batch = 2_000
+def _candidate_bytes(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """A (size, n) uint8 view whose top bits are rng.integers(0, 2,
+    size=(size, n)), read from the same raw words, which leaves the
+    generator in the same state; size * n must be even and the generator
+    must hold no buffered 32-bit half. numpy draws each such entry as the
+    top bit of one 32-bit half of the raw 64-bit stream, low half first, so
+    entry (c, j) is the top bit of half h = c n + j: the top bit of byte
+    4h + 3 of the words stored little-endian, on any host."""
+    raw = rng.bit_generator.random_raw(size * n // 2).astype("<u8", copy=False)
+    return raw.view(np.uint8)[3::4].reshape(size, n)
+
+
+def _search_pm1_null_vector(supports, n: int, rng: np.random.Generator) -> np.ndarray | None:
+    """Randomized search for a +/-1 vector balanced on every row support,
+    as many +1 as -1 entries on each: exactly the +/-1 vectors that the
+    v_1 = 1 first block annihilates, since an unbalanced support gives
+    |first_block @ v| >= 1/|support| on its row.
+
+    The candidates are the rows of rng.integers(0, 2, size=(_PM1_BATCH, n))
+    * 2 - 1, batch after batch; _candidate_bytes reads them without drawing
+    them, so their order and the generator state after the search are those
+    of the draw. Each batch is tested on row 0 first and its survivors on
+    every row. Returns the first balanced candidate, or None after
+    _PM1_SEARCH_BUDGET of them.
+    """
+    if rng.bit_generator.state.get("has_uint32") != 0:
+        raise ConstructionError(
+            "+/-1 search needs a 64-bit generator with no buffered 32-bit half"
+        )
+    indicator = np.zeros((n, len(supports)), dtype=np.float32)
+    for i, sup in enumerate(supports):
+        indicator[sup, i] = 1.0
+    half = indicator.sum(axis=0) / 2
+    first = supports[0]
     tried = 0
     while tried < _PM1_SEARCH_BUDGET:
-        size = min(batch, _PM1_SEARCH_BUDGET - tried)
-        cand = rng.integers(0, 2, size=(size, n)) * 2.0 - 1.0
-        score = np.max(np.abs(first_block @ cand.T), axis=0)
-        hits = np.nonzero(score <= _PM1_ACCEPT)[0]
+        size = min(_PM1_BATCH, _PM1_SEARCH_BUDGET - tried)
+        top = _candidate_bytes(rng, size, n)
+        alive = np.flatnonzero(2 * (top[:, first] >> 7).sum(axis=1) == first.size)
+        balanced = ((top[alive] >> 7).astype(np.float32) @ indicator == half).all(axis=1)
+        hits = alive[balanced]
         if hits.size:
-            return cand[hits[0]]
+            return (top[hits[0]] >> 7) * 2.0 - 1.0
         tried += size
     return None
 
@@ -260,9 +291,13 @@ def encode_nullspace_hadamard(
     (exact recovery with zero stragglers) is asserted at construction.
 
     With constrain_pm1 and m = 2 under the all-ones policy, a bounded
-    randomized search first tries a +/-1-valued v_2; on failure the
-    unconstrained null-space vector is used and the record's pm1_found flag
-    stays False.
+    randomized search first tries a +/-1-valued v_2. Its candidates are the
+    rows of rng.integers(0, 2, size=(2000, n)) * 2 - 1, batch after batch
+    from the seed's fresh generator, up to 100,000 of them; it takes the
+    first one balanced on every row support (as many +1 as -1 entries),
+    which is exactly a +/-1 vector that block 1 annihilates. On failure the
+    unconstrained null-space vector is drawn after the search and the
+    record's pm1_found flag stays False.
     """
     if m < 1:
         raise ParameterError("m must be at least 1")
@@ -295,7 +330,7 @@ def encode_nullspace_hadamard(
             raise ConstructionError(f"null space exhausted before block {j + 1}")
         v = None
         if constrain_pm1 and m == 2 and v1_policy == V1_ALL_ONES:
-            v = _search_pm1_null_vector(blocks[0], n, rng)
+            v = _search_pm1_null_vector(supports, n, rng)
             pm1_found = v is not None
         if v is None:
             v = _draw_null_vector(basis, supports, rng, j)

@@ -211,8 +211,8 @@ def test_worst_case_floor_frozen_integer_values():
 
 
 def _floor_by_loop(n, k, delta, m, s):
-    # the definition: one product per u = 1..m
-    return max(0, *((k * (s + m - u) // (n * delta)) * u for u in range(1, m + 1)))
+    # the definition: one product per u = 1..m, the count clipped at k
+    return max(0, *(min(k * (s + m - u) // (n * delta), k) * u for u in range(1, m + 1)))
 
 
 @pytest.mark.parametrize("design", ["fano", "paley13", "coset_small", "coset27", "bireg40", "bibd91"])
@@ -247,6 +247,15 @@ def test_adversarial_set_achieves_floor(fano, paley13, coset27):
             floor_val = gc.lower_bound(A.n, A.k, A.delta, 2, s).value
             assert floor_val > 0.0
             assert _best_adversarial_err(A, 2, s) >= floor_val - 1e-8
+
+
+@pytest.mark.parametrize("s", [0, 3, 7])
+def test_worst_case_floor_stays_below_mk_and_the_adversarial_error(fano, s):
+    # at m = 100 the unclipped count would exceed k: 833 > mk = 700 at s = 0
+    m = 100
+    floor_val = gc.lower_bound(fano.n, fano.k, fano.delta, m, s).value
+    assert floor_val <= m * fano.k
+    assert floor_val <= _best_adversarial_err(fano, m, s) + 1e-8
 
 
 def test_adversarial_set_pads_to_exact_size(fano):

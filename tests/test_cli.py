@@ -274,6 +274,7 @@ def _bad_input(tmp_path, case):
         "bounds_negative_epsilon": ("bounds", dict(bounds, epsilon=-0.5), "config.epsilon must lie in [0, 1)"),
         "bounds_epsilon_one": ("bounds", dict(bounds, epsilon=1.0), "config.epsilon must lie in [0, 1)"),
         "bounds_repeated_kind": ("bounds", dict(bounds, kinds=["lower", "lower"]), "config.kinds"),
+        "bounds_unknown_kind": ("bounds", dict(bounds, kinds=["bogus"]), "config.kinds names an unknown kind 'bogus'"),
         "planar_v_zero": ("construct", {"design": {"family": "bibd_transpose", "v": 0}}, "v=0"),
         "planar_v_negative": ("construct", {"design": {"family": "bibd_transpose", "v": -3}}, "v=-3"),
         "planar_v_one": ("construct", {"design": {"family": "bibd_transpose", "v": 1}}, "v=1"),
@@ -304,6 +305,7 @@ def _bad_input(tmp_path, case):
         "bounds_negative_epsilon",
         "bounds_epsilon_one",
         "bounds_repeated_kind",
+        "bounds_unknown_kind",
         "encoding_meta_negative_seed",
         "encoding_meta_unknown_scheme",
         "encoding_meta_null_seed",

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gradcoding as gc
-from gradcoding.errors import ParameterError
+from gradcoding import encoders
+from gradcoding.errors import ConstructionError, ParameterError
 
 
 def test_sample_diagonal_sign_only_law():
@@ -103,6 +106,82 @@ def test_nullspace_pm1_search_succeeds_on_disjoint_supports():
     assert B.randomness.pm1_found
     v2 = B.randomness.vectors[1]
     assert np.all(np.abs(v2) == 1.0)
+
+
+def _float_search(first_block, n, rng):
+    # the search as first written: draw each batch, accept max|first_block @ v| <= 1e-9
+    tried = 0
+    while tried < 100_000:
+        size = min(2_000, 100_000 - tried)
+        cand = rng.integers(0, 2, size=(size, n)) * 2.0 - 1.0
+        score = np.max(np.abs(first_block @ cand.T), axis=0)
+        hits = np.nonzero(score <= 1e-9)[0]
+        if hits.size:
+            return cand[hits[0]]
+        tried += size
+    return None
+
+
+def _assert_search_matches_the_float_search(A, seed):
+    supports = encoders._row_supports(A)
+    first_block = encoders._rows_from_vector(np.ones(A.n), supports, A.n)
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _float_search(first_block, A.n, want_rng)
+    got = encoders._search_pm1_null_vector(supports, A.n, got_rng)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(got_rng.standard_normal(4), want_rng.standard_normal(4))
+    return want is not None
+
+
+# (n, k, delta): n = 2k as the null-space chain with m = 2 needs, plus two odd
+# n, where candidates start on either half of a raw word. With every worker in
+# delta rows, the row sums of a balanced v add up to delta * sum(v) != 0 for
+# odd n, so those compare the whole budget.
+_PM1_SHAPES = [(4, 2, 1), (6, 3, 2), (8, 4, 2), (8, 4, 3), (12, 6, 3), (16, 8, 3), (7, 7, 2), (9, 3, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_PM1_SHAPES), st.integers(0, 2**16), st.integers(0, 2**32))
+def test_property_pm1_search_matches_the_float_search(shape, design_seed, seed):
+    n, k, delta = shape
+    try:
+        A = gc.biregular_random(n=n, k=k, delta=delta, gamma=n * delta // k, seed=design_seed)
+    except ConstructionError:
+        assume(False)
+    _assert_search_matches_the_float_search(A, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pm1_search_matches_the_float_search_over_the_whole_budget(bireg40, seed):
+    assert not _assert_search_matches_the_float_search(bireg40, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2718])
+@pytest.mark.parametrize("size, n", [(2_000, 40), (3, 4), (1, 2), (4, 7), (6, 5)])
+def test_candidate_bytes_are_the_integer_draw(seed, size, n):
+    # pins numpy's layout of rng.integers(0, 2): one 32-bit half per entry,
+    # low half first, the entry its top bit
+    drawn, read = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        want = drawn.integers(0, 2, size=(size, n))
+        assert np.array_equal(encoders._candidate_bytes(read, size, n) >> 7, want)
+        # uinteger keeps a stale half once has_uint32 is 0; nothing reads it
+        for key in ("state", "has_uint32"):
+            assert read.bit_generator.state[key] == drawn.bit_generator.state[key]
+
+
+def test_pm1_search_refuses_a_buffered_half(bireg40):
+    rng = np.random.default_rng(0)
+    rng.integers(0, 2)  # one 32-bit half drawn, the other kept
+    with pytest.raises(ConstructionError, match="search"):
+        encoders._search_pm1_null_vector(encoders._row_supports(bireg40), 40, rng)
+    with pytest.raises(ConstructionError, match="search"):
+        encoders._search_pm1_null_vector(
+            encoders._row_supports(bireg40), 40, np.random.Generator(np.random.MT19937(0))
+        )
 
 
 def test_nullspace_gaussian_policy_randomizes(bireg40):
