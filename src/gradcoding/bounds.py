@@ -147,10 +147,12 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
     columns B_S to have full column rank: certified through their Gram
     matrix, or else under the decode's rank rule applied to B_S itself; a
     stacked-copies baseline with more than k survivors is refused without
-    either, its rank being at most k. When B's whole Gram is certified
-    (B.gram_inverse), Cauchy interlacing certifies every survivor block,
-    so no per-set certificate is run. Both the Gram matrix and the images
-    B_i,F^T 1 are read from B's cached Gram.
+    either, its rank being at most k. When B's whole Gram clears either
+    certificate tier (B.gram_tier, 1e8 or 1e12), Cauchy interlacing gives
+    every survivor block cond_2(G_SS) < 1e12, so B_S has cond_2 < 1e6 and
+    full column rank, and neither the per-set certificate nor rank_of is
+    run: each such set is one that either would have passed. Both the
+    Gram matrix and the images B_i,F^T 1 are read from B's cached Gram.
     """
     if workers.n != B.n:
         raise ParameterError("non-straggler set size does not match encoding")
@@ -163,7 +165,7 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
     # stacked copies have rank(B_S) = rank(A_S) <= k, so more than k
     # survivors are rank-deficient without a factorization
     if (B.stacked_copies and idx.size > k) or (
-        B.gram_inverse is None
+        B.gram_tier is None
         and not certify_gram(gram)
         and rank_of(B.mat.take(idx, axis=1)) < idx.size
     ):

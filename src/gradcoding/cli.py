@@ -414,22 +414,25 @@ def cmd_sweep(cfg: SweepCommand, out: Path) -> int:
     grid_kind = cfg.grid_kind
     grid = cfg.grid
     if grid_kind == "s":
-        grid = tuple(_scalar(int, x, "config.grid") for x in grid)
+        grid = tuple(_scalar(int, x, f"config.grid[{i}]") for i, x in enumerate(grid))
     schemes = _schemes(cfg)
     rows = []
     svg_series = []
     xs = tuple(float(x) / (A.n if grid_kind == "s" else 1.0) for x in grid)
     for spec in schemes:
-        sweep_cfg = SweepConfig(
-            assignment=A,
-            scheme=spec,
-            m=cfg.m,
-            grid_kind=grid_kind,
-            grid=grid,
-            matrix_draws=spec.matrix_draws,
-            set_draws=cfg.set_draws,
-            seed=cfg.seed,
-        )
+        try:
+            sweep_cfg = SweepConfig(
+                assignment=A,
+                scheme=spec,
+                m=cfg.m,
+                grid_kind=grid_kind,
+                grid=grid,
+                matrix_draws=spec.matrix_draws,
+                set_draws=cfg.set_draws,
+                seed=cfg.seed,
+            )
+        except FieldError as exc:  # a grid value, named by its path
+            raise ConfigError(f"config.{exc}") from None
         result = sweep_error(sweep_cfg)
         rows.extend(result.rows)
         svg_series.append(Series(spec.label, xs, tuple(result.column("mean_err"))))
@@ -472,9 +475,9 @@ def cmd_bounds(cfg: BoundsCommand, out: Path) -> int:
     A, design = cfg.design.build(cfg.m, cfg.seed)
     if not cfg.s_grid:
         raise ConfigError("s_grid must be nonempty")
-    for s in cfg.s_grid:
+    for i, s in enumerate(cfg.s_grid):
         if not (0 <= s <= A.n):
-            raise ConfigError(f"s={s} outside [0, {A.n}]")
+            raise ConfigError(f"config.s_grid[{i}]: s={s} outside [0, {A.n}]")
     kinds = cfg.kinds or tuple(bnd.applicable_kinds(A.family, cfg.epsilon))
     rows = []
     for s in cfg.s_grid:

@@ -9,12 +9,23 @@ residual.
 
 decode_each is the one batch decoder, and decode is its one-set case. It
 groups its positions by distinct encoding. The sets of an encoding that
-carries more than one set in the call and whose whole Gram is certified
-(EncodingMatrix.gram_inverse) are solved together through that Gram's
-inverse (below): a sweep hands it many sets of one encoding. Every other
-set is solved once, by the first route of this table that it clears: a
-training iteration and the estimator hand it one set per encoding, which
-never pays for the n x n inverse.
+carries more than one set in the call (a sweep hands it many sets of one
+encoding) are solved by size in batched stacks, by the tier its whole
+Gram clears (EncodingMatrix.gram_tier):
+
+  * 1e8: together through that Gram's inverse (EncodingMatrix.gram_inverse,
+    below);
+  * stacked copies with no repeated column, short of 1e8: route 1 on each
+    set's k-row block, stacked, under one certificate of the stack;
+  * any other encoding at 1e12 only: one stacked Gram solve, or one stacked
+    Householder QR when a member's survivor Gram fails the 1e8
+    certificate (below);
+  * any other (a whole Gram that clears neither tier, or stacked copies
+    that repeat a column): set by set, by the table below.
+
+Every other set is solved once, by the first route of this table that it
+clears: a training iteration and the estimator hand it one set per
+encoding, which never pays for a whole-Gram certificate.
 
   1. Stacked copies, decoded on the k-row block of A (below).
   2. Gram solve. When linalg.certify_gram certifies the survivor Gram
@@ -70,6 +81,18 @@ no larger than these two s x s solves (|S|^3 <= 2 s^3), G_SS R_S = H_S
 is solved directly instead. Sets of one size are solved as one batched
 stack.
 
+The other stacks gather at most STACK_ELEMENTS entries each, or one set
+where a single set needs more. A batched LAPACK gufunc (cholesky, solve,
+qr) runs on each member the routine it runs on that matrix alone, so a
+stack certificate that clears is the certificate each member would earn,
+and each member gets exactly decode's result. A stack of copies that any
+member fails goes set by set through the table. At the 1e12 tier,
+interlacing gives every block cond_2(G_SS) < 1e12, so cond_2(B_S) < 1e6:
+the QR of route 3 is valid for every member of a stack whose 1e8
+certificate fails, without a per-set certificate, and the SVD is never
+needed. Those members agree with decode within 1e-9 * mk, and exactly
+where decode also takes the QR.
+
 Each decode is checked against the directly computed residual
 ||B R - F||_F^2, one product per distinct encoding, raising
 NumericalError on a disagreement. reconstruct_each builds on decode_each
@@ -89,6 +112,14 @@ from .linalg import QR_COND_MAX, certify_gram, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
 
+# Most float64 entries of the largest array one stack of _decode_capped
+# gathers (g x rows x |S| survivor columns, g x k x |S| blocks of stacked
+# copies, or g x |S| x |S| survivor Grams): 2**14, 128 KiB, about ten
+# 40 x 40 blocks. On the fig5-fast sweep, uncapped 100-set stacks took the
+# peak RSS from 39.5 to 44.8 MB and a cap of 2**16 to 41.2 MB; this cap
+# keeps it at 39.5 MB, and runs faster than a cap of 2**12.
+STACK_ELEMENTS = 2**14
+
 _BOOLS = frozenset((bool, np.bool_))
 
 
@@ -105,22 +136,28 @@ class NonStragglerSet:
 
     def __post_init__(self) -> None:
         raw = self.members
-        mem = np.asarray(raw)
-        if mem.ndim != 1:
-            raise ParameterError(f"members must be a flat sequence, got shape {mem.shape}")
-        # np.asarray folds bools into an integer array, so look at the items
-        # of a plain sequence; an array shows its kind in its dtype
-        if mem.size and (
-            mem.dtype.kind not in "iu"
-            or (not isinstance(raw, np.ndarray) and not _BOOLS.isdisjoint(map(type, raw)))
-        ):
-            raise ParameterError(f"member indices must be integers, got {raw!r}")
-        mem = np.sort(mem)
-        if mem.size and not (mem[0] >= 0 and mem[-1] < self.n):
+        if isinstance(raw, np.ndarray) and raw.ndim == 1 and raw.dtype.kind in "iu":
+            # a flat integer array, as a sweep draws one per set: its dtype
+            # settles the item checks, and one sorted list of ints costs a
+            # fraction of np.sort and numpy comparisons on a few dozen items
+            mem = sorted(raw.tolist())
+        else:
+            arr = np.asarray(raw)
+            if arr.ndim != 1:
+                raise ParameterError(f"members must be a flat sequence, got shape {arr.shape}")
+            # np.asarray folds bools into an integer array, so look at the
+            # items of a plain sequence; an array shows its kind in its dtype
+            if arr.size and (
+                arr.dtype.kind not in "iu"
+                or (not isinstance(raw, np.ndarray) and not _BOOLS.isdisjoint(map(type, raw)))
+            ):
+                raise ParameterError(f"member indices must be integers, got {raw!r}")
+            mem = np.sort(arr).tolist()
+        if mem and not (mem[0] >= 0 and mem[-1] < self.n):
             raise ParameterError("member index out of range")
-        if np.any(mem[1:] == mem[:-1]):
+        if len(set(mem)) < len(mem):
             raise ParameterError("duplicate member index")
-        object.__setattr__(self, "members", tuple(mem.tolist()))
+        object.__setattr__(self, "members", tuple(mem))
 
     @property
     def s(self) -> int:
@@ -178,15 +215,15 @@ def decode_each(
 ) -> list[DecodeResult]:
     """The decode of encodings[j] for sets[j], for every j, in order.
 
-    The sets of an encoding that recurs in the call and whose whole Gram is
-    certified (B.gram_inverse) are solved by size as batched stacks,
-    through K = G^-1 by s x s systems in their stragglers or through their
-    own survivor Grams, as set out above. Their errors match decode(B, w)
-    within 1e-9 * mk, with the same coefficient support (the survivors'
-    rows); the coefficients come from another solve, so they agree only to
-    rounding. Every other set takes the route table, and its result is
-    exactly decode's. Every set is checked against its direct residual,
-    with one product per distinct encoding."""
+    The sets of an encoding that recurs in the call are solved by size as
+    batched stacks, by its whole-Gram tier, as set out above. Through
+    K = G^-1 (the 1e8 tier) and by stacked QR (the 1e12 tier), errors match
+    decode(B, w) within 1e-9 * mk, with the same coefficient support (the
+    survivors' rows); the coefficients come from another solve, so they
+    agree only to rounding. Every other set, in a stack whose certificate
+    clears or through the route table, gets exactly decode's result. Every
+    set is checked against its direct residual, with one product per
+    distinct encoding."""
     encodings, sets = list(encodings), list(sets)
     if len(encodings) != len(sets):
         raise ShapeError(f"{len(encodings)} encodings for {len(sets)} survivor sets")
@@ -195,8 +232,9 @@ def decode_each(
     for picked in _by_encoding(encodings):
         B = encodings[picked[0]]
         _check_shapes(B, [sets[j] for j in picked])
-        inverse = B.gram_inverse if len(picked) > 1 else None
-        if inverse is None:
+        recurs = len(picked) > 1
+        inverse = B.gram_inverse if recurs else None
+        if inverse is None and not (recurs and _stacks(B)):
             for j in picked:
                 results[j] = DecodeResult(*_route(B, sets[j]))
         else:
@@ -204,7 +242,10 @@ def decode_each(
             for j in picked:
                 by_size.setdefault(len(sets[j].members), []).append(j)
             for size, same in by_size.items():
-                coeffs, errs = _decode_group(B, inverse, [sets[j].members for j in same], size)
+                if inverse is None:
+                    coeffs, errs = _decode_capped(B, [sets[j] for j in same], size)
+                else:
+                    coeffs, errs = _decode_group(B, inverse, [sets[j].members for j in same], size)
                 for j, one, err in zip(same, coeffs, errs.tolist()):
                     results[j] = DecodeResult(coeffs=one, err=err)
         diff = _fitted(B, [results[j].coeffs for j in picked]) - build_target(B.k, B.m)
@@ -239,7 +280,7 @@ def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, flo
         coeffs[idx], err = _solve_qr(B.mat.take(idx, axis=1), build_target(B.k, B.m))
     else:
         coeffs[idx], err = project(B.mat.take(idx, axis=1), build_target(B.k, B.m))
-    return coeffs, min(max(err, 0.0), total)
+    return coeffs, min(max(float(err), 0.0), total)
 
 
 def _column_merge(B: EncodingMatrix, idx: np.ndarray):
@@ -260,14 +301,14 @@ def _column_merge(B: EncodingMatrix, idx: np.ndarray):
     return idx, np.arange(idx.size), np.ones(idx.size)
 
 
-def _solve_qr(b_s: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_qr(b_s: np.ndarray, target: np.ndarray):
     """min ||B_S R - F||_F by Householder QR, for B_S of full column rank:
-    (R, ||F||_F^2 - ||Q^T F||_F^2). The triangular factor has exact zeros
-    below its diagonal, so the LU solve with it never pivots and is back
-    substitution."""
+    (R, ||F||_F^2 - ||Q^T F||_F^2), or one of each per member of a stack
+    of B_S. The triangular factor has exact zeros below its diagonal, so
+    the LU solve with it never pivots and is back substitution."""
     q, upper = np.linalg.qr(b_s)
-    proj = q.T @ target
-    err = float(np.sum(target * target)) - float(np.sum(proj * proj))
+    proj = q.mT @ target
+    err = (target * target).sum() - (proj * proj).sum(axis=(-2, -1))
     return np.linalg.solve(upper, proj), err
 
 
@@ -340,6 +381,88 @@ def _decode_group(
     # mk - <H_S, R_S>, the straggler rows of R being zero
     err = np.clip(total - np.einsum("ngm,nm->g", coeffs, image), 0.0, total)
     return np.ascontiguousarray(coeffs.transpose(1, 0, 2)), err
+
+
+def _stacks(B: EncodingMatrix) -> bool:
+    """Whether the sets of a recurring encoding without a 1e8 whole-Gram
+    certificate are decoded in capped stacks (_decode_capped): stacked
+    copies with no repeated column, or any other encoding whose whole Gram
+    clears the 1e12 tier."""
+    if B.stacked_copies:
+        return B.column_classes is None
+    return B.gram_tier == QR_COND_MAX
+
+
+def _decode_capped(B: EncodingMatrix, sets: list, size: int):
+    """(coefficients g x n x m, errors g) of g survivor sets of one size of
+    an encoding that _stacks, in stacks of at most STACK_ELEMENTS gathered
+    entries: each stack by _stack_copies or _stack_qr_tier, or set by set
+    through _route where a stack of copies fails its certificate."""
+    rows, n = B.mat.shape
+    height = B.k if B.stacked_copies else rows
+    step = max(1, STACK_ELEMENTS // max(1, max(height, size) * size))
+    stack = _stack_copies if B.stacked_copies else _stack_qr_tier
+    coeffs = np.empty((len(sets), n, B.m))
+    errs = np.empty(len(sets))
+    for lo in range(0, len(sets), step):
+        part = sets[lo : lo + step]
+        idx = np.array([w.members for w in part], dtype=np.intp).reshape(len(part), size)
+        solved = stack(B, idx) if size else None
+        if solved is None:
+            routed = [_route(B, w) for w in part]
+            solved = [c for c, _ in routed], [e for _, e in routed]
+        coeffs[lo : lo + len(part)], errs[lo : lo + len(part)] = solved
+    return coeffs, errs
+
+
+def _stack_copies(B: EncodingMatrix, idx: np.ndarray):
+    """_decode_stacked of the blocks A_S of g sets of stacked copies (idx,
+    g x |S|, no two survivors sharing a column), as one stack: the column
+    Gram for |S| <= k or the row Gram for |S| > k, certified for the whole
+    stack at once, then one stacked solve. (coefficients g x n x m, errors
+    g), each set's exactly as _route gives it; None when any member fails
+    the certificate."""
+    g, size = idx.shape
+    k, m = B.k, B.m
+    a = np.ascontiguousarray(B.block(0)[:, idx].transpose(1, 0, 2))  # g x k x |S|
+    a_t = a.transpose(0, 2, 1)
+    gram = a_t @ a if size <= k else a @ a_t
+    if not certify_gram(gram):
+        return None
+    if size <= k:
+        x = np.linalg.solve(gram, a.sum(axis=1)[..., None])
+    else:
+        x = a_t @ np.linalg.solve(gram, np.ones((g, k, 1)))
+    fit = a @ x
+    total = float(m * k)
+    err = np.clip(total - (fit.transpose(0, 2, 1) @ fit)[:, 0, 0], 0.0, total)
+    coeffs = np.zeros((g, B.n, m))
+    coeffs[np.arange(g)[:, None], idx] = x / m
+    return coeffs, err
+
+
+def _stack_qr_tier(B: EncodingMatrix, idx: np.ndarray):
+    """(coefficients g x n x m, errors g) of g sets (idx, g x |S|) of an
+    encoding whose whole Gram clears only the 1e12 tier. One stacked Gram
+    solve, each set's exactly as _route gives it, when the stack of
+    survivor Grams clears the 1e8 certificate; else one stacked
+    Householder QR, which interlacing makes valid for every member."""
+    g, size = idx.shape
+    rows, n = B.mat.shape
+    total = float(rows)
+    gram, image = B.gram
+    col = np.arange(g)[:, None]
+    coeffs = np.zeros((g, n, B.m))
+    gram_s = gram[idx[:, :, None], idx[:, None, :]]
+    if certify_gram(gram_s):
+        image_s = image[idx]
+        solved = np.linalg.solve(gram_s, image_s)
+        coeffs[col, idx] = solved
+        err = total - np.sum(image_s * solved, axis=(1, 2))
+    else:
+        b_s = B.mat.T[idx].transpose(0, 2, 1)  # g x mk x |S|
+        coeffs[col, idx], err = _solve_qr(b_s, build_target(B.k, B.m))
+    return coeffs, np.clip(err, 0.0, total)
 
 
 def _decode_stacked(a_s: np.ndarray, m: int) -> tuple[np.ndarray, float]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .designs import AssignmentMatrix
 from .errors import ConstructionError, FieldError, ParameterError
-from .linalg import certify_gram, null_space_basis
+from .linalg import CERT_COND_MAX, QR_COND_MAX, certify_gram, null_space_basis
 
 RANDOM_DIAGONAL = "random_diagonal"
 NULLSPACE_HADAMARD = "nullspace_hadamard"
@@ -103,17 +103,31 @@ class EncodingMatrix:
         return G, H
 
     @cached_property
+    def gram_tier(self) -> float | None:
+        """The tightest certificate the whole n x n Gram G clears:
+        CERT_COND_MAX (1e8) when certify_gram clears it, else QR_COND_MAX
+        (1e12) when certify_gram(G, QR_COND_MAX) does, else None. By Cauchy
+        interlacing every survivor block G_SS then has cond_2(G_SS) below
+        the tier, so every B_S has full column rank. Computed once per
+        encoding."""
+        G, _ = self.gram
+        for cond_max in (CERT_COND_MAX, QR_COND_MAX):
+            if certify_gram(G, cond_max):
+                return cond_max
+        return None
+
+    @cached_property
     def gram_inverse(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(K, R) with K = G^-1 and R = G^-1 H, the full set's coefficients,
-        when certify_gram clears the whole n x n Gram G, else None. By
-        Cauchy interlacing every survivor block G_SS is then certified too,
-        and decoding.decode_each solves the sets of an encoding that recurs
-        in one call through this one inverse.
+        when the whole Gram G clears the 1e8 tier (gram_tier), else None.
+        By Cauchy interlacing every survivor block G_SS is then certified
+        too, and decoding.decode_each solves the sets of an encoding that
+        recurs in one call through this one inverse.
         R is K H refined by one step against G. Computed once per encoding
         and read-only."""
-        G, H = self.gram
-        if not certify_gram(G):
+        if self.gram_tier != CERT_COND_MAX:
             return None
+        G, H = self.gram
         K = np.linalg.inv(G)
         K = 0.5 * (K + K.T)  # exactly symmetric: K[S, T] = K[T, S]^T
         R = K @ H

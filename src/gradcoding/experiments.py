@@ -208,13 +208,13 @@ class SweepConfig:
         if self.set_draws == "all" and self.grid_kind != "s":
             raise ParameterError("set_draws='all' needs a straggler-count grid")
         n = self.assignment.n
-        for x in self.grid:
+        for i, x in enumerate(self.grid):
             if self.grid_kind == "s" and not float(x).is_integer():
-                raise ParameterError(f"grid value s={x} is not an integer")
+                raise FieldError(f"grid[{i}]: s={x} is not an integer")
             if self.grid_kind == "s" and not (0 <= int(x) <= n):
-                raise ParameterError(f"grid value s={x} outside [0, {n}]")
+                raise FieldError(f"grid[{i}]: s={x} outside [0, {n}]")
             if self.grid_kind == "q" and not (0.0 <= float(x) < 1.0):
-                raise ParameterError(f"grid value q={x} outside [0, 1)")
+                raise FieldError(f"grid[{i}]: q={x} outside [0, 1)")
         if self.set_draws == "all":
             total = sum(math.comb(n, int(x)) for x in self.grid)
             if total > MAX_EXHAUSTIVE_SETS:

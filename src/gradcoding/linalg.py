@@ -16,6 +16,11 @@ Numerical contract:
     lambda_min(G) > tr(G) / 1e8 >= tr(G_SS) / 1e8, which is what the
     certificate proves for G_SS itself. decoding.decode_each relies on this
     to decode many survivor sets of one encoding from one inverse of G.
+    A whole Gram that clears only the QR tier below carries cond_2(G_SS) <
+    1e12 to every block the same way, so every B_S has cond_2(B_S) < 1e6
+    and full column rank: decode_each then solves a stack of such sets by
+    one stacked Householder QR without a per-set certificate, and
+    bounds.bound_diag_dominant runs neither a certificate nor rank_of.
   * QR tier. certify_gram(G, QR_COND_MAX) runs the same test with the shift
     1/QR_COND_MAX = 1e-12 and proves cond_2(G) < 1e12, so cond_2(M) < 1e6:
     M still has full column rank under the rank rule, four orders inside
@@ -115,6 +120,9 @@ def certify_gram(gram, cond_max: float = CERT_COND_MAX) -> bool:
     tau = tr(G) * (1/cond_max + (n+2) eps); this proves cond_2(G) <
     cond_max for the symmetric n x n matrix G. cond_max is CERT_COND_MAX
     (1e8) for the Gram solve or QR_COND_MAX (1e12) for the QR tier.
+    A g x n x n stack is certified when every member is, by one stacked
+    Cholesky that factors each member exactly as it factors that matrix
+    alone; it cannot say which member failed.
 
     Rump's bound (BIT 46, 2006, after Demmel): a floating-point Cholesky of
     a symmetric A that runs to completion is the exact factor of A + E with
@@ -129,12 +137,21 @@ def certify_gram(gram, cond_max: float = CERT_COND_MAX) -> bool:
     O(n eps) at the threshold, every G with tr(G^{-1}) tr(G) <= cond_max is
     certified, since tr(G^{-1}) >= 1 / lambda_min(G).
     """
-    g = as_matrix(gram, "G")
-    n = g.shape[0]
-    if g.shape[1] != n:
+    if np.ndim(gram) == 3:
+        g = np.asarray(gram, dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteError("G contains NaN or Inf")
+    else:
+        g = as_matrix(gram, "G")
+    n = g.shape[-1]
+    if g.shape[-2] != n:
         raise ShapeError(f"Gram matrix must be square, got shape {g.shape}")
     shifted = g.copy()
-    shifted.flat[:: n + 1] -= float(g.trace()) * (1.0 / cond_max + (n + 2) * _EPS)
+    shift = 1.0 / cond_max + (n + 2) * _EPS
+    if g.ndim == 2:
+        shifted.flat[:: n + 1] -= float(g.trace()) * shift
+    else:
+        shifted.reshape(len(g), n * n)[:, :: n + 1] -= g.trace(axis1=1, axis2=2)[:, None] * shift
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -152,10 +152,34 @@ def test_fixed_encoding_bound_skips_the_certificate_under_a_certified_gram(bireg
     B = gc.encode_nullspace_hadamard(bireg40, 2, seed=1)
     assert B.gram_inverse is not None
     per_set = gc.encode_nullspace_hadamard(bireg40, 2, seed=1)
-    per_set.__dict__["gram_inverse"] = None
+    per_set.__dict__["gram_tier"] = None
     rng = np.random.default_rng(2)
     sets = [gc.NonStragglerSet(n=40, members=rng.choice(40, size=size, replace=False)) for size in range(1, 41, 3)]
     expected = [gc.bound_diag_dominant(per_set, workers).value for workers in sets]
+    calls = []
+    monkeypatch.setattr(bounds, "certify_gram", lambda gram: calls.append(1) or True)
+    monkeypatch.setattr(bounds, "rank_of", lambda mat: calls.append(1) or 0)
+    assert [gc.bound_diag_dominant(B, workers).value for workers in sets] == expected
+    assert not calls
+
+
+def test_fixed_encoding_bound_skips_the_rank_checks_under_a_qr_tier_gram(bireg40, monkeypatch):
+    # a whole Gram that clears only the 1e12 tier gives every survivor block
+    # cond_2 < 1e12 by interlacing, so every B_S has full column rank:
+    # neither certify_gram nor rank_of runs, and each bound is the one the
+    # per-set checks give, which call rank_of on the sets whose own Gram
+    # fails the 1e8 certificate (the full set among them)
+    B = gc.encode_nullspace_hadamard(bireg40, 2, v1_policy=gc.V1_GAUSSIAN, seed=18)
+    assert B.gram_tier == gc.QR_COND_MAX
+    per_set = gc.encode_nullspace_hadamard(bireg40, 2, v1_policy=gc.V1_GAUSSIAN, seed=18)
+    per_set.__dict__["gram_tier"] = None
+    rng = np.random.default_rng(5)
+    sets = [gc.NonStragglerSet(n=40, members=rng.choice(40, size=size, replace=False)) for size in range(1, 41, 3)]
+    sets += [gc.NonStragglerSet.full(40)] + [gc.sample_straggler_set(gc.FixedCount(1), 40, rng) for _ in range(5)]
+    ranks = []
+    monkeypatch.setattr(bounds, "rank_of", lambda mat: ranks.append(1) or rank_of(mat))
+    expected = [gc.bound_diag_dominant(per_set, workers).value for workers in sets]
+    assert ranks
     calls = []
     monkeypatch.setattr(bounds, "certify_gram", lambda gram: calls.append(1) or True)
     monkeypatch.setattr(bounds, "rank_of", lambda mat: calls.append(1) or 0)

@@ -275,6 +275,16 @@ def _bad_input(tmp_path, case):
         "bounds_epsilon_one": ("bounds", dict(bounds, epsilon=1.0), "config.epsilon must lie in [0, 1)"),
         "bounds_repeated_kind": ("bounds", dict(bounds, kinds=["lower", "lower"]), "config.kinds"),
         "bounds_unknown_kind": ("bounds", dict(bounds, kinds=["bogus"]), "config.kinds names an unknown kind 'bogus'"),
+        "bounds_s_outside_the_design": (
+            "bounds",
+            dict(bounds, s_grid=[0, 99]),
+            "error: config.s_grid[1]: s=99 outside [0, 7]",
+        ),
+        "sweep_s_outside_the_design": (
+            "sweep",
+            dict(FIXED_POINT_CONFIGS["sweep"], grid=[99]),
+            "error: config.grid[0]: s=99 outside [0, 7]",
+        ),
         "planar_v_zero": ("construct", {"design": {"family": "bibd_transpose", "v": 0}}, "v=0"),
         "planar_v_negative": ("construct", {"design": {"family": "bibd_transpose", "v": -3}}, "v=-3"),
         "planar_v_one": ("construct", {"design": {"family": "bibd_transpose", "v": 1}}, "v=1"),
@@ -306,6 +316,8 @@ def _bad_input(tmp_path, case):
         "bounds_epsilon_one",
         "bounds_repeated_kind",
         "bounds_unknown_kind",
+        "bounds_s_outside_the_design",
+        "sweep_s_outside_the_design",
         "encoding_meta_negative_seed",
         "encoding_meta_unknown_scheme",
         "encoding_meta_null_seed",

@@ -85,6 +85,64 @@ def test_nonstraggler_set_refuses_non_integer_members(members):
         gc.NonStragglerSet(n=5, members=members)
 
 
+def _members_checked_as_before(n, raw):
+    """NonStragglerSet's checks as they ran before flat integer arrays took
+    a shortcut: the stored members, or the ParameterError's message."""
+    mem = np.asarray(raw)
+    if mem.ndim != 1:
+        return f"members must be a flat sequence, got shape {mem.shape}"
+    if mem.size and (
+        mem.dtype.kind not in "iu"
+        or (not isinstance(raw, np.ndarray) and any(type(x) in (bool, np.bool_) for x in raw))
+    ):
+        return f"member indices must be integers, got {raw!r}"
+    mem = np.sort(mem)
+    if mem.size and not (mem[0] >= 0 and mem[-1] < n):
+        return "member index out of range"
+    if np.any(mem[1:] == mem[:-1]):
+        return "duplicate member index"
+    return tuple(mem.tolist())
+
+
+_MEMBER_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "numpy-ints": lambda v: [np.int64(x) for x in v],
+    "int8": lambda v: np.array(v, dtype=np.int8),
+    "int32": lambda v: np.array(v, dtype=np.int32),
+    "intp": lambda v: np.array(v, dtype=np.intp),
+    "uint8": lambda v: np.array([abs(x) for x in v], dtype=np.uint8),
+    "uint64": lambda v: np.array([abs(x) for x in v], dtype=np.uint64),
+    "float-array": lambda v: np.array(v, dtype=float),
+    "float-list": lambda v: [float(x) for x in v],
+    "bool-array": lambda v: np.array(v, dtype=bool),
+    "bool-in-list": lambda v: [*v, True],
+    "2-d": lambda v: np.array(v, dtype=np.intp).reshape(1, -1),
+    "0-d": lambda v: np.array(v[0] if v else 0, dtype=np.intp),
+    "reversed-view": lambda v: np.array(v, dtype=np.int64)[::-1],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.lists(st.integers(-3, 15), max_size=10),
+    st.sampled_from(sorted(_MEMBER_FORMS)),
+)
+def test_property_nonstraggler_set_checks_every_input_as_before(n, values, form):
+    # integer arrays skip np.sort for a sorted list of ints; every input is
+    # still accepted, refused and stored as before, with the same message
+    raw = _MEMBER_FORMS[form](values)
+    expected = _members_checked_as_before(n, raw)
+    try:
+        got = gc.NonStragglerSet(n=n, members=raw).members
+    except ParameterError as exc:
+        got = str(exc)
+    assert got == expected
+    if isinstance(got, tuple):
+        assert all(type(i) is int for i in got)
+
+
 def test_empty_set_decodes_to_total_mass(fano):
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
     res = gc.decode(B, gc.NonStragglerSet(n=7, members=()))
@@ -579,14 +637,43 @@ def test_recurring_encoding_keeps_order_across_sizes(bireg40):
     assert [r.err for r in again] == [r.err for r in got]
 
 
-def test_recurring_encoding_takes_the_route_table_without_a_certified_gram(bireg40, monkeypatch):
+def _spy_stacks(monkeypatch, name):
+    """Record the survivor indices (g x |S|) of each stack decoding.<name>
+    is handed, with whether it solved the stack (False: the stack went set
+    by set through the route table)."""
+    stacks = []
+    stack = getattr(decoding, name)
+
+    def spy(B_, idx):
+        solved = stack(B_, idx)
+        stacks.append((idx.copy(), solved is not None))
+        return solved
+
+    monkeypatch.setattr(decoding, name, spy)
+    return stacks
+
+
+def _block_certified(B, members):
+    """Whether route 1 clears the stacked-copies set by a Gram certificate:
+    the column Gram of A_S for |S| <= k, else its row Gram."""
+    a_s = B.block(0)[:, list(members)]
+    return certify_gram(a_s.T @ a_s if len(members) <= B.k else a_s @ a_s.T)
+
+
+def test_recurring_baseline_without_a_certified_gram_decodes_in_capped_stacks(bireg40, monkeypatch):
+    # the bi-regular baseline has rank k = 20 < n, so its whole Gram clears
+    # no tier. Each size's sets are decoded in stacks of its k-row blocks,
+    # none over STACK_ELEMENTS gathered entries; a stack solves in one go
+    # exactly when every member clears its block certificate, and otherwise
+    # goes set by set through the route table, as does the empty set. Every
+    # result is exactly decode's
     B = gc.encode_baseline(bireg40, 2)
-    assert B.gram_inverse is None
+    assert B.gram_tier is None and B.gram_inverse is None and B.column_classes is None
     routed, grouped = [], []
     route, group = decoding._route, decoding._decode_group
 
     def spy_route(B_, workers):
-        routed.append(workers)
+        routed.append(workers.members)
         return route(B_, workers)
 
     def spy_group(B_, inverse, members, size):
@@ -595,9 +682,20 @@ def test_recurring_encoding_takes_the_route_table_without_a_certified_gram(bireg
 
     monkeypatch.setattr(decoding, "_route", spy_route)
     monkeypatch.setattr(decoding, "_decode_group", spy_group)
-    sets = _mixed_sets(40, np.random.default_rng(3))
+    stacks = _spy_stacks(monkeypatch, "_stack_copies")
+    rng = np.random.default_rng(3)
+    sets = _mixed_sets(40, rng)
+    for s in (4, 16):  # at s = 16 some of the 24-worker blocks fail the row Gram certificate
+        sets += [gc.sample_straggler_set(gc.FixedCount(s), 40, rng) for _ in range(60)]
     got = gc.decode_each([B] * len(sets), sets)
-    assert routed == sets and grouped == []
+    assert grouped == []
+    for idx, solved in stacks:
+        g, size = idx.shape
+        assert g * max(B.k, size) * size <= decoding.STACK_ELEMENTS or g == 1
+        assert solved == all(_block_certified(B, members) for members in idx.tolist())
+    assert {True, False} <= {solved for _, solved in stacks}
+    fell_back = [tuple(members) for idx, solved in stacks if not solved for members in idx.tolist()]
+    assert sorted(routed) == sorted(fell_back + [()])
     for workers, res in zip(sets, got):
         ref = gc.decode(B, workers)
         assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
@@ -605,6 +703,72 @@ def test_recurring_encoding_takes_the_route_table_without_a_certified_gram(bireg
     routed.clear()
     gc.decode_each([_encode(bireg40, gc.NULLSPACE_HADAMARD, 1)] * len(sets), sets)
     assert routed == [] and sum(grouped) == len(sets)
+
+
+def test_recurring_encoding_between_the_whole_gram_tiers_decodes_in_stacks(bireg40, monkeypatch):
+    # a null-space encoding whose whole Gram has 1e8 < cond_2(G) < 1e12:
+    # each stack whose survivor Grams all clear the 1e8 certificate is one
+    # Gram solve, each set's result exactly decode's; any other stack is one
+    # Householder QR, within 1e-9 * mk of the SVD projection, exactly
+    # decode's for the members decode also solves by QR. No set reaches
+    # the route table or the SVD
+    B = gc.encode_nullspace_hadamard(bireg40, 2, v1_policy=gc.V1_GAUSSIAN, seed=18)
+    G, _ = B.gram
+    assert B.gram_tier == gc.QR_COND_MAX and B.gram_inverse is None
+    assert 1e8 < np.linalg.cond(G) < 1e12
+    routes = _spy_routes(monkeypatch)
+    stacks = _spy_stacks(monkeypatch, "_stack_qr_tier")
+    route = decoding._route
+    monkeypatch.setattr(decoding, "_route", lambda B_, w: routes.append("route") or route(B_, w))
+    rng = np.random.default_rng(8)
+    sets = [gc.sample_straggler_set(gc.FixedCount(s), 40, rng) for s in (0, 1, 2, 6) for _ in range(25)]
+    got = gc.decode_each([B] * len(sets), sets)
+    assert "route" not in routes and "svd" not in routes
+    by_members = {w.members: res for w, res in zip(sets, got)}
+    cleared = {True: 0, False: 0}
+    for idx, _ in stacks:
+        g, size = idx.shape
+        assert g * max(B.m * B.k, size) * size <= decoding.STACK_ELEMENTS
+        grams = [_survivor_gram(B, members) for members in idx.tolist()]
+        gram_solved = all(certify_gram(gram) for gram in grams)
+        cleared[gram_solved] += 1
+        for members, gram in zip(idx.tolist(), grams):
+            workers = gc.NonStragglerSet(n=40, members=members)
+            exact = gram_solved or not certify_gram(gram)
+            _check_against_route_references(B, workers, by_members[tuple(members)], exact=exact)
+    assert cleared[True] and cleared[False]
+
+
+def test_rank_deficient_encoding_never_takes_a_stacked_tier(fano, bireg40, monkeypatch):
+    # a whole Gram that clears neither tier, from a short encoding (mk = 20
+    # rows for n = 40 workers) or from a repeated column: every set of the
+    # recurring encoding goes through the route table, exactly as decode
+    short = gc.encode_random_diagonal(bireg40, 1, gc.DiagonalLaw(0.1), seed=2)
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.1), seed=1)
+    mat = B.mat.copy()
+    mat[:, 4] = mat[:, 2]
+    twin = dataclasses.replace(B, mat=mat)
+    qr_stacks, copy_stacks = (_spy_stacks(monkeypatch, name) for name in ("_stack_qr_tier", "_stack_copies"))
+    for enc in (short, twin):
+        assert enc.gram_tier is None and not enc.stacked_copies
+        rng = np.random.default_rng(enc.n)
+        sets = [gc.sample_straggler_set(gc.FixedCount(s), enc.n, rng) for s in (0, 1, 3) for _ in range(6)]
+        for workers, res in zip(sets, gc.decode_each([enc] * len(sets), sets)):
+            _check_against_route_references(enc, workers, res)
+    assert qr_stacks == copy_stacks == []
+
+
+def test_gram_tier_is_the_tightest_whole_gram_certificate(fano, bireg40):
+    for B in (
+        _encode(fano, gc.RANDOM_DIAGONAL),
+        gc.encode_nullspace_hadamard(bireg40, 2, v1_policy=gc.V1_GAUSSIAN, seed=18),
+        gc.encode_baseline(bireg40, 2),
+    ):
+        G, _ = B.gram
+        tiers = [t for t in (gc.CERT_COND_MAX, gc.QR_COND_MAX) if certify_gram(G, t)]
+        assert B.gram_tier == (tiers[0] if tiers else None)
+        assert (B.gram_inverse is not None) == (B.gram_tier == gc.CERT_COND_MAX)
+    assert _encode(fano, gc.RANDOM_DIAGONAL).gram_tier == gc.CERT_COND_MAX
 
 
 def test_recurring_encoding_checks_shapes(fano):
@@ -744,9 +908,13 @@ def _check_against_route_references(B, workers, res, exact=True):
 
 def _exact_positions(encodings):
     """Whether decode_each's result at each position is exactly decode's:
-    every set but those of a recurring encoding with a certified Gram."""
+    every set but those of a recurring encoding solved through its
+    whole-Gram inverse or, at the 1e12 tier, perhaps by a stacked QR."""
     counts = collections.Counter(map(id, encodings))
-    return [counts[id(B)] == 1 or B.gram_inverse is None for B in encodings]
+    return [
+        counts[id(B)] == 1 or B.gram_tier is None or B.stacked_copies and B.gram_inverse is None
+        for B in encodings
+    ]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gradcoding.errors import NonFiniteError, ShapeError
 from gradcoding.linalg import (
     CERT_COND_MAX,
+    QR_COND_MAX,
     certify_gram,
     circulant_eigenvalues,
     null_space_basis,
@@ -159,6 +160,35 @@ def test_property_certified_gram_is_within_the_condition_bound(n, seed, log_cond
 def test_certify_gram_rejects_non_square():
     with pytest.raises(ShapeError):
         certify_gram(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        certify_gram(np.ones((4, 2, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**16), st.lists(st.floats(6.0, 14.0), min_size=1, max_size=6))
+def test_property_stack_is_certified_when_every_member_is(n, seed, log_conds):
+    # a stack of Grams with cond_2 from 1e6 to 1e14, on either side of
+    # both tiers: the stack clears a tier exactly when each member does
+    rng = np.random.default_rng(seed)
+    grams = []
+    for log_cond in log_conds:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eig = np.sort(10.0 ** -rng.uniform(0.0, log_cond, n))
+        eig[0] = 10.0**-log_cond
+        gram = (q * eig) @ q.T
+        grams.append((gram + gram.T) / 2.0)
+    stack = np.array(grams)
+    before = stack.copy()
+    for cond_max in (CERT_COND_MAX, QR_COND_MAX):
+        assert certify_gram(stack, cond_max) == all(certify_gram(gram, cond_max) for gram in grams)
+    assert np.array_equal(stack, before)
+
+
+def test_certify_gram_refuses_a_non_finite_stack():
+    stack = np.array([np.eye(3), np.eye(3)])
+    stack[1, 0, 2] = np.nan
+    with pytest.raises(NonFiniteError):
+        certify_gram(stack)
 
 
 def test_null_space_basis_properties():
