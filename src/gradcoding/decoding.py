@@ -82,16 +82,18 @@ is solved directly instead. Sets of one size are solved as one batched
 stack.
 
 The other stacks gather at most STACK_ELEMENTS entries each, or one set
-where a single set needs more. A batched LAPACK gufunc (cholesky, solve,
-qr) runs on each member the routine it runs on that matrix alone, so a
-stack certificate that clears is the certificate each member would earn,
-and each member gets exactly decode's result. A stack of copies that any
-member fails goes set by set through the table. At the 1e12 tier,
-interlacing gives every block cond_2(G_SS) < 1e12, so cond_2(B_S) < 1e6:
-the QR of route 3 is valid for every member of a stack whose 1e8
-certificate fails, without a per-set certificate, and the SVD is never
-needed. Those members agree with decode within 1e-9 * mk, and exactly
-where decode also takes the QR.
+where a single set needs more. Routes 1 to 3 are written once, over a
+leading stack axis, and the route table runs them on a stack of one set.
+A batched LAPACK gufunc (cholesky, solve, qr) runs on each member the
+routine it runs on that matrix alone, so a stack certificate that clears
+is the certificate each member would earn, and each member gets exactly
+decode's result. A stack of more than one set of copies tries only its
+first Gram, and one that any member fails goes set by set through the
+table. At the 1e12 tier, interlacing gives every block cond_2(G_SS) <
+1e12, so cond_2(B_S) < 1e6: the QR of route 3 is valid for every member
+of a stack whose 1e8 certificate fails, without a per-set certificate,
+and the SVD is never needed. Those members agree with decode within
+1e-9 * mk, and exactly where decode also takes the QR.
 
 Each decode is checked against the directly computed residual
 ||B R - F||_F^2, one product per distinct encoding, raising
@@ -136,23 +138,19 @@ class NonStragglerSet:
 
     def __post_init__(self) -> None:
         raw = self.members
-        if isinstance(raw, np.ndarray) and raw.ndim == 1 and raw.dtype.kind in "iu":
-            # a flat integer array, as a sweep draws one per set: its dtype
-            # settles the item checks, and one sorted list of ints costs a
-            # fraction of np.sort and numpy comparisons on a few dozen items
-            mem = sorted(raw.tolist())
-        else:
-            arr = np.asarray(raw)
-            if arr.ndim != 1:
-                raise ParameterError(f"members must be a flat sequence, got shape {arr.shape}")
-            # np.asarray folds bools into an integer array, so look at the
-            # items of a plain sequence; an array shows its kind in its dtype
-            if arr.size and (
-                arr.dtype.kind not in "iu"
-                or (not isinstance(raw, np.ndarray) and not _BOOLS.isdisjoint(map(type, raw)))
-            ):
-                raise ParameterError(f"member indices must be integers, got {raw!r}")
-            mem = np.sort(arr).tolist()
+        arr = np.asarray(raw)
+        if arr.ndim != 1:
+            raise ParameterError(f"members must be a flat sequence, got shape {arr.shape}")
+        # np.asarray folds bools into an integer array, so look at the
+        # items of a plain sequence; an array shows its kind in its dtype
+        if arr.size and (
+            arr.dtype.kind not in "iu"
+            or (not isinstance(raw, np.ndarray) and not _BOOLS.isdisjoint(map(type, raw)))
+        ):
+            raise ParameterError(f"member indices must be integers, got {raw!r}")
+        # one sorted list of ints costs a fraction of np.sort and numpy
+        # comparisons on the few dozen members of a drawn set
+        mem = sorted(arr.tolist())
         if mem and not (mem[0] >= 0 and mem[-1] < self.n):
             raise ParameterError("member index out of range")
         if len(set(mem)) < len(mem):
@@ -255,7 +253,8 @@ def decode_each(
 
 
 def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, float]:
-    """(coefficients n x m, error) of one set, by the route table above."""
+    """(coefficients n x m, error) of one set, by the route table above:
+    routes 1 to 3 as stacks of one set, route 4 by project."""
     rows, n = B.mat.shape
     total = float(rows)
     coeffs = np.zeros((n, B.m))
@@ -265,21 +264,13 @@ def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, flo
     if B.stacked_copies:
         firsts, inverse, counts = _column_merge(B, idx)
         root = np.sqrt(counts)
-        merged, err = _decode_stacked(B.block(0).take(firsts, axis=1) * root, B.m)
-        coeffs[idx] = (merged / root[:, None])[inverse]
-        return coeffs, err
-    gram, image = B.gram
-    gram_s = gram.take(idx, axis=0).take(idx, axis=1)
-    if certify_gram(gram_s):
-        image_s = image.take(idx, axis=0)
-        solved = np.linalg.solve(gram_s, image_s)
-        coeffs[idx] = solved
-        # ||F||_F^2 = mk = rows, and <H_S, R> = ||P_S F||_F^2
-        err = total - float(np.sum(image_s * solved))
-    elif certify_gram(gram_s, QR_COND_MAX):
-        coeffs[idx], err = _solve_qr(B.mat.take(idx, axis=1), build_target(B.k, B.m))
-    else:
-        coeffs[idx], err = project(B.mat.take(idx, axis=1), build_target(B.k, B.m))
+        x, err = _decode_stacked((B.block(0).take(firsts, axis=1) * root)[None], B.m)
+        coeffs[idx] = (x[0] / B.m / root)[inverse, None]
+        return coeffs, float(err[0])
+    solved = _solve_survivors(B, idx[None], qr_valid=False)
+    if solved is not None:
+        return solved[0][0], float(solved[1][0])
+    coeffs[idx], err = project(B.mat.take(idx, axis=1), build_target(B.k, B.m))
     return coeffs, min(max(float(err), 0.0), total)
 
 
@@ -302,12 +293,12 @@ def _column_merge(B: EncodingMatrix, idx: np.ndarray):
 
 
 def _solve_qr(b_s: np.ndarray, target: np.ndarray):
-    """min ||B_S R - F||_F by Householder QR, for B_S of full column rank:
-    (R, ||F||_F^2 - ||Q^T F||_F^2), or one of each per member of a stack
-    of B_S. The triangular factor has exact zeros below its diagonal, so
+    """min ||B_S R - F||_F by Householder QR for each B_S of a stack (g x
+    mk x |S|) of full column rank: (R, ||F||_F^2 - ||Q^T F||_F^2) per
+    member. The triangular factor has exact zeros below its diagonal, so
     the LU solve with it never pivots and is back substitution."""
     q, upper = np.linalg.qr(b_s)
-    proj = q.mT @ target
+    proj = np.swapaxes(q, -1, -2) @ target
     err = (target * target).sum() - (proj * proj).sum(axis=(-2, -1))
     return np.linalg.solve(upper, proj), err
 
@@ -355,7 +346,7 @@ def _decode_group(
         idx = np.array(members, dtype=np.intp).reshape(g, size)
         coeffs = np.zeros((n, g, m))  # set j in column j
         if size:
-            coeffs[idx, col] = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]], image[idx])
+            coeffs[idx, col] = np.linalg.solve(*_survivor_system(B, idx))
     else:
         K, full = inverse
         coeffs = np.repeat(full[:, None, :], g, axis=1)
@@ -396,18 +387,23 @@ def _stacks(B: EncodingMatrix) -> bool:
 def _decode_capped(B: EncodingMatrix, sets: list, size: int):
     """(coefficients g x n x m, errors g) of g survivor sets of one size of
     an encoding that _stacks, in stacks of at most STACK_ELEMENTS gathered
-    entries: each stack by _stack_copies or _stack_qr_tier, or set by set
-    through _route where a stack of copies fails its certificate."""
+    entries: each stack by _stack_copies or by _solve_survivors with the
+    QR valid for every member, or set by set through _route where a stack
+    of copies fails its certificate."""
     rows, n = B.mat.shape
     height = B.k if B.stacked_copies else rows
     step = max(1, STACK_ELEMENTS // max(1, max(height, size) * size))
-    stack = _stack_copies if B.stacked_copies else _stack_qr_tier
     coeffs = np.empty((len(sets), n, B.m))
     errs = np.empty(len(sets))
     for lo in range(0, len(sets), step):
         part = sets[lo : lo + step]
         idx = np.array([w.members for w in part], dtype=np.intp).reshape(len(part), size)
-        solved = stack(B, idx) if size else None
+        if not size:
+            solved = None
+        elif B.stacked_copies:
+            solved = _stack_copies(B, idx)
+        else:
+            solved = _solve_survivors(B, idx, qr_valid=True)
         if solved is None:
             routed = [_route(B, w) for w in part]
             solved = [c for c, _ in routed], [e for _, e in routed]
@@ -417,71 +413,76 @@ def _decode_capped(B: EncodingMatrix, sets: list, size: int):
 
 def _stack_copies(B: EncodingMatrix, idx: np.ndarray):
     """_decode_stacked of the blocks A_S of g sets of stacked copies (idx,
-    g x |S|, no two survivors sharing a column), as one stack: the column
-    Gram for |S| <= k or the row Gram for |S| > k, certified for the whole
-    stack at once, then one stacked solve. (coefficients g x n x m, errors
-    g), each set's exactly as _route gives it; None when any member fails
-    the certificate."""
-    g, size = idx.shape
-    k, m = B.k, B.m
+    g x |S|, no two survivors sharing a column), as one stack:
+    (coefficients g x n x m, errors g), or None when the stack fails its
+    certificate."""
     a = np.ascontiguousarray(B.block(0)[:, idx].transpose(1, 0, 2))  # g x k x |S|
-    a_t = a.transpose(0, 2, 1)
-    gram = a_t @ a if size <= k else a @ a_t
-    if not certify_gram(gram):
+    solved = _decode_stacked(a, B.m)
+    if solved is None:
         return None
-    if size <= k:
-        x = np.linalg.solve(gram, a.sum(axis=1)[..., None])
-    else:
-        x = a_t @ np.linalg.solve(gram, np.ones((g, k, 1)))
-    fit = a @ x
-    total = float(m * k)
-    err = np.clip(total - (fit.transpose(0, 2, 1) @ fit)[:, 0, 0], 0.0, total)
-    coeffs = np.zeros((g, B.n, m))
-    coeffs[np.arange(g)[:, None], idx] = x / m
+    x, err = solved
+    coeffs = np.zeros((len(idx), B.n, B.m))
+    coeffs[np.arange(len(idx))[:, None], idx] = (x / B.m)[..., None]
     return coeffs, err
 
 
-def _stack_qr_tier(B: EncodingMatrix, idx: np.ndarray):
-    """(coefficients g x n x m, errors g) of g sets (idx, g x |S|) of an
-    encoding whose whole Gram clears only the 1e12 tier. One stacked Gram
-    solve, each set's exactly as _route gives it, when the stack of
-    survivor Grams clears the 1e8 certificate; else one stacked
-    Householder QR, which interlacing makes valid for every member."""
-    g, size = idx.shape
+def _decode_stacked(a: np.ndarray, m: int):
+    """The minimum-norm decode of B_S = 1_m (x) A_S on the k-row block A_S
+    of each set of a stack (a, g x k x |S|), as set out above: (x, errors)
+    with x (g x |S|) = A_S^+ 1_k, every column of R_S being x / m. The
+    column Gram A_S^T A_S can be certified only for |S| <= k, the row Gram
+    A_S A_S^T only for |S| >= k. One block tries the column Gram, then the
+    row Gram, then the SVD; a stack of more blocks tries only the column
+    Gram for |S| <= k or the row Gram for |S| > k, certified for the whole
+    stack at once, and gives None when any member fails it."""
+    g, k, size = a.shape
+    a_t = a.transpose(0, 2, 1)
+    if size <= k and certify_gram(col_gram := a_t @ a):
+        x = np.linalg.solve(col_gram, a.sum(axis=1)[..., None])
+    elif (size > k or size == k and g == 1) and certify_gram(row_gram := a @ a_t):
+        x = a_t @ np.linalg.solve(row_gram, np.ones((g, k, 1)))
+    elif g == 1:
+        x = project(a[0], np.ones(k))[0][None, :, None]
+    else:
+        return None
+    fit = a @ x
+    total = float(m * k)
+    return x[..., 0], (total - (fit.transpose(0, 2, 1) @ fit)[:, 0, 0]).clip(0.0, total)
+
+
+def _survivor_system(B: EncodingMatrix, idx: np.ndarray):
+    """(G_SS, H_S) of each set of a stack (idx, g x |S|), gathered from B's
+    cached Gram: g x |S| x |S| and g x |S| x m."""
+    gram, image = B.gram
+    if len(idx) == 1:  # the route table's one set: two takes cost a third of the fancy index
+        return gram.take(idx[0], axis=0).take(idx[0], axis=1)[None], image.take(idx, axis=0)
+    return gram[idx[:, :, None], idx[:, None, :]], image.take(idx, axis=0)
+
+
+def _solve_survivors(B: EncodingMatrix, idx: np.ndarray, qr_valid: bool):
+    """(coefficients g x n x m, errors g) of g survivor sets of one size
+    (idx, g x |S|, |S| >= 1) by route 2 or 3 of the table, as one stacked
+    solve: the Gram solve when the stack of survivor Grams clears the 1e8
+    certificate, else Householder QR when qr_valid (B's whole Gram clears
+    the 1e12 tier, which interlacing carries to every member) or when the
+    stack clears certify_gram(., QR_COND_MAX); else None."""
+    g = len(idx)
     rows, n = B.mat.shape
     total = float(rows)
-    gram, image = B.gram
     col = np.arange(g)[:, None]
     coeffs = np.zeros((g, n, B.m))
-    gram_s = gram[idx[:, :, None], idx[:, None, :]]
+    gram_s, image_s = _survivor_system(B, idx)
     if certify_gram(gram_s):
-        image_s = image[idx]
         solved = np.linalg.solve(gram_s, image_s)
         coeffs[col, idx] = solved
+        # ||F||_F^2 = mk = rows, and <H_S, R> = ||P_S F||_F^2
         err = total - np.sum(image_s * solved, axis=(1, 2))
-    else:
+    elif qr_valid or certify_gram(gram_s, QR_COND_MAX):
         b_s = B.mat.T[idx].transpose(0, 2, 1)  # g x mk x |S|
         coeffs[col, idx], err = _solve_qr(b_s, build_target(B.k, B.m))
-    return coeffs, np.clip(err, 0.0, total)
-
-
-def _decode_stacked(a_s: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """The minimum-norm decode of B_S = 1_m (x) A_S on its k-row block
-    A_S, as set out above: (R_S, err), every column of R_S being
-    A_S^+ 1_k / m. The column Gram A_S^T A_S can be certified only for
-    |S| <= k, the row Gram A_S A_S^T only for |S| >= k."""
-    k, size = a_s.shape
-    ones = np.ones(k)
-    if size <= k and certify_gram(col_gram := a_s.T @ a_s):
-        x = np.linalg.solve(col_gram, a_s.sum(axis=0))
-    elif size >= k and certify_gram(row_gram := a_s @ a_s.T):
-        x = a_s.T @ np.linalg.solve(row_gram, ones)
     else:
-        x, _ = project(a_s, ones)
-    fit = a_s @ x
-    total = float(m * k)
-    err = min(max(total - float(fit @ fit), 0.0), total)
-    return np.repeat(x[:, None] / m, m, axis=1), err
+        return None
+    return coeffs, err.clip(0.0, total)
 
 
 def _spectral_norm_sq(Z: np.ndarray) -> np.ndarray:
