@@ -12,17 +12,19 @@ out.mkdir(parents=True, exist_ok=True)
 A = gc.bibd_transpose_from_difference_set([0, 1, 3], 7)
 grid = (0, 1, 2, 3, 4)
 
+# one config for both schemes: they share the straggler sets, and each
+# scheme draws its encoding matrix_draws times
+labels = ("proposed", "baseline")
+cfg = gc.SweepConfig(
+    schemes=(
+        gc.SweepScheme(scheme=gc.RANDOM_DIAGONAL, epsilon=0.0, matrix_draws=50),
+        gc.SweepScheme(scheme=gc.BASELINE),
+    ),
+    m=2, grid_kind="s", grid=grid, set_draws=200, seed=0,
+)
 rows = []
 series = []
-for label, spec, draws in (
-    ("proposed", gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.0), 50),
-    ("baseline", gc.SchemeSpec(scheme=gc.BASELINE), 1),
-):
-    cfg = gc.SweepConfig(
-        assignment=A, scheme=spec, m=2, grid_kind="s", grid=grid,
-        matrix_draws=draws, set_draws=200, seed=0,
-    )
-    res = gc.sweep_error(cfg)
+for label, res in zip(labels, gc.sweep_error(A, cfg)):
     rows.extend(res.rows)
     series.append(Series(label, grid, tuple(res.column("mean_err"))))
     ups = res.column("upper_bound")

@@ -5,20 +5,19 @@ import gradcoding as gc
 A = gc.bibd_transpose_from_difference_set([0, 1, 3], 7)
 dataset = gc.DatasetSpec(samples=600, dim=10, classes=3, seed=0)
 
-for label, spec in (
-    ("random_diagonal", gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.0)),
-    ("baseline", gc.SchemeSpec(scheme=gc.BASELINE)),
-    ("exact", gc.SchemeSpec(scheme=gc.EXACT)),
-):
-    cfg = gc.TrainConfig(
-        assignment=A, scheme=spec, m=2, q=0.25,
-        iterations=80, repetitions=5, learning_rate=0.5,
-        dataset=dataset, seed=0,
-    )
-    result = gc.simulate_training(cfg)
+cfg = gc.TrainConfig(
+    schemes=(
+        gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.0),
+        gc.SchemeSpec(scheme=gc.BASELINE),
+        gc.SchemeSpec(scheme=gc.EXACT),
+    ),
+    m=2, q=0.25, iterations=80, repetitions=5, learning_rate=0.5,
+    dataset=dataset, seed=0,
+)
+for result in gc.simulate_training(A, cfg):
     final = result.mean_final_loss()
     line = " ".join(f"{v:.3f}" for v in result.losses.mean(axis=0)[::20])
-    print(f"{label:>16}: final={final:.4f}  loss@0,20,40,60,80: {line}")
+    print(f"{result.scheme_label:>16}: final={final:.4f}  loss@0,20,40,60,80: {line}")
 
 print("\nfull comparison via the CLI: "
       "gradcoding train --config recipes/fig6b.json --out out/fig6b")

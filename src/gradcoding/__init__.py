@@ -98,6 +98,7 @@ from .experiments import (
     FixedCount,
     SchemeSpec,
     SweepConfig,
+    SweepScheme,
     TrainConfig,
     TrainResult,
     UnbiasednessResult,

@@ -7,13 +7,18 @@ Each reads one JSON config, writes its outputs plus a resolved_config.json
 echo into --out, and exits 0 on success, 1 when a check fails, 2 on bad
 input. The resolved config is itself a valid config reproducing the run.
 
-Each command's config is a frozen dataclass whose fields are its JSON keys:
-from_dict parses a config into it and resolved_config.json is to_dict of the
-resolved copy, so both read one schema.
+A config is an envelope, "command" and "design", around the keys of its
+command's schema: a frozen dataclass whose fields are those keys. sweep and
+train use the library's SweepConfig and TrainConfig; construct, bounds and
+validate have theirs here. main parses the envelope and the schema
+(parse_config), builds the design, runs the command on it, and writes the
+envelope and to_dict of the command's resolved config as
+resolved_config.json, so parsing and the echo read one schema.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -62,10 +67,10 @@ from .errors import (
     SingularMatrixError,
 )
 from .experiments import (
+    ENCODING_SCHEMES,
     EXACT,
     SWEEP_CSV_HEADER,
     TRAIN_CSV_HEADER,
-    DatasetSpec,
     SchemeSpec,
     SweepConfig,
     TrainConfig,
@@ -91,24 +96,37 @@ _JSON_TYPE = {
 }
 
 
+@contextlib.contextmanager
+def _named(where: str):
+    """Name a value refused with a FieldError by its path under where."""
+    try:
+        yield
+    except FieldError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
+
+
 def from_dict(cls, doc, where: str):
     """Parse a JSON object into the config dataclass cls, refusing unknown
-    keys, missing keys and values of the wrong JSON type. A value that cls
-    refuses (FieldError) is named by its path."""
+    keys, missing keys and values of the wrong JSON type. A null for a key
+    with a default means the key is absent. A value that cls refuses
+    (FieldError) is named by its path."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    missing = [name for name in required if name not in doc]
     if missing:
         raise ConfigError(f"missing {where} keys: {', '.join(missing)}")
     hints = typing.get_type_hints(cls)
-    values = {key: _from_json(hints[key], doc[key], f"{where}.{key}") for key in doc}
-    try:
+    values = {
+        key: _from_json(hints[key], value, f"{where}.{key}")
+        for key, value in doc.items()
+        if value is not None or key in required
+    }
+    with _named(where):
         return cls(**values)
-    except FieldError as exc:
-        raise ConfigError(f"{where}.{exc}") from None
 
 
 def to_dict(node) -> dict:
@@ -194,7 +212,7 @@ class BibdDesign(Design):
             v, diff_set = load_difference_set(self.path)
         elif self.difference_set is not None:
             if self.v is None:
-                raise ConfigError("inline difference_set needs v")
+                raise ConfigError("config.design.difference_set needs v")
             v, diff_set = self.v, self.difference_set
         elif self.v is not None:
             v = self.v
@@ -202,7 +220,7 @@ class BibdDesign(Design):
             if diff_set is None:
                 diff_set = search_planar_difference_set(v)
         else:
-            raise ConfigError("design needs v, difference_set, or path")
+            raise ConfigError("config.design needs v, difference_set, or path")
         A = bibd_transpose_from_difference_set(diff_set, v)
         return A, BibdDesign(v=v, difference_set=tuple(int(b) for b in diff_set))
 
@@ -227,7 +245,7 @@ class CosetDesign(Design):
 
     def build(self, m: int | None, seed: int) -> tuple[AssignmentMatrix, CosetDesign]:
         if m is None:
-            raise ConfigError("coset design needs a top-level m")
+            raise ConfigError("config.m must be given with a coset design")
         gen = tuple(range(self.delta)) if self.generating_set is None else self.generating_set
         A = coset_bipartite(CosetParams(k=self.k, m=m, delta=self.delta, generating_set=gen))
         return A, replace(self, generating_set=gen)
@@ -255,24 +273,15 @@ class BiRegularDesign(Design):
 _DESIGNS = {cls.family: cls for cls in (BibdDesign, SrgDesign, CosetDesign, BiRegularDesign)}
 
 
-@dataclass(frozen=True)
-class SweepScheme(SchemeSpec):
-    """A sweep's scheme with its own number of encoding draws, so
-    deterministic schemes skip redundant redraws while sharing the
-    straggler sets."""
-
-    matrix_draws: int = 1
-
-
 @dataclass(frozen=True, kw_only=True)
 class ConstructCommand:
-    command: str = "construct"
-    design: Design
     seed: int = 0
     m: int | None = None
     scheme: SchemeSpec | None = None
 
     def __post_init__(self) -> None:
+        if self.m is not None and self.m < 1:
+            raise FieldError(f"m must be an integer >= 1, got {self.m}")
         if self.scheme is not None and self.m is None:
             raise FieldError("m must be given with a scheme")
         if self.scheme is not None and self.scheme.scheme == EXACT:
@@ -280,23 +289,9 @@ class ConstructCommand:
 
 
 @dataclass(frozen=True, kw_only=True)
-class SweepCommand:
-    command: str = "sweep"
-    design: Design
-    schemes: tuple[SweepScheme, ...]
-    m: int
-    grid_kind: str
-    grid: tuple[float, ...]  # integers on an "s" grid
-    set_draws: str | int = 100  # or "all"
-    seed: int = 0
-
-
-@dataclass(frozen=True, kw_only=True)
 class BoundsCommand:
     """kinds defaults to every closed form that applies to the design."""
 
-    command: str = "bounds"
-    design: Design
     m: int
     epsilon: float = 0.0
     s_grid: tuple[int, ...]
@@ -304,7 +299,11 @@ class BoundsCommand:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise FieldError(f"m must be an integer >= 1, got {self.m}")
         DiagonalLaw(self.epsilon)
+        if not self.s_grid:
+            raise FieldError("s_grid must be nonempty")
         if self.kinds is None:
             return
         for kind in self.kinds:
@@ -317,31 +316,18 @@ class BoundsCommand:
 
 
 @dataclass(frozen=True, kw_only=True)
-class TrainCommand:
-    command: str = "train"
-    design: Design
-    schemes: tuple[SchemeSpec, ...]
-    m: int
-    q: float
-    iterations: int
-    repetitions: int = 1
-    learning_rate: float = 0.5
-    dataset: DatasetSpec | None = None
-    rescale_lr: bool = False
-    seed: int = 0
-
-
-@dataclass(frozen=True, kw_only=True)
 class ValidateCommand:
-    """encoding_csv and encoding_meta go together."""
-
-    command: str = "validate"
-    design: Design
     seed: int = 0
     m: int | None = None
     design_csv: str | None = None
     encoding_csv: str | None = None
     encoding_meta: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.m is not None and self.m < 1:
+            raise FieldError(f"m must be an integer >= 1, got {self.m}")
+        if (self.encoding_csv is None) != (self.encoding_meta is None):
+            raise FieldError("encoding_csv and encoding_meta go together")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -350,6 +336,7 @@ class EncodingMeta(SchemeSpec):
     m, the seed (null for the unseeded baseline only) and, for the
     null-space scheme, whether the +/-1 search found v_2."""
 
+    NAMES: typing.ClassVar[tuple] = ENCODING_SCHEMES
     OWNED_KEYS: typing.ClassVar[dict] = {**SchemeSpec.OWNED_KEYS, "pm1_found": (NULLSPACE_HADAMARD, None)}
 
     m: int
@@ -358,8 +345,6 @@ class EncodingMeta(SchemeSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.scheme == EXACT:
-            raise FieldError(f"scheme must be an encoding scheme, not {EXACT!r}")
         if self.seed is None and self.scheme != BASELINE:
             raise FieldError(f"seed must be an integer for {self.scheme}, got null")
         if self.seed is not None and self.seed < 0:
@@ -369,12 +354,6 @@ class EncodingMeta(SchemeSpec):
     def of(cls, spec: SchemeSpec, B: EncodingMatrix) -> EncodingMeta:
         found = B.randomness.pm1_found if spec.scheme == NULLSPACE_HADAMARD else None
         return cls(**asdict(spec), m=B.m, seed=B.seed, pm1_found=found)
-
-
-def _schemes(cfg: SweepCommand | TrainCommand) -> tuple:
-    if not cfg.schemes:
-        raise ConfigError("schemes must be a nonempty list")
-    return cfg.schemes
 
 
 def _print_report(checks: list[dict]) -> None:
@@ -390,50 +369,32 @@ def _emit_svg(out: Path, name: str, series: list[Series], **kwargs) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each runs on the built design and returns its exit code and
+# its config resolved for resolved_config.json
 
 
-def cmd_construct(cfg: ConstructCommand, out: Path) -> int:
-    A, design = cfg.design.build(cfg.m, cfg.seed)
+def cmd_construct(A: AssignmentMatrix, cfg: ConstructCommand, out: Path) -> tuple[int, ConstructCommand]:
     report = validate_design(A.mat, A)
+    B = None if cfg.scheme is None else cfg.scheme.build(A, cfg.m, cfg.seed)
     write_matrix_csv(out / "design.csv", A.mat, integer=True)
     write_json(out / "validation.json", report.to_dict())
-    if cfg.scheme is not None:
-        B = cfg.scheme.build(A, cfg.m, cfg.seed)
+    if B is not None:
         write_matrix_csv(out / "encoding.csv", B.mat)
         write_json(out / "encoding.json", to_dict(EncodingMeta.of(cfg.scheme, B)))
         print(f"encoding: {cfg.scheme.label}, shape {B.mat.shape}")
-    write_json(out / "resolved_config.json", to_dict(replace(cfg, design=design)))
     print(f"design: {A.family}, k={A.k} n={A.n} delta={A.delta} gamma={A.gamma}")
     _print_report(report.to_dict()["checks"])
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), cfg
 
 
-def cmd_sweep(cfg: SweepCommand, out: Path) -> int:
-    A, design = cfg.design.build(cfg.m, cfg.seed)
+def cmd_sweep(A: AssignmentMatrix, cfg: SweepConfig, out: Path) -> tuple[int, SweepConfig]:
+    with _named("config"):
+        cfg.check_n(A.n)
     grid_kind = cfg.grid_kind
-    grid = cfg.grid
-    if grid_kind == "s":
-        grid = tuple(_scalar(int, x, f"config.grid[{i}]") for i, x in enumerate(grid))
-    schemes = _schemes(cfg)
     rows = []
     svg_series = []
-    xs = tuple(float(x) / (A.n if grid_kind == "s" else 1.0) for x in grid)
-    for spec in schemes:
-        try:
-            sweep_cfg = SweepConfig(
-                assignment=A,
-                scheme=spec,
-                m=cfg.m,
-                grid_kind=grid_kind,
-                grid=grid,
-                matrix_draws=spec.matrix_draws,
-                set_draws=cfg.set_draws,
-                seed=cfg.seed,
-            )
-        except FieldError as exc:  # a grid value, named by its path
-            raise ConfigError(f"config.{exc}") from None
-        result = sweep_error(sweep_cfg)
+    xs = tuple(float(x) / (A.n if grid_kind == "s" else 1.0) for x in cfg.grid)
+    for spec, result in zip(cfg.schemes, sweep_error(A, cfg)):
         rows.extend(result.rows)
         svg_series.append(Series(spec.label, xs, tuple(result.column("mean_err"))))
         for col, suffix in (("upper_bound", "upper bound"), ("lower_bound", "lower bound")):
@@ -449,10 +410,6 @@ def cmd_sweep(cfg: SweepCommand, out: Path) -> int:
         for row in result.rows:
             print(f"  {spec.label} {row['x_kind']}={row['x']:g}: mean_err={row['mean_err']:.6g}")
     write_rows_csv(out / "sweep.csv", SWEEP_CSV_HEADER, rows)
-    write_json(
-        out / "resolved_config.json",
-        to_dict(replace(cfg, design=design, grid=grid)),
-    )
     seen = set()
     unique = []
     for s in svg_series:
@@ -468,24 +425,21 @@ def cmd_sweep(cfg: SweepCommand, out: Path) -> int:
         y_label="decode error",
     )
     print(f"wrote {out / 'sweep.csv'}")
-    return 0
+    return 0, cfg
 
 
-def cmd_bounds(cfg: BoundsCommand, out: Path) -> int:
-    A, design = cfg.design.build(cfg.m, cfg.seed)
-    if not cfg.s_grid:
-        raise ConfigError("s_grid must be nonempty")
+def cmd_bounds(A: AssignmentMatrix, cfg: BoundsCommand, out: Path) -> tuple[int, BoundsCommand]:
     for i, s in enumerate(cfg.s_grid):
         if not (0 <= s <= A.n):
             raise ConfigError(f"config.s_grid[{i}]: s={s} outside [0, {A.n}]")
     kinds = cfg.kinds or tuple(bnd.applicable_kinds(A.family, cfg.epsilon))
     rows = []
     for s in cfg.s_grid:
-        for kind in kinds:
+        for i, kind in enumerate(kinds):
             value = bnd.closed_form(kind, A, cfg.m, s, cfg.epsilon)
-            if value is None:
+            if value is None:  # only a requested kind can miss
                 raise ConfigError(
-                    f"bound kind {kind} does not apply to {A.family} at epsilon={cfg.epsilon}, s={s}"
+                    f"config.kinds[{i}]: {kind} does not apply to {A.family} at epsilon={cfg.epsilon}, s={s}"
                 )
             # cells left out of a row are written empty
             row = dict(scheme=kind, family=A.family, m=cfg.m, x_kind="s", x=float(s), seed=cfg.seed)
@@ -494,7 +448,6 @@ def cmd_bounds(cfg: BoundsCommand, out: Path) -> int:
             row["lower_bound" if kind == bnd.LOWER else "upper_bound"] = value
             rows.append(row)
     write_rows_csv(out / "bounds.csv", SWEEP_CSV_HEADER, rows)
-    write_json(out / "resolved_config.json", to_dict(replace(cfg, design=design, kinds=kinds)))
     series = []
     for kind in kinds:
         ys = tuple(r.get("upper_bound", r.get("lower_bound")) for r in rows if r["scheme"] == kind)
@@ -508,30 +461,14 @@ def cmd_bounds(cfg: BoundsCommand, out: Path) -> int:
         y_label="bound value",
     )
     print(f"wrote {out / 'bounds.csv'} ({len(rows)} rows)")
-    return 0
+    return 0, replace(cfg, kinds=kinds)
 
 
-def cmd_train(cfg: TrainCommand, out: Path) -> int:
-    A, design = cfg.design.build(cfg.m, cfg.seed)
-    schemes = _schemes(cfg)
-    dataset = cfg.dataset or DatasetSpec()
+def cmd_train(A: AssignmentMatrix, cfg: TrainConfig, out: Path) -> tuple[int, TrainConfig]:
     all_rows = []
     summary = []
     svg_series = []
-    for spec in schemes:
-        train_cfg = TrainConfig(
-            assignment=A,
-            scheme=spec,
-            m=cfg.m,
-            q=cfg.q,
-            iterations=cfg.iterations,
-            repetitions=cfg.repetitions,
-            learning_rate=cfg.learning_rate,
-            dataset=dataset,
-            seed=cfg.seed,
-            rescale_lr=cfg.rescale_lr,
-        )
-        result = simulate_training(train_cfg)
+    for result in simulate_training(A, cfg):
         all_rows.extend(result.rows())
         summary.append(
             {
@@ -556,7 +493,6 @@ def cmd_train(cfg: TrainCommand, out: Path) -> int:
         out / "summary.json",
         {"iterations": cfg.iterations, "repetitions": cfg.repetitions, "q": cfg.q, "schemes": summary},
     )
-    write_json(out / "resolved_config.json", to_dict(replace(cfg, design=design, dataset=dataset)))
     _emit_svg(
         out,
         "train.svg",
@@ -567,7 +503,7 @@ def cmd_train(cfg: TrainCommand, out: Path) -> int:
         log_y=True,
     )
     print(f"wrote {out / 'train.csv'}")
-    return 0
+    return 0, cfg
 
 
 def _diagonal_law_failure(B: EncodingMatrix, epsilon: float) -> str:
@@ -627,10 +563,7 @@ def _check_stored_encoding(
         )
 
 
-def cmd_validate(cfg: ValidateCommand, out: Path) -> int:
-    if (cfg.encoding_csv is None) != (cfg.encoding_meta is None):
-        raise ConfigError("encoding_csv and encoding_meta go together")
-    A, design = cfg.design.build(cfg.m, cfg.seed)
+def cmd_validate(A: AssignmentMatrix, cfg: ValidateCommand, out: Path) -> tuple[int, ValidateCommand]:
     report = ValidationReport(family=A.family)
     for name, passed, detail in validate_design(A.mat, A).checks:
         report.add(f"design:{name}", passed, detail)
@@ -643,19 +576,34 @@ def cmd_validate(cfg: ValidateCommand, out: Path) -> int:
         _check_stored_encoding(report, A, read_matrix_csv(cfg.encoding_csv), meta)
     checks = report.to_dict()["checks"]
     write_json(out / "validation_report.json", {"passed": report.ok, "checks": checks})
-    write_json(out / "resolved_config.json", to_dict(replace(cfg, design=design)))
     _print_report(checks)
     print("all checks passed" if report.ok else "validation FAILED")
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), cfg
 
 
+# each command's schema, the keys of its config besides command and design
 _COMMANDS = {
     "construct": (ConstructCommand, cmd_construct),
-    "sweep": (SweepCommand, cmd_sweep),
+    "sweep": (SweepConfig, cmd_sweep),
     "bounds": (BoundsCommand, cmd_bounds),
-    "train": (TrainCommand, cmd_train),
+    "train": (TrainConfig, cmd_train),
     "validate": (ValidateCommand, cmd_validate),
 }
+
+
+def parse_config(command: str, doc) -> tuple[Design, typing.Any]:
+    """The design node and the config of a JSON config for command: its
+    "command", if given, must name the command, "design" is a design node,
+    and every other key belongs to the command's schema."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    if doc.get("command", command) != command:
+        raise ConfigError(f"config is for {doc['command']!r} but {command!r} was invoked")
+    if "design" not in doc:
+        raise ConfigError("missing config keys: design")
+    design = _from_json(Design, doc["design"], "config.design")
+    rest = {key: value for key, value in doc.items() if key not in ("command", "design")}
+    return design, from_dict(_COMMANDS[command][0], rest, "config")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -674,19 +622,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    schema, command = _COMMANDS[args.command]
+    out = Path(args.out)
     try:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if isinstance(doc, dict) and doc.get("command", args.command) != args.command:
-            raise ConfigError(
-                f"config is for {doc['command']!r} but {args.command!r} was invoked"
-            )
         if args.seed is not None and isinstance(doc, dict):
             doc = {**doc, "seed": args.seed}
-        cfg = from_dict(schema, doc, "config")
+        design, cfg = parse_config(args.command, doc)
         if cfg.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
-        return command(cfg, Path(args.out))
+            raise ConfigError(f"config.seed must be nonnegative, got {cfg.seed}")
+        A, design = design.build(cfg.m, cfg.seed)
+        rc, resolved = _COMMANDS[args.command][1](A, cfg, out)
+        envelope = {"command": args.command, "design": to_dict(design)}
+        write_json(out / "resolved_config.json", {**envelope, **to_dict(resolved)})
+        return rc
     except (
         ConfigError,
         ParameterError,

@@ -1,6 +1,12 @@
 """Monte Carlo straggler experiments, unbiasedness estimation, and the
 desk-scale distributed-training simulation.
 
+SweepConfig and TrainConfig hold every setting of a sweep and of a training
+comparison except the design, and are the sweep and train commands' config
+schemas: their fields are the JSON keys, and each refuses a bad value with a
+FieldError that names its key. sweep_error(A, cfg) and
+simulate_training(A, cfg) return one result per scheme of the config.
+
 Every trial derives its own RNG stream from (master seed, trial key), so
 results do not depend on scheduling order and reruns are bit-reproducible.
 """
@@ -9,8 +15,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+import numbers
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -39,6 +45,7 @@ from .errors import FieldError, ParameterError, SingularMatrixError
 from .serialize import read_matrix_csv, write_rows_csv
 
 EXACT = "exact"
+ENCODING_SCHEMES = (RANDOM_DIAGONAL, NULLSPACE_HADAMARD, BASELINE)
 
 SWEEP_CSV_HEADER = [
     "scheme",
@@ -123,6 +130,8 @@ class SchemeSpec:
     takes its default under that scheme and stays None under the others,
     which refuse it. epsilon is held to DiagonalLaw's rule."""
 
+    # the schemes an entry may name
+    NAMES: ClassVar[tuple] = (*ENCODING_SCHEMES, EXACT)
     # optional key -> (the scheme that owns it, its value when unset)
     OWNED_KEYS: ClassVar[dict] = {
         "epsilon": (RANDOM_DIAGONAL, 0.0),
@@ -136,9 +145,8 @@ class SchemeSpec:
     constrain_pm1: bool | None = None
 
     def __post_init__(self) -> None:
-        names = (RANDOM_DIAGONAL, NULLSPACE_HADAMARD, BASELINE, EXACT)
-        if self.scheme not in names:
-            raise FieldError(f"scheme must be one of {', '.join(names)}, got {self.scheme!r}")
+        if self.scheme not in self.NAMES:
+            raise FieldError(f"scheme must be one of {', '.join(self.NAMES)}, got {self.scheme!r}")
         for key, (owner, default) in self.OWNED_KEYS.items():
             if getattr(self, key) is None and owner == self.scheme:
                 object.__setattr__(self, key, default)
@@ -182,47 +190,78 @@ def _stream_seed(master_seed: int, *key: int) -> int:
 # error sweeps
 
 
+def _check_counts(owner, *keys: str) -> None:
+    """Refuse a key of owner that is not an integer of at least 1; a bool is
+    an int to Python, and True would silently mean 1."""
+    for key in keys:
+        value = getattr(owner, key)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise FieldError(f"{key} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
+class SweepScheme(SchemeSpec):
+    """A sweep's scheme with its own number of encoding draws, so
+    deterministic schemes skip redundant redraws while sharing the
+    straggler sets."""
+
+    NAMES: ClassVar[tuple] = ENCODING_SCHEMES
+
+    matrix_draws: int = 1
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_counts(self, "matrix_draws")
+
+
+@dataclass(frozen=True, kw_only=True)
 class SweepConfig:
-    assignment: AssignmentMatrix
-    scheme: SchemeSpec
+    """Every scheme of a decode-error sweep over one grid. The checks that
+    need the design's n are in check_n."""
+
+    schemes: tuple[SweepScheme, ...]
     m: int
     grid_kind: str  # "s" (straggler counts) or "q" (straggler probabilities)
-    grid: tuple
-    matrix_draws: int = 1
-    set_draws: object = 100  # positive integer, or "all" for exhaustive sets
+    grid: tuple[float, ...]  # stored as ints on an "s" grid
+    set_draws: str | int = 100  # a positive integer, or "all" for exhaustive sets
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.scheme.scheme == EXACT:
-            raise ParameterError("sweeps need an encoding scheme")
+        if not self.schemes:
+            raise FieldError("schemes must be a nonempty list")
+        _check_counts(self, "m")
         if self.grid_kind not in ("s", "q"):
-            raise ParameterError(f"grid_kind must be 's' or 'q', got {self.grid_kind!r}")
+            raise FieldError(f"grid_kind must be 's' or 'q', got {self.grid_kind!r}")
         if len(self.grid) == 0:
-            raise ParameterError("grid must be nonempty")
-        # a bool is an int to Python, and True would silently mean 1 draw
-        if type(self.matrix_draws) is not int or self.matrix_draws < 1:
-            raise ParameterError(f"matrix_draws must be an integer >= 1, got {self.matrix_draws}")
-        if self.set_draws != "all" and (type(self.set_draws) is not int or self.set_draws < 1):
-            raise ParameterError(f"set_draws must be an integer >= 1 or 'all', got {self.set_draws}")
-        if self.set_draws == "all" and self.grid_kind != "s":
-            raise ParameterError("set_draws='all' needs a straggler-count grid")
-        n = self.assignment.n
+            raise FieldError("grid must be nonempty")
+        if self.set_draws != "all":
+            _check_counts(self, "set_draws")
+        elif self.grid_kind != "s":
+            raise FieldError("set_draws='all' needs a straggler-count grid")
         for i, x in enumerate(self.grid):
             if self.grid_kind == "s" and not float(x).is_integer():
                 raise FieldError(f"grid[{i}]: s={x} is not an integer")
-            if self.grid_kind == "s" and not (0 <= int(x) <= n):
-                raise FieldError(f"grid[{i}]: s={x} outside [0, {n}]")
             if self.grid_kind == "q" and not (0.0 <= float(x) < 1.0):
                 raise FieldError(f"grid[{i}]: q={x} outside [0, 1)")
+        grid = tuple(int(x) for x in self.grid) if self.grid_kind == "s" else tuple(self.grid)
+        object.__setattr__(self, "grid", grid)
+
+    def check_n(self, n: int) -> None:
+        """Refuse, for a design with n workers, an s outside [0, n] and an
+        exhaustive enumeration over MAX_EXHAUSTIVE_SETS sets per encoding
+        draw."""
+        if self.grid_kind != "s":
+            return
+        for i, s in enumerate(self.grid):
+            if not (0 <= s <= n):
+                raise FieldError(f"grid[{i}]: s={s} outside [0, {n}]")
         if self.set_draws == "all":
-            total = sum(math.comb(n, int(x)) for x in self.grid)
+            total = sum(math.comb(n, s) for s in self.grid)
             if total > MAX_EXHAUSTIVE_SETS:
-                raise ParameterError(
+                raise FieldError(
                     f"set_draws='all' would enumerate {total} sets per encoding draw, "
                     f"over the cap of {MAX_EXHAUSTIVE_SETS}; use a sampled count"
                 )
-        object.__setattr__(self, "grid", tuple(self.grid))
 
 
 @dataclass
@@ -237,21 +276,21 @@ class ExperimentResult:
         return [row.get(name) for row in self.rows]
 
 
-def _iter_sets(cfg: SweepConfig, x, rng: np.random.Generator):
-    n = cfg.assignment.n
+def _iter_sets(cfg: SweepConfig, n: int, x, rng: np.random.Generator):
     if cfg.set_draws == "all":
-        size = n - int(x)
-        for members in itertools.combinations(range(n), size):
+        for members in itertools.combinations(range(n), n - x):
             yield NonStragglerSet(n=n, members=members)
         return
-    model = FixedCount(int(x)) if cfg.grid_kind == "s" else Bernoulli(float(x))
+    model = FixedCount(x) if cfg.grid_kind == "s" else Bernoulli(float(x))
     for _ in range(cfg.set_draws):
         yield sample_straggler_set(model, n, rng)
 
 
-def sweep_error(cfg: SweepConfig) -> ExperimentResult:
+def sweep_error(A: AssignmentMatrix, cfg: SweepConfig) -> list[ExperimentResult]:
     """Decode-error statistics over (matrix draw x straggler draw) grids,
-    with the matching upper and lower bounds attached per grid point.
+    with the matching upper and lower bounds attached per grid point: one
+    result per scheme of cfg, each of whose draws shares the straggler sets
+    of the others. Refuses first what cfg.check_n refuses.
 
     The sets of each (encoding draw, grid point) are decoded together by
     decode_each, in chunks of at most DECODE_CHUNK sets of the one encoding.
@@ -262,22 +301,26 @@ def sweep_error(cfg: SweepConfig) -> ExperimentResult:
     scheme) and their maximum is reported, mirroring how the sweep figures
     annotate curves; sets with a singular survivor Gram are skipped.
     """
-    A, sc = cfg.assignment, cfg.scheme
+    cfg.check_n(A.n)
+    return [_sweep_scheme(A, cfg, sc) for sc in cfg.schemes]
+
+
+def _sweep_scheme(A: AssignmentMatrix, cfg: SweepConfig, sc: SweepScheme) -> ExperimentResult:
     s_grid = cfg.grid_kind == "s"
     c_val = bnd.compute_c(sc.epsilon) if sc.scheme == RANDOM_DIAGONAL else None
     epsilon = sc.epsilon or 0.0  # the closed forms' epsilon; None outside the diagonal scheme
     result = ExperimentResult(header=list(SWEEP_CSV_HEADER))
     for gi, x in enumerate(cfg.grid):
         kinds = bnd.SCHEME_UPPER_FORMS.get(sc.scheme, ()) if s_grid else ()
-        forms = (bnd.closed_form(kind, A, cfg.m, int(x), epsilon) for kind in kinds)
+        forms = (bnd.closed_form(kind, A, cfg.m, x, epsilon) for kind in kinds)
         upper = next((v for v in forms if v is not None), None)
         per_set = s_grid and upper is None
         errs = []
         set_bounds = []
-        for t in range(cfg.matrix_draws):
+        for t in range(sc.matrix_draws):
             B = sc.build(A, cfg.m, _stream_seed(cfg.seed, gi, t, 0))
             rng = np.random.default_rng(_stream(cfg.seed, gi, t, 1))
-            sets = _iter_sets(cfg, x, rng)
+            sets = _iter_sets(cfg, A.n, x, rng)
             while chunk := list(itertools.islice(sets, DECODE_CHUNK)):
                 errs.extend(dec.err for dec in decode_each([B] * len(chunk), chunk))
                 if not per_set:
@@ -293,7 +336,7 @@ def sweep_error(cfg: SweepConfig) -> ExperimentResult:
         arr = np.asarray(errs)
         if upper is None and set_bounds:
             upper = float(max(set_bounds))
-        lower = bnd.closed_form(bnd.LOWER, A, cfg.m, int(x), epsilon) if s_grid else None
+        lower = bnd.closed_form(bnd.LOWER, A, cfg.m, x, epsilon) if s_grid else None
         sem = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
         result.rows.append(
             {
@@ -428,6 +471,18 @@ class DatasetSpec:
     seed: int = 0
     path: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.path is not None:
+            return  # the CSV sets the sizes, checked when it is read
+        if self.classes < 2:
+            raise FieldError(f"classes must be at least 2, got {self.classes}")
+        if self.samples < self.classes:
+            raise FieldError(f"samples must be at least classes = {self.classes}, got {self.samples}")
+        if self.dim < 1:
+            raise FieldError(f"dim must be positive, got {self.dim}")
+        if self.seed < 0:
+            raise FieldError(f"seed must be nonnegative, got {self.seed}")
+
 
 def make_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.path is not None:
@@ -441,12 +496,6 @@ def make_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
         if np.unique(labels).size < 2:
             raise ParameterError(f"{spec.path}: labels must take at least 2 distinct values")
         return raw[:, :-1], labels.astype(int)
-    if spec.samples < spec.classes or spec.classes < 2:
-        raise ParameterError("need at least 2 classes and one sample per class")
-    if spec.dim < 1:
-        raise ParameterError(f"dataset dim must be positive, got {spec.dim}")
-    if spec.seed < 0:
-        raise ParameterError(f"dataset seed must be nonnegative, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     means = rng.normal(0.0, 1.0, size=(spec.classes, spec.dim))
     labels = np.arange(spec.samples) % spec.classes
@@ -468,26 +517,28 @@ def logistic_loss(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> float:
     return -float(np.mean(logp[np.arange(len(y)), y]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainConfig:
-    assignment: AssignmentMatrix
-    scheme: SchemeSpec
+    """Every scheme of a training comparison on one dataset."""
+
+    schemes: tuple[SchemeSpec, ...]
     m: int
     q: float
     iterations: int
     repetitions: int = 1
     learning_rate: float = 0.5
     dataset: DatasetSpec = DatasetSpec()
-    seed: int = 0
     rescale_lr: bool = False
+    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.iterations < 1 or self.repetitions < 1:
-            raise ParameterError("iterations and repetitions must be positive")
+        if not self.schemes:
+            raise FieldError("schemes must be a nonempty list")
+        _check_counts(self, "m", "iterations", "repetitions")
         if not (0.0 <= self.q < 1.0):
-            raise ParameterError(f"q must lie in [0, 1), got {self.q}")
+            raise FieldError(f"q must lie in [0, 1), got {self.q}")
         if not self.learning_rate >= 0.0:
-            raise ParameterError(f"learning_rate must be nonnegative, got {self.learning_rate}")
+            raise FieldError(f"learning_rate must be nonnegative, got {self.learning_rate}")
 
 
 DIVERGENCE_LIMIT = 1e6
@@ -535,7 +586,7 @@ class TrainResult:
         write_rows_csv(path, TRAIN_CSV_HEADER, self.rows())
 
 
-def _check_train_size(cfg: TrainConfig, samples: int, dim: int, classes: int) -> None:
+def _check_train_size(A: AssignmentMatrix, cfg: TrainConfig, samples: int, dim: int, classes: int) -> None:
     """Refuse a run with an array over MAX_TRAIN_ELEMENTS elements, naming
     the config keys that size it. samples, dim and classes are the
     dataset's: the spec's for synthetic data, the CSV's for a file."""
@@ -548,7 +599,7 @@ def _check_train_size(cfg: TrainConfig, samples: int, dim: int, classes: int) ->
         (samples * dim, f"{rows} x {cols}"),
         (reps * (cfg.iterations + 1), "repetitions x (iterations + 1)"),
         (reps * samples * classes, f"repetitions x {rows} x {labels}"),
-        (reps * cfg.assignment.k * dim * classes, f"repetitions x k x {cols} x {labels}"),
+        (reps * A.k * dim * classes, f"repetitions x k x {cols} x {labels}"),
     )
     for size, keys in arrays:
         if size > MAX_TRAIN_ELEMENTS:
@@ -557,9 +608,9 @@ def _check_train_size(cfg: TrainConfig, samples: int, dim: int, classes: int) ->
             )
 
 
-def simulate_training(cfg: TrainConfig) -> TrainResult:
+def simulate_training(A: AssignmentMatrix, cfg: TrainConfig) -> list[TrainResult]:
     """Full-batch gradient descent on multinomial logistic regression with
-    coded gradient aggregation.
+    coded gradient aggregation: one result per scheme of cfg.
 
     Per iteration: the k per-subset gradients (weights flattened
     column-major) come from one batched product, a Bernoulli survivor set is
@@ -581,13 +632,16 @@ def simulate_training(cfg: TrainConfig) -> TrainResult:
     Refuses, before allocating, a run with an array over
     MAX_TRAIN_ELEMENTS elements.
     """
-    A, sc = cfg.assignment, cfg.scheme
+    return [_train_scheme(A, cfg, sc) for sc in cfg.schemes]
+
+
+def _train_scheme(A: AssignmentMatrix, cfg: TrainConfig, sc: SchemeSpec) -> TrainResult:
     spec = cfg.dataset
     if spec.path is None:
-        _check_train_size(cfg, spec.samples, spec.dim, spec.classes)
+        _check_train_size(A, cfg, spec.samples, spec.dim, spec.classes)
     X, y = make_dataset(spec)
     if spec.path is not None:
-        _check_train_size(cfg, X.shape[0], X.shape[1], int(y.max()) + 1)
+        _check_train_size(A, cfg, X.shape[0], X.shape[1], int(y.max()) + 1)
     k = A.k
     per = len(X) // k
     if per == 0:

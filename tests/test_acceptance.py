@@ -52,16 +52,15 @@ def test_criterion_2_mean_error_within_design_bound_and_below_repetition():
     t0 = time.perf_counter()
     A = gc.bibd_transpose_from_difference_set(gc.builtin_difference_sets()[91], 91)
     cfg = gc.SweepConfig(
-        assignment=A,
-        scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.0),
+        schemes=(gc.SweepScheme(scheme=gc.RANDOM_DIAGONAL, epsilon=0.0, matrix_draws=20),),
         m=2,
         grid_kind="s",
         grid=(0, 5, 10, 20, 30),
-        matrix_draws=20,
         set_draws=100,
         seed=0,
     )
-    rows = gc.sweep_error(cfg).rows
+    (result,) = gc.sweep_error(A, cfg)
+    rows = result.rows
     ok = True
     parts = []
     for row in rows:
@@ -198,22 +197,19 @@ def test_criterion_7_training_beats_repetition_and_tracks_plain_descent():
     parts = []
     ok = True
     for name, A, eps in (("bibd", fano, 0.0), ("coset", coset, 0.1)):
-        finals = {}
-        for scheme in (
-            gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=eps),
-            gc.SchemeSpec(scheme=gc.BASELINE),
-        ):
-            cfg = gc.TrainConfig(
-                assignment=A,
-                scheme=scheme,
-                m=2,
-                q=0.25,
-                iterations=200,
-                repetitions=20,
-                dataset=gc.DatasetSpec(samples=600, dim=10, classes=3, seed=0),
-                seed=0,
-            )
-            finals[scheme.scheme] = gc.simulate_training(cfg).mean_final_loss()
+        cfg = gc.TrainConfig(
+            schemes=(gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=eps), gc.SchemeSpec(scheme=gc.BASELINE)),
+            m=2,
+            q=0.25,
+            iterations=200,
+            repetitions=20,
+            dataset=gc.DatasetSpec(samples=600, dim=10, classes=3, seed=0),
+            seed=0,
+        )
+        finals = {
+            scheme.scheme: result.mean_final_loss()
+            for scheme, result in zip(cfg.schemes, gc.simulate_training(A, cfg))
+        }
         better = finals[gc.RANDOM_DIAGONAL] <= finals[gc.BASELINE]
         ok = ok and better
         parts.append(
@@ -227,16 +223,8 @@ def test_criterion_7_training_beats_repetition_and_tracks_plain_descent():
         dataset=gc.DatasetSpec(samples=540, dim=6, classes=3, seed=0),
         seed=0,
     )
-    coded = gc.simulate_training(
-        gc.TrainConfig(
-            assignment=coset,
-            scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1),
-            **common,
-        )
-    )
-    plain = gc.simulate_training(
-        gc.TrainConfig(assignment=coset, scheme=gc.SchemeSpec(scheme=gc.EXACT), **common)
-    )
+    schemes = (gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1), gc.SchemeSpec(scheme=gc.EXACT))
+    coded, plain = gc.simulate_training(coset, gc.TrainConfig(schemes=schemes, **common))
     gap = float(np.max(np.abs(coded.losses - plain.losses)))
     ok = ok and gap <= TRAJECTORY_EPS
     parts.append(f"q=0 trajectory gap {gap:.2e}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gradcoding as gc
-from gradcoding.cli import _COMMANDS, _diagonal_law_failure, from_dict, main
+from gradcoding.cli import _diagonal_law_failure, main, parse_config
 from gradcoding.serialize import read_matrix_csv, write_matrix_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -244,6 +244,7 @@ def _bad_input(tmp_path, case):
     bireg = {"family": "bi_regular", "n": 8, "k": 4, "delta": 2, "gamma": 4}
     train = {"design": FANO, "m": 2, "q": 0.25, "iterations": 1, "schemes": [{"scheme": "baseline"}]}
     bounds = {"design": FANO, "m": 2, "s_grid": [0, 1]}
+    sweep = FIXED_POINT_CONFIGS["sweep"]
     if case.startswith("difference_set_file"):
         doc = {"v": 7, "set": ["0", 1, 3]} if case.endswith("strings") else {"v": 7.0, "set": [0, 1, 3]}
         (tmp_path / "set.json").write_text(json.dumps(doc))
@@ -268,9 +269,61 @@ def _bad_input(tmp_path, case):
     return {
         "negative_seed": ("construct", {"design": FANO, "seed": -1}, "seed must be nonnegative"),
         "negative_design_seed": ("construct", {"design": dict(bireg, seed=-1)}, "seed must be nonnegative"),
-        "negative_dataset_seed": ("train", dict(train, dataset={"seed": -1}), "dataset seed"),
-        "negative_dataset_dim": ("train", dict(train, dataset={"dim": -1}), "dataset dim"),
+        "negative_dataset_seed": ("train", dict(train, dataset={"seed": -1}), "error: config.dataset.seed must be"),
+        "negative_dataset_dim": ("train", dict(train, dataset={"dim": -1}), "error: config.dataset.dim must be"),
+        "dataset_one_class": ("train", dict(train, dataset={"classes": 1}), "error: config.dataset.classes must be"),
+        "dataset_fewer_samples_than_classes": (
+            "train",
+            dict(train, dataset={"samples": 2}),
+            "error: config.dataset.samples must be",
+        ),
         "negative_learning_rate": ("train", dict(train, learning_rate=-0.5), "learning_rate"),
+        "train_m_zero": ("train", dict(train, m=0), "error: config.m must be"),
+        "train_q_one": ("train", dict(train, q=1.0), "error: config.q must lie in [0, 1)"),
+        "train_iterations_zero": ("train", dict(train, iterations=0), "error: config.iterations must be"),
+        "train_repetitions_zero": ("train", dict(train, repetitions=0), "error: config.repetitions must be"),
+        "train_no_schemes": ("train", dict(train, schemes=[]), "error: config.schemes must be a nonempty list"),
+        "sweep_unknown_grid_kind": ("sweep", dict(sweep, grid_kind="sets"), "error: config.grid_kind must be"),
+        "sweep_set_draws_zero": ("sweep", dict(sweep, set_draws=0), "error: config.set_draws must be"),
+        "sweep_matrix_draws_zero": (
+            "sweep",
+            dict(sweep, schemes=[{"scheme": "baseline"}, {"scheme": "baseline", "matrix_draws": 0}]),
+            "error: config.schemes[1].matrix_draws must be",
+        ),
+        "sweep_exact_scheme": ("sweep", dict(sweep, schemes=[{"scheme": "exact"}]), "error: config.schemes[0].scheme"),
+        "sweep_empty_grid": ("sweep", dict(sweep, grid=[]), "error: config.grid must be nonempty"),
+        "sweep_m_zero": ("sweep", dict(sweep, m=0), "error: config.m must be"),
+        "sweep_no_schemes": ("sweep", dict(sweep, schemes=[]), "error: config.schemes must be a nonempty list"),
+        "bounds_m_zero": ("bounds", dict(bounds, m=0), "error: config.m must be"),
+        "bounds_empty_s_grid": ("bounds", dict(bounds, s_grid=[]), "error: config.s_grid must be nonempty"),
+        "construct_m_zero": (
+            "construct",
+            {"design": FANO, "m": 0, "scheme": {"scheme": "baseline"}},
+            "error: config.m must be",
+        ),
+        # the encoding is built before the design's files are written
+        "construct_scheme_refused_by_the_design": (
+            "construct",
+            {"design": FANO, "m": 2, "scheme": {"scheme": "nullspace_hadamard"}},
+            "construction needs n = m*k",
+        ),
+        "validate_m_zero": ("validate", {"design": FANO, "m": 0}, "error: config.m must be"),
+        "coset_design_without_m": (
+            "construct",
+            {"design": {"family": "coset_bipartite", "k": 3, "delta": 1}},
+            "error: config.m must be given with a coset design",
+        ),
+        "bibd_design_without_v": (
+            "construct",
+            {"design": {"family": "bibd_transpose"}},
+            "error: config.design needs v, difference_set, or path",
+        ),
+        "inline_difference_set_without_v": (
+            "construct",
+            {"design": {"family": "bibd_transpose", "difference_set": [0, 1, 3]}},
+            "error: config.design.difference_set needs v",
+        ),
+
         "bounds_negative_epsilon": ("bounds", dict(bounds, epsilon=-0.5), "config.epsilon must lie in [0, 1)"),
         "bounds_epsilon_one": ("bounds", dict(bounds, epsilon=1.0), "config.epsilon must lie in [0, 1)"),
         "bounds_repeated_kind": ("bounds", dict(bounds, kinds=["lower", "lower"]), "config.kinds"),
@@ -311,7 +364,29 @@ def _bad_input(tmp_path, case):
         "negative_design_seed",
         "negative_dataset_seed",
         "negative_dataset_dim",
+        "dataset_one_class",
+        "dataset_fewer_samples_than_classes",
         "negative_learning_rate",
+        "train_m_zero",
+        "train_q_one",
+        "train_iterations_zero",
+        "train_repetitions_zero",
+        "train_no_schemes",
+        "sweep_unknown_grid_kind",
+        "sweep_set_draws_zero",
+        "sweep_matrix_draws_zero",
+        "sweep_exact_scheme",
+        "sweep_empty_grid",
+        "sweep_m_zero",
+        "sweep_no_schemes",
+        "bounds_m_zero",
+        "bounds_empty_s_grid",
+        "construct_m_zero",
+        "construct_scheme_refused_by_the_design",
+        "validate_m_zero",
+        "coset_design_without_m",
+        "bibd_design_without_v",
+        "inline_difference_set_without_v",
         "bounds_negative_epsilon",
         "bounds_epsilon_one",
         "bounds_repeated_kind",
@@ -404,7 +479,7 @@ def test_seed_flag_gets_the_config_seed_check(tmp_path, capsys):
 
 
 def test_program_errors_are_not_reported_as_bad_input(tmp_path, monkeypatch):
-    def broken(cfg):
+    def broken(A, cfg):
         raise TypeError("a bug in the program")
 
     monkeypatch.setattr("gradcoding.cli.sweep_error", broken)
@@ -473,7 +548,7 @@ def test_bounds_default_kinds_reach_s_equal_n(tmp_path):
     assert at_n == [26.0]  # mk: the error when no worker survives
 
 
-def test_bounds_epsilon_guard_exits_2(tmp_path):
+def test_bounds_epsilon_guard_exits_2(tmp_path, capsys):
     config = {
         "design": {"family": "bibd_transpose", "v": 7},
         "m": 2,
@@ -481,8 +556,10 @@ def test_bounds_epsilon_guard_exits_2(tmp_path):
         "epsilon": 0.1,
         "kinds": ["bibd_upper"],
     }
-    rc, _ = run_cli(tmp_path, "bounds", config)
+    rc, out = run_cli(tmp_path, "bounds", config)
     assert rc == 2
+    assert "error: config.kinds[0]: bibd_upper does not apply" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +592,7 @@ def test_sweep_multi_scheme_shares_configuration(tmp_path):
     assert (out / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
 
 
-def test_sweep_exhaustive_over_cap_exits_2(tmp_path):
+def test_sweep_exhaustive_over_cap_exits_2(tmp_path, capsys):
     config = {
         "design": {"family": "bibd_transpose", "v": 91},
         "m": 2,
@@ -526,7 +603,8 @@ def test_sweep_exhaustive_over_cap_exits_2(tmp_path):
     }
     rc, out = run_cli(tmp_path, "sweep", config)
     assert rc == 2
-    assert not (out / "sweep.csv").exists()
+    assert "error: config.set_draws='all' would enumerate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(FIXED_POINT_CONFIGS))
@@ -785,11 +863,13 @@ def test_diagonal_law_check_matches_column_loop(bireg40, seed):
     assert (got == "") == (seed % 4 == 0)
 
 
-def test_validate_requires_paired_encoding_inputs(tmp_path):
+def test_validate_requires_paired_encoding_inputs(tmp_path, capsys):
     made = _construct_with_encoding(tmp_path)
     config = {"design": BIREG8, "m": 2, "encoding_csv": str(made / "encoding.csv")}
-    rc, _ = run_cli(tmp_path, "validate", config, out="check")
+    rc, out = run_cli(tmp_path, "validate", config, out="check")
     assert rc == 2
+    assert "error: config.encoding_csv and encoding_meta go together" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -832,5 +912,5 @@ SHIPPED_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
 def test_shipped_configs_parse_under_their_schema(name):
     doc = SHIPPED_CONFIGS[name]
-    schema, _ = _COMMANDS[doc["command"]]
-    assert from_dict(schema, doc, "config").command == doc["command"]
+    design, _ = parse_config(doc["command"], doc)  # what main parses a config with
+    assert design.family == doc["design"]["family"]

@@ -106,44 +106,52 @@ def test_scheme_spec_keys_belong_to_one_scheme():
 # sweeps
 
 
+def _sweep_config(grid_kind="s", grid=(0,), scheme=None, **kw):
+    scheme = scheme or gc.SweepScheme(scheme=gc.RANDOM_DIAGONAL)
+    return gc.SweepConfig(**{"schemes": (scheme,), "m": 2, "grid_kind": grid_kind, "grid": grid, **kw})
+
+
 def test_sweep_config_validation(fano):
-    diag = gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL)
     with pytest.raises(ParameterError):
-        gc.SweepConfig(fano, gc.SchemeSpec(scheme=gc.EXACT), 2, "s", (0,))
+        _sweep_config(scheme=gc.SweepScheme(scheme=gc.EXACT))
     with pytest.raises(ParameterError):
-        gc.SweepConfig(fano, diag, 2, "sets", (0,))
+        _sweep_config(grid_kind="sets")
     with pytest.raises(ParameterError):
-        gc.SweepConfig(fano, diag, 2, "s", ())
+        _sweep_config(grid=())
+    with pytest.raises(ParameterError, match="outside"):
+        gc.sweep_error(fano, _sweep_config(grid=(8,)))
     with pytest.raises(ParameterError):
-        gc.SweepConfig(fano, diag, 2, "s", (8,))
+        _sweep_config("q", (1.0,))
     with pytest.raises(ParameterError):
-        gc.SweepConfig(fano, diag, 2, "q", (1.0,))
-    with pytest.raises(ParameterError):
-        gc.SweepConfig(fano, diag, 2, "s", (0,), set_draws=0)
+        _sweep_config(set_draws=0)
     with pytest.raises(ParameterError, match="not an integer"):
-        gc.SweepConfig(fano, diag, 2, "s", (2.5,))
-    for draws in ("set_draws", "matrix_draws"):
-        with pytest.raises(ParameterError, match=draws):
-            gc.SweepConfig(fano, diag, 2, "s", (0,), **{draws: True})
+        _sweep_config(grid=(2.5,))
+    with pytest.raises(ParameterError, match="set_draws"):
+        _sweep_config(set_draws=True)
+    with pytest.raises(ParameterError, match="matrix_draws"):
+        gc.SweepScheme(scheme=gc.RANDOM_DIAGONAL, matrix_draws=True)
     with pytest.raises(ParameterError, match="straggler-count grid"):
-        gc.SweepConfig(fano, diag, 1, "q", (0.1,), set_draws="all")
-    # an integral float stays valid
-    assert gc.SweepConfig(fano, diag, 2, "s", (2.0, 3))
+        _sweep_config("q", (0.1,), m=1, set_draws="all")
+    with pytest.raises(ParameterError, match="^schemes"):
+        gc.SweepConfig(schemes=(), m=2, grid_kind="s", grid=(0,))
+    with pytest.raises(ParameterError, match="^m "):
+        _sweep_config(m=0)
+    # an integral float stays valid, and an "s" grid is stored as ints
+    assert _sweep_config(grid=(2.0, 3)).grid == (2, 3)
 
 
 def test_sweep_repetition_rows_match_closed_form(fano):
     # the stacked-copies error is set-size-deterministic on this design, so
     # every sampled statistic collapses onto the exact formula
     cfg = gc.SweepConfig(
-        assignment=fano,
-        scheme=gc.SchemeSpec(scheme=gc.BASELINE),
+        schemes=(gc.SweepScheme(scheme=gc.BASELINE),),
         m=2,
         grid_kind="s",
         grid=tuple(range(8)),
         set_draws=12,
         seed=0,
     )
-    result = gc.sweep_error(cfg)
+    result = gc.sweep_error(fano, cfg)[0]
     assert result.header == SWEEP_CSV_HEADER
     for row, s in zip(result.rows, range(8)):
         want = gc.baseline_bibd_error(fano.params, 2, s).value
@@ -157,15 +165,14 @@ def test_sweep_repetition_rows_match_closed_form(fano):
 def test_sweep_exhaustive_matches_single_block_formula(fano):
     # m = 1 with sign diagonals: every size-5 set has one deterministic error
     cfg = gc.SweepConfig(
-        assignment=fano,
-        scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL),
+        schemes=(gc.SweepScheme(scheme=gc.RANDOM_DIAGONAL),),
         m=1,
         grid_kind="s",
         grid=(2,),
         set_draws="all",
         seed=0,
     )
-    row = gc.sweep_error(cfg).rows[0]
+    row = gc.sweep_error(fano, cfg)[0].rows[0]
     want = 7.0 - 45.0 / 7.0
     assert row["mean_err"] == pytest.approx(want, abs=1e-9)
     assert row["std_err"] == pytest.approx(0.0, abs=1e-9)
@@ -176,29 +183,20 @@ def test_sweep_exhaustive_refuses_enumeration_over_the_cap():
     # v = 91 at s = 5 would enumerate comb(91, 5), about 4.9e7 sets
     A = gc.bibd_transpose_from_difference_set(gc.builtin_difference_sets()[91], 91)
     with pytest.raises(ParameterError, match="enumerate"):
-        gc.SweepConfig(
-            assignment=A,
-            scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL),
-            m=2,
-            grid_kind="s",
-            grid=(5,),
-            set_draws="all",
-        )
+        gc.sweep_error(A, _sweep_config(grid=(5,), set_draws="all"))
 
 
 def test_sweep_reproducible_and_seed_sensitive(fano):
     def run(seed):
         cfg = gc.SweepConfig(
-            assignment=fano,
-            scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL),
+            schemes=(gc.SweepScheme(scheme=gc.RANDOM_DIAGONAL, matrix_draws=2),),
             m=2,
             grid_kind="s",
             grid=(1, 3),
-            matrix_draws=2,
             set_draws=5,
             seed=seed,
         )
-        return gc.sweep_error(cfg)
+        return gc.sweep_error(fano, cfg)[0]
 
     a, b, c = run(0), run(0), run(1)
     assert a.column("mean_err") == b.column("mean_err")
@@ -207,15 +205,14 @@ def test_sweep_reproducible_and_seed_sensitive(fano):
 
 def test_sweep_attaches_per_set_bound_without_closed_form(bireg40):
     cfg = gc.SweepConfig(
-        assignment=bireg40,
-        scheme=gc.SchemeSpec(scheme=gc.NULLSPACE_HADAMARD),
+        schemes=(gc.SweepScheme(scheme=gc.NULLSPACE_HADAMARD),),
         m=2,
         grid_kind="s",
         grid=(2,),
         set_draws=8,
         seed=0,
     )
-    row = gc.sweep_error(cfg).rows[0]
+    row = gc.sweep_error(bireg40, cfg)[0].rows[0]
     assert row["upper_bound"] is not None
     assert row["max_err"] <= row["upper_bound"] + 1e-8
     assert row["lower_bound"] == gc.lower_bound(40, 20, 3, 2, 2).value
@@ -223,15 +220,14 @@ def test_sweep_attaches_per_set_bound_without_closed_form(bireg40):
 
 def test_sweep_probability_grid_rows(fano):
     cfg = gc.SweepConfig(
-        assignment=fano,
-        scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1),
+        schemes=(gc.SweepScheme(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1),),
         m=2,
         grid_kind="q",
         grid=(0.0, 0.3),
         set_draws=6,
         seed=0,
     )
-    rows = gc.sweep_error(cfg).rows
+    rows = gc.sweep_error(fano, cfg)[0].rows
     assert [r["x"] for r in rows] == [0.0, 0.3]
     assert all(r["upper_bound"] is None and r["lower_bound"] is None for r in rows)
     assert rows[0]["epsilon"] == 0.1
@@ -243,16 +239,14 @@ def test_sweep_decodes_each_grid_point_in_chunks(bireg40, monkeypatch):
     # does not change rows
     def run():
         cfg = gc.SweepConfig(
-            assignment=bireg40,
-            scheme=gc.SchemeSpec(scheme=gc.NULLSPACE_HADAMARD),
+            schemes=(gc.SweepScheme(scheme=gc.NULLSPACE_HADAMARD, matrix_draws=2),),
             m=2,
             grid_kind="s",
             grid=(2, 6),
-            matrix_draws=2,
             set_draws=8,
             seed=0,
         )
-        return gc.sweep_error(cfg).rows
+        return gc.sweep_error(bireg40, cfg)[0].rows
 
     calls = []
     original = experiments.decode_each
@@ -281,15 +275,14 @@ def test_sweep_exhaustive_sets_arrive_in_chunks(fano, monkeypatch):
         experiments, "decode_each", lambda encs, sets: calls.append(len(sets)) or original(encs, sets)
     )
     cfg = gc.SweepConfig(
-        assignment=fano,
-        scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL),
+        schemes=(gc.SweepScheme(scheme=gc.RANDOM_DIAGONAL),),
         m=1,
         grid_kind="s",
         grid=(2,),
         set_draws="all",
         seed=0,
     )
-    row = gc.sweep_error(cfg).rows[0]
+    row = gc.sweep_error(fano, cfg)[0].rows[0]
     assert calls == [4, 4, 4, 4, 4, 1]  # comb(7, 2) = 21 sets
     assert row["mean_err"] == pytest.approx(7.0 - 45.0 / 7.0, abs=1e-9)
 
@@ -304,15 +297,14 @@ def test_log_softmax_matches_the_axis_reduction(shape):
 
 def test_experiment_result_csv_roundtrip(tmp_path, fano):
     cfg = gc.SweepConfig(
-        assignment=fano,
-        scheme=gc.SchemeSpec(scheme=gc.BASELINE),
+        schemes=(gc.SweepScheme(scheme=gc.BASELINE),),
         m=2,
         grid_kind="s",
         grid=(0, 1),
         set_draws=3,
         seed=0,
     )
-    result = gc.sweep_error(cfg)
+    result = gc.sweep_error(fano, cfg)[0]
     path = tmp_path / "sweep.csv"
     result.write_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -457,8 +449,7 @@ def test_uniform_predictor_loss():
 
 def test_training_zero_learning_rate_is_flat(fano):
     cfg = gc.TrainConfig(
-        assignment=fano,
-        scheme=gc.SchemeSpec(scheme=gc.BASELINE),
+        schemes=(gc.SchemeSpec(scheme=gc.BASELINE),),
         m=2,
         q=0.25,
         iterations=3,
@@ -467,7 +458,7 @@ def test_training_zero_learning_rate_is_flat(fano):
         dataset=gc.DatasetSpec(samples=70, dim=3, classes=2, seed=0),
         seed=0,
     )
-    result = gc.simulate_training(cfg)
+    result = gc.simulate_training(fano, cfg)[0]
     assert result.losses.shape == (2, 4)
     for row in result.losses:
         assert np.ptp(row) == 0.0
@@ -476,8 +467,7 @@ def test_training_zero_learning_rate_is_flat(fano):
 def test_training_reproducible(fano):
     def run():
         cfg = gc.TrainConfig(
-            assignment=fano,
-            scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL),
+            schemes=(gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL),),
             m=2,
             q=0.25,
             iterations=4,
@@ -485,7 +475,7 @@ def test_training_reproducible(fano):
             dataset=gc.DatasetSpec(samples=70, dim=3, classes=2, seed=0),
             seed=3,
         )
-        return gc.simulate_training(cfg)
+        return gc.simulate_training(fano, cfg)[0]
 
     assert np.array_equal(run().losses, run().losses)
 
@@ -500,18 +490,8 @@ def test_training_exact_scheme_matches_invertible_coding(coset27):
         dataset=gc.DatasetSpec(samples=270, dim=4, classes=3, seed=0),
         seed=0,
     )
-    coded = gc.simulate_training(
-        gc.TrainConfig(
-            assignment=coset27,
-            scheme=gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1),
-            **common,
-        )
-    )
-    plain = gc.simulate_training(
-        gc.TrainConfig(
-            assignment=coset27, scheme=gc.SchemeSpec(scheme=gc.EXACT), **common
-        )
-    )
+    schemes = (gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1), gc.SchemeSpec(scheme=gc.EXACT))
+    coded, plain = gc.simulate_training(coset27, gc.TrainConfig(schemes=schemes, **common))
     assert np.max(np.abs(coded.losses - plain.losses)) <= 1e-6
 
 
@@ -520,8 +500,7 @@ def test_exact_training_matches_the_per_subset_loop(fano):
     # the loop that the batched product replaced did; d = 9 pads to 10
     dataset = gc.DatasetSpec(samples=70, dim=3, classes=3, seed=0)
     cfg = gc.TrainConfig(
-        assignment=fano,
-        scheme=gc.SchemeSpec(scheme=gc.EXACT),
+        schemes=(gc.SchemeSpec(scheme=gc.EXACT),),
         m=2,
         q=0.0,
         iterations=3,
@@ -541,15 +520,14 @@ def test_exact_training_matches_the_per_subset_loop(fano):
         grad = np.ravel(gc.split_gradients(partials, 2) @ F, order="F")[:9]
         W = W - 0.5 * grad.reshape((3, 3), order="F")
         losses.append(gc.logistic_loss(X, y, W))
-    assert np.array_equal(gc.simulate_training(cfg).losses[0], losses)
+    assert np.array_equal(gc.simulate_training(fano, cfg)[0].losses[0], losses)
 
 
 def test_training_divergence_recorded(fano):
     # three overlapping classes: a giant step cannot separate them, so the
     # loss blows past the divergence limit instead of saturating
     cfg = gc.TrainConfig(
-        assignment=fano,
-        scheme=gc.SchemeSpec(scheme=gc.BASELINE),
+        schemes=(gc.SchemeSpec(scheme=gc.BASELINE),),
         m=2,
         q=0.0,
         iterations=40,
@@ -558,7 +536,7 @@ def test_training_divergence_recorded(fano):
         dataset=gc.DatasetSpec(samples=90, dim=2, classes=3, seed=0),
         seed=0,
     )
-    result = gc.simulate_training(cfg)
+    result = gc.simulate_training(fano, cfg)[0]
     assert result.diverged == [True]
     row = result.losses[0]
     assert np.isnan(row[-1])
@@ -568,8 +546,7 @@ def test_training_divergence_recorded(fano):
 
 def test_train_result_rows_and_csv(tmp_path, fano):
     cfg = gc.TrainConfig(
-        assignment=fano,
-        scheme=gc.SchemeSpec(scheme=gc.BASELINE),
+        schemes=(gc.SchemeSpec(scheme=gc.BASELINE),),
         m=2,
         q=0.0,
         iterations=2,
@@ -577,7 +554,7 @@ def test_train_result_rows_and_csv(tmp_path, fano):
         dataset=gc.DatasetSpec(samples=70, dim=3, classes=2, seed=0),
         seed=0,
     )
-    result = gc.simulate_training(cfg)
+    result = gc.simulate_training(fano, cfg)[0]
     rows = result.rows()
     assert len(rows) == 6  # 2 repetitions x (initial + 2 updates)
     assert rows[0]["iteration"] == 0
@@ -586,23 +563,27 @@ def test_train_result_rows_and_csv(tmp_path, fano):
     assert path.read_text().splitlines()[0] == ",".join(TRAIN_CSV_HEADER)
 
 
+def _train_config(scheme=gc.BASELINE, q=0.25, iterations=5, **kw):
+    schemes = (gc.SchemeSpec(scheme=scheme),)
+    return gc.TrainConfig(**{"schemes": schemes, "m": 2, "q": q, "iterations": iterations, **kw})
+
+
 def test_train_config_validation(fano):
-    with pytest.raises(ParameterError):
-        gc.TrainConfig(fano, gc.SchemeSpec(scheme=gc.BASELINE), 2, 0.25, 0)
-    with pytest.raises(ParameterError):
-        gc.TrainConfig(fano, gc.SchemeSpec(scheme=gc.BASELINE), 2, 1.0, 5)
+    with pytest.raises(ParameterError, match="^iterations"):
+        _train_config(iterations=0)
+    with pytest.raises(ParameterError, match="^q "):
+        _train_config(q=1.0)
     with pytest.raises(ParameterError, match="learning_rate"):
-        gc.TrainConfig(fano, gc.SchemeSpec(scheme=gc.BASELINE), 2, 0.25, 5, learning_rate=-0.5)
-    small = gc.TrainConfig(
-        fano,
-        gc.SchemeSpec(scheme=gc.BASELINE),
-        2,
-        0.0,
-        1,
-        dataset=gc.DatasetSpec(samples=5, dim=2, classes=2, seed=0),
-    )
+        _train_config(learning_rate=-0.5)
+    with pytest.raises(ParameterError, match="^repetitions"):
+        _train_config(repetitions=0)
+    with pytest.raises(ParameterError, match="^m "):
+        _train_config(m=0)
+    with pytest.raises(ParameterError, match="^schemes"):
+        gc.TrainConfig(schemes=(), m=2, q=0.25, iterations=5)
+    small = _train_config(q=0.0, iterations=1, dataset=gc.DatasetSpec(samples=5, dim=2, classes=2, seed=0))
     with pytest.raises(ParameterError):
-        gc.simulate_training(small)  # fewer samples than subsets
+        gc.simulate_training(fano, small)  # fewer samples than subsets
 
 
 def test_rescale_lr_refuses_a_warm_up_estimate_indistinguishable_from_zero(fano):
@@ -610,8 +591,7 @@ def test_rescale_lr_refuses_a_warm_up_estimate_indistinguishable_from_zero(fano)
     # of beta is within three standard errors of zero: dividing by it would
     # blow the learning rate up by three orders of magnitude
     def run(q):
-        scheme = gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL)
-        return gc.simulate_training(gc.TrainConfig(fano, scheme, 2, q, 2, rescale_lr=True))
+        return gc.simulate_training(fano, _train_config(gc.RANDOM_DIAGONAL, q, 2, rescale_lr=True))[0]
 
     with pytest.raises(ParameterError, match=r"rescale_lr.* q = 0\.9999 "):
         run(0.9999)
@@ -622,10 +602,10 @@ def test_rescale_lr_refuses_a_warm_up_estimate_indistinguishable_from_zero(fano)
 # lockstep repetitions against one repetition at a time
 
 
-def _reference_training(cfg):
+def _reference_training(A, cfg):
     """The training loop that ran the repetitions one after another, each
     with its own X @ W products; kept to check the lockstep stack."""
-    A, sc = cfg.assignment, cfg.scheme
+    (sc,) = cfg.schemes
     X, y = gc.make_dataset(cfg.dataset)
     k = A.k
     per = len(X) // k
@@ -669,10 +649,9 @@ def _reference_training(cfg):
     return losses, diverged
 
 
-def _lockstep_config(A, scheme, **kw):
+def _lockstep_config(scheme, **kw):
     base = dict(
-        assignment=A,
-        scheme=scheme,
+        schemes=(scheme,),
         m=2,
         q=0.25,
         iterations=12,
@@ -701,38 +680,35 @@ def _assert_same_runs(result, losses, diverged):
     ids=lambda sc: sc.label,
 )
 def test_lockstep_training_matches_one_repetition_at_a_time(bireg40, scheme):
-    cfg = _lockstep_config(bireg40, scheme)
-    losses, diverged = _reference_training(cfg)
-    _assert_same_runs(gc.simulate_training(cfg), losses, diverged)
+    cfg = _lockstep_config(scheme)
+    losses, diverged = _reference_training(bireg40, cfg)
+    _assert_same_runs(gc.simulate_training(bireg40, cfg)[0], losses, diverged)
 
 
 def test_lockstep_repetitions_leave_the_stack_when_they_diverge(bireg40, monkeypatch):
     # a limit between the repetitions' peak losses stops some of them early
     # while the others run to the end
-    cfg = _lockstep_config(
-        bireg40, gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1), learning_rate=4.0, repetitions=5
-    )
-    free, _ = _reference_training(cfg)
+    cfg = _lockstep_config(gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1), learning_rate=4.0, repetitions=5)
+    free, _ = _reference_training(bireg40, cfg)
     peaks = np.sort(np.nanmax(free[:, 1:], axis=1))
     limit = 0.5 * (peaks[1] + peaks[2])
     monkeypatch.setattr(experiments, "DIVERGENCE_LIMIT", limit)
-    losses, diverged = _reference_training(cfg)
+    losses, diverged = _reference_training(bireg40, cfg)
     assert 0 < sum(diverged) < cfg.repetitions
     assert np.isnan(losses[diverged]).any()
-    _assert_same_runs(gc.simulate_training(cfg), losses, diverged)
+    _assert_same_runs(gc.simulate_training(bireg40, cfg)[0], losses, diverged)
 
 
 @pytest.mark.parametrize(
     "dataset, key",
     [
         (gc.DatasetSpec(samples=10**12, dim=10, classes=3), "dataset.samples x dataset.dim"),
-        (gc.DatasetSpec(samples=600, dim=10, classes=10**9), "dataset.classes"),
+        (gc.DatasetSpec(samples=20_000, dim=1, classes=20_000), "dataset.classes"),
     ],
 )
 def test_training_refuses_arrays_over_the_cap(fano, dataset, key):
-    cfg = gc.TrainConfig(fano, gc.SchemeSpec(scheme=gc.BASELINE), 2, 0.25, 5, dataset=dataset)
     with pytest.raises(ParameterError, match=key):
-        gc.simulate_training(cfg)
+        gc.simulate_training(fano, _train_config(dataset=dataset))
 
 
 def test_training_cap_reads_an_external_dataset(tmp_path, fano):
@@ -741,8 +717,5 @@ def test_training_cap_reads_an_external_dataset(tmp_path, fano):
     rows[0][1] = 1e9
     path = tmp_path / "data.csv"
     path.write_text("\n".join(",".join(repr(v) for v in row) for row in rows) + "\n")
-    cfg = gc.TrainConfig(
-        fano, gc.SchemeSpec(scheme=gc.BASELINE), 2, 0.25, 5, dataset=gc.DatasetSpec(path=str(path))
-    )
     with pytest.raises(ParameterError, match="dataset.path classes"):
-        gc.simulate_training(cfg)
+        gc.simulate_training(fano, _train_config(dataset=gc.DatasetSpec(path=str(path))))
