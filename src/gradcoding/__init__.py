@@ -31,9 +31,12 @@ from .bounds import (
 from .decoding import (
     DecodeResult,
     NonStragglerSet,
+    apply_fitted,
     build_target,
     decode,
+    decode_draws,
     decode_each,
+    decode_exact,
     reconstruct,
     reconstruct_each,
     split_gradients,
@@ -73,6 +76,7 @@ from .encoders import (
     DiagonalLaw,
     EncodingMatrix,
     NullSpaceVectors,
+    draw_diagonals,
     encode_baseline,
     encode_nullspace_hadamard,
     encode_random_diagonal,
@@ -114,6 +118,7 @@ from .linalg import (
     CERT_COND_MAX,
     QR_COND_MAX,
     RANK_EPS,
+    certify_each,
     certify_gram,
     circulant_eigenvalues,
     null_space_basis,

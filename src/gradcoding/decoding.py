@@ -15,17 +15,31 @@ Gram clears (EncodingMatrix.gram_tier):
 
   * 1e8: together through that Gram's inverse (EncodingMatrix.gram_inverse,
     below);
-  * stacked copies with no repeated column, short of 1e8: route 1 on each
-    set's k-row block, stacked, under one certificate of the stack;
+  * stacked copies, short of 1e8: route 1 on each set's k-row block, merged
+    where survivors share a column, stacked by merged width;
   * any other encoding at 1e12 only: one stacked Gram solve, or one stacked
     Householder QR when a member's survivor Gram fails the 1e8
     certificate (below);
-  * any other (a whole Gram that clears neither tier, or stacked copies
-    that repeat a column): set by set, by the table below.
+  * any other (a whole Gram that clears neither tier): set by set, by the
+    table below.
+
+Random-diagonal draws (EncodingMatrix.diagonals, blocks A D_u) that carry
+one set each in the call, the estimator's trials, are decoded together
+per design by decode_draws, which also takes the diagonals alone, with no
+encoding built: a training run draws and decodes a block of iterations
+ahead that way. They are solved by size in stacks, by routes 2 and 3 of
+the table below, each member by its own certificate (linalg.certify_each),
+from survivor systems built from A^T A and the diagonals with no mk x n
+matrix: G_SS = (A^T A)_SS o sum_u d_u d_u^T and H_S[:, u] =
+(d_u o 1^T A)_S. The members that clear 1e8 get one stacked Gram solve,
+the rest one stacked QR where the 1e12 verdict clears, and what is left
+(and the empty set) route 4, the SVD of B_S. No member's result depends
+on the rest of its stack, so a draw gets the same bits alone, from
+decode, as in any stack; they agree with the route table on B's cached
+Gram (the reference for any other encoding) within 1e-9 * mk.
 
 Every other set is solved once, by the first route of this table that it
-clears: a training iteration and the estimator hand it one set per
-encoding, which never pays for a whole-Gram certificate.
+clears, which never pays for a whole-Gram certificate.
 
   1. Stacked copies, decoded on the k-row block of A (below).
   2. Gram solve. When linalg.certify_gram certifies the survivor Gram
@@ -85,20 +99,25 @@ The other stacks gather at most STACK_ELEMENTS entries each, or one set
 where a single set needs more. Routes 1 to 3 are written once, over a
 leading stack axis, and the route table runs them on a stack of one set.
 A batched LAPACK gufunc (cholesky, solve, qr) runs on each member the
-routine it runs on that matrix alone, so a stack certificate that clears
-is the certificate each member would earn, and each member gets exactly
+routine it runs on that matrix alone, so a member's certificate in a
+stack is the one it would earn alone, and each member gets exactly
 decode's result. A stack of more than one set of copies tries only its
-first Gram, and one that any member fails goes set by set through the
-table. At the 1e12 tier, interlacing gives every block cond_2(G_SS) <
-1e12, so cond_2(B_S) < 1e6: the QR of route 3 is valid for every member
-of a stack whose 1e8 certificate fails, without a per-set certificate,
-and the SVD is never needed. Those members agree with decode within
-1e-9 * mk, and exactly where decode also takes the QR.
+first Gram, solves the members that clear it, and sends the others one by
+one through the table. At the 1e12 tier, interlacing gives every block
+cond_2(G_SS) < 1e12, so cond_2(B_S) < 1e6: the QR of route 3 is valid for
+every member of a stack whose 1e8 certificate fails, without a per-set
+certificate, and the SVD is never needed. Such a stack takes the Gram
+solve only when every member clears 1e8; its members agree with decode
+within 1e-9 * mk, and exactly where decode also takes the QR.
 
 Each decode is checked against the directly computed residual
-||B R - F||_F^2, one product per distinct encoding, raising
-NumericalError on a disagreement. reconstruct_each builds on decode_each
-the decoded gradients of every set at once.
+||B R - F||_F^2, one product per distinct encoding and one per design for
+the draws (block u of B R is A (d_u o R)), raising NumericalError on a
+disagreement; the result keeps B R (DecodeResult.fitted). apply_fitted
+turns the fitted combinations into decoded gradients: Z B R, the
+operator-norm check and the gaps, for a stack of sets at once.
+reconstruct_each is decode_each followed by apply_fitted, and a training
+run applies each iteration's slice of a block decoded ahead.
 """
 from __future__ import annotations
 
@@ -108,9 +127,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoders import EncodingMatrix
+from .designs import AssignmentMatrix
+from .encoders import DiagonalDraws, EncodingMatrix
 from .errors import NumericalError, ParameterError, ShapeError
-from .linalg import QR_COND_MAX, certify_gram, project
+from .linalg import QR_COND_MAX, certify_each, certify_gram, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
 
@@ -169,11 +189,13 @@ class NonStragglerSet:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Decoding coefficients (n x m, zero off the surviving workers) and the
-    squared-Frobenius approximation error."""
+    """Decoding coefficients R (n x m, zero off the surviving workers), the
+    squared-Frobenius approximation error, and the fitted combination B R
+    (mk x m) whose residual ||B R - F||_F^2 the error was checked against."""
 
     coeffs: np.ndarray
     err: float
+    fitted: np.ndarray
 
 
 def build_target(k: int, m: int) -> np.ndarray:
@@ -213,43 +235,196 @@ def decode_each(
 ) -> list[DecodeResult]:
     """The decode of encodings[j] for sets[j], for every j, in order.
 
-    The sets of an encoding that recurs in the call are solved by size as
-    batched stacks, by its whole-Gram tier, as set out above. Through
-    K = G^-1 (the 1e8 tier) and by stacked QR (the 1e12 tier), errors match
-    decode(B, w) within 1e-9 * mk, with the same coefficient support (the
-    survivors' rows); the coefficients come from another solve, so they
-    agree only to rounding. Every other set, in a stack whose certificate
-    clears or through the route table, gets exactly decode's result. Every
-    set is checked against its direct residual, with one product per
-    distinct encoding."""
+    The sets of an encoding that recurs in the call are solved by size (by
+    merged width for stacked copies) as batched stacks, as set out above.
+    Through K = G^-1 (the 1e8 tier) and by stacked QR (the 1e12 tier),
+    errors match decode(B, w) within 1e-9 * mk, with the same coefficient
+    support (the survivors' rows); the coefficients come from another
+    solve, so they agree only to rounding. The random-diagonal draws that
+    carry one set each are solved as decode_draws solves them, and they,
+    like every other set in a stack of copies or through the route table,
+    get exactly decode's result. Every set is checked against its direct residual, with one
+    product per distinct encoding and one per design for the draws."""
+    return _decode_calls(encodings, sets, whole_gram=True)
+
+
+def decode_exact(
+    encodings: Iterable[EncodingMatrix], sets: Iterable[NonStragglerSet]
+) -> list[DecodeResult]:
+    """decode(encodings[j], sets[j]) for every j, in order, bit for bit:
+    decode_each without the whole-Gram shortcuts. The sets of an encoding
+    that recurs in the call are solved by size in stacks that give each
+    member decode's result: the sets of a random-diagonal draw with the
+    other draws, stacked copies by merged width, any other encoding by
+    routes 2 and 3 with a certificate per member, the members neither
+    clears by the route table. A training run decodes its fixed encodings
+    a block of iterations ahead this way, so the block changes no bit."""
+    return _decode_calls(encodings, sets, whole_gram=False)
+
+
+def _decode_calls(encodings, sets, whole_gram: bool) -> list[DecodeResult]:
+    """decode_each, or with whole_gram False decode_exact."""
     encodings, sets = list(encodings), list(sets)
     if len(encodings) != len(sets):
         raise ShapeError(f"{len(encodings)} encodings for {len(sets)} survivor sets")
     results: list = [None] * len(sets)
-    direct = np.empty(len(sets))
+    for picked, draws in _groups(encodings, whole_gram):
+        group = [encodings[j] for j in picked]
+        same = [sets[j] for j in picked]
+        if draws:
+            for B, workers in zip(group, same):
+                _check_shapes(B, [workers])
+            decoded = _decode_draws(group[0].parent, np.array([B.diagonals for B in group]), same)
+        else:
+            _check_shapes(group[0], same)
+            decoded = _decode_one(group[0], same, whole_gram)
+        for j, res in zip(picked, decoded):
+            results[j] = res
+    return results
+
+
+def decode_draws(
+    A: AssignmentMatrix, draws: Iterable[DiagonalDraws], sets: Iterable[NonStragglerSet]
+) -> list[DecodeResult]:
+    """The decode of the random-diagonal encoding of A with the diagonals
+    draws[j] for sets[j], for every j, in order, without building the
+    encodings: exactly what decode_each gives those encodings, each
+    carrying one set, and decode each one. Every draw has the same m.
+
+    The sets are solved by size in stacks, their survivor systems built
+    from A^T A and the diagonals, as set out above."""
+    draws, sets = list(draws), list(sets)
+    if len(draws) != len(sets):
+        raise ShapeError(f"{len(draws)} diagonal draws for {len(sets)} survivor sets")
+    if not draws:
+        return []
+    shapes = sorted({d.diagonals.shape for d in draws})
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][1] != A.n:
+        raise ShapeError(f"diagonal draws of shapes {shapes} for n={A.n} workers")
+    for workers in sets:
+        if workers.n != A.n:
+            raise ShapeError(f"worker count {workers.n} does not match n={A.n}")
+    return _decode_draws(A, np.array([d.diagonals for d in draws]), sets)
+
+
+def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
+    """(positions, draws) of each group decoded together, in order of first
+    appearance: the positions of each distinct encoding (the sets of one
+    encoding share one product, so an encoding that recurs is never copied
+    per set), except that the random-diagonal draws
+    (EncodingMatrix.diagonals) are gathered by design and m, with draws
+    True: those carrying one set each, or without whole_gram every draw."""
+    groups: list[tuple[list[int], bool]] = []
+    draws: dict[tuple, list[int]] = {}
     for picked in _by_encoding(encodings):
         B = encodings[picked[0]]
-        _check_shapes(B, [sets[j] for j in picked])
-        recurs = len(picked) > 1
-        inverse = B.gram_inverse if recurs else None
-        if inverse is None and not (recurs and _stacks(B)):
-            for j in picked:
-                results[j] = DecodeResult(*_route(B, sets[j]))
+        if B.diagonals is None or whole_gram and len(picked) > 1:
+            groups.append((picked, False))
+        elif (key := (id(B.parent), B.m)) in draws:
+            draws[key].extend(picked)
         else:
-            by_size: dict[int, list[int]] = {}
-            for j in picked:
-                by_size.setdefault(len(sets[j].members), []).append(j)
-            for size, same in by_size.items():
-                if inverse is None:
-                    coeffs, errs = _decode_capped(B, [sets[j] for j in same], size)
-                else:
-                    coeffs, errs = _decode_group(B, inverse, [sets[j].members for j in same], size)
-                for j, one, err in zip(same, coeffs, errs.tolist()):
-                    results[j] = DecodeResult(coeffs=one, err=err)
-        diff = _fitted(B, [results[j].coeffs for j in picked]) - build_target(B.k, B.m)
-        direct[picked] = np.einsum("jrm,jrm->j", diff, diff)
-    _check_residuals([res.err for res in results], direct)
-    return results
+            groups.append((draws.setdefault(key, picked), True))
+    return groups
+
+
+def _by_encoding(encodings: list) -> list[list[int]]:
+    """The positions of each distinct encoding, in order of first
+    appearance."""
+    groups: dict[int, list[int]] = {}
+    for j, B in enumerate(encodings):
+        groups.setdefault(id(B), []).append(j)
+    return list(groups.values())
+
+
+def _by_key(keys: list) -> list[tuple]:
+    """(key, the positions holding it) for each distinct key, in order of
+    first appearance."""
+    groups: dict = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
+    return list(groups.items())
+
+
+def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeResult]:
+    """The decodes of sets of one encoding: the route table for one set;
+    with whole_gram, as decode_each, through the whole-Gram inverse or the
+    1e12-tier stacks where B's whole Gram clears them, and set by set where
+    B recurs without a tier and is not stacked copies; stacks by size (by
+    merged width for stacked copies) that give each set the route table's
+    result otherwise."""
+    rows, n = B.mat.shape
+    coeffs = np.empty((len(sets), n, B.m))
+    errs = np.empty(len(sets))
+    inverse = B.gram_inverse if whole_gram and len(sets) > 1 else None
+    if len(sets) == 1 or whole_gram and inverse is None and not _stacks(B):
+        for j, workers in enumerate(sets):
+            coeffs[j], errs[j] = _route(B, workers)
+        return _checked(coeffs, errs, np.matmul(B.mat, coeffs), build_target(B.k, B.m))
+    merges = None
+    if inverse is None and B.column_classes is not None:
+        merges = [_column_merge(B, np.array(w.members, dtype=np.intp)) for w in sets]
+    widths = [len(w.members) for w in sets] if merges is None else [len(m[0]) for m in merges]
+    for width, at in _by_key(widths):
+        part = [sets[j] for j in at]
+        if inverse is not None:
+            coeffs[at], errs[at] = _decode_group(B, inverse, [w.members for w in part], width)
+            continue
+        if B.stacked_copies:
+            merged = None if merges is None else [merges[j] for j in at]
+
+            def solve(lo: int, hi: int):
+                return _copies_stack(B, part[lo:hi], merged and merged[lo:hi])
+
+        else:
+
+            def solve(lo: int, hi: int):
+                return _survivor_stack(B, _members(part[lo:hi], width), stack_verdict=whole_gram)
+
+        height = B.k if B.stacked_copies else rows
+        coeffs[at], errs[at] = _decode_capped(
+            (n, B.m), len(part), width, height, solve, lambda j: _route(B, part[j])
+        )
+    return _checked(coeffs, errs, np.matmul(B.mat, coeffs), build_target(B.k, B.m))
+
+
+def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> list[DecodeResult]:
+    """The decodes of random-diagonal draws of A (diagonals, g x m x n), set
+    j through draw j, solved by size in stacks by _draw_stack; a member
+    whose survivor Gram clears neither certificate, and the empty set, by
+    project (route 4). B R comes from A and the diagonals: block u of it is
+    A (d_u o R)."""
+    g, m, n = diagonals.shape
+    mk = m * A.k
+    gram_a = A.mat.T @ A.mat
+    colsum = A.mat.sum(axis=0)
+    coeffs = np.empty((g, n, m))
+    errs = np.empty(g)
+    for size, at in _by_key([len(w.members) for w in sets]):
+        part, diag = [sets[j] for j in at], diagonals[at]
+
+        def solve(lo: int, hi: int):
+            return _draw_stack(A, gram_a, colsum, diag[lo:hi], _members(part[lo:hi], size))
+
+        coeffs[at], errs[at] = _decode_capped(
+            (n, m), len(part), size, mk, solve, lambda j: _project_draw(A, diag[j], part[j])
+        )
+    fitted = np.empty((g, m, A.k, m))
+    for u in range(m):
+        np.matmul(A.mat, diagonals[:, u, :, None] * coeffs, out=fitted[:, u])
+    return _checked(coeffs, errs, fitted.reshape(g, mk, m), build_target(A.k, m))
+
+
+def _checked(coeffs: np.ndarray, errs: np.ndarray, fitted: np.ndarray, target: np.ndarray) -> list[DecodeResult]:
+    """The DecodeResults of g sets, each error checked against its direct
+    residual ||B R - F||_F^2 from the fitted B R (g x mk x m)."""
+    diff = fitted - target
+    _check_residuals(errs.tolist(), np.einsum("jrm,jrm->j", diff, diff))
+    return [DecodeResult(*res) for res in zip(coeffs, errs.tolist(), fitted)]
+
+
+def _members(sets: list, size: int) -> np.ndarray:
+    """The survivors of sets of one size, g x size."""
+    return np.array([w.members for w in sets], dtype=np.intp).reshape(len(sets), size)
 
 
 def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, float]:
@@ -262,14 +437,12 @@ def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, flo
         return coeffs, total
     idx = np.array(workers.members, dtype=np.intp)
     if B.stacked_copies:
-        firsts, inverse, counts = _column_merge(B, idx)
-        root = np.sqrt(counts)
-        x, err = _decode_stacked((B.block(0).take(firsts, axis=1) * root)[None], B.m)
-        coeffs[idx] = (x[0] / B.m / root)[inverse, None]
-        return coeffs, float(err[0])
-    solved = _solve_survivors(B, idx[None], qr_valid=False)
-    if solved is not None:
-        return solved[0][0], float(solved[1][0])
+        merges = None if B.column_classes is None else [_column_merge(B, idx)]
+        solved, err, _ = _copies_stack(B, [workers], merges)
+        return solved[0], float(err[0])
+    solved, err, ok = _survivor_stack(B, idx[None], stack_verdict=False)
+    if ok[0]:
+        return solved[0], float(err[0])
     coeffs[idx], err = project(B.mat.take(idx, axis=1), build_target(B.k, B.m))
     return coeffs, min(max(float(err), 0.0), total)
 
@@ -301,22 +474,6 @@ def _solve_qr(b_s: np.ndarray, target: np.ndarray):
     proj = np.swapaxes(q, -1, -2) @ target
     err = (target * target).sum() - (proj * proj).sum(axis=(-2, -1))
     return np.linalg.solve(upper, proj), err
-
-
-def _by_encoding(encodings: list) -> list[list[int]]:
-    """The positions of each distinct encoding, in order of first
-    appearance: the sets of one encoding share one product, so an encoding
-    that recurs is never copied per set."""
-    groups: dict[int, list[int]] = {}
-    for j, B in enumerate(encodings):
-        groups.setdefault(id(B), []).append(j)
-    return list(groups.values())
-
-
-def _fitted(B: EncodingMatrix, coeffs: list) -> np.ndarray:
-    """B R for each n x m coefficient matrix R of B's sets, as one batched
-    product (g x mk x m)."""
-    return np.matmul(B.mat, np.array(coeffs))
 
 
 def _check_residuals(errs, direct: np.ndarray) -> None:
@@ -377,77 +534,85 @@ def _decode_group(
 def _stacks(B: EncodingMatrix) -> bool:
     """Whether the sets of a recurring encoding without a 1e8 whole-Gram
     certificate are decoded in capped stacks (_decode_capped): stacked
-    copies with no repeated column, or any other encoding whose whole Gram
-    clears the 1e12 tier."""
-    if B.stacked_copies:
-        return B.column_classes is None
-    return B.gram_tier == QR_COND_MAX
+    copies, or any other encoding whose whole Gram clears the 1e12 tier."""
+    return B.stacked_copies or B.gram_tier == QR_COND_MAX
 
 
-def _decode_capped(B: EncodingMatrix, sets: list, size: int):
-    """(coefficients g x n x m, errors g) of g survivor sets of one size of
-    an encoding that _stacks, in stacks of at most STACK_ELEMENTS gathered
-    entries: each stack by _stack_copies or by _solve_survivors with the
-    QR valid for every member, or set by set through _route where a stack
-    of copies fails its certificate."""
-    rows, n = B.mat.shape
-    height = B.k if B.stacked_copies else rows
-    step = max(1, STACK_ELEMENTS // max(1, max(height, size) * size))
-    coeffs = np.empty((len(sets), n, B.m))
-    errs = np.empty(len(sets))
-    for lo in range(0, len(sets), step):
-        part = sets[lo : lo + step]
-        idx = np.array([w.members for w in part], dtype=np.intp).reshape(len(part), size)
-        if not size:
-            solved = None
-        elif B.stacked_copies:
-            solved = _stack_copies(B, idx)
-        else:
-            solved = _solve_survivors(B, idx, qr_valid=True)
-        if solved is None:
-            routed = [_route(B, w) for w in part]
-            solved = [c for c, _ in routed], [e for _, e in routed]
-        coeffs[lo : lo + len(part)], errs[lo : lo + len(part)] = solved
+def _decode_capped(shape: tuple, count: int, width: int, height: int, solve, fallback):
+    """(coefficients count x n x m, errors count) of count survivor sets
+    whose stacks share one width (|S|, or the merged width of stacked
+    copies), in stacks of at most STACK_ELEMENTS gathered entries (count' x
+    max(height, width) x width, or one set where a single set needs more):
+    solve(lo, hi) gives (coefficients, errors, solved) of sets lo..hi-1 as
+    one stack, and fallback(j) the (coefficients, error) of set j, for each
+    member solve does not solve and for every set of width 0."""
+    step = max(1, STACK_ELEMENTS // max(1, max(height, width) * width))
+    coeffs = np.empty((count, *shape))
+    errs = np.empty(count)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        solved = np.zeros(hi - lo, dtype=bool)
+        if width:
+            coeffs[lo:hi], errs[lo:hi], solved = solve(lo, hi)
+        for j in (lo + np.flatnonzero(~solved)).tolist():
+            coeffs[j], errs[j] = fallback(j)
     return coeffs, errs
 
 
-def _stack_copies(B: EncodingMatrix, idx: np.ndarray):
-    """_decode_stacked of the blocks A_S of g sets of stacked copies (idx,
-    g x |S|, no two survivors sharing a column), as one stack:
-    (coefficients g x n x m, errors g), or None when the stack fails its
-    certificate."""
-    a = np.ascontiguousarray(B.block(0)[:, idx].transpose(1, 0, 2))  # g x k x |S|
-    solved = _decode_stacked(a, B.m)
-    if solved is None:
-        return None
-    x, err = solved
-    coeffs = np.zeros((len(idx), B.n, B.m))
-    coeffs[np.arange(len(idx))[:, None], idx] = (x / B.m)[..., None]
-    return coeffs, err
+def _copies_stack(B: EncodingMatrix, sets: list, merges: list | None):
+    """Route 1 on g sets of stacked copies as one stack: _decode_stacked of
+    their k-row blocks A_S, or, when B repeats a column, of their merged
+    blocks A_U C^1/2 (merges holding each set's _column_merge).
+    (coefficients g x n x m, errors g, solved g)."""
+    g, m = len(sets), B.m
+    coeffs = np.zeros((g, B.n, m))
+    if merges is None:
+        idx = _members(sets, len(sets[0].members))
+        a = np.ascontiguousarray(B.block(0)[:, idx].transpose(1, 0, 2))  # g x k x |S|
+        x, err, ok = _decode_stacked(a, m)
+        coeffs[np.arange(g)[:, None], idx] = (x / m)[..., None]
+        return coeffs, err, ok
+    firsts = np.array([merge[0] for merge in merges], dtype=np.intp)
+    root = np.sqrt(np.array([merge[2] for merge in merges]))
+    a = np.ascontiguousarray(B.block(0)[:, firsts].transpose(1, 0, 2)) * root[:, None, :]
+    x, err, ok = _decode_stacked(a, m)
+    x = x / m / root
+    for j, (workers, merge) in enumerate(zip(sets, merges)):
+        coeffs[j, list(workers.members)] = x[j, merge[1], None]
+    return coeffs, err, ok
 
 
 def _decode_stacked(a: np.ndarray, m: int):
     """The minimum-norm decode of B_S = 1_m (x) A_S on the k-row block A_S
-    of each set of a stack (a, g x k x |S|), as set out above: (x, errors)
-    with x (g x |S|) = A_S^+ 1_k, every column of R_S being x / m. The
-    column Gram A_S^T A_S can be certified only for |S| <= k, the row Gram
-    A_S A_S^T only for |S| >= k. One block tries the column Gram, then the
-    row Gram, then the SVD; a stack of more blocks tries only the column
-    Gram for |S| <= k or the row Gram for |S| > k, certified for the whole
-    stack at once, and gives None when any member fails it."""
+    of each set of a stack (a, g x k x |S|), as set out above: (x, errors,
+    solved) with x (g x |S|) = A_S^+ 1_k, every column of R_S being x / m.
+    The column Gram A_S^T A_S can be certified only for |S| <= k, the row
+    Gram A_S A_S^T only for |S| >= k. One block tries the column Gram, then
+    the row Gram, then the SVD; a stack of more blocks tries only the
+    column Gram for |S| <= k or the row Gram for |S| > k, certified member
+    by member (certify_each), and solves the members that clear it."""
     g, k, size = a.shape
     a_t = a.transpose(0, 2, 1)
-    if size <= k and certify_gram(col_gram := a_t @ a):
-        x = np.linalg.solve(col_gram, a.sum(axis=1)[..., None])
-    elif (size > k or size == k and g == 1) and certify_gram(row_gram := a @ a_t):
-        x = a_t @ np.linalg.solve(row_gram, np.ones((g, k, 1)))
-    elif g == 1:
-        x = project(a[0], np.ones(k))[0][None, :, None]
-    else:
-        return None
+    x = np.zeros((g, size, 1))
+    ok = np.zeros(g, dtype=bool)
+    if size <= k:
+        col_gram = a_t @ a
+        ok = certify_each(col_gram)
+        if ok.any():
+            x[ok] = np.linalg.solve(col_gram[ok], a.sum(axis=1)[ok][..., None])
+    if size > k or (size == k and g == 1 and not ok[0]):
+        row_gram = a @ a_t
+        ok = certify_each(row_gram)
+        if ok.all():
+            x = a_t @ np.linalg.solve(row_gram, np.ones((g, k, 1)))
+        elif ok.any():
+            x[ok] = a[ok].transpose(0, 2, 1) @ np.linalg.solve(row_gram[ok], np.ones((int(ok.sum()), k, 1)))
+    if g == 1 and not ok[0]:
+        x[0] = project(a[0], np.ones(k))[0][:, None]
+        ok[0] = True
     fit = a @ x
     total = float(m * k)
-    return x[..., 0], (total - (fit.transpose(0, 2, 1) @ fit)[:, 0, 0]).clip(0.0, total)
+    return x[..., 0], (total - (fit.transpose(0, 2, 1) @ fit)[:, 0, 0]).clip(0.0, total), ok
 
 
 def _survivor_system(B: EncodingMatrix, idx: np.ndarray):
@@ -459,30 +624,98 @@ def _survivor_system(B: EncodingMatrix, idx: np.ndarray):
     return gram[idx[:, :, None], idx[:, None, :]], image.take(idx, axis=0)
 
 
-def _solve_survivors(B: EncodingMatrix, idx: np.ndarray, qr_valid: bool):
-    """(coefficients g x n x m, errors g) of g survivor sets of one size
-    (idx, g x |S|, |S| >= 1) by route 2 or 3 of the table, as one stacked
-    solve: the Gram solve when the stack of survivor Grams clears the 1e8
-    certificate, else Householder QR when qr_valid (B's whole Gram clears
-    the 1e12 tier, which interlacing carries to every member) or when the
-    stack clears certify_gram(., QR_COND_MAX); else None."""
-    g = len(idx)
-    rows, n = B.mat.shape
-    total = float(rows)
-    col = np.arange(g)[:, None]
-    coeffs = np.zeros((g, n, B.m))
-    gram_s, image_s = _survivor_system(B, idx)
-    if certify_gram(gram_s):
-        solved = np.linalg.solve(gram_s, image_s)
-        coeffs[col, idx] = solved
-        # ||F||_F^2 = mk = rows, and <H_S, R> = ||P_S F||_F^2
-        err = total - np.sum(image_s * solved, axis=(1, 2))
-    elif qr_valid or certify_gram(gram_s, QR_COND_MAX):
-        b_s = B.mat.T[idx].transpose(0, 2, 1)  # g x mk x |S|
-        coeffs[col, idx], err = _solve_qr(b_s, build_target(B.k, B.m))
+def _survivor_stack(B: EncodingMatrix, idx: np.ndarray, stack_verdict: bool):
+    """Routes 2 and 3 on g survivor sets of B of one size (idx, g x |S|,
+    |S| >= 1), from B's cached Gram, by _solve_survivors: (coefficients
+    g x n x m, errors g, solved g)."""
+    return _scatter(
+        B.n,
+        idx,
+        *_solve_survivors(
+            *_survivor_system(B, idx),
+            lambda sel: B.mat.T[idx[sel]].transpose(0, 2, 1),  # g x mk x |S|
+            build_target(B.k, B.m),
+            stack_verdict,
+        ),
+    )
+
+
+def _draw_stack(A: AssignmentMatrix, gram_a: np.ndarray, colsum: np.ndarray, diag: np.ndarray, idx: np.ndarray):
+    """Routes 2 and 3 on random-diagonal draws of A (diag, g x m x n), set j
+    (idx[j], |S| >= 1) through draw j, by _solve_survivors. Their survivor
+    systems come from A^T A (gram_a), 1^T A (colsum) and the diagonals,
+    with no mk x n matrix: G_SS = (A^T A)_SS o sum_u d_u d_u^T and
+    H_S[:, u] = (d_u o 1^T A)_S. (coefficients g x n x m, errors g,
+    solved g)."""
+    m, n = diag.shape[1:]
+    size = idx.shape[1]
+    d_s = np.take_along_axis(diag, idx[:, None, :], axis=2)  # g x m x |S|
+    gram_s = gram_a[idx[:, :, None], idx[:, None, :]] * (d_s.transpose(0, 2, 1) @ d_s)
+    image_s = (d_s * colsum[idx][:, None, :]).transpose(0, 2, 1)
+
+    def columns(sel: np.ndarray) -> np.ndarray:
+        """B_S of the selected draws, g' x mk x |S|: block u is A_S D_u."""
+        a_s = A.mat[:, idx[sel]].transpose(1, 0, 2)[:, None]  # g' x 1 x k x |S|
+        return (a_s * d_s[sel][:, :, None, :]).reshape(-1, m * A.k, size)
+
+    return _scatter(n, idx, *_solve_survivors(gram_s, image_s, columns, build_target(A.k, m), False))
+
+
+def _project_draw(A: AssignmentMatrix, diag: np.ndarray, workers: NonStragglerSet):
+    """(coefficients n x m, error) of one set of a random-diagonal draw of A
+    (diag, m x n) by project (route 4), B_S built from A and the
+    diagonals."""
+    m, n = diag.shape
+    total = float(m * A.k)
+    coeffs = np.zeros((n, m))
+    if not workers.members:
+        return coeffs, total
+    idx = np.array(workers.members, dtype=np.intp)
+    b_s = (A.mat[:, idx] * diag[:, None, idx]).reshape(m * A.k, idx.size)
+    coeffs[idx], err = project(b_s, build_target(A.k, m))
+    return coeffs, min(max(float(err), 0.0), total)
+
+
+def _scatter(n: int, idx: np.ndarray, solutions: np.ndarray, errs: np.ndarray, solved: np.ndarray):
+    """(coefficients g x n x m, zero off the survivors idx, errs, solved)."""
+    g, _, m = solutions.shape
+    coeffs = np.zeros((g, n, m))
+    coeffs[np.arange(g)[:, None], idx] = solutions
+    return coeffs, errs, solved
+
+
+def _solve_survivors(gram_s: np.ndarray, image_s: np.ndarray, columns, target: np.ndarray, stack_verdict: bool):
+    """Routes 2 and 3 of the table on g survivor systems of one size
+    (G_SS g x |S| x |S|, H_S g x |S| x m), columns(sel) giving B_S of the
+    selected members: (solutions g x |S| x m, errors g, solved g). The
+    members that clear the 1e8 certificate get one stacked Gram solve; the
+    rest get one stacked Householder QR where the 1e12 verdict clears, and
+    are not solved otherwise. With stack_verdict (B's whole Gram clears the
+    1e12 tier, which interlacing carries to every member, so the QR is
+    valid for all of them), the stack takes the Gram solve only when every
+    member clears 1e8, and the QR otherwise."""
+    g = len(gram_s)
+    total = float(len(target))  # ||F||_F^2 = mk
+    if stack_verdict:
+        gram_ok = np.full(g, certify_gram(gram_s))
+        qr_ok = ~gram_ok
     else:
-        return None
-    return coeffs, err.clip(0.0, total)
+        gram_ok = certify_each(gram_s)
+        qr_ok = ~gram_ok
+        if qr_ok.any():
+            qr_ok[qr_ok] = certify_each(gram_s[qr_ok], QR_COND_MAX)
+    solutions = np.zeros(image_s.shape)
+    err = np.zeros(g)
+    if gram_ok.all():
+        solutions = np.linalg.solve(gram_s, image_s)
+        # <H_S, R> = ||P_S F||_F^2
+        err = total - np.sum(image_s * solutions, axis=(1, 2))
+    elif gram_ok.any():
+        solutions[gram_ok] = solved = np.linalg.solve(gram_s[gram_ok], image_s[gram_ok])
+        err[gram_ok] = total - np.sum(image_s[gram_ok] * solved, axis=(1, 2))
+    if qr_ok.any():
+        solutions[qr_ok], err[qr_ok] = _solve_qr(columns(qr_ok), target)
+    return solutions, err.clip(0.0, total), gram_ok | qr_ok
 
 
 def _spectral_norm_sq(Z: np.ndarray) -> np.ndarray:
@@ -557,38 +790,43 @@ def reconstruct_each(
     survivors sets[j]. Returns the g x d decoded aggregates and the g gaps.
 
     Every encoding has the same k and m. One decode_each call decodes all
-    the sets; the blockwise split, the fitted combinations, the gaps and
-    the operator-norm check, with one stacked eigensolve for the ||Z_j||_2,
-    each run once for the whole stack.
+    the sets, and apply_fitted runs the blockwise split, Z B R, the gaps
+    and the operator-norm check once for the whole stack.
     """
     encodings, sets = list(encodings), list(sets)
-    try:
-        grads = np.asarray(partials, dtype=float)
-    except ValueError:
-        raise ShapeError("partial gradients are not g x k x d numbers") from None
-    if grads.ndim != 3 or grads.shape[0] != len(encodings):
-        raise ShapeError(
-            f"partial gradients of shape {grads.shape} for {len(encodings)} encodings"
-        )
+    grads = _as_stack(partials, len(encodings))
+    if not len(grads):
+        return np.zeros((0, grads.shape[2])), np.zeros(0)
+    _check_km(encodings, grads.shape[1], encodings[0].m)
+    decs = decode_each(encodings, sets)
+    return apply_fitted(grads, np.array([dec.fitted for dec in decs]), [dec.err for dec in decs])
+
+
+def apply_fitted(partials, fitted: np.ndarray, errs) -> tuple[np.ndarray, np.ndarray]:
+    """The decoded aggregates and gaps of g sets from their fitted
+    combinations, as reconstruct_each returns them: the k per-subset
+    gradients partials[j] (g x k x d) through fitted[j] = B_j R_j (g x mk x
+    m, the DecodeResult.fitted of a decode), whose decode error is
+    errs[j].
+
+    Z_j B_j R_j is formed from the blockwise split Z_j, and the
+    operator-norm bound ||Z B R - Z F||_F^2 <= ||Z||_2^2 err is checked for
+    every j at once, with one stacked eigensolve for the ||Z_j||_2, raising
+    NumericalError when it fails.
+    """
+    grads = _as_stack(partials, len(fitted))
     g, k, d = grads.shape
+    m = fitted.shape[-1] if fitted.ndim == 3 else 0
+    if fitted.shape != (g, m * k, m) or len(errs) != g:
+        raise ShapeError(f"fitted combinations of shape {fitted.shape} and {len(errs)} errors for {g} x {k} gradients")
     if not g:
         return np.zeros((0, d)), np.zeros(0)
-    m = encodings[0].m
-    for B in encodings:
-        if (B.k, B.m) != (k, m):
-            raise ShapeError(
-                f"{k} partial gradients with m={m} for an encoding of k={B.k} subsets, m={B.m}"
-            )
     Z = _split(grads, m)
-    decs = decode_each(encodings, sets)
-    fitted = np.empty((g, m * k, m))
-    for picked in _by_encoding(encodings):
-        fitted[picked] = _fitted(encodings[picked[0]], [decs[j].coeffs for j in picked])
     approx = Z @ fitted
     diff = approx - Z.reshape(g, -1, m, k).sum(axis=3)  # Z F
     if Z.size:
         gap_sq = np.einsum("jum,jum->j", diff, diff)
-        limit = _spectral_norm_sq(Z) * np.array([dec.err for dec in decs])
+        limit = _spectral_norm_sq(Z) * np.asarray(errs, dtype=float)
         bad = ~(gap_sq <= limit * (1.0 + 1e-8) + 1e-8)
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -596,3 +834,23 @@ def reconstruct_each(
     # column-major within each set: block u of the gradient, then block u+1
     gaps = np.linalg.norm(diff.transpose(0, 2, 1).reshape(g, -1)[:, :d], axis=1)
     return approx.transpose(0, 2, 1).reshape(g, -1)[:, :d], gaps
+
+
+def _as_stack(partials, g: int) -> np.ndarray:
+    """g stacks of k per-subset gradients, a g x k x d float array."""
+    try:
+        grads = np.asarray(partials, dtype=float)
+    except ValueError:
+        raise ShapeError("partial gradients are not g x k x d numbers") from None
+    if grads.ndim != 3 or grads.shape[0] != g:
+        raise ShapeError(f"partial gradients of shape {grads.shape} for {g} encodings")
+    return grads
+
+
+def _check_km(encodings: list, k: int, m: int) -> None:
+    """Refuse an encoding of other than k subsets and m blocks."""
+    for B in encodings:
+        if (B.k, B.m) != (k, m):
+            raise ShapeError(
+                f"{k} partial gradients with m={m} for an encoding of k={B.k} subsets, m={B.m}"
+            )

@@ -148,6 +148,20 @@ class EncodingMatrix:
         return all(np.array_equal(self.block(i), first) for i in range(1, self.m))
 
     @cached_property
+    def diagonals(self) -> np.ndarray | None:
+        """The m x n diagonals d_u of a random_diagonal encoding whose
+        blocks are A D_u for its recorded draws (DiagonalDraws), the
+        structure decoding exploits to decode many draws of one design
+        together; None for any other encoding. Checked once per encoding,
+        so a stored or altered matrix takes the general path."""
+        draws = self.randomness
+        if self.scheme != RANDOM_DIAGONAL or not isinstance(draws, DiagonalDraws):
+            return None
+        if not np.array_equal(_diagonal_blocks(self.parent, draws.diagonals), self.mat):
+            return None
+        return draws.diagonals
+
+    @cached_property
     def column_classes(self) -> tuple[np.ndarray, np.ndarray] | None:
         """For stacked copies whose block(0) repeats a column, (labels,
         firsts): column j of block(0) equals column firsts[labels[j]], the
@@ -175,21 +189,33 @@ def sample_diagonal(n: int, law: DiagonalLaw, rng: np.random.Generator) -> np.nd
     return signs * mags
 
 
+def _diagonal_blocks(A: AssignmentMatrix, diagonals: np.ndarray) -> np.ndarray:
+    """The m k x n stack of blocks A D_u for the m x n diagonals."""
+    return (A.mat * diagonals[:, None, :]).reshape(-1, A.n)
+
+
+def draw_diagonals(A: AssignmentMatrix, m: int, law: DiagonalLaw, seed: int) -> DiagonalDraws:
+    """The m random diagonals encode_random_diagonal(A, m, law, seed) draws,
+    without building the encoding (decoding.decode_draws decodes from
+    them)."""
+    if m < 1:
+        raise ParameterError("m must be at least 1")
+    rng = np.random.default_rng(seed)
+    return DiagonalDraws(diagonals=np.array([sample_diagonal(A.n, law, rng) for _ in range(m)]))
+
+
 def encode_random_diagonal(
     A: AssignmentMatrix, m: int, law: DiagonalLaw, seed: int
 ) -> EncodingMatrix:
     """Stack m blocks A D_i with independent random diagonals D_i."""
-    if m < 1:
-        raise ParameterError("m must be at least 1")
-    rng = np.random.default_rng(seed)
-    diagonals = np.array([sample_diagonal(A.n, law, rng) for _ in range(m)])
+    draws = draw_diagonals(A, m, law, seed)
     return EncodingMatrix(
-        mat=(A.mat * diagonals[:, None, :]).reshape(m * A.k, A.n),
+        mat=_diagonal_blocks(A, draws.diagonals),
         m=m,
         scheme=RANDOM_DIAGONAL,
         parent=A,
         seed=seed,
-        randomness=DiagonalDraws(diagonals=diagonals),
+        randomness=draws,
     )
 
 

@@ -24,9 +24,11 @@ import numpy as np
 from . import bounds as bnd
 from .decoding import (
     NonStragglerSet,
+    apply_fitted,
     build_target,
+    decode_draws,
     decode_each,
-    reconstruct_each,
+    decode_exact,
 )
 from .designs import BI_REGULAR, COSET_BIPARTITE, AssignmentMatrix
 from .encoders import (
@@ -37,6 +39,7 @@ from .encoders import (
     V1_GAUSSIAN,
     DiagonalLaw,
     EncodingMatrix,
+    draw_diagonals,
     encode_baseline,
     encode_nullspace_hadamard,
     encode_random_diagonal,
@@ -75,8 +78,9 @@ MAX_EXHAUSTIVE_SETS = 1_000_000
 # hands to one decode_each call.
 DECODE_CHUNK = 256
 
-# Most float64 entries of the encodings (m k x n, and the n x n Gram each
-# caches) that one estimate_unbiasedness chunk holds: 2**20, 8 MiB. A chunk
+# Most float64 entries of the encodings (m k x n, and the n x n Gram the
+# route table caches for a draw it decodes) that one estimate_unbiasedness
+# chunk holds: 2**20, 8 MiB. A chunk
 # of a large design holds fewer than DECODE_CHUNK trials; 256 trials on the
 # 91-worker BIBD with m = 2 raised the peak RSS from 37 to 121 MB.
 CHUNK_ELEMENTS = 2**20
@@ -417,8 +421,9 @@ def estimate_unbiasedness(
 
     Each trial draws its encoding and its survivors from its own streams;
     the trials are decoded by decode_each in chunks of at most DECODE_CHUNK
-    trials and CHUNK_ELEMENTS encoding entries, and the fitted combinations
-    B R of a chunk come from one batched product.
+    trials and CHUNK_ELEMENTS encoding entries, each chunk's draws solved
+    by size in stacks from A^T A and the diagonals, and each trial's B R is
+    its decode's fitted combination.
     """
     if scheme.scheme != RANDOM_DIAGONAL:
         raise ParameterError("unbiasedness holds for the random-diagonal scheme")
@@ -442,8 +447,7 @@ def estimate_unbiasedness(
             encodings.append(encode_random_diagonal(A, m, law, int(state[0])))
             rng = np.random.default_rng(int(state[1]))
             sets.append(sample_straggler_set(model, A.n, rng))
-        coeffs = np.stack([dec.coeffs for dec in decode_each(encodings, sets)])
-        combos = np.matmul(np.stack([B.mat for B in encodings]), coeffs)
+        combos = np.array([dec.fitted for dec in decode_each(encodings, sets)])
         acc += combos.sum(axis=0)
         betas[start : start + len(sets)] = np.einsum("jrm,rm->j", combos, target) / fnorm2
     mean_mat = acc / trials
@@ -544,6 +548,13 @@ class TrainConfig:
 DIVERGENCE_LIMIT = 1e6
 _RESCALE_WARMUP_TRIALS = 2000
 
+# Most float64 entries a training block decoded ahead holds: per live
+# repetition and iteration of the block, the decoded coefficients (n x m)
+# and B R (m k x m). 2**15 (256 KiB) is 18 iterations of train-coset's 8
+# repetitions, within 0.2 MB of the peak RSS of decoding one iteration at a
+# time; 2**17 raised it by 1.5 MB, for no further gain in time.
+TRAIN_BLOCK_ELEMENTS = 2**15
+
 # Most elements any one array of a training run may hold: the features
 # (samples x dim), the loss table (repetitions x (iterations + 1)), the
 # lockstep logits (repetitions x samples x classes) and the per-subset
@@ -625,9 +636,22 @@ def simulate_training(A: AssignmentMatrix, cfg: TrainConfig) -> list[TrainResult
     next gradient, and one batched product gives all their per-subset
     gradients. Each repetition keeps its own survivor and encoding streams
     and its own fixed encoding, drawn from the same (seed, repetition)
-    states as when the repetitions ran one after another, and one
-    reconstruct_each call decodes every live repetition's survivor set with
-    its own encoding. A repetition that diverges leaves the stack.
+    states as when the repetitions ran one after another. A repetition that
+    diverges leaves the stack.
+
+    The survivor sets and diagonals do not depend on the weights, so they
+    are drawn a block of iterations ahead: every live repetition draws the
+    block's sets and, for the random-diagonal scheme, its diagonals
+    (encoders.draw_diagonals, with no encoding built), and one decode_draws
+    or decode_exact call decodes the whole block, each set exactly as
+    decode would. A block holds at most
+    TRAIN_BLOCK_ELEMENTS entries of coefficients and B R. Each iteration
+    then applies its slice of the block's B R to its gradients
+    (decoding.apply_fitted, as reconstruct_each does). The draws of a
+    repetition past its divergence inside a block are decoded and
+    discarded. No set's decode depends on the others in its call, so the
+    block length changes no loss, and the other repetitions' losses are
+    those of a run without the divergence.
 
     Refuses, before allocating, a run with an array over
     MAX_TRAIN_ELEMENTS elements.
@@ -672,7 +696,6 @@ def _train_scheme(A: AssignmentMatrix, cfg: TrainConfig, sc: SchemeSpec) -> Trai
     losses = np.full((reps, cfg.iterations + 1), np.nan)
     diverged = [False] * reps
     law = DiagonalLaw(sc.epsilon) if sc.randomized else None
-    model = Bernoulli(cfg.q)
     fixed = sc.scheme in (BASELINE, NULLSPACE_HADAMARD)
     set_rngs, enc_rngs, encodings = [], [], []
     for rep in range(reps):
@@ -680,17 +703,20 @@ def _train_scheme(A: AssignmentMatrix, cfg: TrainConfig, sc: SchemeSpec) -> Trai
         set_rngs.append(np.random.default_rng(int(state[0])))
         enc_rngs.append(np.random.default_rng(int(state[1])))
         encodings.append(sc.build(A, cfg.m, int(state[2])) if fixed else None)
+    mk = cfg.m * k
+    per_draw = (A.n + mk) * cfg.m
     live = np.arange(reps)
     W = np.zeros((reps, dim, classes))
+    start = stop = 0  # the iterations of the decoded block
     for it in range(cfg.iterations + 1):
         logp = _log_softmax(np.matmul(X, W))
         loss = -np.mean(np.take(logp.reshape(live.size, -1), picked, axis=1), axis=1)
         losses[live, it] = loss
         if it:
-            stop = ~np.isfinite(loss) | (loss > DIVERGENCE_LIMIT)
-            for rep in live[stop]:
+            stop_now = ~np.isfinite(loss) | (loss > DIVERGENCE_LIMIT)
+            for rep in live[stop_now]:
                 diverged[rep] = True
-            live, W, logp = live[~stop], W[~stop], logp[~stop]
+            live, W, logp = live[~stop_now], W[~stop_now], logp[~stop_now]
         if it == cfg.iterations or not live.size:
             break
         resid = np.exp(logp) - onehot
@@ -701,12 +727,43 @@ def _train_scheme(A: AssignmentMatrix, cfg: TrainConfig, sc: SchemeSpec) -> Trai
         if sc.scheme == EXACT:
             grads = partials.sum(axis=1)  # Z F, without building Z
         else:
-            sets = [sample_straggler_set(model, A.n, set_rngs[rep]) for rep in live]
-            if sc.randomized:
-                for rep in live:
-                    seed = int(enc_rngs[rep].integers(2**63))
-                    encodings[rep] = encode_random_diagonal(A, cfg.m, law, seed)
-            grads, _ = reconstruct_each(partials, [encodings[rep] for rep in live], sets)
+            if it == stop:
+                count = max(1, min(cfg.iterations - it, TRAIN_BLOCK_ELEMENTS // (live.size * per_draw)))
+                start, stop = it, it + count
+                fitted, errs = _decode_block(A, cfg, law, live, count, set_rngs, enc_rngs, encodings)
+            grads, _ = apply_fitted(partials, fitted[live, it - start], errs[live, it - start])
         # each row is a dim x classes gradient flattened column-major
         W -= eta * grads.reshape(live.size, classes, dim).transpose(0, 2, 1)
     return TrainResult(scheme_label=sc.label, losses=losses, diverged=diverged)
+
+
+def _decode_block(
+    A: AssignmentMatrix,
+    cfg: TrainConfig,
+    law: DiagonalLaw | None,
+    live: np.ndarray,
+    count: int,
+    set_rngs: list,
+    enc_rngs: list,
+    fixed: list,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next count iterations of every live repetition, drawn and
+    decoded ahead: each repetition draws its survivor sets and, without a
+    fixed encoding, its diagonals from its own streams, and one
+    decode_draws or decode_exact call decodes them all, each set exactly as
+    decode would. Returns B R
+    (repetitions x count x mk x m) and the decode errors (repetitions x
+    count), filled on the live repetitions' rows."""
+    model = Bernoulli(cfg.q)
+    sets = [sample_straggler_set(model, A.n, set_rngs[rep]) for rep in live for _ in range(count)]
+    if law is not None:
+        seeds = [int(enc_rngs[rep].integers(2**63)) for rep in live for _ in range(count)]
+        decs = decode_draws(A, [draw_diagonals(A, cfg.m, law, seed) for seed in seeds], sets)
+    else:
+        decs = decode_exact([fixed[rep] for rep in live for _ in range(count)], sets)
+    mk = cfg.m * A.k
+    fitted = np.empty((len(set_rngs), count, mk, cfg.m))
+    errs = np.empty((len(set_rngs), count))
+    fitted[live] = np.array([dec.fitted for dec in decs]).reshape(live.size, count, mk, cfg.m)
+    errs[live] = np.array([dec.err for dec in decs]).reshape(live.size, count)
+    return fitted, errs

@@ -10,6 +10,10 @@ Numerical contract:
     certified G = M^T M has cond_2(M) < 1e4: M has full column rank under
     the rank rule with a wide margin, and solving the normal equations
     G R = M^T Y loses at most about eight digits of the sixteen.
+  * One verdict per member. certify_each(stack) runs the same test on
+    every member of a g x n x n stack with one stacked Cholesky, each
+    member factored as it is alone, and returns one verdict each; a stack's
+    certify_gram is their conjunction.
   * Whole-Gram certificate. When certify_gram clears an encoding's whole
     Gram G, Cauchy interlacing (Horn & Johnson, Matrix Analysis, Thm
     4.3.28) carries it to every principal block: lambda_min(G_SS) >=
@@ -39,6 +43,7 @@ Complex arithmetic appears only in circulant_eigenvalues.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NonFiniteError, ShapeError
 
@@ -120,9 +125,8 @@ def certify_gram(gram, cond_max: float = CERT_COND_MAX) -> bool:
     tau = tr(G) * (1/cond_max + (n+2) eps); this proves cond_2(G) <
     cond_max for the symmetric n x n matrix G. cond_max is CERT_COND_MAX
     (1e8) for the Gram solve or QR_COND_MAX (1e12) for the QR tier.
-    A g x n x n stack is certified when every member is, by one stacked
-    Cholesky that factors each member exactly as it factors that matrix
-    alone; it cannot say which member failed.
+    A g x n x n stack is certified when every member is:
+    certify_each(stack, cond_max).all().
 
     Rump's bound (BIT 46, 2006, after Demmel): a floating-point Cholesky of
     a symmetric A that runs to completion is the exact factor of A + E with
@@ -138,25 +142,35 @@ def certify_gram(gram, cond_max: float = CERT_COND_MAX) -> bool:
     certified, since tr(G^{-1}) >= 1 / lambda_min(G).
     """
     if np.ndim(gram) == 3:
-        g = np.asarray(gram, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError("G contains NaN or Inf")
-    else:
-        g = as_matrix(gram, "G")
+        return bool(certify_each(gram, cond_max).all())
+    return bool(certify_each(as_matrix(gram, "G")[None], cond_max)[0])
+
+
+def certify_each(grams, cond_max: float = CERT_COND_MAX) -> np.ndarray:
+    """certify_gram(grams[j], cond_max) for every member j of a g x n x n
+    stack, as one boolean array, from one stacked Cholesky.
+
+    The factorization is numpy's LAPACK gufunc behind np.linalg.cholesky,
+    which factors each member exactly as it factors that matrix alone.
+    np.linalg.cholesky raises when any member fails; under
+    np.errstate(invalid="ignore") the gufunc instead returns NaN for each
+    member it cannot factor and the factor of every other one, so a member
+    is certified when its factor's diagonal is finite. Raises
+    NonFiniteError when any member holds NaN or Inf, as certify_gram does
+    on that member.
+    """
+    g = np.asarray(grams, dtype=float)
+    if g.ndim != 3 or g.shape[-2] != g.shape[-1]:
+        raise ShapeError(f"Gram matrices must form a g x n x n stack, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteError("G contains NaN or Inf")
     n = g.shape[-1]
-    if g.shape[-2] != n:
-        raise ShapeError(f"Gram matrix must be square, got shape {g.shape}")
     shifted = g.copy()
     shift = 1.0 / cond_max + (n + 2) * _EPS
-    if g.ndim == 2:
-        shifted.flat[:: n + 1] -= float(g.trace()) * shift
-    else:
-        shifted.reshape(len(g), n * n)[:, :: n + 1] -= g.trace(axis1=1, axis2=2)[:, None] * shift
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    shifted.reshape(len(g), n * n)[:, :: n + 1] -= g.trace(axis1=1, axis2=2)[:, None] * shift
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        factor = _umath_linalg.cholesky_lo(shifted, signature="d->d")
+    return np.isfinite(np.diagonal(factor, axis1=1, axis2=2)).all(axis=1)
 
 
 def null_space_basis(mat) -> np.ndarray:

@@ -401,7 +401,7 @@ def test_stacked_baseline_decode_matches_svd_projection(fano, coset27, bireg40, 
     # some of these sets. The column certificate is never tried on more
     # than k columns, whose B_S has rank <= k < |S|
     paths, certs = [], []
-    stacked, proj, cert = decoding._decode_stacked, decoding.project, decoding.certify_gram
+    stacked, proj, cert = decoding._decode_stacked, decoding.project, decoding.certify_each
 
     def spy_stacked(a_s, m):
         _, k, cols = a_s.shape
@@ -419,14 +419,14 @@ def test_stacked_baseline_decode_matches_svd_projection(fano, coset27, bireg40, 
             paths[-1] = "svd"
         return proj(mat, rhs)
 
-    def spy_cert(gram):
-        ok = cert(gram)
-        certs.append((gram.shape[-1], ok))
+    def spy_cert(grams, *args):
+        ok = cert(grams, *args)
+        certs.append((grams.shape[-1], bool(ok.all())))
         return ok
 
     monkeypatch.setattr(decoding, "_decode_stacked", spy_stacked)
     monkeypatch.setattr(decoding, "project", spy_project)
-    monkeypatch.setattr(decoding, "certify_gram", spy_cert)
+    monkeypatch.setattr(decoding, "certify_each", spy_cert)
     for A in (fano, coset27, bireg40):
         for m in (2, 3):
             B = gc.encode_baseline(A, m)
@@ -639,16 +639,17 @@ def test_recurring_encoding_keeps_order_across_sizes(bireg40):
 
 
 def _spy_stacks(monkeypatch, name):
-    """Record the survivor indices (g x |S|) of each stack decoding.<name>
-    is handed, with whether it solved the stack (False: the stack went set
-    by set through the route table)."""
+    """Record the survivors (one member list per set) of each stack
+    decoding.<name> is handed, with which members it solved (the others go
+    through the route table)."""
     stacks = []
     stack = getattr(decoding, name)
 
-    def spy(B_, idx, **kwargs):
-        solved = stack(B_, idx, **kwargs)
-        stacks.append((idx.copy(), solved is not None))
-        return solved
+    def spy(B_, members, *args, **kwargs):
+        coeffs, errs, solved = stack(B_, members, *args, **kwargs)
+        rows = members.tolist() if isinstance(members, np.ndarray) else [list(w.members) for w in members]
+        stacks.append((rows, solved.tolist()))
+        return coeffs, errs, solved
 
     monkeypatch.setattr(decoding, name, spy)
     return stacks
@@ -665,10 +666,10 @@ def test_recurring_baseline_without_a_certified_gram_decodes_in_capped_stacks(bi
     # the bi-regular baseline has rank k = 20 < n, so its whole Gram clears
     # no tier. Each size's sets are decoded in stacks of its k-row blocks,
     # none over STACK_ELEMENTS gathered entries; a stack of more than one set
-    # solves in one go exactly when every member clears its block
-    # certificate, and otherwise goes set by set through the route table, as
-    # does the empty set. A stack of one set takes the route table's chain
-    # itself. Every result is exactly decode's
+    # solves each member that clears its block certificate, and the others go
+    # one by one through the route table, as does the empty set. A stack of
+    # one set takes the route table's chain itself. Every result is exactly
+    # decode's
     B = gc.encode_baseline(bireg40, 2)
     assert B.gram_tier is None and B.gram_inverse is None and B.column_classes is None
     routed, grouped = [], []
@@ -684,19 +685,19 @@ def test_recurring_baseline_without_a_certified_gram_decodes_in_capped_stacks(bi
 
     monkeypatch.setattr(decoding, "_route", spy_route)
     monkeypatch.setattr(decoding, "_decode_group", spy_group)
-    stacks = _spy_stacks(monkeypatch, "_stack_copies")
+    stacks = _spy_stacks(monkeypatch, "_copies_stack")
     rng = np.random.default_rng(3)
     sets = _mixed_sets(40, rng)
     for s in (4, 16):  # at s = 16 some of the 24-worker blocks fail the row Gram certificate
         sets += [gc.sample_straggler_set(gc.FixedCount(s), 40, rng) for _ in range(60)]
     got = gc.decode_each([B] * len(sets), sets)
     assert grouped == []
-    for idx, solved in stacks:
-        g, size = idx.shape
+    for rows, solved in stacks:
+        g, size = len(rows), len(rows[0])
         assert g * max(B.k, size) * size <= decoding.STACK_ELEMENTS or g == 1
-        assert solved == (g == 1 or all(_block_certified(B, members) for members in idx.tolist()))
-    assert {True, False} <= {solved for _, solved in stacks}
-    fell_back = [tuple(members) for idx, solved in stacks if not solved for members in idx.tolist()]
+        assert solved == [g == 1 or _block_certified(B, members) for members in rows]
+    assert {True, False} <= {ok for _, solved in stacks for ok in solved}
+    fell_back = [tuple(members) for rows, solved in stacks for members, ok in zip(rows, solved) if not ok]
     assert sorted(routed) == sorted(fell_back + [()])
     for workers, res in zip(sets, got):
         ref = gc.decode(B, workers)
@@ -719,7 +720,7 @@ def test_recurring_encoding_between_the_whole_gram_tiers_decodes_in_stacks(bireg
     assert B.gram_tier == gc.QR_COND_MAX and B.gram_inverse is None
     assert 1e8 < np.linalg.cond(G) < 1e12
     routes = _spy_routes(monkeypatch)
-    stacks = _spy_stacks(monkeypatch, "_solve_survivors")
+    stacks = _spy_stacks(monkeypatch, "_survivor_stack")
     route = decoding._route
     monkeypatch.setattr(decoding, "_route", lambda B_, w: routes.append("route") or route(B_, w))
     rng = np.random.default_rng(8)
@@ -728,13 +729,13 @@ def test_recurring_encoding_between_the_whole_gram_tiers_decodes_in_stacks(bireg
     assert "route" not in routes and "svd" not in routes
     by_members = {w.members: res for w, res in zip(sets, got)}
     cleared = {True: 0, False: 0}
-    for idx, _ in list(stacks):  # decode below adds its own stacks of one
-        g, size = idx.shape
+    for rows, _ in list(stacks):  # decode below adds its own stacks of one
+        g, size = len(rows), len(rows[0])
         assert g * max(B.m * B.k, size) * size <= decoding.STACK_ELEMENTS
-        grams = [_survivor_gram(B, members) for members in idx.tolist()]
+        grams = [_survivor_gram(B, members) for members in rows]
         gram_solved = all(certify_gram(gram) for gram in grams)
         cleared[gram_solved] += 1
-        for members, gram in zip(idx.tolist(), grams):
+        for members, gram in zip(rows, grams):
             workers = gc.NonStragglerSet(n=40, members=members)
             exact = gram_solved or not certify_gram(gram)
             _check_against_route_references(B, workers, by_members[tuple(members)], exact=exact)
@@ -745,19 +746,26 @@ def test_rank_deficient_encoding_never_takes_a_stacked_tier(fano, bireg40, monke
     # a whole Gram that clears neither tier, from a short encoding (mk = 20
     # rows for n = 40 workers) or from a repeated column: every set of the
     # recurring encoding goes through the route table, exactly as decode
+    # does for the twin. The short encoding is a draw, which decode, handed
+    # it alone, solves from A and its diagonals: within 1e-9 * mk
     short = gc.encode_random_diagonal(bireg40, 1, gc.DiagonalLaw(0.1), seed=2)
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.1), seed=1)
     mat = B.mat.copy()
     mat[:, 4] = mat[:, 2]
     twin = dataclasses.replace(B, mat=mat)
+    assert short.diagonals is not None and twin.diagonals is None
     capped = []
-    monkeypatch.setattr(decoding, "_decode_capped", lambda *args: capped.append(args))
     for enc in (short, twin):
         assert enc.gram_tier is None and not enc.stacked_copies
         rng = np.random.default_rng(enc.n)
         sets = [gc.sample_straggler_set(gc.FixedCount(s), enc.n, rng) for s in (0, 1, 3) for _ in range(6)]
-        for workers, res in zip(sets, gc.decode_each([enc] * len(sets), sets)):
-            _check_against_route_references(enc, workers, res)
+        with monkeypatch.context() as patch:
+            patch.setattr(decoding, "_decode_capped", lambda *args: capped.append(args))
+            got = gc.decode_each([enc] * len(sets), sets)
+        for workers, res in zip(sets, got):
+            coeffs, err = decoding._route(enc, workers)
+            assert res.err == err and np.array_equal(res.coeffs, coeffs)
+            _check_against_route_references(enc, workers, res, exact=enc is twin)
     assert capped == []
 
 
@@ -802,17 +810,36 @@ def test_property_recurring_encoding_matches_projection(request, case):
 # runtime checks survive python -O
 
 
-def test_residual_consistency_check_raises(fano):
+def test_residual_consistency_check_raises(fano, monkeypatch):
     # a cached Gram doubled behind the decode's back still certifies, so the
     # Gram path returns half the coefficients with an error that disagrees
-    # with the directly computed residual
-    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    # with the directly computed residual. A draw without its diagonals (a
+    # stored encoding) takes the route table, which reads the cached Gram;
+    # a draw decoded from A and its diagonals is tripped the same way by
+    # halved stacked coefficients
+    drawn = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    B = dataclasses.replace(drawn, randomness=None)
     workers = gc.NonStragglerSet(n=7, members=(0, 2, 5))
     gram, image = B.gram
     B.__dict__["gram"] = (2.0 * gram, image)
-    assert certify_gram(_survivor_gram(B, list(workers.members)))
+    assert B.diagonals is None and certify_gram(_survivor_gram(B, list(workers.members)))
     with pytest.raises(NumericalError, match="direct residual"):
         gc.decode(B, workers)
+    _halve_draw_stacks(monkeypatch)
+    with pytest.raises(NumericalError, match="direct residual"):
+        gc.decode(drawn, workers)
+
+
+def _halve_draw_stacks(monkeypatch):
+    """Halve the coefficients of every stack of draws behind the decode's
+    back, leaving their errors."""
+    stack = decoding._draw_stack
+
+    def halved(*args):
+        coeffs, errs, solved = stack(*args)
+        return coeffs / 2.0, errs, solved
+
+    monkeypatch.setattr(decoding, "_draw_stack", halved)
 
 
 def test_recurring_encoding_residual_check_raises(fano):
@@ -847,7 +874,7 @@ def test_operator_norm_check_raises(fano, monkeypatch):
     monkeypatch.setattr(
         decoding,
         "decode_each",
-        lambda encodings, sets: [gc.DecodeResult(coeffs=true.coeffs, err=0.0)],
+        lambda encodings, sets: [gc.DecodeResult(coeffs=true.coeffs, err=0.0, fitted=true.fitted)],
     )
     with pytest.raises(NumericalError, match="operator-norm"):
         gc.reconstruct(partials, B, workers)
@@ -976,17 +1003,23 @@ def test_decode_each_checks_its_inputs(fano):
         gc.decode_each([B], [gc.NonStragglerSet.full(6)])
 
 
-def test_decode_each_residual_check_raises(fano):
+def test_decode_each_residual_check_raises(fano, monkeypatch):
     # a doubled cached Gram behind the decode's back, on the second of
-    # three sets: the batched direct residual catches that one
+    # three sets: the batched direct residual catches that one. The draws
+    # that carry one set each are caught the same way
     good = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
-    bad = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    bad = dataclasses.replace(gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0), randomness=None)
     gram, image = bad.gram
     bad.__dict__["gram"] = (2.0 * gram, image)
     workers = gc.NonStragglerSet(n=7, members=(0, 2, 5))
     gc.decode_each([good, good], [workers, workers])
     with pytest.raises(NumericalError, match="direct residual"):
         gc.decode_each([good, bad, good], [workers] * 3)
+    draws = [gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=s) for s in range(3)]
+    gc.decode_each(draws, [workers] * 3)
+    _halve_draw_stacks(monkeypatch)
+    with pytest.raises(NumericalError, match="direct residual"):
+        gc.decode_each(draws, [workers] * 3)
 
 
 def _spy_routes(monkeypatch):
@@ -1150,3 +1183,116 @@ def test_reconstruct_each_matches_reconstruct(coset27):
         gc.reconstruct_each(partials[:3], encodings, sets)
     with pytest.raises(ShapeError):
         gc.reconstruct_each(partials, [encodings[0], gc.encode_baseline(coset27, 3)] * 2, sets)
+
+
+# ---------------------------------------------------------------------------
+# random-diagonal draws decoded from A^T A, and merged copies, in stacks
+
+
+def test_stacked_draws_match_decode_and_projection(coset27, bireg40, monkeypatch):
+    # draws of two designs, one set each and interleaved, are solved by size
+    # as stacks built from A^T A and the diagonals. Each result is exactly
+    # decode's, and within 1e-9 * mk of the SVD projection: sets that clear
+    # the 1e8 certificate, sets that clear only the 1e12 one (QR), the
+    # rank-deficient sets of the short draws (the SVD) and the empty set
+    routes = _spy_routes(monkeypatch)
+    stacked = []
+    stack = decoding._draw_stack
+
+    def spy(*args):
+        stacked.append(len(args[-1]))
+        return stack(*args)
+
+    monkeypatch.setattr(decoding, "_draw_stack", spy)
+    rng = np.random.default_rng(21)
+    coset = [gc.encode_random_diagonal(coset27, 2, gc.DiagonalLaw(0.1), seed=s) for s in range(40)]
+    short = [gc.encode_random_diagonal(bireg40, 1, gc.DiagonalLaw(0.1), seed=s) for s in range(20)]
+    coset_sets = [gc.sample_straggler_set(gc.Bernoulli(0.25), 54, rng) for _ in coset]
+    coset_sets[3] = gc.NonStragglerSet(n=54, members=())
+    short_sets = [gc.sample_straggler_set(gc.FixedCount(s), 40, rng) for s in (5, 15, 25, 35) for _ in range(5)]
+    order = rng.permutation(60)
+    encodings = [(coset + short)[j] for j in order]
+    sets = [(coset_sets + short_sets)[j] for j in order]
+    got = gc.decode_each(encodings, sets)
+    assert max(stacked) > 1 and {"qr", "svd"} <= set(routes)
+    for B, workers, res in zip(encodings, sets, got):
+        _check_against_route_references(B, workers, res)
+        assert np.allclose(res.fitted, B.mat @ res.coeffs, rtol=0.0, atol=1e-12)
+    assert got[list(order).index(3)].err == 54.0
+    # decode_draws, handed the draws alone, gives the same bits
+    again = gc.decode_draws(coset27, [B.randomness for B in coset], coset_sets)
+    for one, res in zip(again, [got[list(order).index(j)] for j in range(40)]):
+        assert one.err == res.err and np.array_equal(one.coeffs, res.coeffs)
+        assert np.array_equal(one.fitted, res.fitted)
+
+
+def test_decode_draws_checks_its_inputs(fano, coset27):
+    draws = [gc.draw_diagonals(fano, 2, gc.DiagonalLaw(0.0), seed=s) for s in range(2)]
+    full = gc.NonStragglerSet.full(7)
+    assert gc.decode_draws(fano, [], []) == []
+    with pytest.raises(ShapeError):
+        gc.decode_draws(fano, draws, [full])
+    with pytest.raises(ShapeError):
+        gc.decode_draws(fano, draws, [full, gc.NonStragglerSet.full(6)])
+    with pytest.raises(ShapeError):
+        gc.decode_draws(coset27, draws, [gc.NonStragglerSet.full(54)] * 2)
+    with pytest.raises(ShapeError):
+        gc.decode_draws(fano, [draws[0], gc.draw_diagonals(fano, 3, gc.DiagonalLaw(0.0), seed=0)], [full] * 2)
+    # the diagonals are those encode_random_diagonal draws from the seed
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.3), seed=4)
+    assert np.array_equal(gc.draw_diagonals(fano, 2, gc.DiagonalLaw(0.3), seed=4).diagonals, B.diagonals)
+
+
+def test_recurring_merged_copies_decode_in_stacks_exactly_as_decode(coset27, monkeypatch):
+    # the coset baseline repeats columns of A (its A is m equal circulant
+    # blocks), so its sets are grouped by merged width, and each group is
+    # decoded in stacks of merged blocks A_U C^1/2: every result is bitwise
+    # decode's, and only a member that fails its stack's certificate would
+    # take the route table
+    B = gc.encode_baseline(coset27, 2)
+    assert B.column_classes is not None and B.gram_tier is None
+    labels, _ = B.column_classes
+    stacks = _spy_stacks(monkeypatch, "_copies_stack")
+    routed = []
+    route = decoding._route
+    monkeypatch.setattr(decoding, "_route", lambda B_, w: routed.append(w.members) or route(B_, w))
+    rng = np.random.default_rng(9)
+    sets = [gc.sample_straggler_set(gc.Bernoulli(q), 54, rng) for q in (0.1, 0.25, 0.5, 0.8) for _ in range(40)]
+    sets += [gc.NonStragglerSet(n=54, members=()), gc.NonStragglerSet.full(54)]
+    got = gc.decode_each([B] * len(sets), sets)
+    assert max(len(rows) for rows, _ in stacks) > 1
+    for rows, solved in stacks:
+        assert len({np.unique(labels[members]).size for members in rows}) == 1
+    failed = [tuple(members) for rows, solved in stacks for members, ok in zip(rows, solved) if not ok]
+    assert sorted(routed) == sorted(failed + [()])
+    for workers, res in zip(sets, got):
+        ref = gc.decode(B, workers)
+        assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
+        assert np.array_equal(res.fitted, ref.fitted)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_decode_exact_is_decode_bit_for_bit(request, family, scheme):
+    # recurring encodings of every tier (the 1e8 whole-Gram inverse and the
+    # 1e12 stacks of decode_each are not taken) and draws carrying one set
+    # each: every result is exactly decode's
+    A = request.getfixturevalue(family)
+    rng = np.random.default_rng(13)
+    sets = _mixed_sets(A.n, rng) * 2
+    pool = [_encode(A, scheme, seed) for seed in range(2)]
+    encodings = [pool[j % 2] for j in range(len(sets) - 3)] + [_encode(A, scheme, seed) for seed in (2, 3, 4)]
+    extra = []
+    if family == "bireg40":
+        extra = [
+            gc.encode_nullspace_hadamard(A, 2, v1_policy=gc.V1_GAUSSIAN, seed=18),  # the 1e12 tier
+            gc.encode_random_diagonal(A, 1, gc.DiagonalLaw(0.1), seed=2),  # no tier
+        ]
+    for B in extra:
+        encodings += [B] * 6
+        sets += [gc.sample_straggler_set(gc.FixedCount(s), A.n, rng) for s in (0, 2, 5, 20, 25, 30)]
+    got = gc.decode_exact(encodings, sets)
+    for B, workers, res in zip(encodings, sets, got):
+        ref = gc.decode(B, workers)
+        assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
+        assert np.array_equal(res.fitted, ref.fitted)

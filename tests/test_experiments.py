@@ -699,6 +699,62 @@ def test_lockstep_repetitions_leave_the_stack_when_they_diverge(bireg40, monkeyp
     _assert_same_runs(gc.simulate_training(bireg40, cfg)[0], losses, diverged)
 
 
+def test_divergence_inside_a_block_leaves_the_other_repetitions_unchanged(bireg40, monkeypatch):
+    # the twelve iterations of five repetitions are one block, drawn and
+    # decoded ahead in one decode_draws call: a repetition that diverges
+    # inside it is flagged and stops, its remaining draws decoded and
+    # discarded, and every other repetition's losses keep their bytes
+    cfg = _lockstep_config(gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1), learning_rate=4.0, repetitions=5)
+    free = gc.simulate_training(bireg40, cfg)[0]
+    assert not any(free.diverged)
+    peaks = np.sort(np.nanmax(free.losses[:, 1:], axis=1))
+    monkeypatch.setattr(experiments, "DIVERGENCE_LIMIT", 0.5 * (peaks[1] + peaks[2]))
+    calls = []
+    original = experiments.decode_draws
+    monkeypatch.setattr(
+        experiments, "decode_draws", lambda A, draws, sets: calls.append(len(sets)) or original(A, draws, sets)
+    )
+    stopped = gc.simulate_training(bireg40, cfg)[0]
+    assert calls == [5 * 12]
+    assert 0 < sum(stopped.diverged) < 5
+    for rep in range(5):
+        row = stopped.losses[rep]
+        if stopped.diverged[rep]:
+            last = int(np.flatnonzero(~np.isnan(row))[-1])
+            assert 1 <= last < 12 and row[last] > experiments.DIVERGENCE_LIMIT
+            assert np.array_equal(row[: last + 1], free.losses[rep, : last + 1])
+        else:
+            assert np.array_equal(row, free.losses[rep])
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1),
+        gc.SchemeSpec(scheme=gc.BASELINE),
+        gc.SchemeSpec(scheme=gc.NULLSPACE_HADAMARD),
+    ],
+    ids=lambda sc: sc.label,
+)
+def test_training_blocks_do_not_change_the_losses(coset27, monkeypatch, scheme):
+    # a block holds at most TRAIN_BLOCK_ELEMENTS entries of coefficients and
+    # B R; blocks of one iteration, of five, and of the whole run give the
+    # same bytes, each decoded in one call
+    cfg = _lockstep_config(scheme, repetitions=3, dataset=gc.DatasetSpec(samples=270, dim=3, classes=3, seed=1))
+    name = "decode_draws" if scheme.randomized else "decode_exact"
+    original = getattr(experiments, name)
+    runs = {}
+    for iterations_per_block in (1, 5, 12):
+        calls = []
+        monkeypatch.setattr(experiments, name, lambda *args: calls.append(len(args[-1])) or original(*args))
+        per = (coset27.n + 2 * coset27.k) * 2  # coefficients and B R of one set
+        monkeypatch.setattr(experiments, "TRAIN_BLOCK_ELEMENTS", iterations_per_block * 3 * per)
+        runs[iterations_per_block] = gc.simulate_training(coset27, cfg)[0].losses
+        blocks = [min(iterations_per_block, 12 - i) for i in range(0, 12, iterations_per_block)]
+        assert calls == [3 * b for b in blocks]
+    assert np.array_equal(runs[1], runs[5]) and np.array_equal(runs[1], runs[12])
+
+
 @pytest.mark.parametrize(
     "dataset, key",
     [

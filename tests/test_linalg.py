@@ -7,6 +7,7 @@ from gradcoding.errors import NonFiniteError, ShapeError
 from gradcoding.linalg import (
     CERT_COND_MAX,
     QR_COND_MAX,
+    certify_each,
     certify_gram,
     circulant_eigenvalues,
     null_space_basis,
@@ -189,6 +190,75 @@ def test_certify_gram_refuses_a_non_finite_stack():
     stack[1, 0, 2] = np.nan
     with pytest.raises(NonFiniteError):
         certify_gram(stack)
+
+
+def _gram_at_ratio(rng, n, ratio):
+    """A symmetric n x n Gram with tr(G) / lambda_min(G) = ratio, the
+    quantity the certificate tests against its threshold, up to rounding."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = rng.uniform(1.0, 2.0, n)
+    eig[0] = (eig[1:].sum()) / (ratio - 1.0)
+    gram = (q * eig) @ q.T
+    return (gram + gram.T) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.integers(0, 2**16),
+    st.lists(
+        st.tuples(st.sampled_from([CERT_COND_MAX, QR_COND_MAX]), st.floats(-30.0, 30.0)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_property_certify_each_is_certify_gram_member_by_member(n, seed, spec):
+    # members whose tr(G) / lambda_min(G) lies within a few hundred eps of
+    # either threshold, on both sides, so that some clear a tier and some
+    # do not: each verdict of the stacked Cholesky is the one certify_gram
+    # gives that member alone, at both tiers, and the stack's certify_gram
+    # is their conjunction
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    grams = np.array(
+        [_gram_at_ratio(rng, n, cond * (1.0 + (n + 2) * eps * off)) for cond, off in spec]
+    )
+    before = grams.copy()
+    for cond_max in (CERT_COND_MAX, QR_COND_MAX):
+        verdicts = certify_each(grams, cond_max)
+        assert verdicts.dtype == bool and verdicts.shape == (len(grams),)
+        assert verdicts.tolist() == [certify_gram(gram, cond_max) for gram in grams]
+        assert certify_gram(grams, cond_max) == bool(verdicts.all())
+    assert np.array_equal(grams, before)
+
+
+def test_certify_each_splits_a_stack_across_the_threshold():
+    # one stack holding members on both sides of each tier gets both
+    # verdicts, where np.linalg.cholesky would raise for the whole stack
+    rng = np.random.default_rng(3)
+    ratios = (1e6, 2e8, 1e11, 2e12, 0.5e8)
+    grams = np.array([_gram_at_ratio(rng, 6, ratio) for ratio in ratios])
+    assert certify_each(grams).tolist() == [True, False, False, False, True]
+    assert certify_each(grams, QR_COND_MAX).tolist() == [True, True, True, False, True]
+    assert not certify_gram(grams)
+
+
+def test_certify_each_edge_stacks():
+    # an empty stack, members of size 0, a singular and an indefinite member
+    assert certify_each(np.zeros((0, 3, 3))).shape == (0,)
+    assert certify_each(np.zeros((2, 0, 0))).tolist() == [True, True]
+    assert certify_gram(np.zeros((0, 0)))
+    stack = np.array([np.eye(3), np.zeros((3, 3)), -np.eye(3)])
+    assert certify_each(stack).tolist() == [True, False, False]
+    # a non-finite member is refused, as certify_gram refuses it alone
+    stack[1, 0, 2] = np.inf
+    with pytest.raises(NonFiniteError):
+        certify_each(stack)
+    with pytest.raises(NonFiniteError):
+        certify_gram(stack[1])
+    for bad in (np.ones((3, 3)), np.ones((2, 3, 4)), np.ones((1, 2, 3, 3))):
+        with pytest.raises(ShapeError):
+            certify_each(bad)
 
 
 def test_null_space_basis_properties():
