@@ -116,8 +116,11 @@ the draws (block u of B R is A (d_u o R)), raising NumericalError on a
 disagreement; the result keeps B R (DecodeResult.fitted). apply_fitted
 turns the fitted combinations into decoded gradients: Z B R, the
 operator-norm check and the gaps, for a stack of sets at once.
-reconstruct_each is decode_each followed by apply_fitted, and a training
-run applies each iteration's slice of a block decoded ahead.
+reconstruct_each is decode_each followed by apply_fitted. decode_exact is
+decode_each without the whole-Gram shortcuts, so that every set gets
+exactly decode's result in stacks; a training run decodes its fixed
+encodings a block of iterations ahead that way, its draws by
+decode_draws, and applies each iteration's slice of the block.
 """
 from __future__ import annotations
 
@@ -243,8 +246,9 @@ def decode_each(
     solve, so they agree only to rounding. The random-diagonal draws that
     carry one set each are solved as decode_draws solves them, and they,
     like every other set in a stack of copies or through the route table,
-    get exactly decode's result. Every set is checked against its direct residual, with one
-    product per distinct encoding and one per design for the draws."""
+    get exactly decode's result. Every set is checked against its direct
+    residual, with one product per distinct encoding and one per design
+    for the draws."""
     return _decode_calls(encodings, sets, whole_gram=True)
 
 
@@ -318,7 +322,7 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
     draws: dict[tuple, list[int]] = {}
     for picked in _by_encoding(encodings):
         B = encodings[picked[0]]
-        if B.diagonals is None or whole_gram and len(picked) > 1:
+        if whole_gram and len(picked) > 1 or B.diagonals is None:
             groups.append((picked, False))
         elif (key := (id(B.parent), B.m)) in draws:
             draws[key].extend(picked)
@@ -414,7 +418,9 @@ def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> lis
     return _checked(coeffs, errs, fitted.reshape(g, mk, m), build_target(A.k, m))
 
 
-def _checked(coeffs: np.ndarray, errs: np.ndarray, fitted: np.ndarray, target: np.ndarray) -> list[DecodeResult]:
+def _checked(
+    coeffs: np.ndarray, errs: np.ndarray, fitted: np.ndarray, target: np.ndarray
+) -> list[DecodeResult]:
     """The DecodeResults of g sets, each error checked against its direct
     residual ||B R - F||_F^2 from the fitted B R (g x mk x m)."""
     diff = fitted - target
@@ -606,7 +612,8 @@ def _decode_stacked(a: np.ndarray, m: int):
         if ok.all():
             x = a_t @ np.linalg.solve(row_gram, np.ones((g, k, 1)))
         elif ok.any():
-            x[ok] = a[ok].transpose(0, 2, 1) @ np.linalg.solve(row_gram[ok], np.ones((int(ok.sum()), k, 1)))
+            y = np.linalg.solve(row_gram[ok], np.ones((int(ok.sum()), k, 1)))
+            x[ok] = a[ok].transpose(0, 2, 1) @ y
     if g == 1 and not ok[0]:
         x[0] = project(a[0], np.ones(k))[0][:, None]
         ok[0] = True
@@ -640,7 +647,9 @@ def _survivor_stack(B: EncodingMatrix, idx: np.ndarray, stack_verdict: bool):
     )
 
 
-def _draw_stack(A: AssignmentMatrix, gram_a: np.ndarray, colsum: np.ndarray, diag: np.ndarray, idx: np.ndarray):
+def _draw_stack(
+    A: AssignmentMatrix, gram_a: np.ndarray, colsum: np.ndarray, diag: np.ndarray, idx: np.ndarray
+):
     """Routes 2 and 3 on random-diagonal draws of A (diag, g x m x n), set j
     (idx[j], |S| >= 1) through draw j, by _solve_survivors. Their survivor
     systems come from A^T A (gram_a), 1^T A (colsum) and the diagonals,
@@ -684,7 +693,9 @@ def _scatter(n: int, idx: np.ndarray, solutions: np.ndarray, errs: np.ndarray, s
     return coeffs, errs, solved
 
 
-def _solve_survivors(gram_s: np.ndarray, image_s: np.ndarray, columns, target: np.ndarray, stack_verdict: bool):
+def _solve_survivors(
+    gram_s: np.ndarray, image_s: np.ndarray, columns, target: np.ndarray, stack_verdict: bool
+):
     """Routes 2 and 3 of the table on g survivor systems of one size
     (G_SS g x |S| x |S|, H_S g x |S| x m), columns(sel) giving B_S of the
     selected members: (solutions g x |S| x m, errors g, solved g). The
@@ -818,7 +829,9 @@ def apply_fitted(partials, fitted: np.ndarray, errs) -> tuple[np.ndarray, np.nda
     g, k, d = grads.shape
     m = fitted.shape[-1] if fitted.ndim == 3 else 0
     if fitted.shape != (g, m * k, m) or len(errs) != g:
-        raise ShapeError(f"fitted combinations of shape {fitted.shape} and {len(errs)} errors for {g} x {k} gradients")
+        raise ShapeError(
+            f"fitted combinations of shape {fitted.shape} and {len(errs)} errors for {g} x {k} gradients"
+        )
     if not g:
         return np.zeros((0, d)), np.zeros(0)
     Z = _split(grads, m)

@@ -80,9 +80,9 @@ DECODE_CHUNK = 256
 
 # Most float64 entries of the encodings (m k x n, and the n x n Gram the
 # route table caches for a draw it decodes) that one estimate_unbiasedness
-# chunk holds: 2**20, 8 MiB. A chunk
-# of a large design holds fewer than DECODE_CHUNK trials; 256 trials on the
-# 91-worker BIBD with m = 2 raised the peak RSS from 37 to 121 MB.
+# chunk holds: 2**20, 8 MiB. A chunk of a large design holds fewer than
+# DECODE_CHUNK trials; 256 trials on the 91-worker BIBD with m = 2 raised
+# the peak RSS from 37 to 121 MB.
 CHUNK_ELEMENTS = 2**20
 
 
@@ -644,10 +644,10 @@ def simulate_training(A: AssignmentMatrix, cfg: TrainConfig) -> list[TrainResult
     block's sets and, for the random-diagonal scheme, its diagonals
     (encoders.draw_diagonals, with no encoding built), and one decode_draws
     or decode_exact call decodes the whole block, each set exactly as
-    decode would. A block holds at most
-    TRAIN_BLOCK_ELEMENTS entries of coefficients and B R. Each iteration
-    then applies its slice of the block's B R to its gradients
-    (decoding.apply_fitted, as reconstruct_each does). The draws of a
+    decode would. A block holds at most TRAIN_BLOCK_ELEMENTS entries of
+    coefficients and B R. Each iteration then applies its slice of the
+    block's B R to its gradients (decoding.apply_fitted, as
+    reconstruct_each does). The draws of a
     repetition past its divergence inside a block are decoded and
     discarded. No set's decode depends on the others in its call, so the
     block length changes no loss, and the other repetitions' losses are
@@ -703,20 +703,19 @@ def _train_scheme(A: AssignmentMatrix, cfg: TrainConfig, sc: SchemeSpec) -> Trai
         set_rngs.append(np.random.default_rng(int(state[0])))
         enc_rngs.append(np.random.default_rng(int(state[1])))
         encodings.append(sc.build(A, cfg.m, int(state[2])) if fixed else None)
-    mk = cfg.m * k
-    per_draw = (A.n + mk) * cfg.m
+    per_set = (A.n + cfg.m * k) * cfg.m  # coefficients and B R
     live = np.arange(reps)
     W = np.zeros((reps, dim, classes))
-    start = stop = 0  # the iterations of the decoded block
+    first = end = 0  # the iterations of the block decoded ahead
     for it in range(cfg.iterations + 1):
         logp = _log_softmax(np.matmul(X, W))
         loss = -np.mean(np.take(logp.reshape(live.size, -1), picked, axis=1), axis=1)
         losses[live, it] = loss
         if it:
-            stop_now = ~np.isfinite(loss) | (loss > DIVERGENCE_LIMIT)
-            for rep in live[stop_now]:
+            stop = ~np.isfinite(loss) | (loss > DIVERGENCE_LIMIT)
+            for rep in live[stop]:
                 diverged[rep] = True
-            live, W, logp = live[~stop_now], W[~stop_now], logp[~stop_now]
+            live, W, logp = live[~stop], W[~stop], logp[~stop]
         if it == cfg.iterations or not live.size:
             break
         resid = np.exp(logp) - onehot
@@ -727,11 +726,11 @@ def _train_scheme(A: AssignmentMatrix, cfg: TrainConfig, sc: SchemeSpec) -> Trai
         if sc.scheme == EXACT:
             grads = partials.sum(axis=1)  # Z F, without building Z
         else:
-            if it == stop:
-                count = max(1, min(cfg.iterations - it, TRAIN_BLOCK_ELEMENTS // (live.size * per_draw)))
-                start, stop = it, it + count
+            if it == end:
+                count = max(1, min(cfg.iterations - it, TRAIN_BLOCK_ELEMENTS // (live.size * per_set)))
+                first, end = it, it + count
                 fitted, errs = _decode_block(A, cfg, law, live, count, set_rngs, enc_rngs, encodings)
-            grads, _ = apply_fitted(partials, fitted[live, it - start], errs[live, it - start])
+            grads, _ = apply_fitted(partials, fitted[live, it - first], errs[live, it - first])
         # each row is a dim x classes gradient flattened column-major
         W -= eta * grads.reshape(live.size, classes, dim).transpose(0, 2, 1)
     return TrainResult(scheme_label=sc.label, losses=losses, diverged=diverged)
@@ -751,9 +750,8 @@ def _decode_block(
     decoded ahead: each repetition draws its survivor sets and, without a
     fixed encoding, its diagonals from its own streams, and one
     decode_draws or decode_exact call decodes them all, each set exactly as
-    decode would. Returns B R
-    (repetitions x count x mk x m) and the decode errors (repetitions x
-    count), filled on the live repetitions' rows."""
+    decode would. Returns B R (repetitions x count x mk x m) and the decode
+    errors (repetitions x count), filled on the live repetitions' rows."""
     model = Bernoulli(cfg.q)
     sets = [sample_straggler_set(model, A.n, set_rngs[rep]) for rep in live for _ in range(count)]
     if law is not None:
