@@ -320,7 +320,7 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
     True: those carrying one set each, or without whole_gram every draw."""
     groups: list[tuple[list[int], bool]] = []
     draws: dict[tuple, list[int]] = {}
-    for _, picked in _by_key([id(B) for B in encodings]):
+    for picked in _by_encoding(encodings):
         B = encodings[picked[0]]
         if whole_gram and len(picked) > 1 or B.diagonals is None:
             groups.append((picked, False))
@@ -329,6 +329,15 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
         else:
             groups.append((draws.setdefault(key, picked), True))
     return groups
+
+
+def _by_encoding(encodings: list) -> list[list[int]]:
+    """The positions of each distinct encoding, in order of first
+    appearance."""
+    groups: dict[int, list[int]] = {}
+    for j, B in enumerate(encodings):
+        groups.setdefault(id(B), []).append(j)
+    return list(groups.values())
 
 
 def _by_key(keys: list) -> list[tuple]:
@@ -799,12 +808,7 @@ def reconstruct_each(
     grads = _as_stack(partials, len(encodings))
     if not len(grads):
         return np.zeros((0, grads.shape[2])), np.zeros(0)
-    k, m = grads.shape[1], encodings[0].m
-    for B in encodings:
-        if (B.k, B.m) != (k, m):
-            raise ShapeError(
-                f"{k} partial gradients with m={m} for an encoding of k={B.k} subsets, m={B.m}"
-            )
+    _check_km(encodings, grads.shape[1], encodings[0].m)
     decs = decode_each(encodings, sets)
     return apply_fitted(grads, np.array([dec.fitted for dec in decs]), [dec.err for dec in decs])
 
@@ -854,3 +858,12 @@ def _as_stack(partials, g: int) -> np.ndarray:
     if grads.ndim != 3 or grads.shape[0] != g:
         raise ShapeError(f"partial gradients of shape {grads.shape} for {g} encodings")
     return grads
+
+
+def _check_km(encodings: list, k: int, m: int) -> None:
+    """Refuse an encoding of other than k subsets and m blocks."""
+    for B in encodings:
+        if (B.k, B.m) != (k, m):
+            raise ShapeError(
+                f"{k} partial gradients with m={m} for an encoding of k={B.k} subsets, m={B.m}"
+            )
