@@ -204,25 +204,28 @@ def _gram_at_ratio(rng, n, ratio):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1, 10),
+    st.integers(2, 10),
     st.integers(0, 2**16),
     st.lists(
-        st.tuples(st.sampled_from([CERT_COND_MAX, QR_COND_MAX]), st.floats(-30.0, 30.0)),
+        st.tuples(st.sampled_from([CERT_COND_MAX, QR_COND_MAX]), st.floats(-3.0, 3.0)),
         min_size=1,
         max_size=8,
     ),
 )
 def test_property_certify_each_is_certify_gram_member_by_member(n, seed, spec):
-    # members whose tr(G) / lambda_min(G) lies within a few hundred eps of
-    # either threshold, on both sides, so that some clear a tier and some
-    # do not: each verdict of the stacked Cholesky is the one certify_gram
-    # gives that member alone, at both tiers, and the stack's certify_gram
-    # is their conjunction
+    # the certificate's verdict flips where tr(G) / lambda_min(G) crosses
+    # 1 / (1/cond_max + (n+2) eps); members within a few times the test's
+    # own rounding of that point, at either tier, clear it or not. Each
+    # verdict of the stacked Cholesky is the one certify_gram gives that
+    # member alone, at both tiers, and the stack's certify_gram is their
+    # conjunction
     rng = np.random.default_rng(seed)
     eps = np.finfo(float).eps
-    grams = np.array(
-        [_gram_at_ratio(rng, n, cond * (1.0 + (n + 2) * eps * off)) for cond, off in spec]
-    )
+    grams = []
+    for cond, off in spec:
+        flip = 1.0 / (1.0 / cond + (n + 2) * eps)
+        grams.append(_gram_at_ratio(rng, n, flip * (1.0 + off * (n + 2) * eps * cond)))
+    grams = np.array(grams)
     before = grams.copy()
     for cond_max in (CERT_COND_MAX, QR_COND_MAX):
         verdicts = certify_each(grams, cond_max)
@@ -234,12 +237,18 @@ def test_property_certify_each_is_certify_gram_member_by_member(n, seed, spec):
 
 def test_certify_each_splits_a_stack_across_the_threshold():
     # one stack holding members on both sides of each tier gets both
-    # verdicts, where np.linalg.cholesky would raise for the whole stack
+    # verdicts, where np.linalg.cholesky would raise for the whole stack;
+    # members 3 eps-scaled steps either side of each flip point (see the
+    # property above) land on either side of it
     rng = np.random.default_rng(3)
-    ratios = (1e6, 2e8, 1e11, 2e12, 0.5e8)
+    eps = np.finfo(float).eps
+    ratios = [1e6, 2e8, 1e11, 2e12, 0.5e8]
+    for cond in (CERT_COND_MAX, QR_COND_MAX):
+        flip = 1.0 / (1.0 / cond + 8 * eps)
+        ratios += [flip * (1.0 - 3 * 8 * eps * cond), flip * (1.0 + 3 * 8 * eps * cond)]
     grams = np.array([_gram_at_ratio(rng, 6, ratio) for ratio in ratios])
-    assert certify_each(grams).tolist() == [True, False, False, False, True]
-    assert certify_each(grams, QR_COND_MAX).tolist() == [True, True, True, False, True]
+    assert certify_each(grams).tolist() == [True, False, False, False, True, True, False, False, False]
+    assert certify_each(grams, QR_COND_MAX).tolist() == [True, True, True, False, True, True, True, True, False]
     assert not certify_gram(grams)
 
 
