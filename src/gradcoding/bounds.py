@@ -147,35 +147,36 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
     columns B_S to have full column rank: certified through their Gram
     matrix, or else under the decode's rank rule applied to B_S itself; a
     stacked-copies baseline with more than k survivors is refused without
-    either, its rank being at most k. When B's whole Gram clears either
-    certificate tier (B.gram_tier, 1e8 or 1e12), Cauchy interlacing gives
-    every survivor block cond_2(G_SS) < 1e12, so B_S has cond_2 < 1e6 and
-    full column rank, and neither the per-set certificate nor rank_of is
-    run: each such set is one that either would have passed. Both the
-    Gram matrix and the images B_i,F^T 1 are read from B's cached Gram.
+    either, its rank being at most k, before its Gram is read. When B's
+    whole Gram clears either certificate tier (B.gram_tier, 1e8 or 1e12),
+    Cauchy interlacing gives every survivor block cond_2(G_SS) < 1e12, so
+    B_S has cond_2 < 1e6 and full column rank, and neither the per-set
+    certificate nor rank_of is run: each such set is one that either would
+    have passed. Both the Gram matrix and the images B_i,F^T 1 are read
+    from B's cached Gram.
     """
     if workers.n != B.n:
         raise ParameterError("non-straggler set size does not match encoding")
     k, m = B.k, B.m
     if not workers.members:
         return BoundReport(kind=DIAG_DOM_UPPER, value=float(m * k))
+    # stacked copies have rank(B_S) = rank(A_S) <= k, so more than k
+    # survivors are rank-deficient without a factorization or a gather
+    if B.stacked_copies and len(workers.members) > k:
+        raise SingularMatrixError(_deficient(workers))
     idx = np.array(workers.members, dtype=np.intp)
     full_gram, full_image = B.gram
     gram = full_gram.take(idx, axis=0).take(idx, axis=1)
-    # stacked copies have rank(B_S) = rank(A_S) <= k, so more than k
-    # survivors are rank-deficient without a factorization
-    if (B.stacked_copies and idx.size > k) or (
-        B.gram_tier is None
-        and not certify_gram(gram)
-        and rank_of(B.mat.take(idx, axis=1)) < idx.size
-    ):
-        raise SingularMatrixError(
-            f"survivor columns rank-deficient for members={list(workers.members)}"
-        )
-    majorant = np.sum(np.abs(gram), axis=1)  # diagonal entries of Sigma~
+    if B.gram_tier is None and not certify_gram(gram) and rank_of(B.mat.take(idx, axis=1)) < idx.size:
+        raise SingularMatrixError(_deficient(workers))
+    majorant = np.abs(gram).sum(axis=1)  # diagonal entries of Sigma~
     image = full_image.take(idx, axis=0)  # column i is B_i,F^T 1
-    total = float(np.sum(image * image / majorant[:, None]))
+    total = float((image * image / majorant[:, None]).sum())
     return BoundReport(kind=DIAG_DOM_UPPER, value=m * k - total)
+
+
+def _deficient(workers: NonStragglerSet) -> str:
+    return f"survivor columns rank-deficient for members={list(workers.members)}"
 
 
 def lower_bound(n: int, k: int, delta: int, m: int, s: int) -> BoundReport:

@@ -72,17 +72,18 @@ TRAIN_CSV_HEADER = ["scheme", "seed", "iteration", "loss"]
 # summed over the grid; v=91 at s=5 alone would be about 4.9e7 sets.
 MAX_EXHAUSTIVE_SETS = 1_000_000
 
-# Most survivor sets a sweep hands to one decode_each call, which bounds the
-# stacks it gathers when set_draws="all" enumerates up to
-# MAX_EXHAUSTIVE_SETS sets; also the most trials estimate_unbiasedness
-# hands to one decode_each call.
+# Most survivor sets a sweep draws at a time and hands to each scheme's
+# decode_each call, which bounds the sets it holds and the stacks it
+# gathers when set_draws="all" enumerates up to MAX_EXHAUSTIVE_SETS sets;
+# also the most trials estimate_unbiasedness hands to one decode_draws
+# call.
 DECODE_CHUNK = 256
 
-# Most float64 entries of the encodings (m k x n, and the n x n Gram the
-# route table caches for a draw it decodes) that one estimate_unbiasedness
-# chunk holds: 2**20, 8 MiB. A chunk of a large design holds fewer than
-# DECODE_CHUNK trials; 256 trials on the 91-worker BIBD with m = 2 raised
-# the peak RSS from 37 to 121 MB.
+# Most float64 entries of the decoded coefficients (n x m) and B R (mk x m)
+# that one estimate_unbiasedness chunk holds: 2**20, 8 MiB. The trials are
+# decoded from their diagonals, so DECODE_CHUNK binds on every recipe
+# design (256 trials on the 91-worker BIBD with m = 2 hold 140,000); only
+# a design with (mk + n) m over 4,096 gets shorter chunks.
 CHUNK_ELEMENTS = 2**20
 
 
@@ -293,11 +294,17 @@ def _iter_sets(cfg: SweepConfig, n: int, x, rng: np.random.Generator):
 def sweep_error(A: AssignmentMatrix, cfg: SweepConfig) -> list[ExperimentResult]:
     """Decode-error statistics over (matrix draw x straggler draw) grids,
     with the matching upper and lower bounds attached per grid point: one
-    result per scheme of cfg, each of whose draws shares the straggler sets
-    of the others. Refuses first what cfg.check_n refuses.
+    result per scheme of cfg. Refuses first what cfg.check_n refuses.
 
-    The sets of each (encoding draw, grid point) are decoded together by
-    decode_each, in chunks of at most DECODE_CHUNK sets of the one encoding.
+    One pass over the grid serves every scheme. At grid point gi, draw t
+    builds the draw-t encoding of each scheme with more than t
+    matrix_draws (all from the seed of (gi, t)) and draws the straggler
+    sets once, from the stream of (gi, t), for all of them: a scheme's
+    draw t sees the sets it would see swept alone, and the schemes share
+    them. The sets arrive in chunks of at most DECODE_CHUNK, and each
+    chunk goes to every such scheme's decode_each (the sets of its one
+    encoding, decoded together) and per-set bounds before the next chunk
+    is drawn. Only one draw's encodings are alive at a time.
 
     Where no family closed form applies on a straggler-count grid, per-set
     bounds are evaluated on every sampled set (the diagonally-dominant
@@ -306,60 +313,82 @@ def sweep_error(A: AssignmentMatrix, cfg: SweepConfig) -> list[ExperimentResult]
     annotate curves; sets with a singular survivor Gram are skipped.
     """
     cfg.check_n(A.n)
-    return [_sweep_scheme(A, cfg, sc) for sc in cfg.schemes]
-
-
-def _sweep_scheme(A: AssignmentMatrix, cfg: SweepConfig, sc: SweepScheme) -> ExperimentResult:
     s_grid = cfg.grid_kind == "s"
-    c_val = bnd.compute_c(sc.epsilon) if sc.scheme == RANDOM_DIAGONAL else None
-    epsilon = sc.epsilon or 0.0  # the closed forms' epsilon; None outside the diagonal scheme
-    result = ExperimentResult(header=list(SWEEP_CSV_HEADER))
+    results = [ExperimentResult(header=list(SWEEP_CSV_HEADER)) for _ in cfg.schemes]
     for gi, x in enumerate(cfg.grid):
-        kinds = bnd.SCHEME_UPPER_FORMS.get(sc.scheme, ()) if s_grid else ()
-        forms = (bnd.closed_form(kind, A, cfg.m, x, epsilon) for kind in kinds)
-        upper = next((v for v in forms if v is not None), None)
-        per_set = s_grid and upper is None
-        errs = []
-        set_bounds = []
-        for t in range(sc.matrix_draws):
-            B = sc.build(A, cfg.m, _stream_seed(cfg.seed, gi, t, 0))
-            rng = np.random.default_rng(_stream(cfg.seed, gi, t, 1))
-            sets = _iter_sets(cfg, A.n, x, rng)
-            while chunk := list(itertools.islice(sets, DECODE_CHUNK)):
-                errs.extend(dec.err for dec in decode_each([B] * len(chunk), chunk))
-                if not per_set:
-                    continue
-                for workers in chunk:
-                    try:
-                        if sc.scheme == RANDOM_DIAGONAL:
-                            set_bounds.append(bnd.bound_expected(A, workers, cfg.m, c_val).value)
-                        else:
-                            set_bounds.append(bnd.bound_diag_dominant(B, workers).value)
-                    except SingularMatrixError:
-                        pass
-        arr = np.asarray(errs)
-        if upper is None and set_bounds:
-            upper = float(max(set_bounds))
-        lower = bnd.closed_form(bnd.LOWER, A, cfg.m, x, epsilon) if s_grid else None
-        sem = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-        result.rows.append(
-            {
-                "scheme": sc.label,
-                "family": A.family,
-                "m": cfg.m,
-                "epsilon": sc.epsilon,
-                "x_kind": cfg.grid_kind,
-                "x": float(x),
-                "mean_err": float(arr.mean()),
-                "std_err": sem,
-                "min_err": float(arr.min()),
-                "max_err": float(arr.max()),
-                "upper_bound": upper,
-                "lower_bound": lower,
-                "seed": cfg.seed,
-            }
-        )
-    return result
+        uppers = [_closed_upper(A, cfg, sc, x) for sc in cfg.schemes]
+        errs = [[] for _ in cfg.schemes]
+        # None where the scheme reports a closed form, or on a q grid
+        set_bounds = [[] if s_grid and upper is None else None for upper in uppers]
+        for t in range(max(sc.matrix_draws for sc in cfg.schemes)):
+            _sweep_draw(A, cfg, gi, t, errs, set_bounds)
+        for sc, result, upper, e, b in zip(cfg.schemes, results, uppers, errs, set_bounds):
+            if upper is None and b:
+                upper = float(max(b))
+            result.rows.append(_sweep_row(A, cfg, sc, x, np.asarray(e), upper))
+    return results
+
+
+def _closed_upper(A: AssignmentMatrix, cfg: SweepConfig, sc: SweepScheme, x) -> float | None:
+    """The first family closed form of sc that applies at s = x, or None
+    (always on a q grid)."""
+    kinds = bnd.SCHEME_UPPER_FORMS.get(sc.scheme, ()) if cfg.grid_kind == "s" else ()
+    forms = (bnd.closed_form(kind, A, cfg.m, x, sc.epsilon or 0.0) for kind in kinds)
+    return next((v for v in forms if v is not None), None)
+
+
+def _sweep_draw(A: AssignmentMatrix, cfg: SweepConfig, gi: int, t: int, errs: list, set_bounds: list) -> None:
+    """Draw t at grid point gi of every scheme with more than t draws:
+    appends each scheme's decode errors to errs[j] and, where set_bounds[j]
+    is a list, its per-set bounds. The encodings die on return."""
+    x = cfg.grid[gi]
+    drawn = [j for j, sc in enumerate(cfg.schemes) if sc.matrix_draws > t]
+    seed = _stream_seed(cfg.seed, gi, t, 0)
+    encodings = [cfg.schemes[j].build(A, cfg.m, seed) for j in drawn]
+    sets = _iter_sets(cfg, A.n, x, np.random.default_rng(_stream(cfg.seed, gi, t, 1)))
+    while chunk := list(itertools.islice(sets, DECODE_CHUNK)):
+        for j, B in zip(drawn, encodings):
+            errs[j].extend(dec.err for dec in decode_each([B] * len(chunk), chunk))
+            if set_bounds[j] is not None:
+                set_bounds[j].extend(_per_set_bounds(A, cfg.schemes[j], B, chunk))
+
+
+def _per_set_bounds(A: AssignmentMatrix, sc: SweepScheme, B: EncodingMatrix, chunk: list) -> list[float]:
+    """The per-set bound of each set of chunk, one bounds call per set:
+    bound_expected for the diagonal scheme, bound_diag_dominant of B
+    otherwise; a set with a singular survivor Gram is skipped."""
+    c_val = bnd.compute_c(sc.epsilon) if sc.scheme == RANDOM_DIAGONAL else None
+    values = []
+    for workers in chunk:
+        try:
+            if c_val is None:
+                values.append(bnd.bound_diag_dominant(B, workers).value)
+            else:
+                values.append(bnd.bound_expected(A, workers, B.m, c_val).value)
+        except SingularMatrixError:
+            pass
+    return values
+
+
+def _sweep_row(A: AssignmentMatrix, cfg: SweepConfig, sc: SweepScheme, x, errs: np.ndarray, upper) -> dict:
+    """The sweep.csv row of one scheme at one grid point."""
+    lower = bnd.closed_form(bnd.LOWER, A, cfg.m, x, sc.epsilon or 0.0) if cfg.grid_kind == "s" else None
+    sem = float(errs.std(ddof=1) / np.sqrt(errs.size)) if errs.size > 1 else 0.0
+    return {
+        "scheme": sc.label,
+        "family": A.family,
+        "m": cfg.m,
+        "epsilon": sc.epsilon,
+        "x_kind": cfg.grid_kind,
+        "x": float(x),
+        "mean_err": float(errs.mean()),
+        "std_err": sem,
+        "min_err": float(errs.min()),
+        "max_err": float(errs.max()),
+        "upper_bound": upper,
+        "lower_bound": lower,
+        "seed": cfg.seed,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +448,12 @@ def estimate_unbiasedness(
     symmetry: BIBD transposes, (vertex-transitive) SRG adjacency, and coset
     bipartite graphs with an invertible base block.
 
-    Each trial draws its encoding and its survivors from its own streams;
-    the trials are decoded by decode_each in chunks of at most DECODE_CHUNK
-    trials and CHUNK_ELEMENTS encoding entries, each chunk's draws solved
-    by size in stacks from A^T A and the diagonals, and each trial's B R is
-    its decode's fitted combination.
+    Each trial draws its diagonals (encoders.draw_diagonals, with no
+    encoding built) and its survivors from its own streams; the trials are
+    decoded by decode_draws in chunks of at most DECODE_CHUNK trials and
+    CHUNK_ELEMENTS entries of coefficients and B R, each chunk's draws
+    solved by size in stacks from A^T A and the diagonals, and each
+    trial's B R is its decode's fitted combination.
     """
     if scheme.scheme != RANDOM_DIAGONAL:
         raise ParameterError("unbiasedness holds for the random-diagonal scheme")
@@ -439,15 +469,15 @@ def estimate_unbiasedness(
     fnorm2 = float(m * A.k)
     acc = np.zeros_like(target)
     betas = np.empty(trials)
-    chunk = max(1, min(DECODE_CHUNK, CHUNK_ELEMENTS // ((m * A.k + A.n) * A.n)))
+    chunk = max(1, min(DECODE_CHUNK, CHUNK_ELEMENTS // ((m * A.k + A.n) * m)))
     for start in range(0, trials, chunk):
-        encodings, sets = [], []
+        draws, sets = [], []
         for t in range(start, min(start + chunk, trials)):
             state = _stream(seed, t).generate_state(2, dtype=np.uint64)
-            encodings.append(encode_random_diagonal(A, m, law, int(state[0])))
+            draws.append(draw_diagonals(A, m, law, int(state[0])))
             rng = np.random.default_rng(int(state[1]))
             sets.append(sample_straggler_set(model, A.n, rng))
-        combos = np.array([dec.fitted for dec in decode_each(encodings, sets)])
+        combos = np.array([dec.fitted for dec in decode_draws(A, draws, sets)])
         acc += combos.sum(axis=0)
         betas[start : start + len(sets)] = np.einsum("jrm,rm->j", combos, target) / fnorm2
     mean_mat = acc / trials

@@ -145,6 +145,44 @@ def test_stacked_baseline_shortcut_agrees_with_the_rank_rule(bireg40, coset27, m
                 assert rank_of(B.mat[:, members]) < size
 
 
+def _reference_diag_dominant(B, workers):
+    """bound_diag_dominant's value on a set it certifies, as written before
+    the stacked-copies refusal moved ahead of the gather."""
+    idx = np.array(workers.members, dtype=np.intp)
+    full_gram, full_image = B.gram
+    gram = full_gram.take(idx, axis=0).take(idx, axis=1)
+    majorant = np.sum(np.abs(gram), axis=1)
+    image = full_image.take(idx, axis=0)
+    return B.m * B.k - float(np.sum(image * image / majorant[:, None]))
+
+
+def test_stacked_copies_bound_refuses_before_reading_the_gram(bireg40, coset27):
+    # more than k survivors of 1_m (x) A are refused before B.gram is even
+    # computed; every set the bound certifies, of copies or of a null-space
+    # encoding, keeps its value bit for bit
+    for A in (bireg40, coset27):
+        for m in (1, 2):
+            B = gc.encode_baseline(A, m)
+            rng = np.random.default_rng(m)
+            for size in (A.k + 1, (A.k + A.n) // 2, A.n):
+                workers = gc.NonStragglerSet(n=A.n, members=rng.choice(A.n, size=size, replace=False))
+                with pytest.raises(SingularMatrixError):
+                    gc.bound_diag_dominant(B, workers)
+            assert "gram" not in vars(B)
+    rng = np.random.default_rng(0)
+    certified = 0
+    for B in (gc.encode_baseline(bireg40, 2), gc.encode_nullspace_hadamard(bireg40, 2, seed=1)):
+        for size in range(1, B.n + 1, 3):
+            workers = gc.NonStragglerSet(n=B.n, members=rng.choice(B.n, size=size, replace=False))
+            try:
+                value = gc.bound_diag_dominant(B, workers).value
+            except SingularMatrixError:
+                continue
+            assert value == _reference_diag_dominant(B, workers)
+            certified += 1
+    assert certified > 10
+
+
 def test_fixed_encoding_bound_skips_the_certificate_under_a_certified_gram(bireg40, monkeypatch):
     # a whole Gram that certify_gram clears certifies every survivor block
     # by interlacing: no per-set certificate runs, and each bound is the

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,35 @@ def test_sweep_exhaustive_sets_arrive_in_chunks(fano, monkeypatch):
     assert row["mean_err"] == pytest.approx(7.0 - 45.0 / 7.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "design, grid_kind, grid, set_draws",
+    [("bireg40", "s", (2, 6), 5), ("bireg40", "q", (0.1, 0.3), 5), ("fano", "s", (1, 2), "all")],
+)
+def test_multi_scheme_sweep_equals_each_scheme_swept_alone(request, monkeypatch, design, grid_kind, grid, set_draws):
+    # one pass over the grid draws each (grid point, draw) its sets once for
+    # every scheme with that draw; each scheme's rows are those of sweeping
+    # it alone, bit for bit, per-set bounds included
+    A = request.getfixturevalue(design)
+    schemes = (
+        gc.SweepScheme(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1, matrix_draws=3),
+        gc.SweepScheme(scheme=gc.BASELINE, matrix_draws=2),
+    )
+    if design == "bireg40":
+        schemes += (gc.SweepScheme(scheme=gc.NULLSPACE_HADAMARD),)
+    cfg = gc.SweepConfig(schemes=schemes, m=2, grid_kind=grid_kind, grid=grid, set_draws=set_draws, seed=3)
+    alone = [gc.sweep_error(A, dataclasses.replace(cfg, schemes=(sc,)))[0].rows for sc in schemes]
+    calls = []
+    original = experiments.sample_straggler_set
+    monkeypatch.setattr(
+        experiments, "sample_straggler_set", lambda *args: calls.append(1) or original(*args)
+    )
+    together = [result.rows for result in gc.sweep_error(A, cfg)]
+    assert together == alone
+    if grid_kind == "s":  # epsilon > 0: per-set bounds on the diagonal scheme's rows
+        assert all(row["upper_bound"] is not None for row in together[0])
+    assert len(calls) == (0 if set_draws == "all" else len(grid) * 3 * set_draws)
+
+
 @pytest.mark.parametrize("shape", [(8, 594, 3), (594, 3), (4, 160, 5), (2, 10, 2), (3, 1)])
 def test_log_softmax_matches_the_axis_reduction(shape):
     z = np.random.default_rng(len(shape)).standard_normal(shape) * 30.0
@@ -381,13 +412,17 @@ def _reference_unbiasedness(A, scheme, m, q, trials, seed):
 @pytest.mark.parametrize("chunk_trials", [None, 3])
 def test_unbiasedness_matches_the_trial_loop_in_any_chunking(fano, coset27, monkeypatch, chunk_trials):
     # chunks of DECODE_CHUNK trials, or of 3 trials when CHUNK_ELEMENTS
-    # holds just three encodings; each trial keeps its own streams
+    # holds just three trials' coefficients and B R; each trial keeps its
+    # own streams and is decoded from its diagonals, with no encoding built
     calls = []
-    original = experiments.decode_each
-    monkeypatch.setattr(experiments, "decode_each", lambda encs, sets: calls.append(len(sets)) or original(encs, sets))
+    original = experiments.decode_draws
+    monkeypatch.setattr(
+        experiments, "decode_draws", lambda A, draws, sets: calls.append(len(sets)) or original(A, draws, sets)
+    )
+    monkeypatch.setattr(experiments, "encode_random_diagonal", None)
     for A, trials in ((fano, 300), (coset27, 40)):
         if chunk_trials:
-            monkeypatch.setattr(experiments, "CHUNK_ELEMENTS", chunk_trials * (2 * A.k + A.n) * A.n)
+            monkeypatch.setattr(experiments, "CHUNK_ELEMENTS", chunk_trials * (2 * A.k + A.n) * 2)
         calls.clear()
         diag = gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1)
         got = gc.estimate_unbiasedness(A, diag, 2, 0.25, trials, seed=4)
