@@ -303,8 +303,9 @@ def sweep_error(A: AssignmentMatrix, cfg: SweepConfig) -> list[ExperimentResult]
     draw t sees the sets it would see swept alone, and the schemes share
     them. The sets arrive in chunks of at most DECODE_CHUNK, and each
     chunk goes to every such scheme's decode_each (the sets of its one
-    encoding, decoded together) and per-set bounds before the next chunk
-    is drawn. Only one draw's encodings are alive at a time.
+    encoding, decoded together) and per-set bounds, one scheme after
+    another. Only one draw's encodings are alive at a time, and where its
+    sets fit in one chunk, only one encoding.
 
     Where no family closed form applies on a straggler-count grid, per-set
     bounds are evaluated on every sampled set (the diagonally-dominant
@@ -340,17 +341,26 @@ def _closed_upper(A: AssignmentMatrix, cfg: SweepConfig, sc: SweepScheme, x) -> 
 def _sweep_draw(A: AssignmentMatrix, cfg: SweepConfig, gi: int, t: int, errs: list, set_bounds: list) -> None:
     """Draw t at grid point gi of every scheme with more than t draws:
     appends each scheme's decode errors to errs[j] and, where set_bounds[j]
-    is a list, its per-set bounds. The encodings die on return."""
-    x = cfg.grid[gi]
+    is a list, its per-set bounds. Each encoding is built before its first
+    chunk and dropped after its last (the next chunk is drawn first to
+    tell), so where the sets fit in one chunk the schemes hold one encoding
+    at a time."""
     drawn = [j for j, sc in enumerate(cfg.schemes) if sc.matrix_draws > t]
     seed = _stream_seed(cfg.seed, gi, t, 0)
-    encodings = [cfg.schemes[j].build(A, cfg.m, seed) for j in drawn]
-    sets = _iter_sets(cfg, A.n, x, np.random.default_rng(_stream(cfg.seed, gi, t, 1)))
-    while chunk := list(itertools.islice(sets, DECODE_CHUNK)):
-        for j, B in zip(drawn, encodings):
+    kept = {}  # scheme -> its encoding, while chunks remain
+    sets = _iter_sets(cfg, A.n, cfg.grid[gi], np.random.default_rng(_stream(cfg.seed, gi, t, 1)))
+    chunk = list(itertools.islice(sets, DECODE_CHUNK))
+    while chunk:
+        following = list(itertools.islice(sets, DECODE_CHUNK))
+        for j in drawn:
+            B = kept.pop(j) if j in kept else cfg.schemes[j].build(A, cfg.m, seed)
             errs[j].extend(dec.err for dec in decode_each([B] * len(chunk), chunk))
             if set_bounds[j] is not None:
                 set_bounds[j].extend(_per_set_bounds(A, cfg.schemes[j], B, chunk))
+            if following:
+                kept[j] = B
+            del B
+        chunk = following
 
 
 def _per_set_bounds(A: AssignmentMatrix, sc: SweepScheme, B: EncodingMatrix, chunk: list) -> list[float]:

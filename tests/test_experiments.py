@@ -295,8 +295,10 @@ def test_sweep_exhaustive_sets_arrive_in_chunks(fano, monkeypatch):
 )
 def test_multi_scheme_sweep_equals_each_scheme_swept_alone(request, monkeypatch, design, grid_kind, grid, set_draws):
     # one pass over the grid draws each (grid point, draw) its sets once for
-    # every scheme with that draw; each scheme's rows are those of sweeping
-    # it alone, bit for bit, per-set bounds included
+    # every scheme with that draw, in chunks of 3 here, and builds each
+    # scheme's encoding once per draw; each scheme's rows are those of
+    # sweeping it alone, bit for bit, per-set bounds included
+    monkeypatch.setattr(experiments, "DECODE_CHUNK", 3)
     A = request.getfixturevalue(design)
     schemes = (
         gc.SweepScheme(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1, matrix_draws=3),
@@ -306,16 +308,18 @@ def test_multi_scheme_sweep_equals_each_scheme_swept_alone(request, monkeypatch,
         schemes += (gc.SweepScheme(scheme=gc.NULLSPACE_HADAMARD),)
     cfg = gc.SweepConfig(schemes=schemes, m=2, grid_kind=grid_kind, grid=grid, set_draws=set_draws, seed=3)
     alone = [gc.sweep_error(A, dataclasses.replace(cfg, schemes=(sc,)))[0].rows for sc in schemes]
-    calls = []
-    original = experiments.sample_straggler_set
+    calls, builds = [], []
+    original, build = experiments.sample_straggler_set, gc.SweepScheme.build
     monkeypatch.setattr(
         experiments, "sample_straggler_set", lambda *args: calls.append(1) or original(*args)
     )
+    monkeypatch.setattr(gc.SweepScheme, "build", lambda sc, *args: builds.append(sc) or build(sc, *args))
     together = [result.rows for result in gc.sweep_error(A, cfg)]
     assert together == alone
     if grid_kind == "s":  # epsilon > 0: per-set bounds on the diagonal scheme's rows
         assert all(row["upper_bound"] is not None for row in together[0])
     assert len(calls) == (0 if set_draws == "all" else len(grid) * 3 * set_draws)
+    assert [builds.count(sc) for sc in schemes] == [len(grid) * sc.matrix_draws for sc in schemes]
 
 
 @pytest.mark.parametrize("shape", [(8, 594, 3), (594, 3), (4, 160, 5), (2, 10, 2), (3, 1)])
