@@ -146,8 +146,9 @@ def test_stacked_baseline_shortcut_agrees_with_the_rank_rule(bireg40, coset27, m
 
 
 def _reference_diag_dominant(B, workers):
-    """bound_diag_dominant's value on a set it certifies, as written before
-    the stacked-copies refusal moved ahead of the gather."""
+    """bound_diag_dominant's value on a set it certifies, its reductions
+    taken by numpy's functions: the reference its method reductions match
+    bit for bit."""
     idx = np.array(workers.members, dtype=np.intp)
     full_gram, full_image = B.gram
     gram = full_gram.take(idx, axis=0).take(idx, axis=1)
