@@ -38,6 +38,21 @@ on the rest of its stack, so a draw gets the same bits alone, from
 decode, as in any stack; they agree with the route table on B's cached
 Gram (the reference for any other encoding) within 1e-9 * mk.
 
+Where two workers hold the same subsets (AssignmentMatrix.partners, the
+coset graph's pairs), a draw is first reduced to A's column classes: the
+survivors of a class U share the column a_U, so B_S restricted to them is
+(I_m (x) a_U) D_U, D_U the m x c matrix of their diagonals. Factor D_U =
+P_U T_U, P_U of full column rank with its rank from the rank rule (two
+partners by Gram-Schmidt, a lone survivor as P_U = d, T_U = 1). Then
+B_S = M_S T with T block diagonal of full row rank, and M_S is built as
+above with P's columns in place of the diagonals. Where a certificate
+clears M_S it has full column rank, so R = T^+ Y, for M_S's solution Y,
+is B_S's minimum-norm solution, with M_S's error. Nearly parallel
+partner diagonals make B_S ill-conditioned and exact ties (epsilon = 0)
+rank-deficient; M_S is neither. A member whose reduced system clears
+neither certificate takes the route table on B_S alone, as above; a
+design with a class of more than two equal columns is solved on B_S.
+
 Every other set is solved once, by the first route of this table that it
 clears, which never pays for a whole-Gram certificate.
 
@@ -118,13 +133,15 @@ turns the fitted combinations into decoded gradients: Z B R, the
 operator-norm check and the gaps, for a stack of sets at once.
 reconstruct_each is decode_each followed by apply_fitted. decode_exact is
 decode_each without the whole-Gram shortcuts, so that every set gets
-exactly decode's result in stacks; a training run decodes its fixed
-encodings a block of iterations ahead that way, its draws by
+exactly decode's result in stacks, and with distinct stacked copies of
+equal m and block(0) decoded as one group; a training run decodes its
+fixed encodings a block of iterations ahead that way, its draws by
 decode_draws, and applies each iteration's slice of the block.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,7 +150,7 @@ import numpy as np
 from .designs import AssignmentMatrix
 from .encoders import DiagonalDraws, EncodingMatrix
 from .errors import NumericalError, ParameterError, ShapeError
-from .linalg import QR_COND_MAX, certify_each, certify_gram, project
+from .linalg import QR_COND_MAX, RANK_EPS, certify_each, certify_gram, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
 
@@ -259,10 +276,11 @@ def decode_exact(
     decode_each without the whole-Gram shortcuts. The sets of an encoding
     that recurs in the call are solved by size in stacks that give each
     member decode's result: the sets of a random-diagonal draw with the
-    other draws, stacked copies by merged width, any other encoding by
-    routes 2 and 3 with a certificate per member, the members neither
-    clears by the route table. A training run decodes its fixed encodings
-    a block of iterations ahead this way, so the block changes no bit."""
+    other draws, stacked copies by merged width (distinct copies with an
+    equal block(0) and m together), any other encoding by routes 2 and 3
+    with a certificate per member, the members neither clears by the route
+    table. A training run decodes its fixed encodings a block of
+    iterations ahead this way, so the block changes no bit."""
     return _decode_calls(encodings, sets, whole_gram=False)
 
 
@@ -296,7 +314,8 @@ def decode_draws(
     carrying one set, and decode each one. Every draw has the same m.
 
     The sets are solved by size in stacks, their survivor systems built
-    from A^T A and the diagonals, as set out above."""
+    from A^T A and the diagonals, on A's column classes where A repeats a
+    column, as set out above."""
     draws, sets = list(draws), list(sets)
     if len(draws) != len(sets):
         raise ShapeError(f"{len(draws)} diagonal draws for {len(sets)} survivor sets")
@@ -317,27 +336,26 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
     encoding share one product, so an encoding that recurs is never copied
     per set), except that the random-diagonal draws
     (EncodingMatrix.diagonals) are gathered by design and m, with draws
-    True: those carrying one set each, or without whole_gram every draw."""
+    True: those carrying one set each, or without whole_gram every draw.
+    Without whole_gram, stacked copies of equal m and block(0) are one
+    group too."""
     groups: list[tuple[list[int], bool]] = []
-    draws: dict[tuple, list[int]] = {}
-    for picked in _by_encoding(encodings):
+    shared: dict[tuple, list[int]] = {}
+    for _, picked in _by_key(list(map(id, encodings))):
         B = encodings[picked[0]]
-        if whole_gram and len(picked) > 1 or B.diagonals is None:
-            groups.append((picked, False))
-        elif (key := (id(B.parent), B.m)) in draws:
-            draws[key].extend(picked)
+        draws = not (whole_gram and len(picked) > 1) and B.diagonals is not None
+        if draws:
+            key = (id(B.parent), B.m)
+        elif not whole_gram and B.stacked_copies:
+            key = (B.m, B.mat.shape, B.block(0).tobytes())
         else:
-            groups.append((draws.setdefault(key, picked), True))
+            groups.append((picked, False))
+            continue
+        if key in shared:
+            shared[key].extend(picked)
+        else:
+            groups.append((shared.setdefault(key, picked), draws))
     return groups
-
-
-def _by_encoding(encodings: list) -> list[list[int]]:
-    """The positions of each distinct encoding, in order of first
-    appearance."""
-    groups: dict[int, list[int]] = {}
-    for j, B in enumerate(encodings):
-        groups.setdefault(id(B), []).append(j)
-    return list(groups.values())
 
 
 def _by_key(keys: list) -> list[tuple]:
@@ -393,29 +411,89 @@ def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeR
 
 def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> list[DecodeResult]:
     """The decodes of random-diagonal draws of A (diagonals, g x m x n), set
-    j through draw j, solved by size in stacks by _draw_stack; a member
-    whose survivor Gram clears neither certificate, and the empty set, by
-    project (route 4). B R comes from A and the diagonals: block u of it is
-    A (d_u o R)."""
+    j through draw j, solved by size in stacks by _draw_stack, on A's column
+    classes (_class_factors) where A repeats a column; a member a stack does
+    not solve, and the empty set, by _route_draw. B R comes from A and the
+    diagonals: block u of it is A (d_u o R)."""
     g, m, n = diagonals.shape
     mk = m * A.k
     gram_a = A.mat.T @ A.mat
     colsum = A.mat.sum(axis=0)
+    survives = np.zeros((g, n), dtype=bool)
+    survives[
+        np.repeat(np.arange(g), [len(w.members) for w in sets]),
+        np.fromiter(chain.from_iterable(w.members for w in sets), dtype=np.intp),
+    ] = True
+    partner = A.partners
+    basis, kept = diagonals, survives
+    if partner is not None:
+        basis, kept, own, other = _class_factors(partner, diagonals, survives)
     coeffs = np.empty((g, n, m))
     errs = np.empty(g)
-    for size, at in _by_key([len(w.members) for w in sets]):
-        part, diag = [sets[j] for j in at], diagonals[at]
+    for size, at in _by_key(kept.sum(axis=1).tolist()):
 
         def solve(lo: int, hi: int):
-            return _draw_stack(A, gram_a, colsum, diag[lo:hi], _members(part[lo:hi], size))
+            picked = at[lo:hi]
+            idx = np.nonzero(kept[picked])[1].reshape(len(picked), size)
+            d_s = np.take_along_axis(basis[picked], idx[:, None, :], axis=2)
+            solved, err, ok = _scatter(n, idx, *_draw_stack(A, gram_a, colsum, idx, d_s))
+            if partner is not None:  # R = T^+ Y
+                solved = own[picked, :, None] * solved + other[picked, :, None] * solved[:, partner]
+            return solved, err, ok
 
-        coeffs[at], errs[at] = _decode_capped(
-            (n, m), len(part), size, mk, solve, lambda j: _project_draw(A, diag[j], part[j])
-        )
+        def fallback(j: int):
+            return _route_draw(A, gram_a, colsum, diagonals[at[j]], sets[at[j]])
+
+        coeffs[at], errs[at] = _decode_capped((n, m), len(at), size, mk, solve, fallback)
     fitted = np.empty((g, m, A.k, m))
     for u in range(m):
         np.matmul(A.mat, diagonals[:, u, :, None] * coeffs, out=fitted[:, u])
     return _checked(coeffs, errs, fitted.reshape(g, mk, m), build_target(A.k, m))
+
+
+def _class_factors(partner: np.ndarray, diagonals: np.ndarray, survives: np.ndarray):
+    """The draws' survivor systems reduced to A's column classes, as set out
+    above, for the survivors survives (g x n): (basis, kept, own, other).
+
+    Two surviving partners with diagonals x and y, |x| >= |y|, factor as
+    D_U = [x y] = [q_1 q_2] R by Gram-Schmidt, R = [[r11, r12], [0, r22]],
+    whose singular values (with product r11 r22) give the rank by the rank
+    rule. At rank 2 the partners' columns of basis (a copy of diagonals)
+    hold q_1 and q_2, P_U, and T_U = R; at rank 1 x's column holds q_1, y's
+    is not kept, and T_U = [r11, r12]. A lone survivor keeps its diagonal
+    (T_U = 1). Survivor i's coefficients are own[i] Y[i] + other[i]
+    Y[partner[i]] for the solution Y of the reduced system (zero off the
+    kept columns): T_U^+ Y."""
+    g, m, n = diagonals.shape
+    basis, kept = diagonals.copy(), survives.copy()
+    own, other = survives.astype(float), np.zeros((g, n))
+    rows, low = np.nonzero(survives & survives[:, partner] & (partner > np.arange(n)))
+    high = partner[low]
+    x, y = diagonals[rows, :, low], diagonals[rows, :, high]
+    swap = (y * y).sum(axis=1) > (x * x).sum(axis=1)
+    x[swap], y[swap] = y[swap], x[swap]
+    near, far = np.where(swap, high, low), np.where(swap, low, high)
+    r11 = np.sqrt((x * x).sum(axis=1))
+    q = x / np.where(r11 > 0.0, r11, 1.0)[:, None]
+    r12 = (q * y).sum(axis=1)
+    y -= r12[:, None] * q
+    r22 = np.sqrt((y * y).sum(axis=1))
+    total = r11 * r11 + r12 * r12 + r22 * r22
+    # sigma_1^2 of R; sigma_2 > RANK_EPS sigma_1 is r11 r22 > RANK_EPS sigma_1^2
+    top = total / 2 + np.sqrt(np.maximum(total * total / 4 - (r11 * r22) ** 2, 0.0))
+    two = r11 * r22 > RANK_EPS * top
+    one = ~two
+    basis[rows, :, near] = q
+    basis[rows[two], :, far[two]] = y[two] / r22[two, None]
+    kept[rows[one], far[one]] = False
+    lead = r11 * r11 + np.where(two, 0.0, r12 * r12)
+    lead[lead == 0.0] = 1.0  # x = y = 0: B_S has zero columns, the member falls back
+    own[rows, near] = r11 / lead
+    own[rows, far] = 0.0
+    own[rows[two], far[two]] = 1.0 / r22[two]
+    other[rows[two], near[two]] = -r12[two] / (r11[two] * r22[two])
+    other[rows[one], far[one]] = r12[one] / lead[one]
+    return basis, kept, own, other
 
 
 def _checked(
@@ -648,40 +726,46 @@ def _survivor_stack(B: EncodingMatrix, idx: np.ndarray, stack_verdict: bool):
 
 
 def _draw_stack(
-    A: AssignmentMatrix, gram_a: np.ndarray, colsum: np.ndarray, diag: np.ndarray, idx: np.ndarray
+    A: AssignmentMatrix, gram_a: np.ndarray, colsum: np.ndarray, idx: np.ndarray, d_s: np.ndarray
 ):
-    """Routes 2 and 3 on random-diagonal draws of A (diag, g x m x n), set j
-    (idx[j], |S| >= 1) through draw j, by _solve_survivors. Their survivor
-    systems come from A^T A (gram_a), 1^T A (colsum) and the diagonals,
-    with no mk x n matrix: G_SS = (A^T A)_SS o sum_u d_u d_u^T and
-    H_S[:, u] = (d_u o 1^T A)_S. (coefficients g x n x m, errors g,
-    solved g)."""
-    m, n = diag.shape[1:]
-    size = idx.shape[1]
-    d_s = np.take_along_axis(diag, idx[:, None, :], axis=2)  # g x m x |S|
+    """Routes 2 and 3 on g survivor systems of random-diagonal draws of A,
+    by _solve_survivors: column t of member j has block u a_i d_s[j, u, t]
+    for worker i = idx[j, t] (d_s, g x m x |S|, holds the survivors'
+    diagonals, or a basis of their span on A's column classes). The systems
+    come from A^T A (gram_a), 1^T A (colsum) and d_s, with no mk x n matrix:
+    G_SS = (A^T A)_SS o D_S^T D_S and H_S[:, u] = (d_u o 1^T A)_S.
+    (solutions g x |S| x m, errors g, solved g)."""
+    m, size = d_s.shape[1:]
     gram_s = gram_a[idx[:, :, None], idx[:, None, :]] * (d_s.transpose(0, 2, 1) @ d_s)
     image_s = (d_s * colsum[idx][:, None, :]).transpose(0, 2, 1)
 
     def columns(sel: np.ndarray) -> np.ndarray:
-        """B_S of the selected draws, g' x mk x |S|: block u is A_S D_u."""
+        """B_S of the selected members, g' x mk x |S|: block u is A_S D_u."""
         a_s = A.mat[:, idx[sel]].transpose(1, 0, 2)[:, None]  # g' x 1 x k x |S|
         return (a_s * d_s[sel][:, :, None, :]).reshape(-1, m * A.k, size)
 
-    return _scatter(n, idx, *_solve_survivors(gram_s, image_s, columns, build_target(A.k, m), False))
+    return _solve_survivors(gram_s, image_s, columns, build_target(A.k, m), False)
 
 
-def _project_draw(A: AssignmentMatrix, diag: np.ndarray, workers: NonStragglerSet):
+def _route_draw(
+    A: AssignmentMatrix, gram_a: np.ndarray, colsum: np.ndarray, diag: np.ndarray, workers: NonStragglerSet
+):
     """(coefficients n x m, error) of one set of a random-diagonal draw of A
-    (diag, m x n) by project (route 4), B_S built from A and the
+    (diag, m x n) by the route table on B_S: routes 2 and 3 by _draw_stack
+    as a stack of one set, route 4 by project, B_S built from A and the
     diagonals."""
     m, n = diag.shape
     total = float(m * A.k)
     coeffs = np.zeros((n, m))
     if not workers.members:
         return coeffs, total
-    idx = np.array(workers.members, dtype=np.intp)
-    b_s = (A.mat[:, idx] * diag[:, None, idx]).reshape(m * A.k, idx.size)
-    coeffs[idx], err = project(b_s, build_target(A.k, m))
+    idx = np.array([workers.members], dtype=np.intp)
+    solved, err, ok = _draw_stack(A, gram_a, colsum, idx, diag[None][:, :, idx[0]])
+    if ok[0]:
+        coeffs[idx[0]] = solved[0]
+        return coeffs, float(err[0])
+    b_s = (A.mat[:, idx[0]] * diag[:, None, idx[0]]).reshape(m * A.k, idx.size)
+    coeffs[idx[0]], err = project(b_s, build_target(A.k, m))
     return coeffs, min(max(float(err), 0.0), total)
 
 

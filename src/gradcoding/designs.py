@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -128,6 +129,35 @@ class AssignmentMatrix:
     @property
     def n(self) -> int:
         return self.mat.shape[1]
+
+    @cached_property
+    def partners(self) -> np.ndarray | None:
+        """Each worker's partner: the other worker that holds the same
+        subsets, or itself when none does. None when no two workers hold
+        the same subsets, or when more than two do. Computed once per
+        design and read-only."""
+        classes = column_classes(self.mat)
+        if classes is None or np.bincount(classes[0]).max() > 2:
+            return None
+        labels, firsts = classes
+        partner = firsts[labels]
+        later = np.flatnonzero(partner != np.arange(self.n))
+        partner[partner[later]] = later
+        partner.setflags(write=False)
+        return partner
+
+
+def column_classes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(labels, firsts) of the k x n matrix mat: column j equals column
+    firsts[labels[j]], the first of its class. None when no two columns are
+    equal. Both read-only."""
+    _, firsts, labels = np.unique(mat.T, axis=0, return_index=True, return_inverse=True)
+    if firsts.size == mat.shape[1]:
+        return None
+    labels = labels.reshape(-1)
+    labels.setflags(write=False)
+    firsts.setflags(write=False)
+    return labels, firsts
 
 
 @dataclass

@@ -683,12 +683,13 @@ def simulate_training(A: AssignmentMatrix, cfg: TrainConfig) -> list[TrainResult
     are drawn a block of iterations ahead: every live repetition draws the
     block's sets and, for the random-diagonal scheme, its diagonals
     (encoders.draw_diagonals, with no encoding built), and one decode_draws
-    or decode_exact call decodes the whole block, each set exactly as
-    decode would. A block holds at most TRAIN_BLOCK_ELEMENTS entries of
-    coefficients and B R. Each iteration then applies its slice of the
-    block's B R to its gradients (decoding.apply_fitted, as
-    reconstruct_each does). The draws of a
-    repetition past its divergence inside a block are decoded and
+    call, on the design's column classes where workers pair up, or one
+    decode_exact call, with the repetitions' equal baseline encodings as
+    one group, decodes the whole block, each set exactly as decode would.
+    A block holds at most TRAIN_BLOCK_ELEMENTS entries of coefficients and
+    B R. Each iteration then applies its slice of the block's B R to its
+    gradients (decoding.apply_fitted, as reconstruct_each does). The draws
+    of a repetition past its divergence inside a block are decoded and
     discarded. No set's decode depends on the others in its call, so the
     block length changes no loss, and the other repetitions' losses are
     those of a run without the divergence.
@@ -787,15 +788,21 @@ def _decode_block(
     fixed: list,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The next count iterations of every live repetition, drawn and
-    decoded ahead: each repetition draws its survivor sets and, without a
-    fixed encoding, its diagonals from its own streams, and one
-    decode_draws or decode_exact call decodes them all, each set exactly as
-    decode would. Returns B R (repetitions x count x mk x m) and the decode
-    errors (repetitions x count), filled on the live repetitions' rows."""
-    model = Bernoulli(cfg.q)
-    sets = [sample_straggler_set(model, A.n, set_rngs[rep]) for rep in live for _ in range(count)]
+    decoded ahead: each repetition draws its survivor sets with one
+    rng.random((count, n)) and, without a fixed encoding, its diagonal
+    seeds with one integers(2**63, size=count), from its own streams: the
+    values, and the generator states after, of count sample_straggler_set
+    and scalar integers(2**63) calls. One decode_draws or decode_exact call
+    decodes them all, each set exactly as decode would. Returns B R
+    (repetitions x count x mk x m) and the decode errors (repetitions x
+    count), filled on the live repetitions' rows."""
+    sets = [
+        NonStragglerSet(n=A.n, members=np.flatnonzero(kept))
+        for rep in live
+        for kept in set_rngs[rep].random((count, A.n)) >= cfg.q
+    ]
     if law is not None:
-        seeds = [int(enc_rngs[rep].integers(2**63)) for rep in live for _ in range(count)]
+        seeds = np.concatenate([enc_rngs[rep].integers(2**63, size=count) for rep in live]).tolist()
         decs = decode_draws(A, [draw_diagonals(A, cfg.m, law, seed) for seed in seeds], sets)
     else:
         decs = decode_exact([fixed[rep] for rep in live for _ in range(count)], sets)

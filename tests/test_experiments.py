@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gradcoding as gc
 from gradcoding import experiments
@@ -19,6 +21,36 @@ def test_degenerate_straggler_models(fano):
     assert full.members == tuple(range(7))
     empty = gc.sample_straggler_set(gc.FixedCount(7), 7, rng)
     assert empty.members == ()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 5), st.floats(0.0, 0.95))
+def test_property_block_draws_match_per_set_draws(monkeypatch, fano, seed, reps, count, q):
+    # a training block draws each repetition's survivor sets with one
+    # rng.random((count, n)) and its diagonal seeds with one
+    # integers(2**63, size=count): the sets and diagonals of count
+    # sample_straggler_set and scalar integers(2**63) calls, leaving every
+    # generator in the same state (the numpy stream this relies on)
+    law = gc.DiagonalLaw(0.1)
+    cfg = gc.TrainConfig(schemes=(gc.SchemeSpec(gc.RANDOM_DIAGONAL, epsilon=0.1),), m=2, q=q, iterations=count)
+    set_rngs = [np.random.default_rng([seed, rep, 0]) for rep in range(reps)]
+    enc_rngs = [np.random.default_rng([seed, rep, 1]) for rep in range(reps)]
+    handed = []
+    decode = experiments.decode_draws
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "decode_draws", lambda *args: handed.append(args) or decode(*args))
+        experiments._decode_block(fano, cfg, law, np.arange(reps), count, set_rngs, enc_rngs, [None] * reps)
+    _, draws, sets = handed[0]
+    for rep in range(reps):
+        set_rng = np.random.default_rng([seed, rep, 0])
+        enc_rng = np.random.default_rng([seed, rep, 1])
+        block = slice(rep * count, (rep + 1) * count)
+        assert sets[block] == [gc.sample_straggler_set(gc.Bernoulli(q), 7, set_rng) for _ in range(count)]
+        seeds = [int(enc_rng.integers(2**63)) for _ in range(count)]
+        for draw, one in zip(draws[block], seeds):
+            assert np.array_equal(draw.diagonals, gc.draw_diagonals(fano, 2, law, one).diagonals)
+        assert set_rng.bit_generator.state == set_rngs[rep].bit_generator.state
+        assert enc_rng.bit_generator.state == enc_rngs[rep].bit_generator.state
 
 
 def test_fixed_count_draws_exact_size():
