@@ -141,9 +141,9 @@ decode_draws, and applies each iteration's slice of the block.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -314,8 +314,8 @@ def decode_draws(
     carrying one set, and decode each one. Every draw has the same m.
 
     The sets are solved by size in stacks, their survivor systems built
-    from A^T A and the diagonals, on A's column classes where A repeats a
-    column, as set out above."""
+    from A^T A and the diagonals, on A's column classes where A's workers
+    pair up, as set out above."""
     draws, sets = list(draws), list(sets)
     if len(draws) != len(sets):
         raise ShapeError(f"{len(draws)} diagonal draws for {len(sets)} survivor sets")
@@ -412,9 +412,9 @@ def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeR
 def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> list[DecodeResult]:
     """The decodes of random-diagonal draws of A (diagonals, g x m x n), set
     j through draw j, solved by size in stacks by _draw_stack, on A's column
-    classes (_class_factors) where A repeats a column; a member a stack does
-    not solve, and the empty set, by _route_draw. B R comes from A and the
-    diagonals: block u of it is A (d_u o R)."""
+    classes (_class_factors) where A's workers pair up (A.partners); a
+    member a stack does not solve, and the empty set, by _route_draw. B R
+    comes from A and the diagonals: block u of it is A (d_u o R)."""
     g, m, n = diagonals.shape
     mk = m * A.k
     gram_a = A.mat.T @ A.mat
