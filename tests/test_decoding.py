@@ -1247,13 +1247,6 @@ def test_stacked_draws_match_decode_and_projection(coset27, bireg40, monkeypatch
         assert np.array_equal(one.fitted, res.fitted)
 
 
-def _survivor_mask(sets, n):
-    mask = np.zeros((len(sets), n), dtype=bool)
-    for j, workers in enumerate(sets):
-        mask[j, list(workers.members)] = True
-    return mask
-
-
 def test_draws_on_column_classes_match_projection_at_ties(coset27):
     # at epsilon = 0 two surviving partners' diagonals are exactly equal or
     # opposite (rank 1) or orthogonal (rank 2): every set agrees with
@@ -1263,7 +1256,9 @@ def test_draws_on_column_classes_match_projection_at_ties(coset27):
     draws = [gc.draw_diagonals(coset27, 2, gc.DiagonalLaw(0.0), seed=s) for s in range(60)]
     sets = [gc.sample_straggler_set(gc.Bernoulli(q), 54, rng) for q in (0.1, 0.25, 0.5) for _ in range(20)]
     got = gc.decode_draws(coset27, draws, sets)
-    survives = _survivor_mask(sets, 54)
+    survives = np.zeros((60, 54), dtype=bool)
+    for j, workers in enumerate(sets):
+        survives[j, list(workers.members)] = True
     _, kept, _, _ = decoding._class_factors(
         coset27.partners, np.array([d.diagonals for d in draws]), survives
     )
