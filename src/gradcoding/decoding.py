@@ -24,8 +24,9 @@ Gram clears (EncodingMatrix.gram_tier):
     table below.
 
 Random-diagonal draws (EncodingMatrix.diagonals, blocks A D_u) that carry
-one set each in the call, the estimator's trials, are decoded together
-per design by decode_draws, which also takes the diagonals alone, with no
+one set each in the call, the estimator's trials, and on a design whose
+workers pair up (below) every draw short of the 1e8 tier, are decoded
+together per design by decode_draws, which also takes the diagonals alone, with no
 encoding built: a training run draws and decodes a block of iterations
 ahead that way. They are solved by size in stacks, by routes 2 and 3 of
 the table below, each member by its own certificate (linalg.certify_each),
@@ -50,8 +51,8 @@ clears M_S it has full column rank, so R = T^+ Y, for M_S's solution Y,
 is B_S's minimum-norm solution, with M_S's error. Nearly parallel
 partner diagonals make B_S ill-conditioned and exact ties (epsilon = 0)
 rank-deficient; M_S is neither. A member whose reduced system clears
-neither certificate takes the route table on B_S alone, as above; a
-design with a class of more than two equal columns is solved on B_S.
+neither certificate takes route 4 on B_S, as above; a design with a
+class of more than two equal columns is solved on B_S.
 
 Every other set is solved once, by the first route of this table that it
 clears, which never pays for a whole-Gram certificate.
@@ -263,9 +264,10 @@ def decode_each(
     solve, so they agree only to rounding. The random-diagonal draws that
     carry one set each are solved as decode_draws solves them, and they,
     like every other set in a stack of copies or through the route table,
-    get exactly decode's result. Every set is checked against its direct
-    residual, with one product per distinct encoding and one per design
-    for the draws."""
+    get exactly decode's result, as do all sets of a draw short of the 1e8
+    tier on a design whose workers pair up. Every set is checked against
+    its direct residual, with one product per distinct encoding and one per
+    design for the draws."""
     return _decode_calls(encodings, sets, whole_gram=True)
 
 
@@ -298,6 +300,8 @@ def _decode_calls(encodings, sets, whole_gram: bool) -> list[DecodeResult]:
                 _check_shapes(B, [workers])
             decoded = _decode_draws(group[0].parent, np.array([B.diagonals for B in group]), same)
         else:
+            for B in {id(B): B for B in group}.values():
+                _check_shapes(B, ())
             _check_shapes(group[0], same)
             decoded = _decode_one(group[0], same, whole_gram)
         for j, res in zip(picked, decoded):
@@ -336,14 +340,17 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
     encoding share one product, so an encoding that recurs is never copied
     per set), except that the random-diagonal draws
     (EncodingMatrix.diagonals) are gathered by design and m, with draws
-    True: those carrying one set each, or without whole_gram every draw.
+    True: those carrying one set each, those short of the 1e8 tier on a
+    design whose workers pair up, or without whole_gram every draw.
     Without whole_gram, stacked copies of equal m and block(0) are one
     group too."""
     groups: list[tuple[list[int], bool]] = []
     shared: dict[tuple, list[int]] = {}
     for _, picked in _by_key(list(map(id, encodings))):
         B = encodings[picked[0]]
-        draws = not (whole_gram and len(picked) > 1) and B.diagonals is not None
+        draws = B.diagonals is not None and (
+            not whole_gram or len(picked) == 1 or B.parent.partners is not None and B.gram_inverse is None
+        )
         if draws:
             key = (id(B.parent), B.m)
         elif not whole_gram and B.stacked_copies:
@@ -413,7 +420,7 @@ def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> lis
     """The decodes of random-diagonal draws of A (diagonals, g x m x n), set
     j through draw j, solved by size in stacks by _draw_stack, on A's column
     classes (_class_factors) where A's workers pair up (A.partners); a
-    member a stack does not solve, and the empty set, by _route_draw. B R
+    member a stack does not solve, and the empty set, by _project_draw. B R
     comes from A and the diagonals: block u of it is A (d_u o R)."""
     g, m, n = diagonals.shape
     mk = m * A.k
@@ -441,10 +448,9 @@ def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> lis
                 solved = own[picked, :, None] * solved + other[picked, :, None] * solved[:, partner]
             return solved, err, ok
 
-        def fallback(j: int):
-            return _route_draw(A, gram_a, colsum, diagonals[at[j]], sets[at[j]])
-
-        coeffs[at], errs[at] = _decode_capped((n, m), len(at), size, mk, solve, fallback)
+        coeffs[at], errs[at] = _decode_capped(
+            (n, m), len(at), size, mk, solve, lambda j: _project_draw(A, diagonals[at[j]], sets[at[j]])
+        )
     fitted = np.empty((g, m, A.k, m))
     for u in range(m):
         np.matmul(A.mat, diagonals[:, u, :, None] * coeffs, out=fitted[:, u])
@@ -747,25 +753,18 @@ def _draw_stack(
     return _solve_survivors(gram_s, image_s, columns, build_target(A.k, m), False)
 
 
-def _route_draw(
-    A: AssignmentMatrix, gram_a: np.ndarray, colsum: np.ndarray, diag: np.ndarray, workers: NonStragglerSet
-):
+def _project_draw(A: AssignmentMatrix, diag: np.ndarray, workers: NonStragglerSet):
     """(coefficients n x m, error) of one set of a random-diagonal draw of A
-    (diag, m x n) by the route table on B_S: routes 2 and 3 by _draw_stack
-    as a stack of one set, route 4 by project, B_S built from A and the
+    (diag, m x n) by project (route 4), B_S built from A and the
     diagonals."""
     m, n = diag.shape
     total = float(m * A.k)
     coeffs = np.zeros((n, m))
     if not workers.members:
         return coeffs, total
-    idx = np.array([workers.members], dtype=np.intp)
-    solved, err, ok = _draw_stack(A, gram_a, colsum, idx, diag[None][:, :, idx[0]])
-    if ok[0]:
-        coeffs[idx[0]] = solved[0]
-        return coeffs, float(err[0])
-    b_s = (A.mat[:, idx[0]] * diag[:, None, idx[0]]).reshape(m * A.k, idx.size)
-    coeffs[idx[0]], err = project(b_s, build_target(A.k, m))
+    idx = np.array(workers.members, dtype=np.intp)
+    b_s = (A.mat[:, idx] * diag[:, None, idx]).reshape(m * A.k, idx.size)
+    coeffs[idx], err = project(b_s, build_target(A.k, m))
     return coeffs, min(max(float(err), 0.0), total)
 
 

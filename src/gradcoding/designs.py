@@ -136,7 +136,7 @@ class AssignmentMatrix:
         subsets, or itself when none does. None when no two workers hold
         the same subsets, or when more than two do. Computed once per
         design and read-only."""
-        classes = _column_classes(self.mat)
+        classes = column_classes(self.mat)
         if classes is None or np.bincount(classes[0]).max() > 2:
             return None
         labels, firsts = classes
@@ -147,12 +147,11 @@ class AssignmentMatrix:
         return partner
 
 
-def _column_classes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(labels, firsts) of the k x n matrix mat: column j equals column
-    firsts[labels[j]], the first of its class. None when no two columns are
-    equal. Both read-only. Shared with EncodingMatrix.column_classes, and
-    private so that a trace of the designs layer times design builds
-    only."""
+def column_classes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The classes of equal columns of the matrix mat, (labels, firsts):
+    column j equals column firsts[labels[j]], the first of its class. None
+    when no two columns are equal. Both read-only. AssignmentMatrix.partners
+    and EncodingMatrix.column_classes are built on it."""
     _, firsts, labels = np.unique(mat.T, axis=0, return_index=True, return_inverse=True)
     if firsts.size == mat.shape[1]:
         return None

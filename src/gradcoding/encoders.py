@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .designs import AssignmentMatrix, _column_classes
+from .designs import AssignmentMatrix, column_classes
 from .errors import ConstructionError, FieldError, ParameterError
 from .linalg import CERT_COND_MAX, QR_COND_MAX, certify_gram, null_space_basis
 
@@ -167,7 +167,7 @@ class EncodingMatrix:
         firsts): column j of block(0) equals column firsts[labels[j]], the
         first of its class. None for any other encoding, and when no two
         columns are equal. Computed once per encoding and read-only."""
-        return _column_classes(self.block(0)) if self.stacked_copies else None
+        return column_classes(self.block(0)) if self.stacked_copies else None
 
 
 def sample_diagonal(n: int, law: DiagonalLaw, rng: np.random.Generator) -> np.ndarray:

@@ -117,9 +117,15 @@ def sample_straggler_set(model, n: int, rng: np.random.Generator) -> NonStraggle
         members = np.sort(rng.choice(n, size=n - model.s, replace=False))
         return NonStragglerSet(n=n, members=members)
     if isinstance(model, Bernoulli):
-        kept = np.nonzero(rng.random(n) >= model.q)[0]
-        return NonStragglerSet(n=n, members=kept)
+        return _bernoulli_sets(model.q, n, rng, 1)[0]
     raise ParameterError(f"unknown straggler model {model!r}")
+
+
+def _bernoulli_sets(q: float, n: int, rng: np.random.Generator, count: int) -> list[NonStragglerSet]:
+    """count Bernoulli(q) survivor sets of n workers from one
+    rng.random((count, n)): a worker survives where its uniform is at least
+    q. The sets, and rng's state after, are those of count draws of one."""
+    return [NonStragglerSet(n=n, members=np.flatnonzero(kept)) for kept in rng.random((count, n)) >= q]
 
 
 # ---------------------------------------------------------------------------
@@ -788,19 +794,15 @@ def _decode_block(
     fixed: list,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The next count iterations of every live repetition, drawn and
-    decoded ahead: each repetition draws its survivor sets with one
-    rng.random((count, n)) and, without a fixed encoding, its diagonal
-    seeds with one integers(2**63, size=count), from its own streams: the
-    values, and the generator states after, of count sample_straggler_set
-    and scalar integers(2**63) calls. One decode_draws or decode_exact call
+    decoded ahead: each repetition draws its survivor sets by one
+    _bernoulli_sets call and, without a fixed encoding, its diagonal seeds
+    with one integers(2**63, size=count), from its own streams: the values,
+    and the generator states after, of count sample_straggler_set and
+    scalar integers(2**63) calls. One decode_draws or decode_exact call
     decodes them all, each set exactly as decode would. Returns B R
     (repetitions x count x mk x m) and the decode errors (repetitions x
     count), filled on the live repetitions' rows."""
-    sets = [
-        NonStragglerSet(n=A.n, members=np.flatnonzero(kept))
-        for rep in live
-        for kept in set_rngs[rep].random((count, A.n)) >= cfg.q
-    ]
+    sets = [w for rep in live for w in _bernoulli_sets(cfg.q, A.n, set_rngs[rep], count)]
     if law is not None:
         seeds = np.concatenate([enc_rngs[rep].integers(2**63, size=count) for rep in live]).tolist()
         decs = decode_draws(A, [draw_diagonals(A, cfg.m, law, seed) for seed in seeds], sets)

@@ -1172,14 +1172,10 @@ def test_property_decode_each_matches_decode_and_projection(request, family, sch
 
 
 def test_reconstruct_each_matches_reconstruct(coset27):
-    # each set as reconstruct gives it: bit for bit for the draws that carry
-    # one set, which decode_each decodes as decode does, and to rounding for
-    # the recurring encoding (positions 1 and 3), which takes its whole-Gram
-    # route. That route solves B_S by QR, cond_2(B_S) = 6.4e4 on set 3, where
-    # decode solves the system reduced to the coset design's column classes:
-    # there the two aggregates differ by up to 4.1e-12 relative, about
-    # cond_2(B_S) eps; decode's lies within 0.8e-12 relative of the exact
-    # aggregate (50-digit arithmetic), the whole-Gram route's within 4.4e-12
+    # each set as reconstruct gives it, bit for bit: the draws that carry
+    # one set, and the recurring draw (positions 1 and 3), whose whole Gram
+    # clears only the 1e12 tier, are decoded as decode_draws decodes them on
+    # the coset design's column classes
     rng = np.random.default_rng(5)
     partials = rng.standard_normal((4, 27, 11))
     encodings = [gc.encode_random_diagonal(coset27, 2, gc.DiagonalLaw(0.1), seed=s) for s in range(3)]
@@ -1189,11 +1185,7 @@ def test_reconstruct_each_matches_reconstruct(coset27):
     assert approx.shape == (4, 11) and gaps.shape == (4,)
     for j in range(4):
         one, gap = gc.reconstruct(partials[j], encodings[j], sets[j])
-        if j in (0, 2):
-            assert np.array_equal(approx[j], one) and gaps[j] == gap
-        else:
-            assert np.allclose(approx[j], one, rtol=1e-10, atol=1e-14)
-            assert abs(gaps[j] - gap) <= 1e-10 * max(1.0, gap)
+        assert np.array_equal(approx[j], one) and gaps[j] == gap
     empty_approx, empty_gaps = gc.reconstruct_each(np.zeros((0, 27, 11)), [], [])
     assert empty_approx.shape == (0, 11) and empty_gaps.shape == (0,)
     with pytest.raises(ShapeError):
@@ -1313,7 +1305,13 @@ def test_draws_of_a_design_without_repeated_columns_skip_the_classes(request, fa
         pick = [j for j, draw in enumerate(draws) if len(draw.diagonals) == m]
         got = gc.decode_draws(A, [draws[j] for j in pick], [sets[j] for j in pick])
         for j, res in zip(pick, got):
-            coeffs, err = decoding._route_draw(A, gram_a, colsum, draws[j].diagonals, sets[j])
+            idx = np.array([sets[j].members], dtype=np.intp)
+            solved, err, ok = decoding._draw_stack(A, gram_a, colsum, idx, draws[j].diagonals[None][:, :, idx[0]])
+            coeffs = np.zeros((A.n, m))
+            if ok[0]:
+                coeffs[idx[0]], err = solved[0], err[0]
+            else:
+                coeffs, err = decoding._project_draw(A, draws[j].diagonals, sets[j])
             assert res.err == err and np.array_equal(res.coeffs, coeffs)
 
 
@@ -1321,7 +1319,8 @@ def test_decode_exact_decodes_equal_copies_as_one_group(coset27, monkeypatch):
     # distinct but equal stacked-copies encodings (a training run builds
     # one per repetition) decode as one group, each set exactly as decode;
     # copies with an altered block(0), and a baseline whose blocks differ,
-    # keep their own groups; decode_each still groups by identity
+    # keep their own groups; decode_each still groups by identity. Every
+    # encoding of a group has its shapes checked
     calls = []
     one = decoding._decode_one
     monkeypatch.setattr(decoding, "_decode_one", lambda B, sets, whole: calls.append(len(sets)) or one(B, sets, whole))
@@ -1345,6 +1344,13 @@ def test_decode_exact_decodes_equal_copies_as_one_group(coset27, monkeypatch):
     calls.clear()
     gc.decode_each(encodings, sets)
     assert calls == [4] * 5
+    # an equal copy whose parent has k = 27 but n = 27 is refused behind a
+    # valid one, as alone
+    other = gc.AssignmentMatrix(np.eye(27), delta=1, gamma=1, family="identity", params=None)
+    wrong = dataclasses.replace(equal[1], parent=other)
+    for pair in ([equal[0], wrong], [wrong, equal[0]]):
+        with pytest.raises(ShapeError):
+            gc.decode_exact(pair, sets[:2])
 
 
 def test_decode_draws_checks_its_inputs(fano, coset27):
