@@ -136,29 +136,17 @@ class AssignmentMatrix:
         subsets, or itself when none does. None when no two workers hold
         the same subsets, or when more than two do. Computed once per
         design and read-only."""
-        classes = column_classes(self.mat)
-        if classes is None or np.bincount(classes[0]).max() > 2:
+        # a dict of column bytes: np.unique along an axis imports numpy.ma
+        classes: dict[bytes, list[int]] = {}
+        for j, column in enumerate(self.mat.T):
+            classes.setdefault(column.tobytes(), []).append(j)
+        if max(map(len, classes.values()), default=1) != 2:
             return None
-        labels, firsts = classes
-        partner = firsts[labels]
-        later = np.flatnonzero(partner != np.arange(self.n))
-        partner[partner[later]] = later
+        partner = np.arange(self.n)
+        for workers in classes.values():
+            partner[workers] = workers[::-1]
         partner.setflags(write=False)
         return partner
-
-
-def column_classes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The classes of equal columns of the matrix mat, (labels, firsts):
-    column j equals column firsts[labels[j]], the first of its class. None
-    when no two columns are equal. Both read-only. AssignmentMatrix.partners
-    and EncodingMatrix.column_classes are built on it."""
-    _, firsts, labels = np.unique(mat.T, axis=0, return_index=True, return_inverse=True)
-    if firsts.size == mat.shape[1]:
-        return None
-    labels = labels.reshape(-1)
-    labels.setflags(write=False)
-    firsts.setflags(write=False)
-    return labels, firsts
 
 
 @dataclass

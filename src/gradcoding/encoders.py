@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .designs import AssignmentMatrix, column_classes
+from .designs import AssignmentMatrix
 from .errors import ConstructionError, FieldError, ParameterError
 from .linalg import CERT_COND_MAX, QR_COND_MAX, certify_gram, null_space_basis
 
@@ -167,7 +167,17 @@ class EncodingMatrix:
         firsts): column j of block(0) equals column firsts[labels[j]], the
         first of its class. None for any other encoding, and when no two
         columns are equal. Computed once per encoding and read-only."""
-        return column_classes(self.block(0)) if self.stacked_copies else None
+        if not self.stacked_copies:
+            return None
+        _, firsts, labels = np.unique(
+            self.block(0).T, axis=0, return_index=True, return_inverse=True
+        )
+        if firsts.size == self.n:
+            return None
+        labels = labels.reshape(-1)
+        labels.setflags(write=False)
+        firsts.setflags(write=False)
+        return labels, firsts
 
 
 def sample_diagonal(n: int, law: DiagonalLaw, rng: np.random.Generator) -> np.ndarray:
