@@ -348,9 +348,9 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
     shared: dict[tuple, list[int]] = {}
     for _, picked in _by_key(list(map(id, encodings))):
         B = encodings[picked[0]]
-        draws = B.diagonals is not None and (
+        draws = (
             not whole_gram or len(picked) == 1 or B.parent.partners is not None and B.gram_inverse is None
-        )
+        ) and B.diagonals is not None
         if draws:
             key = (id(B.parent), B.m)
         elif not whole_gram and B.stacked_copies:
