@@ -26,9 +26,9 @@ Gram clears (EncodingMatrix.gram_tier):
 Random-diagonal draws (EncodingMatrix.diagonals, blocks A D_u) that carry
 one set each in the call, the estimator's trials, and on a design whose
 workers pair up (below) every draw short of the 1e8 tier, are decoded
-together per design by decode_draws, which also takes the diagonals alone, with no
-encoding built: a training run draws and decodes a block of iterations
-ahead that way. They are solved by size in stacks, by routes 2 and 3 of
+together per design by decode_draws, which also takes the diagonals
+alone, with no encoding built: a training run draws and decodes a block
+of iterations ahead that way. They are solved by size in stacks, by routes 2 and 3 of
 the table below, each member by its own certificate (linalg.certify_each),
 from survivor systems built from A^T A and the diagonals with no mk x n
 matrix: G_SS = (A^T A)_SS o sum_u d_u d_u^T and H_S[:, u] =
