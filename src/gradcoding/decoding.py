@@ -8,10 +8,12 @@ surviving columns B_S; the approximation error is the squared Frobenius
 residual.
 
 decode_each is the one batch decoder, and decode is its one-set case. It
-groups its positions by distinct encoding. The sets of an encoding that
-carries more than one set in the call (a sweep hands it many sets of one
-encoding) are solved by size in batched stacks, by the tier its whole
-Gram clears (EncodingMatrix.gram_tier):
+groups its positions by distinct encoding. On a design of constant
+overlap (below) its random-diagonal draws and stacked copies are decoded
+in closed form. The sets of any other encoding that carries more than one
+set in the call (a sweep hands it many sets of one encoding) are solved
+by size in batched stacks, by the tier its whole Gram clears
+(EncodingMatrix.gram_tier):
 
   * 1e8: together through that Gram's inverse (EncodingMatrix.gram_inverse,
     below);
@@ -53,6 +55,31 @@ partner diagonals make B_S ill-conditioned and exact ties (epsilon = 0)
 rank-deficient; M_S is neither. A member whose reduced system clears
 neither certificate takes route 4 on B_S, as above; a design with a
 class of more than two equal columns is solved on B_S.
+
+Where every two workers share exactly lambda < delta subsets
+(AssignmentMatrix.overlap: A^T A = (delta - lambda) I + lambda J, a BIBD
+transpose), every encoding whose blocks are A D_u, a random-diagonal draw
+or stacked copies (D_u = I, diagonals of ones), goes with the draws of its
+design and m, in any call. Its survivor Gram is diagonal plus rank m:
+with D_S the m x |S| survivors' diagonals, G_SS = L_S + lambda D_S^T D_S,
+L_S = diag((delta - lambda) ||d_j||^2), and H_S = delta D_S^T. By the
+push-through (Woodbury) identity (Hager, "Updating the inverse of a
+matrix", SIAM Review 31(2), 1989), with N = D_S L_S^-1 D_S^T (m x m),
+
+    R_S = delta L_S^-1 D_S^T (I_m + lambda N)^-1,
+    err = mk - delta^2 tr(N (I_m + lambda N)^-1),
+
+one m x m inverse per set, for the whole stack at once. At D_S = 1 this
+error is bounds.baseline_bibd_error, and at m = 1 with D_S = +/-1
+bounds.bound_bibd, for every set. Its certificate needs no
+factorization: min L_S bounds lambda_min(G_SS) from below and max L_S +
+lambda sum_S ||d_j||^2 bounds lambda_max(G_SS) from above, so when the
+second is below 1e8 min L_S, cond_2(G_SS) < 1e8, the Gram solve's tier,
+and B_S has full column rank under the rank rule. Then
+cond(I_m + lambda N) <= 1 + lambda |S| / (delta - lambda) for any
+diagonals, so the explicit inverse is accurate. A member the certificate
+refuses (a zero or tiny diagonal entry, or the empty set) is decoded as a
+draw of any other design. No whole Gram of these encodings is formed.
 
 Every other set is solved once, by the first route of this table that it
 clears, which never pays for a whole-Gram certificate.
@@ -151,7 +178,7 @@ import numpy as np
 from .designs import AssignmentMatrix
 from .encoders import DiagonalDraws, EncodingMatrix
 from .errors import NumericalError, ParameterError, ShapeError
-from .linalg import QR_COND_MAX, RANK_EPS, certify_each, certify_gram, project
+from .linalg import CERT_COND_MAX, QR_COND_MAX, RANK_EPS, certify_each, certify_gram, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
 
@@ -265,9 +292,10 @@ def decode_each(
     carry one set each are solved as decode_draws solves them, and they,
     like every other set in a stack of copies or through the route table,
     get exactly decode's result, as do all sets of a draw short of the 1e8
-    tier on a design whose workers pair up. Every set is checked against
-    its direct residual, with one product per distinct encoding and one per
-    design for the draws."""
+    tier on a design whose workers pair up, and all sets of draws and
+    stacked copies on a design of constant overlap. Every set is checked
+    against its direct residual, with one product per distinct encoding
+    and one per design for the draws."""
     return _decode_calls(encodings, sets, whole_gram=True)
 
 
@@ -278,7 +306,8 @@ def decode_exact(
     decode_each without the whole-Gram shortcuts. The sets of an encoding
     that recurs in the call are solved by size in stacks that give each
     member decode's result: the sets of a random-diagonal draw with the
-    other draws, stacked copies by merged width (distinct copies with an
+    other draws (with stacked copies too on a design of constant overlap),
+    other stacked copies by merged width (distinct copies with an
     equal block(0) and m together), any other encoding by routes 2 and 3
     with a certificate per member, the members neither clears by the route
     table. A training run decodes its fixed encodings a block of
@@ -295,14 +324,14 @@ def _decode_calls(encodings, sets, whole_gram: bool) -> list[DecodeResult]:
     for picked, draws in _groups(encodings, whole_gram):
         group = [encodings[j] for j in picked]
         same = [sets[j] for j in picked]
-        if draws:
-            for B, workers in zip(group, same):
-                _check_shapes(B, [workers])
-            decoded = _decode_draws(group[0].parent, np.array([B.diagonals for B in group]), same)
+        distinct = {id(B): B for B in group}
+        for B in distinct.values():
+            _check_shapes(B, ())
+        _check_shapes(group[0], same)
+        if draws:  # one parent: every encoding has the same n
+            diagonals = {key: _blocks_diagonals(B) for key, B in distinct.items()}
+            decoded = _decode_draws(group[0].parent, np.array([diagonals[id(B)] for B in group]), same)
         else:
-            for B in {id(B): B for B in group}.values():
-                _check_shapes(B, ())
-            _check_shapes(group[0], same)
             decoded = _decode_one(group[0], same, whole_gram)
         for j, res in zip(picked, decoded):
             results[j] = res
@@ -317,9 +346,10 @@ def decode_draws(
     encodings: exactly what decode_each gives those encodings, each
     carrying one set, and decode each one. Every draw has the same m.
 
-    The sets are solved by size in stacks, their survivor systems built
-    from A^T A and the diagonals, on A's column classes where A's workers
-    pair up, as set out above."""
+    The sets are solved in closed form on a design of constant overlap,
+    and otherwise by size in stacks, their survivor systems built from
+    A^T A and the diagonals, on A's column classes where A's workers pair
+    up, as set out above."""
     draws, sets = list(draws), list(sets)
     if len(draws) != len(sets):
         raise ShapeError(f"{len(draws)} diagonal draws for {len(sets)} survivor sets")
@@ -340,17 +370,21 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
     encoding share one product, so an encoding that recurs is never copied
     per set), except that the random-diagonal draws
     (EncodingMatrix.diagonals) are gathered by design and m, with draws
-    True: those carrying one set each, those short of the 1e8 tier on a
-    design whose workers pair up, or without whole_gram every draw.
-    Without whole_gram, stacked copies of equal m and block(0) are one
-    group too."""
+    True: on a design of constant overlap every draw and stacked copies of
+    the design, elsewhere those carrying one set each, those short of the
+    1e8 tier on a design whose workers pair up, or without whole_gram every
+    draw. Without whole_gram, other stacked copies of equal m and block(0)
+    are one group too."""
     groups: list[tuple[list[int], bool]] = []
     shared: dict[tuple, list[int]] = {}
     for _, picked in _by_key(list(map(id, encodings))):
         B = encodings[picked[0]]
-        draws = (
-            not whole_gram or len(picked) == 1 or B.parent.partners is not None and B.gram_inverse is None
-        ) and B.diagonals is not None
+        if B.parent.overlap is not None:
+            draws = _blocks_diagonals(B) is not None
+        else:
+            draws = (
+                not whole_gram or len(picked) == 1 or B.parent.partners is not None and B.gram_inverse is None
+            ) and B.diagonals is not None
         if draws:
             key = (id(B.parent), B.m)
         elif not whole_gram and B.stacked_copies:
@@ -363,6 +397,17 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
         else:
             groups.append((shared.setdefault(key, picked), draws))
     return groups
+
+
+def _blocks_diagonals(B: EncodingMatrix) -> np.ndarray | None:
+    """The m x n diagonals d_u of B's blocks A D_u: a random-diagonal
+    encoding's draws (EncodingMatrix.diagonals), ones for stacked copies of
+    its parent A, None for any other encoding."""
+    if B.diagonals is not None:
+        return B.diagonals
+    if B.stacked_copies and np.array_equal(B.block(0), B.parent.mat):
+        return np.ones((B.m, B.n))
+    return None
 
 
 def _by_key(keys: list) -> list[tuple]:
@@ -418,32 +463,37 @@ def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeR
 
 def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> list[DecodeResult]:
     """The decodes of random-diagonal draws of A (diagonals, g x m x n), set
-    j through draw j, solved by size in stacks by _draw_stack, on A's column
-    classes (_class_factors) where A's workers pair up (A.partners); a
-    member a stack does not solve, and the empty set, by _project_draw. B R
-    comes from A and the diagonals: block u of it is A (d_u o R)."""
+    j through draw j: on a design of constant overlap (A.overlap) in closed
+    form (_closed_form); the members it refuses, and on any other design
+    every member, by size in stacks by _draw_stack, on A's column classes
+    (_class_factors) where A's workers pair up (A.partners); a member a
+    stack does not solve, and the empty set, by _project_draw. B R comes
+    from A and the diagonals: block u of it is A (d_u o R)."""
     g, m, n = diagonals.shape
     mk = m * A.k
-    gram_a = A.mat.T @ A.mat
     colsum = A.mat.sum(axis=0)
     survives = np.zeros((g, n), dtype=bool)
     survives[
         np.repeat(np.arange(g), [len(w.members) for w in sets]),
         np.fromiter(chain.from_iterable(w.members for w in sets), dtype=np.intp),
     ] = True
+    coeffs = np.empty((g, n, m))
+    errs = np.empty(g)
+    rest = np.arange(g)
+    if A.overlap is not None:
+        rest = rest[~_closed_form(A, diagonals, survives, coeffs, errs)]
     partner = A.partners
     basis, kept = diagonals, survives
     if partner is not None:
         basis, kept, own, other = _class_factors(partner, diagonals, survives)
-    coeffs = np.empty((g, n, m))
-    errs = np.empty(g)
-    for size, at in _by_key(kept.sum(axis=1).tolist()):
+    for size, at in _by_key(kept[rest].sum(axis=1).tolist()):
+        at = rest[at]
 
         def solve(lo: int, hi: int):
             picked = at[lo:hi]
             idx = np.nonzero(kept[picked])[1].reshape(len(picked), size)
             d_s = np.take_along_axis(basis[picked], idx[:, None, :], axis=2)
-            solved, err, ok = _scatter(n, idx, *_draw_stack(A, gram_a, colsum, idx, d_s))
+            solved, err, ok = _scatter(n, idx, *_draw_stack(A, A.gram, colsum, idx, d_s))
             if partner is not None:  # R = T^+ Y
                 solved = own[picked, :, None] * solved + other[picked, :, None] * solved[:, partner]
             return solved, err, ok
@@ -455,6 +505,38 @@ def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> lis
     for u in range(m):
         np.matmul(A.mat, diagonals[:, u, :, None] * coeffs, out=fitted[:, u])
     return _checked(coeffs, errs, fitted.reshape(g, mk, m), build_target(A.k, m))
+
+
+def _closed_form(
+    A: AssignmentMatrix, diagonals: np.ndarray, survives: np.ndarray, coeffs: np.ndarray, errs: np.ndarray
+) -> np.ndarray:
+    """Which members of a stack of draws of a design of constant overlap
+    lambda (A.overlap) the closed-form certificate clears (g), each solved
+    in closed form into coeffs and errs, as set out above."""
+    lam, delta = A.overlap, A.delta
+    _, m, n = diagonals.shape
+    total = float(m * A.k)
+    sq = (diagonals * diagonals).sum(axis=1)  # ||d_j||^2, g x n
+    weight = (delta - lam) * sq  # Lambda_j
+    small = np.where(survives, weight, np.inf).min(axis=1)
+    big = np.where(survives, weight, 0.0).max(axis=1)
+    # small is a normal number, so every 1 / Lambda_j is finite; the empty
+    # set (small = inf) fails
+    ok = np.isfinite(small) & (small >= np.finfo(float).tiny)
+    ok &= big + lam * (sq * survives).sum(axis=1) < CERT_COND_MAX * small
+    sel = np.flatnonzero(ok)
+    if sel.size:
+        d = diagonals[sel]
+        inv = np.divide(1.0, weight[sel], out=np.zeros((sel.size, n)), where=survives[sel])
+        scaled = d * inv[:, None, :]  # D Lambda^-1, zero off the survivors
+        N = scaled @ d.transpose(0, 2, 1)
+        # cond(I + lambda N) <= 1 + lambda |S| / (delta - lambda), so its
+        # explicit m x m inverse is accurate; one stacked inv and product
+        # cost a tenth of a stacked solve with n right-hand sides
+        W = np.linalg.inv(np.eye(m) + lam * N)
+        coeffs[sel] = delta * (W @ scaled).transpose(0, 2, 1)
+        errs[sel] = (total - delta * delta * (N * W.transpose(0, 2, 1)).sum(axis=(1, 2))).clip(0.0, total)
+    return ok
 
 
 def _class_factors(partner: np.ndarray, diagonals: np.ndarray, survives: np.ndarray):

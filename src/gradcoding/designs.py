@@ -148,6 +148,24 @@ class AssignmentMatrix:
         partner.setflags(write=False)
         return partner
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """A^T A (n x n): entry (i, j) counts the subsets workers i and j
+        share, exactly. Computed once per design and read-only."""
+        gram = self.mat.T @ self.mat
+        gram.setflags(write=False)
+        return gram
+
+    @cached_property
+    def overlap(self) -> int | None:
+        """lambda when every two workers share exactly lambda subsets and
+        delta > lambda: A^T A = (delta - lambda) I + lambda J, the identity
+        of a BIBD transpose. None otherwise. Computed once per design."""
+        off = self.gram[~np.eye(self.n, dtype=bool)]
+        if off.size and off.min() == off.max() < self.delta:
+            return int(off[0])
+        return None
+
 
 @dataclass
 class ValidationReport:

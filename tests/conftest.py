@@ -32,6 +32,18 @@ def bireg40():
 
 
 @pytest.fixture(scope="session")
+def biplane11():
+    # the quadratic residues mod 11: 11 workers, delta = gamma = 5, lambda = 2
+    return gc.bibd_transpose_from_difference_set([1, 3, 4, 5, 9], 11)
+
+
+@pytest.fixture(scope="session")
+def bibd13():
+    # the projective plane of order 3: 13 workers, delta = gamma = 4, lambda = 1
+    return gc.bibd_transpose_from_difference_set(gc.builtin_difference_sets()[13], 13)
+
+
+@pytest.fixture(scope="session")
 def bibd91():
     # the fig3 design: 91 workers, delta = gamma = 10, lambda = 1
     return gc.bibd_transpose_from_difference_set(gc.builtin_difference_sets()[91], 91)

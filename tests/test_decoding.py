@@ -394,7 +394,7 @@ def _check_against_projection(B, members):
     assert np.allclose(got.coeffs[members], ref_coeffs, rtol=0.0, atol=1e-9 * scale)
 
 
-def test_stacked_baseline_decode_matches_svd_projection(fano, coset27, bireg40, monkeypatch):
+def test_stacked_baseline_decode_matches_svd_projection(paley13, coset27, bireg40, monkeypatch):
     # every stacked-copies set is decoded on its block A_S, merged where
     # survivors share a column of A: by the column Gram certificate (at
     # most k columns), the row Gram certificate or the SVD of A_S, each on
@@ -427,7 +427,7 @@ def test_stacked_baseline_decode_matches_svd_projection(fano, coset27, bireg40, 
     monkeypatch.setattr(decoding, "_decode_stacked", spy_stacked)
     monkeypatch.setattr(decoding, "project", spy_project)
     monkeypatch.setattr(decoding, "certify_each", spy_cert)
-    for A in (fano, coset27, bireg40):
+    for A in (paley13, coset27, bireg40):
         for m in (2, 3):
             B = gc.encode_baseline(A, m)
             rng = np.random.default_rng(m)
@@ -571,7 +571,7 @@ def _check_sets_against_decode(B, sets):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("family", ("fano", "bibd91", "coset27", "bireg40"))
+@pytest.mark.parametrize("family", ("fano", "paley13", "bibd91", "coset27", "bireg40"))
 def test_recurring_encoding_matches_decode(request, family, scheme):
     A = request.getfixturevalue(family)
     rng = np.random.default_rng(7)
@@ -580,15 +580,19 @@ def test_recurring_encoding_matches_decode(request, family, scheme):
         _check_sets_against_decode(B, _mixed_sets(A.n, rng))
 
 
-def test_recurring_encoding_covers_certified_and_uncertified_encodings(fano, bibd91, coset27, bireg40):
-    # the cases above take both paths: the whole-Gram inverse and the route table
+def test_recurring_encoding_covers_certified_and_uncertified_encodings(fano, paley13, bibd91, coset27, bireg40):
+    # the cases above take every path: the closed form of the BIBD
+    # transposes' draws and copies, the whole-Gram inverse and the route
+    # table
     for A in (fano, bibd91):
-        for scheme in SCHEMES:
-            assert _encode(A, scheme).gram_inverse is not None
+        assert A.overlap is not None
+        assert _encode(A, gc.NULLSPACE_HADAMARD).gram_inverse is not None
+    for scheme in SCHEMES:
+        assert _encode(paley13, scheme).gram_inverse is not None
     assert _encode(coset27, gc.NULLSPACE_HADAMARD).gram_inverse is not None
     assert _encode(coset27, gc.BASELINE).gram_inverse is None
     assert _encode(bireg40, gc.BASELINE).gram_inverse is None
-    K, R = _encode(fano, gc.RANDOM_DIAGONAL).gram_inverse
+    K, R = _encode(paley13, gc.RANDOM_DIAGONAL).gram_inverse
     assert not K.flags.writeable and not R.flags.writeable
 
 
@@ -810,16 +814,16 @@ def test_property_recurring_encoding_matches_projection(request, case):
 # runtime checks survive python -O
 
 
-def test_residual_consistency_check_raises(fano, monkeypatch):
+def test_residual_consistency_check_raises(paley13, monkeypatch):
     # a cached Gram doubled behind the decode's back still certifies, so the
     # Gram path returns half the coefficients with an error that disagrees
     # with the directly computed residual. A draw without its diagonals (a
     # stored encoding) takes the route table, which reads the cached Gram;
     # a draw decoded from A and its diagonals is tripped the same way by
     # halved stacked coefficients
-    drawn = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    drawn = gc.encode_random_diagonal(paley13, 2, gc.DiagonalLaw(0.0), seed=0)
     B = dataclasses.replace(drawn, randomness=None)
-    workers = gc.NonStragglerSet(n=7, members=(0, 2, 5))
+    workers = gc.NonStragglerSet(n=13, members=(0, 2, 5))
     gram, image = B.gram
     B.__dict__["gram"] = (2.0 * gram, image)
     assert B.diagonals is None and certify_gram(_survivor_gram(B, list(workers.members)))
@@ -842,24 +846,24 @@ def _halve_draw_stacks(monkeypatch):
     monkeypatch.setattr(decoding, "_draw_stack", halved)
 
 
-def test_recurring_encoding_residual_check_raises(fano):
+def test_recurring_encoding_residual_check_raises(paley13):
     # the cached inverse of the doubled Gram, behind the decode's back: the
     # coefficients it yields are not the survivors' optimum, and their
-    # error disagrees with the directly computed residual. Sets of 7 and 5
-    # survivors go through the inverse; one of 3 solves its own Gram, and
-    # a doubled cached Gram trips it the same way. Each set is handed in
-    # twice, so that the encoding recurs and takes the whole-Gram inverse
-    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+    # error disagrees with the directly computed residual. Sets of 13 and
+    # 10 survivors go through the inverse; one of 3 solves its own Gram,
+    # and a doubled cached Gram trips it the same way. Each set is handed
+    # in twice, so that the encoding recurs and takes the whole-Gram inverse
+    B = gc.encode_random_diagonal(paley13, 2, gc.DiagonalLaw(0.0), seed=0)
     K, R = B.gram_inverse
     B.__dict__["gram_inverse"] = (K / 2.0, R / 2.0)
-    for members in (tuple(range(7)), (0, 1, 3, 4, 6)):
+    for members in (tuple(range(13)), (0, 1, 3, 4, 6, 7, 8, 10, 11, 12)):
         with pytest.raises(NumericalError, match="direct residual"):
-            gc.decode_each([B, B], [gc.NonStragglerSet(n=7, members=members)] * 2)
-    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
+            gc.decode_each([B, B], [gc.NonStragglerSet(n=13, members=members)] * 2)
+    B = gc.encode_random_diagonal(paley13, 2, gc.DiagonalLaw(0.0), seed=0)
     gram, image = B.gram
     B.__dict__["gram"] = (2.0 * gram, image)
     with pytest.raises(NumericalError, match="direct residual"):
-        gc.decode_each([B, B], [gc.NonStragglerSet(n=7, members=(0, 2, 5))] * 2)
+        gc.decode_each([B, B], [gc.NonStragglerSet(n=13, members=(0, 2, 5))] * 2)
 
 
 def test_operator_norm_check_raises(fano, monkeypatch):
@@ -939,10 +943,15 @@ def _check_against_route_references(B, workers, res, exact=True):
 def _exact_positions(encodings):
     """Whether decode_each's result at each position is exactly decode's:
     every set but those of a recurring encoding solved through its
-    whole-Gram inverse or, at the 1e12 tier, perhaps by a stacked QR."""
+    whole-Gram inverse or, at the 1e12 tier, perhaps by a stacked QR. The
+    draws and copies of a design of constant overlap take the closed form
+    in any stack."""
     counts = collections.Counter(map(id, encodings))
     return [
-        counts[id(B)] == 1 or B.gram_tier is None or B.stacked_copies and B.gram_inverse is None
+        counts[id(B)] == 1
+        or B.parent.overlap is not None and decoding._blocks_diagonals(B) is not None
+        or B.gram_tier is None
+        or B.stacked_copies and B.gram_inverse is None
         for B in encodings
     ]
 
@@ -970,19 +979,19 @@ def test_decode_each_matches_decode_and_projection(request, family, scheme):
         _check_against_route_references(B, workers, res, exact=bit_equal)
 
 
-def test_decode_each_mixed_call_keeps_order(fano, bibd91, bireg40, coset27):
+def test_decode_each_mixed_call_keeps_order(paley13, bibd91, bireg40, coset27):
     # a recurring certified encoding, a recurring uncertified one and
     # single encodings of other designs, interleaved in one call
-    certified = _encode(fano, gc.RANDOM_DIAGONAL, 1)
+    certified = _encode(paley13, gc.RANDOM_DIAGONAL, 1)
     uncertified = gc.encode_baseline(bireg40, 2)
     assert certified.gram_inverse is not None and uncertified.gram_inverse is None
     singles = [_encode(bibd91, gc.NULLSPACE_HADAMARD), _encode(coset27, gc.RANDOM_DIAGONAL, 2)]
     rng = np.random.default_rng(17)
-    fano_sets, bireg_sets = _mixed_sets(7, rng)[:6], _mixed_sets(40, rng)[:6]
+    paley_sets, bireg_sets = _mixed_sets(13, rng)[:6], _mixed_sets(40, rng)[:6]
     encodings, sets = [], []
     for j in range(6):
         encodings += [certified, uncertified]
-        sets += [fano_sets[j], bireg_sets[j]]
+        sets += [paley_sets[j], bireg_sets[j]]
         if j < len(singles):
             encodings.append(singles[j])
             sets.append(gc.sample_straggler_set(gc.Bernoulli(0.25), singles[j].n, rng))
@@ -1003,19 +1012,19 @@ def test_decode_each_checks_its_inputs(fano):
         gc.decode_each([B], [gc.NonStragglerSet.full(6)])
 
 
-def test_decode_each_residual_check_raises(fano, monkeypatch):
+def test_decode_each_residual_check_raises(paley13, monkeypatch):
     # a doubled cached Gram behind the decode's back, on the second of
     # three sets: the batched direct residual catches that one. The draws
     # that carry one set each are caught the same way
-    good = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0)
-    bad = dataclasses.replace(gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=0), randomness=None)
+    good = gc.encode_random_diagonal(paley13, 2, gc.DiagonalLaw(0.0), seed=0)
+    bad = dataclasses.replace(gc.encode_random_diagonal(paley13, 2, gc.DiagonalLaw(0.0), seed=0), randomness=None)
     gram, image = bad.gram
     bad.__dict__["gram"] = (2.0 * gram, image)
-    workers = gc.NonStragglerSet(n=7, members=(0, 2, 5))
+    workers = gc.NonStragglerSet(n=13, members=(0, 2, 5))
     gc.decode_each([good, good], [workers, workers])
     with pytest.raises(NumericalError, match="direct residual"):
         gc.decode_each([good, bad, good], [workers] * 3)
-    draws = [gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.0), seed=s) for s in range(3)]
+    draws = [gc.encode_random_diagonal(paley13, 2, gc.DiagonalLaw(0.0), seed=s) for s in range(3)]
     gc.decode_each(draws, [workers] * 3)
     _halve_draw_stacks(monkeypatch)
     with pytest.raises(NumericalError, match="direct residual"):
@@ -1292,7 +1301,7 @@ def test_draws_on_column_classes_get_the_same_bits_alone_as_in_a_stack(coset27, 
         assert abs(res.err - project(b_s, F)[1]) <= 1e-9 * 54
 
 
-@pytest.mark.parametrize("family", ("fano", "paley13"))
+@pytest.mark.parametrize("family", ("bireg40", "paley13"))
 def test_draws_of_a_design_without_repeated_columns_skip_the_classes(request, family, monkeypatch):
     # every set gets the route table's result on B_S itself, bit for bit
     A = request.getfixturevalue(family)
@@ -1423,3 +1432,157 @@ def test_decode_exact_is_decode_bit_for_bit(request, family, scheme):
         ref = gc.decode(B, workers)
         assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
         assert np.array_equal(res.fitted, ref.fitted)
+
+
+# ---------------------------------------------------------------------------
+# designs of constant overlap: draws and stacked copies in closed form
+
+BIBDS = ("fano", "biplane11", "bibd13", "bibd91")
+
+
+def _spy_closed_form(monkeypatch):
+    """Record the verdicts of every closed-form stack."""
+    verdicts = []
+    closed = decoding._closed_form
+
+    def spy(*args):
+        ok = closed(*args)
+        verdicts.append(ok.copy())
+        return ok
+
+    monkeypatch.setattr(decoding, "_closed_form", spy)
+    return verdicts
+
+
+def _block_columns(A, diagonals, members):
+    """B_S of the encoding whose blocks are A D_u, for the m x n diagonals."""
+    m = len(diagonals)
+    return (A.mat[:, members] * diagonals[:, None, members]).reshape(m * A.k, len(members))
+
+
+def test_overlap_only_on_bibd_transposes(fano, biplane11, bibd13, bibd91, coset27, bireg40, paley13):
+    for A in (fano, biplane11, bibd13, bibd91):
+        lam = A.params.lam
+        assert A.overlap == lam == (2 if A is biplane11 else 1)
+        assert np.array_equal(A.gram, (A.delta - lam) * np.eye(A.n) + lam * np.ones((A.n, A.n)))
+        assert not A.gram.flags.writeable
+    for A in (coset27, bireg40, paley13):
+        assert A.overlap is None
+    # disjoint supports overlap in nothing
+    assert gc.AssignmentMatrix(np.eye(4), delta=1, gamma=1, family="identity", params=None).overlap == 0
+
+
+@pytest.mark.parametrize("family", BIBDS)
+def test_closed_form_matches_projection_on_bibd_transposes(request, family, monkeypatch):
+    # random-diagonal draws (epsilon 0, 0.3 and 0.9) and stacked copies of
+    # a BIBD transpose (lambda = 1, and 2 on the biplane), m = 1 to 3, recurring or carrying one set, with the
+    # empty and the full set: within 1e-9 * mk of project(B_S). The closed
+    # form clears every set but the empty one, and the rank rule finds each
+    # of those B_S of full column rank. No whole Gram is computed
+    A = request.getfixturevalue(family)
+    verdicts = _spy_closed_form(monkeypatch)
+    rng = np.random.default_rng(A.n)
+    for m in (1, 2, 3):
+        mk = m * A.k
+        pool = [gc.encode_baseline(A, m)]
+        pool += [gc.encode_random_diagonal(A, m, gc.DiagonalLaw(eps), seed=s) for eps in (0.0, 0.3, 0.9) for s in range(2)]
+        encodings = [pool[j % len(pool)] for j in range(3 * len(pool))] + pool[1:4]
+        sizes = rng.integers(0, A.n + 1, size=len(encodings))
+        sizes[:2] = 0, A.n
+        sets = [gc.NonStragglerSet(n=A.n, members=rng.choice(A.n, size=size, replace=False)) for size in sizes]
+        verdicts.clear()
+        got = gc.decode_each(encodings, sets)
+        assert sum(int((~ok).sum()) for ok in verdicts) == int((sizes == 0).sum())
+        F = gc.build_target(A.k, m)
+        for B, workers, res in zip(encodings, sets, got):
+            members = list(workers.members)
+            diagonals = np.ones((m, A.n)) if B.diagonals is None else B.diagonals
+            b_s = _block_columns(A, diagonals, members)
+            ref_coeffs, ref_err = project(b_s, F)
+            assert abs(res.err - ref_err) <= 1e-9 * mk
+            assert np.allclose(res.coeffs[members], ref_coeffs, rtol=0.0, atol=1e-9)
+            assert np.allclose(res.fitted, B.mat @ res.coeffs, rtol=0.0, atol=1e-12)
+            assert rank_of(b_s) == len(members)
+        for B in pool:
+            assert not {"gram", "gram_tier", "gram_inverse"} & B.__dict__.keys()
+
+
+@pytest.mark.parametrize("family", BIBDS)
+def test_closed_form_gives_the_same_bits_alone_as_in_a_stack(request, family):
+    # each set of a recurring draw or copies, of draws carrying one set, in
+    # decode_each, decode_exact and decode_draws: exactly decode's result
+    A = request.getfixturevalue(family)
+    rng = np.random.default_rng(1)
+    for m in (1, 2, 3):
+        pool = [gc.encode_baseline(A, m)] + [gc.encode_random_diagonal(A, m, gc.DiagonalLaw(0.3), seed=s) for s in range(3)]
+        encodings = [pool[j % 4] for j in range(20)] + [gc.encode_random_diagonal(A, m, gc.DiagonalLaw(0.0), seed=9)]
+        sets = [gc.sample_straggler_set(gc.Bernoulli(0.3), A.n, rng) for _ in encodings]
+        drawn = [j for j, B in enumerate(encodings) if B.diagonals is not None]
+        alone = [gc.decode(B, workers) for B, workers in zip(encodings, sets)]
+        draws = gc.decode_draws(A, [encodings[j].randomness for j in drawn], [sets[j] for j in drawn])
+        for stacked in (gc.decode_each(encodings, sets), gc.decode_exact(encodings, sets), draws):
+            ref = alone if stacked is not draws else [alone[j] for j in drawn]
+            for one, res in zip(ref, stacked):
+                assert res.err == one.err and np.array_equal(res.coeffs, one.coeffs)
+                assert np.array_equal(res.fitted, one.fitted)
+
+
+def test_closed_form_refusals_fall_back_and_match_projection(fano, bibd91, monkeypatch):
+    # hand-built draws that the closed-form certificate refuses: a survivor
+    # with a zero diagonal (Lambda_j = 0, B_S rank-deficient) and one whose
+    # diagonal entries are 1e-9 (cond_2(G_SS) near 1e18). They take the
+    # stacks of _draw_stack, then _project_draw, and match project(B_S)
+    # within 1e-9 * mk
+    verdicts = _spy_closed_form(monkeypatch)
+    routes = _spy_routes(monkeypatch)
+    for A, m in ((fano, 1), (fano, 2), (bibd91, 2)):
+        base = gc.draw_diagonals(A, m, gc.DiagonalLaw(0.3), seed=0).diagonals
+        zero, tiny = base.copy(), base.copy()
+        zero[:, 2] = 0.0
+        tiny[:, 2] = 1e-9
+        # at m = 1 the tiny draw's SVD error can miss its direct residual
+        # (README, Known limits), so only m = 2 takes it
+        draws = [gc.DiagonalDraws(diagonals=d) for d in (base, zero, tiny)[: m + 1]] * 2
+        sets = [gc.NonStragglerSet(n=A.n, members=range(0, A.n, 2))] * len(draws)
+        verdicts.clear()
+        routes.clear()
+        got = gc.decode_draws(A, draws, sets)
+        assert verdicts[0].tolist() == [draw.diagonals is base for draw in draws]
+        assert "svd" in routes
+        F = gc.build_target(A.k, m)
+        for draw, workers, res in zip(draws, sets, got):
+            members = list(workers.members)
+            assert abs(res.err - project(_block_columns(A, draw.diagonals, members), F)[1]) <= 1e-9 * m * A.k
+
+
+def test_closed_form_with_a_wrong_overlap_raises(fano, monkeypatch):
+    # lambda = 2 injected behind the decode's back on a design whose
+    # overlap is 1: the coefficients are not the survivors' optimum, and
+    # the error disagrees with the directly computed residual
+    workers = gc.NonStragglerSet(n=7, members=(0, 2, 3, 5))
+    B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.3), seed=0)
+    gc.decode(B, workers)
+    monkeypatch.setitem(fano.__dict__, "overlap", 2)
+    with pytest.raises(NumericalError, match="direct residual"):
+        gc.decode(B, workers)
+    with pytest.raises(NumericalError, match="direct residual"):
+        gc.decode_each([gc.encode_baseline(fano, 2)] * 2, [workers] * 2)
+
+
+@pytest.mark.parametrize("family", ("fano", "bibd91"))
+def test_closed_form_makes_the_bibd_closed_forms_exact_per_set(request, family):
+    # the baseline's error is baseline_bibd_error(p, m, s) for every set of
+    # n - s survivors; at m = 1 and epsilon = 0, every random-diagonal set's
+    # error is bound_bibd(p, 1, s): the paper's bound holds with equality
+    A = request.getfixturevalue(family)
+    p = A.params
+    rng = np.random.default_rng(5)
+    sizes = list(range(A.n + 1)) * 2
+    sets = [gc.NonStragglerSet(n=A.n, members=rng.choice(A.n, size=size, replace=False)) for size in sizes]
+    for m in (1, 2, 3):
+        got = gc.decode_each([gc.encode_baseline(A, m)] * len(sets), sets)
+        for workers, res in zip(sets, got):
+            assert abs(res.err - gc.baseline_bibd_error(p, m, workers.s).value) <= 1e-12 * m * A.k
+    draws = [gc.draw_diagonals(A, 1, gc.DiagonalLaw(0.0), seed=s) for s in range(len(sets))]
+    for workers, res in zip(sets, gc.decode_draws(A, draws, sets)):
+        assert abs(res.err - gc.bound_bibd(p, 1, workers.s).value) <= 1e-12 * A.k
