@@ -1475,10 +1475,11 @@ def test_overlap_only_on_bibd_transposes(fano, biplane11, bibd13, bibd91, coset2
 @pytest.mark.parametrize("family", BIBDS)
 def test_closed_form_matches_projection_on_bibd_transposes(request, family, monkeypatch):
     # random-diagonal draws (epsilon 0, 0.3 and 0.9) and stacked copies of
-    # a BIBD transpose (lambda = 1, and 2 on the biplane), m = 1 to 3, recurring or carrying one set, with the
-    # empty and the full set: within 1e-9 * mk of project(B_S). The closed
-    # form clears every set but the empty one, and the rank rule finds each
-    # of those B_S of full column rank. No whole Gram is computed
+    # a BIBD transpose (lambda = 1, and 2 on the biplane), m = 1 to 3,
+    # recurring or carrying one set, with the empty and the full set:
+    # within 1e-9 * mk of project(B_S). The closed form clears every set
+    # but the empty one, and the rank rule finds each of those B_S of full
+    # column rank. No whole Gram is computed
     A = request.getfixturevalue(family)
     verdicts = _spy_closed_form(monkeypatch)
     rng = np.random.default_rng(A.n)
@@ -1486,7 +1487,8 @@ def test_closed_form_matches_projection_on_bibd_transposes(request, family, monk
         mk = m * A.k
         pool = [gc.encode_baseline(A, m)]
         pool += [gc.encode_random_diagonal(A, m, gc.DiagonalLaw(eps), seed=s) for eps in (0.0, 0.3, 0.9) for s in range(2)]
-        encodings = [pool[j % len(pool)] for j in range(3 * len(pool))] + pool[1:4]
+        pool += [gc.encode_random_diagonal(A, m, gc.DiagonalLaw(0.3), seed=s) for s in (7, 8)]
+        encodings = [pool[j % 7] for j in range(21)] + pool[7:]
         sizes = rng.integers(0, A.n + 1, size=len(encodings))
         sizes[:2] = 0, A.n
         sets = [gc.NonStragglerSet(n=A.n, members=rng.choice(A.n, size=size, replace=False)) for size in sizes]
