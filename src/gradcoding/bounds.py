@@ -158,13 +158,13 @@ def bound_diag_dominant(B: EncodingMatrix, workers: NonStragglerSet) -> BoundRep
     if workers.n != B.n:
         raise ParameterError("non-straggler set size does not match encoding")
     k, m = B.k, B.m
-    if not workers.members:
+    idx = workers.index
+    if not idx.size:
         return BoundReport(kind=DIAG_DOM_UPPER, value=float(m * k))
     # stacked copies have rank(B_S) = rank(A_S) <= k, so more than k
     # survivors are rank-deficient without a factorization or a gather
-    if B.stacked_copies and len(workers.members) > k:
+    if B.stacked_copies and idx.size > k:
         raise SingularMatrixError(_deficient(workers))
-    idx = np.array(workers.members, dtype=np.intp)
     full_gram, full_image = B.gram
     gram = full_gram.take(idx, axis=0).take(idx, axis=1)
     if B.gram_tier is None and not certify_gram(gram) and rank_of(B.mat.take(idx, axis=1)) < idx.size:

@@ -168,10 +168,10 @@ decode_draws, and applies each iteration's slice of the block.
 """
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -193,18 +193,33 @@ STACK_ELEMENTS = 2**14
 _BOOLS = frozenset((bool, np.bool_))
 
 
+def _worker_count(n) -> int:
+    """n as an int; anything but a non-negative integer, a bool included, is
+    refused."""
+    if type(n) in _BOOLS or not isinstance(n, numbers.Integral) or n < 0:
+        raise ParameterError(f"worker count n must be a non-negative integer, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class NonStragglerSet:
     """Sorted 0-based indices of workers that returned their result.
 
-    members may be any flat sequence or array of integers and is stored as
-    a sorted tuple of ints; fractional, float and bool entries are refused
-    rather than truncated."""
+    The constructor checks its input: n must be a non-negative integer, not
+    a bool, and is stored as an int; members may be any flat sequence or
+    array of integers and is stored as a sorted tuple of ints; fractional,
+    float and bool entries are refused rather than truncated. The sets the
+    library draws itself (sample_straggler_set and the exhaustive sweep)
+    are built unchecked from their index arrays, which are distinct, sorted
+    and in range by construction. index, the members as a read-only intp
+    array, is what the decoders and bounds read: a drawn set carries its
+    draw's array, any other set builds it once on first use."""
 
     n: int
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _worker_count(self.n))
         raw = self.members
         arr = np.asarray(raw)
         if arr.ndim != 1:
@@ -224,6 +239,23 @@ class NonStragglerSet:
         if len(set(mem)) < len(mem):
             raise ParameterError("duplicate member index")
         object.__setattr__(self, "members", tuple(mem))
+
+    @classmethod
+    def _drawn(cls, n: int, index: np.ndarray) -> "NonStragglerSet":
+        """The set of a library draw, without the constructor's checks: n an
+        int, index a 1-d intp array of distinct sorted indices below n,
+        which becomes the set's read-only index."""
+        index.setflags(write=False)
+        workers = object.__new__(cls)
+        workers.__dict__.update(n=n, members=tuple(index.tolist()), index=index)
+        return workers
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The members as a read-only 1-d intp array."""
+        index = np.array(self.members, dtype=np.intp)
+        index.setflags(write=False)
+        return index
 
     @property
     def s(self) -> int:
@@ -436,12 +468,12 @@ def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeR
         return _checked(coeffs, errs, np.matmul(B.mat, coeffs), build_target(B.k, B.m))
     merges = None
     if inverse is None and B.column_classes is not None:
-        merges = [_column_merge(B, np.array(w.members, dtype=np.intp)) for w in sets]
+        merges = [_column_merge(B, w.index) for w in sets]
     widths = [len(w.members) for w in sets] if merges is None else [len(m[0]) for m in merges]
     for width, at in _by_key(widths):
         part = [sets[j] for j in at]
         if inverse is not None:
-            coeffs[at], errs[at] = _decode_group(B, inverse, [w.members for w in part], width)
+            coeffs[at], errs[at] = _decode_group(B, inverse, _members(part, width))
             continue
         if B.stacked_copies:
             merged = None if merges is None else [merges[j] for j in at]
@@ -474,8 +506,7 @@ def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> lis
     colsum = A.mat.sum(axis=0)
     survives = np.zeros((g, n), dtype=bool)
     survives[
-        np.repeat(np.arange(g), [len(w.members) for w in sets]),
-        np.fromiter(chain.from_iterable(w.members for w in sets), dtype=np.intp),
+        np.repeat(np.arange(g), [len(w.members) for w in sets]), np.concatenate([w.index for w in sets])
     ] = True
     coeffs = np.empty((g, n, m))
     errs = np.empty(g)
@@ -596,7 +627,7 @@ def _checked(
 
 def _members(sets: list, size: int) -> np.ndarray:
     """The survivors of sets of one size, g x size."""
-    return np.array([w.members for w in sets], dtype=np.intp).reshape(len(sets), size)
+    return np.concatenate([w.index for w in sets]).reshape(len(sets), size)
 
 
 def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, float]:
@@ -605,9 +636,9 @@ def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, flo
     rows, n = B.mat.shape
     total = float(rows)
     coeffs = np.zeros((n, B.m))
-    if not workers.members:
+    idx = workers.index
+    if not idx.size:
         return coeffs, total
-    idx = np.array(workers.members, dtype=np.intp)
     if B.stacked_copies:
         merges = None if B.column_classes is None else [_column_merge(B, idx)]
         solved, err, _ = _copies_stack(B, [workers], merges)
@@ -656,13 +687,12 @@ def _check_residuals(errs, direct: np.ndarray) -> None:
             raise NumericalError(f"projection residual {err} disagrees with direct residual {res}")
 
 
-def _decode_group(
-    B: EncodingMatrix, inverse: tuple[np.ndarray, np.ndarray], members: list, size: int
-):
-    """(coefficients g x n x m, errors g) of g survivor sets of one size,
-    each set in the cheaper of two stacked solves, as set out above."""
+def _decode_group(B: EncodingMatrix, inverse: tuple[np.ndarray, np.ndarray], idx: np.ndarray):
+    """(coefficients g x n x m, errors g) of g survivor sets of one size
+    (idx, g x |S|), each set in the cheaper of two stacked solves, as set
+    out above."""
     rows, n = B.mat.shape
-    g, m = len(members), B.m
+    (g, size), m = idx.shape, B.m
     s = n - size
     total = float(rows)
     gram, image = B.gram
@@ -672,7 +702,6 @@ def _decode_group(
     # the straggler route is the faster below this size and the slower above
     # it, the crossover lying near s = 40 at n = 91 and s = 18 at n = 40
     if size**3 <= 2 * s**3:
-        idx = np.array(members, dtype=np.intp).reshape(g, size)
         coeffs = np.zeros((n, g, m))  # set j in column j
         if size:
             coeffs[idx, col] = np.linalg.solve(*_survivor_system(B, idx))
@@ -681,7 +710,7 @@ def _decode_group(
         coeffs = np.repeat(full[:, None, :], g, axis=1)
         if s:
             straggles = np.ones((g, n), dtype=bool)
-            straggles[col, np.array(members, dtype=np.intp)] = False
+            straggles[col, idx] = False
             t = np.nonzero(straggles)[1].reshape(g, s)
             k_tt = K[t[:, :, None], t[:, None, :]]
 
@@ -750,7 +779,7 @@ def _copies_stack(B: EncodingMatrix, sets: list, merges: list | None):
     x, err, ok = _decode_stacked(a, m)
     x = x / m / root
     for j, (workers, merge) in enumerate(zip(sets, merges)):
-        coeffs[j, list(workers.members)] = x[j, merge[1], None]
+        coeffs[j, workers.index] = x[j, merge[1], None]
     return coeffs, err, ok
 
 
@@ -842,9 +871,9 @@ def _project_draw(A: AssignmentMatrix, diag: np.ndarray, workers: NonStragglerSe
     m, n = diag.shape
     total = float(m * A.k)
     coeffs = np.zeros((n, m))
-    if not workers.members:
+    idx = workers.index
+    if not idx.size:
         return coeffs, total
-    idx = np.array(workers.members, dtype=np.intp)
     b_s = (A.mat[:, idx] * diag[:, None, idx]).reshape(m * A.k, idx.size)
     coeffs[idx], err = project(b_s, build_target(A.k, m))
     return coeffs, min(max(float(err), 0.0), total)

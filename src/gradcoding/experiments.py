@@ -24,6 +24,7 @@ import numpy as np
 from . import bounds as bnd
 from .decoding import (
     NonStragglerSet,
+    _worker_count,
     apply_fitted,
     build_target,
     decode_draws,
@@ -110,12 +111,16 @@ class Bernoulli:
 
 
 def sample_straggler_set(model, n: int, rng: np.random.Generator) -> NonStragglerSet:
-    """Draw the surviving-worker set under the given model."""
+    """Draw the surviving-worker set under the given model. n is checked as
+    NonStragglerSet checks it, before the draw; the drawn set is built
+    unchecked, its indices distinct, sorted and in range by construction."""
+    n = _worker_count(n)
     if isinstance(model, FixedCount):
         if not (0 <= model.s <= n):
             raise ParameterError(f"s must lie in [0, {n}], got {model.s}")
-        members = np.sort(rng.choice(n, size=n - model.s, replace=False))
-        return NonStragglerSet(n=n, members=members)
+        members = rng.choice(n, size=n - model.s, replace=False)
+        members.sort()
+        return NonStragglerSet._drawn(n, members)
     if isinstance(model, Bernoulli):
         return _bernoulli_sets(model.q, n, rng, 1)[0]
     raise ParameterError(f"unknown straggler model {model!r}")
@@ -125,7 +130,7 @@ def _bernoulli_sets(q: float, n: int, rng: np.random.Generator, count: int) -> l
     """count Bernoulli(q) survivor sets of n workers from one
     rng.random((count, n)): a worker survives where its uniform is at least
     q. The sets, and rng's state after, are those of count draws of one."""
-    return [NonStragglerSet(n=n, members=np.flatnonzero(kept)) for kept in rng.random((count, n)) >= q]
+    return [NonStragglerSet._drawn(n, np.flatnonzero(kept)) for kept in rng.random((count, n)) >= q]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +295,7 @@ class ExperimentResult:
 def _iter_sets(cfg: SweepConfig, n: int, x, rng: np.random.Generator):
     if cfg.set_draws == "all":
         for members in itertools.combinations(range(n), n - x):
-            yield NonStragglerSet(n=n, members=members)
+            yield NonStragglerSet._drawn(n, np.array(members, dtype=np.intp))
         return
     model = FixedCount(x) if cfg.grid_kind == "s" else Bernoulli(float(x))
     for _ in range(cfg.set_draws):

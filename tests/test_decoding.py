@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gradcoding as gc
-from gradcoding import decoding
-from gradcoding.errors import NumericalError, ParameterError, ShapeError
+from gradcoding import decoding, experiments
+from gradcoding.errors import NumericalError, ParameterError, ShapeError, SingularMatrixError
 from gradcoding.linalg import certify_gram, project, rank_of
 
 
@@ -142,6 +143,35 @@ def test_property_nonstraggler_set_checks_every_input_as_before(n, values, form)
     assert got == expected
     if isinstance(got, tuple):
         assert all(type(i) is int for i in got)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [-1, 2.5, np.float64(4.0), True, np.bool_(True), "3", None],
+    ids=["negative", "fractional", "numpy-float", "bool", "numpy-bool", "string", "none"],
+)
+def test_nonstraggler_set_refuses_a_worker_count_that_is_not_a_count(n):
+    with pytest.raises(ParameterError):
+        gc.NonStragglerSet(n=n, members=())
+
+
+def test_nonstraggler_set_stores_a_numpy_worker_count_as_int():
+    w = gc.NonStragglerSet(n=np.int64(5), members=(1,))
+    assert type(w.n) is int
+    assert w == gc.NonStragglerSet(n=5, members=(1,))
+    assert hash(w) == hash(gc.NonStragglerSet(n=5, members=(1,)))
+    assert type(gc.NonStragglerSet(n=np.uint8(0), members=()).n) is int
+
+
+def test_nonstraggler_set_index_is_built_once_read_only():
+    w = gc.NonStragglerSet(n=6, members=(4, 1))
+    assert "index" not in vars(w)  # built on first use
+    assert w.index is w.index
+    assert w.index.dtype == np.intp
+    assert w.index.tolist() == [1, 4]
+    with pytest.raises(ValueError):
+        w.index[0] = 5
+    assert w.members == (1, 4)
 
 
 def test_empty_set_decodes_to_total_mass(fano):
@@ -683,9 +713,9 @@ def test_recurring_baseline_without_a_certified_gram_decodes_in_capped_stacks(bi
         routed.append(workers.members)
         return route(B_, workers)
 
-    def spy_group(B_, inverse, members, size):
-        grouped.append(len(members))
-        return group(B_, inverse, members, size)
+    def spy_group(B_, inverse, idx):
+        grouped.append(len(idx))
+        return group(B_, inverse, idx)
 
     monkeypatch.setattr(decoding, "_route", spy_route)
     monkeypatch.setattr(decoding, "_decode_group", spy_group)
@@ -1588,3 +1618,61 @@ def test_closed_form_makes_the_bibd_closed_forms_exact_per_set(request, family):
     draws = [gc.draw_diagonals(A, 1, gc.DiagonalLaw(0.0), seed=s) for s in range(len(sets))]
     for workers, res in zip(sets, gc.decode_draws(A, draws, sets)):
         assert abs(res.err - gc.bound_bibd(p, 1, workers.s).value) <= 1e-12 * A.k
+
+
+def _drawn_sets(n, rng):
+    """Sets the library draws, of mixed sizes, the full and the empty set
+    among them: FixedCount, Bernoulli and exhaustive draws."""
+    drawn = [gc.sample_straggler_set(gc.FixedCount(s), n, rng) for s in (0, n, 1, n // 3, n // 2, n - 1)]
+    drawn += [gc.sample_straggler_set(gc.Bernoulli(q), n, rng) for q in (0.1, 0.3, 0.6)]
+    every = experiments._iter_sets(types.SimpleNamespace(set_draws="all"), n, 2, rng)
+    return drawn + list(itertools.islice(every, 3))
+
+
+def _same_bits(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.coeffs.tobytes() == y.coeffs.tobytes()
+        assert x.fitted.tobytes() == y.fitted.tobytes()
+        assert np.float64(x.err).tobytes() == np.float64(y.err).tobytes()
+
+
+def _bound_or_singular(B, workers):
+    try:
+        return np.float64(gc.bound_diag_dominant(B, workers).value).tobytes()
+    except SingularMatrixError:
+        return "singular"
+
+
+@pytest.mark.parametrize("family", ("fano", "coset27", "bireg40"))
+def test_drawn_and_hand_built_sets_give_the_same_bits(request, family):
+    # a drawn set carries its draw's index array; the same members built by
+    # hand build theirs from the tuple on first use. Every reader of the
+    # index gives both the same bits, alone or mixed in one call
+    A = request.getfixturevalue(family)
+    drawn = _drawn_sets(A.n, np.random.default_rng(23))
+    assert {len(w.members) for w in drawn} >= {0, A.n}
+    built = [gc.NonStragglerSet(n=A.n, members=w.members) for w in drawn]
+    assert built == drawn
+    assert all("index" not in vars(w) for w in built)
+    mixed = [(w, v)[j % 2] for j, (w, v) in enumerate(zip(drawn, built))]
+    law = gc.DiagonalLaw(0.1)
+    fixed = [gc.encode_random_diagonal(A, 2, law, seed=0), gc.encode_baseline(A, 2)]
+    if family == "bireg40":
+        fixed += [
+            gc.encode_nullspace_hadamard(A, 2, constrain_pm1=True, seed=0),
+            gc.encode_nullspace_hadamard(A, 2, v1_policy=gc.V1_GAUSSIAN, seed=0),
+        ]
+    one_each = [gc.encode_random_diagonal(A, 2, law, seed=j) for j in range(len(drawn))]
+    draws = [B.randomness for B in one_each]
+    for decode in (gc.decode_each, gc.decode_exact):
+        for B in fixed:
+            want = decode([B] * len(built), built)
+            _same_bits(decode([B] * len(drawn), drawn), want)
+            _same_bits(decode([B] * len(mixed), mixed), want)
+            _same_bits([gc.decode(B, w) for w in drawn], [gc.decode(B, w) for w in built])
+        _same_bits(decode(one_each, mixed), decode(one_each, built))
+    _same_bits(gc.decode_draws(A, draws, drawn), gc.decode_draws(A, draws, built))
+    _same_bits(gc.decode_draws(A, draws, mixed), gc.decode_draws(A, draws, built))
+    for B in fixed:
+        assert [_bound_or_singular(B, w) for w in drawn] == [_bound_or_singular(B, w) for w in built]

@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import math
+import types
 
 import numpy as np
 import pytest
@@ -77,6 +80,64 @@ def test_straggler_model_validation():
         gc.sample_straggler_set(gc.FixedCount(11), 10, rng)
     with pytest.raises(ParameterError):
         gc.sample_straggler_set("uniform", 10, rng)
+
+
+@pytest.mark.parametrize("model", [gc.FixedCount(0), gc.Bernoulli(0.5)], ids=["fixed-count", "bernoulli"])
+@pytest.mark.parametrize(
+    "n",
+    [-1, 2.5, True, np.bool_(False), "7", None],
+    ids=["negative", "fractional", "bool", "numpy-bool", "string", "none"],
+)
+def test_sample_straggler_set_refuses_a_bad_worker_count_before_drawing(model, n):
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ParameterError):
+        gc.sample_straggler_set(model, n, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_sample_straggler_set_stores_a_numpy_worker_count_as_int():
+    rng = np.random.default_rng(4)
+    for model in (gc.FixedCount(2), gc.Bernoulli(0.5)):
+        w = gc.sample_straggler_set(model, np.int64(6), rng)
+        assert type(w.n) is int
+        assert w.n == 6
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 16), st.data())
+def test_property_drawn_sets_are_the_checked_sets(seed, n, data):
+    # the sets the library draws are built without the constructor's
+    # checks, from the draw's own index array; each is the set the checked
+    # constructor builds from its members, and the generator ends in the
+    # state of np.sort(rng.choice(...)) and rng.random((count, n)) >= q
+    s = data.draw(st.integers(0, n), label="s")
+    q = data.draw(st.floats(0.0, 0.95), label="q")
+    count = data.draw(st.integers(1, 4), label="count")
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = [gc.sample_straggler_set(gc.FixedCount(s), n, rng)]
+    expected = [np.sort(ref.choice(n, size=n - s, replace=False))]
+    drawn.append(gc.sample_straggler_set(gc.Bernoulli(q), n, rng))
+    drawn += experiments._bernoulli_sets(q, n, rng, count)
+    expected += [np.flatnonzero(kept) for kept in ref.random((1 + count, n)) >= q]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    if math.comb(n, s) <= 200:
+        drawn += experiments._iter_sets(types.SimpleNamespace(set_draws="all"), n, s, rng)
+        expected += [np.array(c, dtype=np.intp) for c in itertools.combinations(range(n), n - s)]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    for w, members in zip(drawn, expected, strict=True):
+        checked = gc.NonStragglerSet(n=n, members=members)
+        assert type(w) is gc.NonStragglerSet
+        assert type(w.n) is int
+        assert w.n == checked.n
+        assert w.members == checked.members == tuple(members.tolist())
+        assert all(type(i) is int for i in w.members)
+        assert w == checked
+        assert hash(w) == hash(checked)
+        assert w.index.dtype == np.intp
+        assert np.array_equal(w.index, np.array(w.members))
+        with pytest.raises(ValueError):
+            w.index[...] = 0
 
 
 # ---------------------------------------------------------------------------
