@@ -118,8 +118,9 @@ def test_property_drawn_sets_are_the_checked_sets(seed, n, data):
     drawn = [gc.sample_straggler_set(gc.FixedCount(s), n, rng)]
     expected = [np.sort(ref.choice(n, size=n - s, replace=False))]
     drawn.append(gc.sample_straggler_set(gc.Bernoulli(q), n, rng))
+    expected.append(np.flatnonzero(ref.random((1, n))[0] >= q))
     drawn += experiments._bernoulli_sets(q, n, rng, count)
-    expected += [np.flatnonzero(kept) for kept in ref.random((1 + count, n)) >= q]
+    expected += [np.flatnonzero(kept) for kept in ref.random((count, n)) >= q]
     assert rng.bit_generator.state == ref.bit_generator.state
     if math.comb(n, s) <= 200:
         drawn += experiments._iter_sets(types.SimpleNamespace(set_draws="all"), n, s, rng)
