@@ -77,13 +77,13 @@ def bound_expected(
     if m < 1:
         raise ParameterError("m must be positive")
     k = A.k
-    members = list(workers.members)
-    if not members:
+    idx = workers.index
+    if not idx.size:
         return BoundReport(kind=EXPECTED_UPPER, value=float(m * k))
-    sub = A.mat[:, members]
+    sub = A.mat[:, idx]
     gram = sub.T @ sub
     kmat = gram + c * (m - 1) * np.diag(np.diag(gram))
-    if not certify_gram(kmat) and rank_of(kmat) < len(members):
+    if not certify_gram(kmat) and rank_of(kmat) < idx.size:
         raise SingularMatrixError(
             f"Gram-plus-diagonal matrix singular for s={workers.s} (family {A.family})"
         )

@@ -8,35 +8,27 @@ surviving columns B_S; the approximation error is the squared Frobenius
 residual.
 
 decode_each is the one batch decoder, and decode is its one-set case. It
-groups its positions by distinct encoding. On a design of constant
-overlap (below) its random-diagonal draws and stacked copies are decoded
-in closed form. The sets of any other encoding that carries more than one
-set in the call (a sweep hands it many sets of one encoding) are solved
-by size in batched stacks, by the tier its whole Gram clears
-(EncodingMatrix.gram_tier):
+groups its positions by distinct encoding, equal stacked copies (of one
+m, shape and block(0)) together. On a design of constant overlap (below)
+its random-diagonal draws and stacked copies are decoded in closed form.
+Every other group is solved by size in stacks that give each set
+decode's result (below), but for one shortcut: a group of more than one
+set (a sweep hands decode_each many sets of one encoding) whose whole
+Gram clears the 1e8 certificate is solved together through that Gram's
+inverse (EncodingMatrix.gram_inverse, below), within 1e-9 * mk of decode.
+decode_exact is decode_each without that shortcut.
 
-  * 1e8: together through that Gram's inverse (EncodingMatrix.gram_inverse,
-    below);
-  * stacked copies, short of 1e8: route 1 on each set's k-row block, merged
-    where survivors share a column, stacked by merged width;
-  * any other encoding at 1e12 only: one stacked Gram solve, or one stacked
-    Householder QR when a member's survivor Gram fails the 1e8
-    certificate (below);
-  * any other (a whole Gram that clears neither tier): set by set, by the
-    table below.
-
-Random-diagonal draws (EncodingMatrix.diagonals, blocks A D_u) that carry
-one set each in the call, the estimator's trials, and on a design whose
-workers pair up (below) every draw short of the 1e8 tier, are decoded
-together per design by decode_draws, which also takes the diagonals
-alone, with no encoding built: a training run draws and decodes a block
-of iterations ahead that way. They are solved by size in stacks, by routes 2 and 3 of
-the table below, each member by its own certificate (linalg.certify_each),
-from survivor systems built from A^T A and the diagonals with no mk x n
-matrix: G_SS = (A^T A)_SS o sum_u d_u d_u^T and H_S[:, u] =
-(d_u o 1^T A)_S. The members that clear 1e8 get one stacked Gram solve,
-the rest one stacked QR where the 1e12 verdict clears, and what is left
-(and the empty set) route 4, the SVD of B_S. No member's result depends
+Random-diagonal draws (EncodingMatrix.diagonals, blocks A D_u) that the
+whole-Gram inverse does not solve, the estimator's trials among them, are
+decoded together per design by decode_draws, which also takes the
+diagonals alone, with no encoding built: a training run draws and decodes
+a block of iterations ahead that way. They are solved by size in stacks,
+by routes 2 and 3 of the table below, each member by its own certificate
+(linalg.certify_each), from survivor systems built from A^T A and the
+diagonals with no mk x n matrix: G_SS = (A^T A)_SS o sum_u d_u d_u^T and
+H_S[:, u] = (d_u o 1^T A)_S. The members that clear 1e8 get one stacked
+Gram solve, the rest one stacked QR where their 1e12 certificate clears,
+and what is left (and the empty set) route 4, the SVD of B_S. No member's result depends
 on the rest of its stack, so a draw gets the same bits alone, from
 decode, as in any stack; they agree with the route table on B's cached
 Gram (the reference for any other encoding) within 1e-9 * mk.
@@ -139,32 +131,27 @@ is solved directly instead. Sets of one size are solved as one batched
 stack.
 
 The other stacks gather at most STACK_ELEMENTS entries each, or one set
-where a single set needs more. Routes 1 to 3 are written once, over a
-leading stack axis, and the route table runs them on a stack of one set.
-A batched LAPACK gufunc (cholesky, solve, qr) runs on each member the
-routine it runs on that matrix alone, so a member's certificate in a
-stack is the one it would earn alone, and each member gets exactly
-decode's result. A stack of more than one set of copies tries only its
-first Gram, solves the members that clear it, and sends the others one by
-one through the table. At the 1e12 tier, interlacing gives every block
-cond_2(G_SS) < 1e12, so cond_2(B_S) < 1e6: the QR of route 3 is valid for
-every member of a stack whose 1e8 certificate fails, without a per-set
-certificate, and the SVD is never needed. Such a stack takes the Gram
-solve only when every member clears 1e8; its members agree with decode
-within 1e-9 * mk, and exactly where decode also takes the QR.
+where a single set needs more; a set decoded alone is a stack of one.
+Routes 1 to 3 are written once, over a leading stack axis. A batched
+LAPACK gufunc (cholesky, solve, qr) runs on each member the routine it
+runs on that matrix alone, so a member's certificate in a stack is the
+one it would earn alone, and each member gets exactly decode's result. A
+stack of more than one set of copies tries only its first Gram; any other
+stack gives the members that clear 1e8 the Gram solve and the rest the QR
+where their own 1e12 certificate clears. A member its stack does not
+solve, and the empty set, goes alone through route 1 (copies, ending in
+the SVD of the block) or route 4.
 
 Each decode is checked against the directly computed residual
-||B R - F||_F^2, one product per distinct encoding and one per design for
-the draws (block u of B R is A (d_u o R)), raising NumericalError on a
+||B R - F||_F^2, one product per group of one encoding or of equal
+copies and one per design for the draws (block u of B R is A (d_u o R)), raising NumericalError on a
 disagreement; the result keeps B R (DecodeResult.fitted). apply_fitted
 turns the fitted combinations into decoded gradients: Z B R, the
 operator-norm check and the gaps, for a stack of sets at once.
-reconstruct_each is decode_each followed by apply_fitted. decode_exact is
-decode_each without the whole-Gram shortcuts, so that every set gets
-exactly decode's result in stacks, and with distinct stacked copies of
-equal m and block(0) decoded as one group; a training run decodes its
-fixed encodings a block of iterations ahead that way, its draws by
-decode_draws, and applies each iteration's slice of the block.
+reconstruct_each is decode_each followed by apply_fitted. A training run
+decodes its fixed encodings a block of iterations ahead by decode_exact,
+its draws by decode_draws, and applies each iteration's slice of the
+block.
 """
 from __future__ import annotations
 
@@ -178,7 +165,7 @@ import numpy as np
 from .designs import AssignmentMatrix
 from .encoders import DiagonalDraws, EncodingMatrix
 from .errors import NumericalError, ParameterError, ShapeError
-from .linalg import CERT_COND_MAX, QR_COND_MAX, RANK_EPS, certify_each, certify_gram, project
+from .linalg import CERT_COND_MAX, QR_COND_MAX, RANK_EPS, certify_each, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
 
@@ -193,12 +180,12 @@ STACK_ELEMENTS = 2**14
 _BOOLS = frozenset((bool, np.bool_))
 
 
-def _worker_count(n) -> int:
-    """n as an int; anything but a non-negative integer, a bool included, is
-    refused."""
-    if type(n) in _BOOLS or not isinstance(n, numbers.Integral) or n < 0:
-        raise ParameterError(f"worker count n must be a non-negative integer, got {n!r}")
-    return int(n)
+def _count(value, name: str) -> int:
+    """value as an int; anything but a non-negative integer, a bool
+    included, is refused with a ParameterError naming it as name."""
+    if type(value) in _BOOLS or not isinstance(value, numbers.Integral) or value < 0:
+        raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -219,7 +206,7 @@ class NonStragglerSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _worker_count(self.n))
+        object.__setattr__(self, "n", _count(self.n, "worker count n"))
         raw = self.members
         arr = np.asarray(raw)
         if arr.ndim != 1:
@@ -315,19 +302,16 @@ def decode_each(
 ) -> list[DecodeResult]:
     """The decode of encodings[j] for sets[j], for every j, in order.
 
-    The sets of an encoding that recurs in the call are solved by size (by
-    merged width for stacked copies) as batched stacks, as set out above.
-    Through K = G^-1 (the 1e8 tier) and by stacked QR (the 1e12 tier),
-    errors match decode(B, w) within 1e-9 * mk, with the same coefficient
-    support (the survivors' rows); the coefficients come from another
-    solve, so they agree only to rounding. The random-diagonal draws that
-    carry one set each are solved as decode_draws solves them, and they,
-    like every other set in a stack of copies or through the route table,
-    get exactly decode's result, as do all sets of a draw short of the 1e8
-    tier on a design whose workers pair up, and all sets of draws and
-    stacked copies on a design of constant overlap. Every set is checked
-    against its direct residual, with one product per distinct encoding
-    and one per design for the draws."""
+    The sets of each group (one encoding, equal stacked copies, or the
+    draws of one design and m) are solved by size (by merged width for
+    stacked copies) as batched stacks, as set out above, and each gets
+    exactly decode's result, but in a group of more than one set solved
+    through its whole-Gram inverse (EncodingMatrix.gram_inverse, the 1e8
+    tier). There errors match decode(B, w) within 1e-9 * mk, with the same
+    coefficient support (the survivors' rows); the coefficients come from
+    another solve, so they agree only to rounding. Every set is checked
+    against its direct residual, with one product per group and one per
+    design for the draws."""
     return _decode_calls(encodings, sets, whole_gram=True)
 
 
@@ -335,15 +319,10 @@ def decode_exact(
     encodings: Iterable[EncodingMatrix], sets: Iterable[NonStragglerSet]
 ) -> list[DecodeResult]:
     """decode(encodings[j], sets[j]) for every j, in order, bit for bit:
-    decode_each without the whole-Gram shortcuts. The sets of an encoding
-    that recurs in the call are solved by size in stacks that give each
-    member decode's result: the sets of a random-diagonal draw with the
-    other draws (with stacked copies too on a design of constant overlap),
-    other stacked copies by merged width (distinct copies with an
-    equal block(0) and m together), any other encoding by routes 2 and 3
-    with a certificate per member, the members neither clears by the route
-    table. A training run decodes its fixed encodings a block of
-    iterations ahead this way, so the block changes no bit."""
+    decode_each without the whole-Gram inverse, grouped and stacked as
+    decode_each groups and stacks in every other way. A training run
+    decodes its fixed encodings a block of iterations ahead this way, so
+    the block changes no bit."""
     return _decode_calls(encodings, sets, whole_gram=False)
 
 
@@ -375,8 +354,9 @@ def decode_draws(
 ) -> list[DecodeResult]:
     """The decode of the random-diagonal encoding of A with the diagonals
     draws[j] for sets[j], for every j, in order, without building the
-    encodings: exactly what decode_each gives those encodings, each
-    carrying one set, and decode each one. Every draw has the same m.
+    encodings: decode's result for each, as decode_exact gives it in any
+    call and decode_each wherever the whole-Gram inverse does not solve the
+    encoding's sets. Every draw has the same m.
 
     The sets are solved in closed form on a design of constant overlap,
     and otherwise by size in stacks, their survivor systems built from
@@ -400,13 +380,11 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
     """(positions, draws) of each group decoded together, in order of first
     appearance: the positions of each distinct encoding (the sets of one
     encoding share one product, so an encoding that recurs is never copied
-    per set), except that the random-diagonal draws
+    per set), except that equal stacked copies (of one m, shape and
+    block(0)) are one group, and the random-diagonal draws
     (EncodingMatrix.diagonals) are gathered by design and m, with draws
     True: on a design of constant overlap every draw and stacked copies of
-    the design, elsewhere those carrying one set each, those short of the
-    1e8 tier on a design whose workers pair up, or without whole_gram every
-    draw. Without whole_gram, other stacked copies of equal m and block(0)
-    are one group too."""
+    the design, elsewhere every draw whose sets _inverse does not solve."""
     groups: list[tuple[list[int], bool]] = []
     shared: dict[tuple, list[int]] = {}
     for _, picked in _by_key(list(map(id, encodings))):
@@ -414,12 +392,10 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
         if B.parent.overlap is not None:
             draws = _blocks_diagonals(B) is not None
         else:
-            draws = (
-                not whole_gram or len(picked) == 1 or B.parent.partners is not None and B.gram_inverse is None
-            ) and B.diagonals is not None
+            draws = B.diagonals is not None and _inverse(B, len(picked), whole_gram) is None
         if draws:
             key = (id(B.parent), B.m)
-        elif not whole_gram and B.stacked_copies:
+        elif B.stacked_copies:
             key = (B.m, B.mat.shape, B.block(0).tobytes())
         else:
             groups.append((picked, False))
@@ -429,6 +405,13 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
         else:
             groups.append((shared.setdefault(key, picked), draws))
     return groups
+
+
+def _inverse(B: EncodingMatrix, count: int, whole_gram: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The whole-Gram inverse (B.gram_inverse) that a group of count sets of
+    B is solved through, or None: decode_each's one shortcut (whole_gram),
+    for more than one set, which decode_exact never takes."""
+    return B.gram_inverse if whole_gram and count > 1 else None
 
 
 def _blocks_diagonals(B: EncodingMatrix) -> np.ndarray | None:
@@ -452,20 +435,14 @@ def _by_key(keys: list) -> list[tuple]:
 
 
 def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeResult]:
-    """The decodes of sets of one encoding: the route table for one set;
-    with whole_gram, as decode_each, through the whole-Gram inverse or the
-    1e12-tier stacks where B's whole Gram clears them, and set by set where
-    B recurs without a tier and is not stacked copies; stacks by size (by
-    merged width for stacked copies) that give each set the route table's
-    result otherwise."""
+    """The decodes of sets of one encoding (or of equal stacked copies):
+    through the whole-Gram inverse where _inverse gives it, else by size
+    (by merged width for stacked copies) in stacks that give each set
+    decode's result."""
     rows, n = B.mat.shape
     coeffs = np.empty((len(sets), n, B.m))
     errs = np.empty(len(sets))
-    inverse = B.gram_inverse if whole_gram and len(sets) > 1 else None
-    if len(sets) == 1 or whole_gram and inverse is None and not _stacks(B):
-        for j, workers in enumerate(sets):
-            coeffs[j], errs[j] = _route(B, workers)
-        return _checked(coeffs, errs, np.matmul(B.mat, coeffs), build_target(B.k, B.m))
+    inverse = _inverse(B, len(sets), whole_gram)
     merges = None
     if inverse is None and B.column_classes is not None:
         merges = [_column_merge(B, w.index) for w in sets]
@@ -484,7 +461,7 @@ def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeR
         else:
 
             def solve(lo: int, hi: int):
-                return _survivor_stack(B, _members(part[lo:hi], width), stack_verdict=whole_gram)
+                return _survivor_stack(B, _members(part[lo:hi], width))
 
         height = B.k if B.stacked_copies else rows
         coeffs[at], errs[at] = _decode_capped(
@@ -631,8 +608,9 @@ def _members(sets: list, size: int) -> np.ndarray:
 
 
 def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, float]:
-    """(coefficients n x m, error) of one set, by the route table above:
-    routes 1 to 3 as stacks of one set, route 4 by project."""
+    """(coefficients n x m, error) of one set that its stack did not solve,
+    or the empty set: route 1 alone for stacked copies (which ends in the
+    SVD of its block), route 4 by project otherwise."""
     rows, n = B.mat.shape
     total = float(rows)
     coeffs = np.zeros((n, B.m))
@@ -642,9 +620,6 @@ def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, flo
     if B.stacked_copies:
         merges = None if B.column_classes is None else [_column_merge(B, idx)]
         solved, err, _ = _copies_stack(B, [workers], merges)
-        return solved[0], float(err[0])
-    solved, err, ok = _survivor_stack(B, idx[None], stack_verdict=False)
-    if ok[0]:
         return solved[0], float(err[0])
     coeffs[idx], err = project(B.mat.take(idx, axis=1), build_target(B.k, B.m))
     return coeffs, min(max(float(err), 0.0), total)
@@ -730,13 +705,6 @@ def _decode_group(B: EncodingMatrix, inverse: tuple[np.ndarray, np.ndarray], idx
     # mk - <H_S, R_S>, the straggler rows of R being zero
     err = np.clip(total - np.einsum("ngm,nm->g", coeffs, image), 0.0, total)
     return np.ascontiguousarray(coeffs.transpose(1, 0, 2)), err
-
-
-def _stacks(B: EncodingMatrix) -> bool:
-    """Whether the sets of a recurring encoding without a 1e8 whole-Gram
-    certificate are decoded in capped stacks (_decode_capped): stacked
-    copies, or any other encoding whose whole Gram clears the 1e12 tier."""
-    return B.stacked_copies or B.gram_tier == QR_COND_MAX
 
 
 def _decode_capped(shape: tuple, count: int, width: int, height: int, solve, fallback):
@@ -826,7 +794,7 @@ def _survivor_system(B: EncodingMatrix, idx: np.ndarray):
     return gram[idx[:, :, None], idx[:, None, :]], image.take(idx, axis=0)
 
 
-def _survivor_stack(B: EncodingMatrix, idx: np.ndarray, stack_verdict: bool):
+def _survivor_stack(B: EncodingMatrix, idx: np.ndarray):
     """Routes 2 and 3 on g survivor sets of B of one size (idx, g x |S|,
     |S| >= 1), from B's cached Gram, by _solve_survivors: (coefficients
     g x n x m, errors g, solved g)."""
@@ -837,7 +805,6 @@ def _survivor_stack(B: EncodingMatrix, idx: np.ndarray, stack_verdict: bool):
             *_survivor_system(B, idx),
             lambda sel: B.mat.T[idx[sel]].transpose(0, 2, 1),  # g x mk x |S|
             build_target(B.k, B.m),
-            stack_verdict,
         ),
     )
 
@@ -861,7 +828,7 @@ def _draw_stack(
         a_s = A.mat[:, idx[sel]].transpose(1, 0, 2)[:, None]  # g' x 1 x k x |S|
         return (a_s * d_s[sel][:, :, None, :]).reshape(-1, m * A.k, size)
 
-    return _solve_survivors(gram_s, image_s, columns, build_target(A.k, m), False)
+    return _solve_survivors(gram_s, image_s, columns, build_target(A.k, m))
 
 
 def _project_draw(A: AssignmentMatrix, diag: np.ndarray, workers: NonStragglerSet):
@@ -887,28 +854,19 @@ def _scatter(n: int, idx: np.ndarray, solutions: np.ndarray, errs: np.ndarray, s
     return coeffs, errs, solved
 
 
-def _solve_survivors(
-    gram_s: np.ndarray, image_s: np.ndarray, columns, target: np.ndarray, stack_verdict: bool
-):
+def _solve_survivors(gram_s: np.ndarray, image_s: np.ndarray, columns, target: np.ndarray):
     """Routes 2 and 3 of the table on g survivor systems of one size
     (G_SS g x |S| x |S|, H_S g x |S| x m), columns(sel) giving B_S of the
     selected members: (solutions g x |S| x m, errors g, solved g). The
     members that clear the 1e8 certificate get one stacked Gram solve; the
-    rest get one stacked Householder QR where the 1e12 verdict clears, and
-    are not solved otherwise. With stack_verdict (B's whole Gram clears the
-    1e12 tier, which interlacing carries to every member, so the QR is
-    valid for all of them), the stack takes the Gram solve only when every
-    member clears 1e8, and the QR otherwise."""
+    rest get one stacked Householder QR where their own 1e12 certificate
+    clears, and are not solved otherwise."""
     g = len(gram_s)
     total = float(len(target))  # ||F||_F^2 = mk
-    if stack_verdict:
-        gram_ok = np.full(g, certify_gram(gram_s))
-        qr_ok = ~gram_ok
-    else:
-        gram_ok = certify_each(gram_s)
-        qr_ok = ~gram_ok
-        if qr_ok.any():
-            qr_ok[qr_ok] = certify_each(gram_s[qr_ok], QR_COND_MAX)
+    gram_ok = certify_each(gram_s)
+    qr_ok = ~gram_ok
+    if qr_ok.any():
+        qr_ok[qr_ok] = certify_each(gram_s[qr_ok], QR_COND_MAX)
     solutions = np.zeros(image_s.shape)
     err = np.zeros(g)
     if gram_ok.all():

@@ -136,7 +136,8 @@ class AssignmentMatrix:
         subsets, or itself when none does. None when no two workers hold
         the same subsets, or when more than two do. Computed once per
         design and read-only."""
-        # a dict of column bytes: np.unique along an axis imports numpy.ma
+        # each class's workers in index order, from one pass over the
+        # columns' bytes
         classes: dict[bytes, list[int]] = {}
         for j, column in enumerate(self.mat.T):
             classes.setdefault(column.tobytes(), []).append(j)

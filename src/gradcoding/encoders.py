@@ -121,8 +121,8 @@ class EncodingMatrix:
         """(K, R) with K = G^-1 and R = G^-1 H, the full set's coefficients,
         when the whole Gram G clears the 1e8 tier (gram_tier), else None.
         By Cauchy interlacing every survivor block G_SS is then certified
-        too, and decoding.decode_each solves the sets of an encoding that
-        recurs in one call through this one inverse.
+        too, and decoding.decode_each solves a group of more than one set of
+        this encoding (or of equal stacked copies) through this one inverse.
         R is K H refined by one step against G. Computed once per encoding
         and read-only."""
         if self.gram_tier != CERT_COND_MAX:

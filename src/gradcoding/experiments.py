@@ -24,7 +24,7 @@ import numpy as np
 from . import bounds as bnd
 from .decoding import (
     NonStragglerSet,
-    _worker_count,
+    _count,
     apply_fitted,
     build_target,
     decode_draws,
@@ -94,9 +94,13 @@ CHUNK_ELEMENTS = 2**20
 
 @dataclass(frozen=True)
 class FixedCount:
-    """Exactly s stragglers, uniformly random among the workers."""
+    """Exactly s stragglers, uniformly random among the workers. s must be
+    a non-negative integer, not a bool, and is stored as an int."""
 
     s: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "s", _count(self.s, "straggler count s"))
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ def sample_straggler_set(model, n: int, rng: np.random.Generator) -> NonStraggle
     """Draw the surviving-worker set under the given model. n is checked as
     NonStragglerSet checks it, before the draw; the drawn set is built
     unchecked, its indices distinct, sorted and in range by construction."""
-    n = _worker_count(n)
+    n = _count(n, "worker count n")
     if isinstance(model, FixedCount):
         if not (0 <= model.s <= n):
             raise ParameterError(f"s must lie in [0, {n}], got {model.s}")

@@ -22,9 +22,8 @@ Numerical contract:
     to decode many survivor sets of one encoding from one inverse of G.
     A whole Gram that clears only the QR tier below carries cond_2(G_SS) <
     1e12 to every block the same way, so every B_S has cond_2(B_S) < 1e6
-    and full column rank: decode_each then solves a stack of such sets by
-    one stacked Householder QR without a per-set certificate, and
-    bounds.bound_diag_dominant runs neither a certificate nor rank_of.
+    and full column rank: bounds.bound_diag_dominant then runs neither a
+    certificate nor rank_of.
   * QR tier. certify_gram(G, QR_COND_MAX) runs the same test with the shift
     1/QR_COND_MAX = 1e-12 and proves cond_2(G) < 1e12, so cond_2(M) < 1e6:
     M still has full column rank under the rank rule, four orders inside

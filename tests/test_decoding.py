@@ -743,12 +743,11 @@ def test_recurring_baseline_without_a_certified_gram_decodes_in_capped_stacks(bi
 
 
 def test_recurring_encoding_between_the_whole_gram_tiers_decodes_in_stacks(bireg40, monkeypatch):
-    # a null-space encoding whose whole Gram has 1e8 < cond_2(G) < 1e12:
-    # each stack whose survivor Grams all clear the 1e8 certificate is one
-    # Gram solve, each set's result exactly decode's; any other stack is one
-    # Householder QR, within 1e-9 * mk of the SVD projection, exactly
-    # decode's for the members decode also solves by QR. No set reaches
-    # the route table or the SVD
+    # a null-space encoding whose whole Gram has 1e8 < cond_2(G) < 1e12, so
+    # it has no whole-Gram inverse: each size's sets are decoded in stacks,
+    # each member by its own certificate, the Gram solve where it clears
+    # 1e8 and the QR otherwise, and every result is exactly decode's. No
+    # set reaches the fallback of the route table or the SVD
     B = gc.encode_nullspace_hadamard(bireg40, 2, v1_policy=gc.V1_GAUSSIAN, seed=18)
     G, _ = B.gram
     assert B.gram_tier == gc.QR_COND_MAX and B.gram_inverse is None
@@ -760,47 +759,42 @@ def test_recurring_encoding_between_the_whole_gram_tiers_decodes_in_stacks(bireg
     rng = np.random.default_rng(8)
     sets = [gc.sample_straggler_set(gc.FixedCount(s), 40, rng) for s in (0, 1, 2, 6) for _ in range(25)]
     got = gc.decode_each([B] * len(sets), sets)
-    assert "route" not in routes and "svd" not in routes
-    by_members = {w.members: res for w, res in zip(sets, got)}
-    cleared = {True: 0, False: 0}
-    for rows, _ in list(stacks):  # decode below adds its own stacks of one
+    assert "route" not in routes and "svd" not in routes and "qr" in routes
+    assert max(len(rows) for rows, _ in stacks) > 1
+    cleared = set()
+    for rows, solved in stacks:
         g, size = len(rows), len(rows[0])
         assert g * max(B.m * B.k, size) * size <= decoding.STACK_ELEMENTS
-        grams = [_survivor_gram(B, members) for members in rows]
-        gram_solved = all(certify_gram(gram) for gram in grams)
-        cleared[gram_solved] += 1
-        for members, gram in zip(rows, grams):
-            workers = gc.NonStragglerSet(n=40, members=members)
-            exact = gram_solved or not certify_gram(gram)
-            _check_against_route_references(B, workers, by_members[tuple(members)], exact=exact)
-    assert cleared[True] and cleared[False]
+        assert all(solved)
+        cleared |= {certify_gram(_survivor_gram(B, members)) for members in rows}
+    assert cleared == {True, False}
+    for workers, res in zip(sets, got):
+        _check_against_route_references(B, workers, res, exact=True)
 
 
 def test_rank_deficient_encoding_never_takes_a_stacked_tier(fano, bireg40, monkeypatch):
     # a whole Gram that clears neither tier, from a short encoding (mk = 20
-    # rows for n = 40 workers) or from a repeated column: every set of the
-    # recurring encoding goes through the route table, exactly as decode
-    # does for the twin. The short encoding is a draw, which decode, handed
-    # it alone, solves from A and its diagonals: within 1e-9 * mk
+    # rows for n = 40 workers) or from a repeated column: no set of the
+    # recurring encoding goes through a whole-Gram inverse, and each gets
+    # exactly decode's result. The short encoding is a draw, decoded with
+    # the other draws of its design as decode decodes it alone
     short = gc.encode_random_diagonal(bireg40, 1, gc.DiagonalLaw(0.1), seed=2)
     B = gc.encode_random_diagonal(fano, 2, gc.DiagonalLaw(0.1), seed=1)
     mat = B.mat.copy()
     mat[:, 4] = mat[:, 2]
     twin = dataclasses.replace(B, mat=mat)
     assert short.diagonals is not None and twin.diagonals is None
-    capped = []
+    grouped = []
+    group = decoding._decode_group
+    monkeypatch.setattr(decoding, "_decode_group", lambda *args: grouped.append(args) or group(*args))
     for enc in (short, twin):
         assert enc.gram_tier is None and not enc.stacked_copies
         rng = np.random.default_rng(enc.n)
         sets = [gc.sample_straggler_set(gc.FixedCount(s), enc.n, rng) for s in (0, 1, 3) for _ in range(6)]
-        with monkeypatch.context() as patch:
-            patch.setattr(decoding, "_decode_capped", lambda *args: capped.append(args))
-            got = gc.decode_each([enc] * len(sets), sets)
+        got = gc.decode_each([enc] * len(sets), sets)
         for workers, res in zip(sets, got):
-            coeffs, err = decoding._route(enc, workers)
-            assert res.err == err and np.array_equal(res.coeffs, coeffs)
-            _check_against_route_references(enc, workers, res, exact=enc is twin)
-    assert capped == []
+            _check_against_route_references(enc, workers, res, exact=True)
+    assert grouped == []
 
 
 def test_gram_tier_is_the_tightest_whole_gram_certificate(fano, bireg40):
@@ -972,16 +966,19 @@ def _check_against_route_references(B, workers, res, exact=True):
 
 def _exact_positions(encodings):
     """Whether decode_each's result at each position is exactly decode's:
-    every set but those of a recurring encoding solved through its
-    whole-Gram inverse or, at the 1e12 tier, perhaps by a stacked QR. The
-    draws and copies of a design of constant overlap take the closed form
-    in any stack."""
-    counts = collections.Counter(map(id, encodings))
+    every set but those of a group of more than one set solved through its
+    whole-Gram inverse. A group is one encoding, or equal stacked copies;
+    the draws and copies of a design of constant overlap take the closed
+    form in any group."""
+
+    def group(B):
+        return (B.m, B.mat.shape, B.block(0).tobytes()) if B.stacked_copies else id(B)
+
+    counts = collections.Counter(map(group, encodings))
     return [
-        counts[id(B)] == 1
+        counts[group(B)] == 1
+        or B.gram_inverse is None
         or B.parent.overlap is not None and decoding._blocks_diagonals(B) is not None
-        or B.gram_tier is None
-        or B.stacked_copies and B.gram_inverse is None
         for B in encodings
     ]
 
@@ -1004,7 +1001,8 @@ def test_decode_each_matches_decode_and_projection(request, family, scheme):
     got = gc.decode_each(encodings, sets)
     assert len(got) == len(sets)
     exact = _exact_positions(encodings)
-    assert exact[-3:] == [True] * 3
+    if scheme != gc.BASELINE:  # equal baselines join the recurring copies' group
+        assert exact[-3:] == [True] * 3
     for B, workers, res, bit_equal in zip(encodings, sets, got, exact):
         _check_against_route_references(B, workers, res, exact=bit_equal)
 
@@ -1358,8 +1356,8 @@ def test_decode_exact_decodes_equal_copies_as_one_group(coset27, monkeypatch):
     # distinct but equal stacked-copies encodings (a training run builds
     # one per repetition) decode as one group, each set exactly as decode;
     # copies with an altered block(0), and a baseline whose blocks differ,
-    # keep their own groups; decode_each still groups by identity. Every
-    # encoding of a group has its shapes checked
+    # keep their own groups, in decode_each too. Every encoding of a group
+    # has its shapes checked
     calls = []
     one = decoding._decode_one
     monkeypatch.setattr(decoding, "_decode_one", lambda B, sets, whole: calls.append(len(sets)) or one(B, sets, whole))
@@ -1382,7 +1380,7 @@ def test_decode_exact_decodes_equal_copies_as_one_group(coset27, monkeypatch):
         assert np.array_equal(res.fitted, ref.fitted)
     calls.clear()
     gc.decode_each(encodings, sets)
-    assert calls == [4] * 5
+    assert calls == [12, 4, 4]
     # an equal copy whose parent has k = 27 but n = 27 is refused behind a
     # valid one, as alone
     other = gc.AssignmentMatrix(np.eye(27), delta=1, gamma=1, family="identity", params=None)

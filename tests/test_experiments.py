@@ -63,6 +63,26 @@ def test_fixed_count_draws_exact_size():
         assert w.s == 3
 
 
+@pytest.mark.parametrize(
+    "s",
+    [-1, 2.5, 2.0, True, np.bool_(False), "2", None],
+    ids=["negative", "fractional", "float", "bool", "numpy-bool", "string", "none"],
+)
+def test_fixed_count_refuses_a_bad_straggler_count(s):
+    with pytest.raises(ParameterError, match="straggler count s"):
+        gc.FixedCount(s)
+
+
+def test_fixed_count_stores_a_numpy_straggler_count_as_int():
+    # and draws as the int count does, leaving the generator in one state
+    model = gc.FixedCount(np.int64(3))
+    assert type(model.s) is int and model == gc.FixedCount(3)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(4):
+        assert gc.sample_straggler_set(model, 10, rng) == gc.sample_straggler_set(gc.FixedCount(3), 10, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_bernoulli_keeps_expected_fraction():
     rng = np.random.default_rng(2)
     sizes = [
