@@ -8,8 +8,9 @@ surviving columns B_S; the approximation error is the squared Frobenius
 residual.
 
 decode_each is the one batch decoder, and decode is its one-set case. It
-groups its positions by distinct encoding, equal stacked copies (of one
-m, shape and block(0)) together. On a design of constant overlap (below)
+groups its positions by distinct encoding, stacked copies of one design
+and m together: the baseline B = 1_m (x) A whose every block is A
+(EncodingMatrix.stacked_copies). On a design of constant overlap (below)
 its random-diagonal draws and stacked copies are decoded in closed form.
 Every other group is solved by size in stacks that give each set
 decode's result (below), but for one shortcut: a group of more than one
@@ -33,7 +34,9 @@ on the rest of its stack, so a draw gets the same bits alone, from
 decode, as in any stack; they agree with the route table on B's cached
 Gram (the reference for any other encoding) within 1e-9 * mk.
 
-Where two workers hold the same subsets (AssignmentMatrix.partners, the
+Which workers hold the same subsets is one table per design,
+AssignmentMatrix.column_classes; stacked copies are merged on it (below).
+Where every class has at most two workers (AssignmentMatrix.partners, the
 coset graph's pairs), a draw is first reduced to A's column classes: the
 survivors of a class U share the column a_U, so B_S restricted to them is
 (I_m (x) a_U) D_U, D_U the m x c matrix of their diagonals. Factor D_U =
@@ -45,8 +48,8 @@ clears M_S it has full column rank, so R = T^+ Y, for M_S's solution Y,
 is B_S's minimum-norm solution, with M_S's error. Nearly parallel
 partner diagonals make B_S ill-conditioned and exact ties (epsilon = 0)
 rank-deficient; M_S is neither. A member whose reduced system clears
-neither certificate takes route 4 on B_S, as above; a design with a
-class of more than two equal columns is solved on B_S.
+neither certificate takes route 4 on B_S, as above; the draws of a
+design with a class of more than two equal columns are solved on B_S.
 
 Where every two workers share exactly lambda < delta subsets
 (AssignmentMatrix.overlap: A^T A = (delta - lambda) I + lambda J, a BIBD
@@ -76,7 +79,8 @@ draw of any other design. No whole Gram of these encodings is formed.
 Every other set is solved once, by the first route of this table that it
 clears, which never pays for a whole-Gram certificate.
 
-  1. Stacked copies, decoded on the k-row block of A (below).
+  1. Stacked copies, decoded on the k-row block of A (below); a set
+     whose block clears no certificate goes to route 4.
   2. Gram solve. When linalg.certify_gram certifies the survivor Gram
      matrix G_S = B_S^T B_S (one shifted Cholesky proving cond_2(G_S) <
      1e8), the normal equations G_S R = H_S, H_S = B_S^T F, are solved by
@@ -102,15 +106,15 @@ c_u their sizes and E the |U| x |S| matrix whose column j indicates the
 class of worker j, A_S = A_U E = (A_U C^1/2) Q with C = diag(c_u) and
 Q = C^-1/2 E, whose rows are orthonormal, so A_S^+ = Q^T (A_U C^1/2)^+.
 When A_U has full column rank this is E^T (E E^T)^-1 A_U^+: each of the
-c_u copies of u gets x_U / c_u. The classes are computed once per
-encoding (EncodingMatrix.column_classes); where no two survivors share a
-column, every class is one survivor and the block is A_S itself. The
-block takes x from its column Gram when certify_gram clears it (at most
-k columns; this is the certificate of G_S = m A_S^T A_S up to rounding),
-else x = A_S^T y with A_S A_S^T y = 1_k when certify_gram clears that
-k x k row Gram (x lies in the row space of A_S, so it is the minimum-norm
-solution), and otherwise x from project(A_S, 1_k), whose rank rule
-decides as on B_S because sigma(B_S) = sqrt(m) sigma(A_S).
+c_u copies of u gets x_U / c_u. The classes are A's
+(AssignmentMatrix.column_classes); where no two survivors share a
+column, every class is one survivor and the block is A_S itself. A block
+of at most k columns takes x from its column Gram when certify_gram
+clears it (this is the certificate of G_S = m A_S^T A_S up to rounding);
+a block of more than k columns takes x = A_S^T y with A_S A_S^T y = 1_k
+when certify_gram clears that k x k row Gram (x lies in the row space of
+A_S, so it is the minimum-norm solution). A set whose block clears
+neither goes to route 4 on its own B_S.
 
 When certify_gram clears the whole n x n Gram G, Cauchy interlacing gives
 lambda_min(G_SS) >= lambda_min(G) > tr(G) / 1e8 >= tr(G_SS) / 1e8 for
@@ -136,16 +140,16 @@ Routes 1 to 3 are written once, over a leading stack axis. A batched
 LAPACK gufunc (cholesky, solve, qr) runs on each member the routine it
 runs on that matrix alone, so a member's certificate in a stack is the
 one it would earn alone, and each member gets exactly decode's result. A
-stack of more than one set of copies tries only its first Gram; any other
-stack gives the members that clear 1e8 the Gram solve and the rest the QR
-where their own 1e12 certificate clears. A member its stack does not
-solve, and the empty set, goes alone through route 1 (copies, ending in
-the SVD of the block) or route 4.
+stack of copies tries its blocks' one Gram; any other stack gives the
+members that clear 1e8 the Gram solve and the rest the QR where their
+own 1e12 certificate clears. A member its stack does not solve, and the
+empty set, goes to route 4, project on its own B_S: the one fallback of
+every stack, the draws' included.
 
 Each decode is checked against the directly computed residual
-||B R - F||_F^2, one product per group of one encoding or of equal
-copies and one per design for the draws (block u of B R is A (d_u o R)), raising NumericalError on a
-disagreement; the result keeps B R (DecodeResult.fitted). apply_fitted
+||B R - F||_F^2, one product per group of one encoding or of stacked
+copies and one per design for the draws (block u of B R is A (d_u o R)),
+raising NumericalError on a disagreement; the result keeps B R (DecodeResult.fitted). apply_fitted
 turns the fitted combinations into decoded gradients: Z B R, the
 operator-norm check and the gaps, for a stack of sets at once.
 reconstruct_each is decode_each followed by apply_fitted. A training run
@@ -155,7 +159,6 @@ block.
 """
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -164,7 +167,7 @@ import numpy as np
 
 from .designs import AssignmentMatrix
 from .encoders import DiagonalDraws, EncodingMatrix
-from .errors import NumericalError, ParameterError, ShapeError
+from .errors import NumericalError, ParameterError, ShapeError, check_count
 from .linalg import CERT_COND_MAX, QR_COND_MAX, RANK_EPS, certify_each, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
@@ -178,14 +181,6 @@ _ERR_CONSISTENCY_EPS = 1e-8
 STACK_ELEMENTS = 2**14
 
 _BOOLS = frozenset((bool, np.bool_))
-
-
-def _count(value, name: str) -> int:
-    """value as an int; anything but a non-negative integer, a bool
-    included, is refused with a ParameterError naming it as name."""
-    if type(value) in _BOOLS or not isinstance(value, numbers.Integral) or value < 0:
-        raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,7 @@ class NonStragglerSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _count(self.n, "worker count n"))
+        object.__setattr__(self, "n", check_count(self.n, "worker count n"))
         raw = self.members
         arr = np.asarray(raw)
         if arr.ndim != 1:
@@ -268,9 +263,7 @@ class DecodeResult:
 def build_target(k: int, m: int) -> np.ndarray:
     """The mk x m target F, column i indicating rows ik..(i+1)k-1; F^T F = k I.
     Built once per (k, m) and read-only."""
-    if k < 1 or m < 1:
-        raise ParameterError("k and m must be positive")
-    return _target(int(k), int(m))
+    return _target(check_count(k, "k", 1), check_count(m, "m", 1))
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +295,7 @@ def decode_each(
 ) -> list[DecodeResult]:
     """The decode of encodings[j] for sets[j], for every j, in order.
 
-    The sets of each group (one encoding, equal stacked copies, or the
+    The sets of each group (one encoding, or the stacked copies or the
     draws of one design and m) are solved by size (by merged width for
     stacked copies) as batched stacks, as set out above, and each gets
     exactly decode's result, but in a group of more than one set solved
@@ -380,11 +373,11 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
     """(positions, draws) of each group decoded together, in order of first
     appearance: the positions of each distinct encoding (the sets of one
     encoding share one product, so an encoding that recurs is never copied
-    per set), except that equal stacked copies (of one m, shape and
-    block(0)) are one group, and the random-diagonal draws
-    (EncodingMatrix.diagonals) are gathered by design and m, with draws
-    True: on a design of constant overlap every draw and stacked copies of
-    the design, elsewhere every draw whose sets _inverse does not solve."""
+    per set), except that stacked copies of one design and m are one
+    group, and the random-diagonal draws (EncodingMatrix.diagonals) are
+    gathered by design and m, with draws True: on a design of constant
+    overlap every draw and stacked copies of the design, elsewhere every
+    draw whose sets _inverse does not solve."""
     groups: list[tuple[list[int], bool]] = []
     shared: dict[tuple, list[int]] = {}
     for _, picked in _by_key(list(map(id, encodings))):
@@ -393,13 +386,10 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
             draws = _blocks_diagonals(B) is not None
         else:
             draws = B.diagonals is not None and _inverse(B, len(picked), whole_gram) is None
-        if draws:
-            key = (id(B.parent), B.m)
-        elif B.stacked_copies:
-            key = (B.m, B.mat.shape, B.block(0).tobytes())
-        else:
+        if not (draws or B.stacked_copies):
             groups.append((picked, False))
             continue
+        key = (id(B.parent), B.m, draws)
         if key in shared:
             shared[key].extend(picked)
         else:
@@ -420,9 +410,7 @@ def _blocks_diagonals(B: EncodingMatrix) -> np.ndarray | None:
     its parent A, None for any other encoding."""
     if B.diagonals is not None:
         return B.diagonals
-    if B.stacked_copies and np.array_equal(B.block(0), B.parent.mat):
-        return np.ones((B.m, B.n))
-    return None
+    return np.ones((B.m, B.n)) if B.stacked_copies else None
 
 
 def _by_key(keys: list) -> list[tuple]:
@@ -435,17 +423,19 @@ def _by_key(keys: list) -> list[tuple]:
 
 
 def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeResult]:
-    """The decodes of sets of one encoding (or of equal stacked copies):
-    through the whole-Gram inverse where _inverse gives it, else by size
-    (by merged width for stacked copies) in stacks that give each set
-    decode's result."""
+    """The decodes of sets of one encoding (or of stacked copies of one
+    design and m): through the whole-Gram inverse where _inverse gives it,
+    else by size (by merged width for stacked copies) in stacks that give
+    each set decode's result."""
     rows, n = B.mat.shape
+    target = build_target(B.k, B.m)
     coeffs = np.empty((len(sets), n, B.m))
     errs = np.empty(len(sets))
     inverse = _inverse(B, len(sets), whole_gram)
+    classes = B.parent.column_classes if B.stacked_copies else None
     merges = None
-    if inverse is None and B.column_classes is not None:
-        merges = [_column_merge(B, w.index) for w in sets]
+    if inverse is None and classes is not None:
+        merges = [_column_merge(classes, w.index) for w in sets]
     widths = [len(w.members) for w in sets] if merges is None else [len(m[0]) for m in merges]
     for width, at in _by_key(widths):
         part = [sets[j] for j in at]
@@ -463,11 +453,13 @@ def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeR
             def solve(lo: int, hi: int):
                 return _survivor_stack(B, _members(part[lo:hi], width))
 
+        def columns(j: int):
+            idx = part[j].index
+            return idx, B.mat.take(idx, axis=1)
+
         height = B.k if B.stacked_copies else rows
-        coeffs[at], errs[at] = _decode_capped(
-            (n, B.m), len(part), width, height, solve, lambda j: _route(B, part[j])
-        )
-    return _checked(coeffs, errs, np.matmul(B.mat, coeffs), build_target(B.k, B.m))
+        coeffs[at], errs[at] = _decode_capped(target, n, len(part), width, height, solve, columns)
+    return _checked(coeffs, errs, np.matmul(B.mat, coeffs), target)
 
 
 def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> list[DecodeResult]:
@@ -476,10 +468,11 @@ def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> lis
     form (_closed_form); the members it refuses, and on any other design
     every member, by size in stacks by _draw_stack, on A's column classes
     (_class_factors) where A's workers pair up (A.partners); a member a
-    stack does not solve, and the empty set, by _project_draw. B R comes
-    from A and the diagonals: block u of it is A (d_u o R)."""
+    stack does not solve, and the empty set, by route 4 on its B_S. B R
+    comes from A and the diagonals: block u of it is A (d_u o R)."""
     g, m, n = diagonals.shape
     mk = m * A.k
+    target = build_target(A.k, m)
     colsum = A.mat.sum(axis=0)
     survives = np.zeros((g, n), dtype=bool)
     survives[
@@ -506,13 +499,15 @@ def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> lis
                 solved = own[picked, :, None] * solved + other[picked, :, None] * solved[:, partner]
             return solved, err, ok
 
-        coeffs[at], errs[at] = _decode_capped(
-            (n, m), len(at), size, mk, solve, lambda j: _project_draw(A, diagonals[at[j]], sets[at[j]])
-        )
+        def columns(j: int):
+            idx, diag = sets[at[j]].index, diagonals[at[j]]
+            return idx, (A.mat[:, idx] * diag[:, None, idx]).reshape(mk, idx.size)
+
+        coeffs[at], errs[at] = _decode_capped(target, n, len(at), size, mk, solve, columns)
     fitted = np.empty((g, m, A.k, m))
     for u in range(m):
         np.matmul(A.mat, diagonals[:, u, :, None] * coeffs, out=fitted[:, u])
-    return _checked(coeffs, errs, fitted.reshape(g, mk, m), build_target(A.k, m))
+    return _checked(coeffs, errs, fitted.reshape(g, mk, m), target)
 
 
 def _closed_form(
@@ -607,39 +602,19 @@ def _members(sets: list, size: int) -> np.ndarray:
     return np.concatenate([w.index for w in sets]).reshape(len(sets), size)
 
 
-def _route(B: EncodingMatrix, workers: NonStragglerSet) -> tuple[np.ndarray, float]:
-    """(coefficients n x m, error) of one set that its stack did not solve,
-    or the empty set: route 1 alone for stacked copies (which ends in the
-    SVD of its block), route 4 by project otherwise."""
-    rows, n = B.mat.shape
-    total = float(rows)
-    coeffs = np.zeros((n, B.m))
-    idx = workers.index
-    if not idx.size:
-        return coeffs, total
-    if B.stacked_copies:
-        merges = None if B.column_classes is None else [_column_merge(B, idx)]
-        solved, err, _ = _copies_stack(B, [workers], merges)
-        return solved[0], float(err[0])
-    coeffs[idx], err = project(B.mat.take(idx, axis=1), build_target(B.k, B.m))
-    return coeffs, min(max(float(err), 0.0), total)
-
-
-def _column_merge(B: EncodingMatrix, idx: np.ndarray):
+def _column_merge(classes: tuple[np.ndarray, np.ndarray], idx: np.ndarray):
     """(the first column of each class among the survivors idx, each
-    survivor's position among those classes, the class sizes); the
-    identity classes (idx, 0..|S|-1, ones) when no two survivors have equal
-    columns of A."""
-    classes = B.column_classes
-    if classes is not None:
-        labels, firsts = classes
-        lab = labels.take(idx)
-        counts = np.bincount(lab, minlength=firsts.size)
-        present = np.flatnonzero(counts)
-        if present.size < idx.size:
-            position = np.empty(firsts.size, dtype=np.intp)
-            position[present] = np.arange(present.size)
-            return firsts.take(present), position.take(lab), counts.take(present).astype(float)
+    survivor's position among those classes, the class sizes), from A's
+    column classes (AssignmentMatrix.column_classes); the identity classes
+    (idx, 0..|S|-1, ones) when no two survivors have equal columns of A."""
+    labels, firsts = classes
+    lab = labels.take(idx)
+    counts = np.bincount(lab, minlength=firsts.size)
+    present = np.flatnonzero(counts)
+    if present.size < idx.size:
+        position = np.empty(firsts.size, dtype=np.intp)
+        position[present] = np.arange(present.size)
+        return firsts.take(present), position.take(lab), counts.take(present).astype(float)
     return idx, np.arange(idx.size), np.ones(idx.size)
 
 
@@ -707,16 +682,18 @@ def _decode_group(B: EncodingMatrix, inverse: tuple[np.ndarray, np.ndarray], idx
     return np.ascontiguousarray(coeffs.transpose(1, 0, 2)), err
 
 
-def _decode_capped(shape: tuple, count: int, width: int, height: int, solve, fallback):
+def _decode_capped(target: np.ndarray, n: int, count: int, width: int, height: int, solve, columns):
     """(coefficients count x n x m, errors count) of count survivor sets
     whose stacks share one width (|S|, or the merged width of stacked
     copies), in stacks of at most STACK_ELEMENTS gathered entries (count' x
     max(height, width) x width, or one set where a single set needs more):
     solve(lo, hi) gives (coefficients, errors, solved) of sets lo..hi-1 as
-    one stack, and fallback(j) the (coefficients, error) of set j, for each
-    member solve does not solve and for every set of width 0."""
+    one stack. Each member solve does not solve, and every set of width 0,
+    takes route 4: project on its own B_S, columns(j) giving set j's
+    (survivors, B_S)."""
+    total = float(len(target))  # ||F||_F^2 = mk
     step = max(1, STACK_ELEMENTS // max(1, max(height, width) * width))
-    coeffs = np.empty((count, *shape))
+    coeffs = np.empty((count, n, target.shape[1]))
     errs = np.empty(count)
     for lo in range(0, count, step):
         hi = min(lo + step, count)
@@ -724,13 +701,16 @@ def _decode_capped(shape: tuple, count: int, width: int, height: int, solve, fal
         if width:
             coeffs[lo:hi], errs[lo:hi], solved = solve(lo, hi)
         for j in (lo + np.flatnonzero(~solved)).tolist():
-            coeffs[j], errs[j] = fallback(j)
+            idx, b_s = columns(j)
+            coeffs[j] = 0.0
+            coeffs[j, idx], err = project(b_s, target)
+            errs[j] = min(err, total)
     return coeffs, errs
 
 
 def _copies_stack(B: EncodingMatrix, sets: list, merges: list | None):
     """Route 1 on g sets of stacked copies as one stack: _decode_stacked of
-    their k-row blocks A_S, or, when B repeats a column, of their merged
+    their k-row blocks A_S, or, when A repeats a column, of their merged
     blocks A_U C^1/2 (merges holding each set's _column_merge).
     (coefficients g x n x m, errors g, solved g)."""
     g, m = len(sets), B.m
@@ -756,20 +736,18 @@ def _decode_stacked(a: np.ndarray, m: int):
     of each set of a stack (a, g x k x |S|), as set out above: (x, errors,
     solved) with x (g x |S|) = A_S^+ 1_k, every column of R_S being x / m.
     The column Gram A_S^T A_S can be certified only for |S| <= k, the row
-    Gram A_S A_S^T only for |S| >= k. One block tries the column Gram, then
-    the row Gram, then the SVD; a stack of more blocks tries only the
-    column Gram for |S| <= k or the row Gram for |S| > k, certified member
-    by member (certify_each), and solves the members that clear it."""
+    Gram A_S A_S^T only for |S| >= k: a stack tries the column Gram for
+    |S| <= k or the row Gram for |S| > k, certified member by member
+    (certify_each), and solves the members that clear it."""
     g, k, size = a.shape
     a_t = a.transpose(0, 2, 1)
     x = np.zeros((g, size, 1))
-    ok = np.zeros(g, dtype=bool)
     if size <= k:
         col_gram = a_t @ a
         ok = certify_each(col_gram)
         if ok.any():
             x[ok] = np.linalg.solve(col_gram[ok], a.sum(axis=1)[ok][..., None])
-    if size > k or (size == k and g == 1 and not ok[0]):
+    else:
         row_gram = a @ a_t
         ok = certify_each(row_gram)
         if ok.all():
@@ -777,9 +755,6 @@ def _decode_stacked(a: np.ndarray, m: int):
         elif ok.any():
             y = np.linalg.solve(row_gram[ok], np.ones((int(ok.sum()), k, 1)))
             x[ok] = a[ok].transpose(0, 2, 1) @ y
-    if g == 1 and not ok[0]:
-        x[0] = project(a[0], np.ones(k))[0][:, None]
-        ok[0] = True
     fit = a @ x
     total = float(m * k)
     return x[..., 0], (total - (fit.transpose(0, 2, 1) @ fit)[:, 0, 0]).clip(0.0, total), ok
@@ -829,21 +804,6 @@ def _draw_stack(
         return (a_s * d_s[sel][:, :, None, :]).reshape(-1, m * A.k, size)
 
     return _solve_survivors(gram_s, image_s, columns, build_target(A.k, m))
-
-
-def _project_draw(A: AssignmentMatrix, diag: np.ndarray, workers: NonStragglerSet):
-    """(coefficients n x m, error) of one set of a random-diagonal draw of A
-    (diag, m x n) by project (route 4), B_S built from A and the
-    diagonals."""
-    m, n = diag.shape
-    total = float(m * A.k)
-    coeffs = np.zeros((n, m))
-    idx = workers.index
-    if not idx.size:
-        return coeffs, total
-    b_s = (A.mat[:, idx] * diag[:, None, idx]).reshape(m * A.k, idx.size)
-    coeffs[idx], err = project(b_s, build_target(A.k, m))
-    return coeffs, min(max(float(err), 0.0), total)
 
 
 def _scatter(n: int, idx: np.ndarray, solutions: np.ndarray, errs: np.ndarray, solved: np.ndarray):
@@ -922,9 +882,7 @@ def split_gradients(partials, m: int) -> np.ndarray:
     u of g_i, so that Z F sums the subset gradients blockwise.
     """
     grads = _as_gradients(partials)
-    if m < 1:
-        raise ParameterError("m must be positive")
-    return _split(grads[None], m)[0]
+    return _split(grads[None], check_count(m, "m", 1))[0]
 
 
 def reconstruct(

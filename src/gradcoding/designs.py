@@ -131,21 +131,37 @@ class AssignmentMatrix:
         return self.mat.shape[1]
 
     @cached_property
-    def partners(self) -> np.ndarray | None:
-        """Each worker's partner: the other worker that holds the same
-        subsets, or itself when none does. None when no two workers hold
-        the same subsets, or when more than two do. Computed once per
+    def column_classes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(labels, firsts) when two workers hold the same subsets: column j
+        equals column firsts[labels[j]], the first of its class, the classes
+        in np.unique's order of the distinct columns. None when every column
+        is distinct. The one table of which workers share a column; partners
+        and the merged stacked-copies decode read it. Computed once per
         design and read-only."""
-        # each class's workers in index order, from one pass over the
-        # columns' bytes
-        classes: dict[bytes, list[int]] = {}
-        for j, column in enumerate(self.mat.T):
-            classes.setdefault(column.tobytes(), []).append(j)
-        if max(map(len, classes.values()), default=1) != 2:
+        _, firsts, labels = np.unique(self.mat.T, axis=0, return_index=True, return_inverse=True)
+        if firsts.size == self.n:
             return None
-        partner = np.arange(self.n)
-        for workers in classes.values():
-            partner[workers] = workers[::-1]
+        labels = labels.reshape(-1)
+        labels.setflags(write=False)
+        firsts.setflags(write=False)
+        return labels, firsts
+
+    @cached_property
+    def partners(self) -> np.ndarray | None:
+        """Each worker's partner: the other worker of its class
+        (column_classes) when every class holds at most two workers, or
+        itself when it holds its column alone. None when no two workers
+        hold the same subsets, or when more than two do. Computed once per
+        design and read-only."""
+        classes = self.column_classes
+        if classes is None:
+            return None
+        labels, firsts = classes
+        if np.bincount(labels).max() > 2:
+            return None
+        partner = firsts[labels]  # the first of each class pairs with the second
+        second = np.flatnonzero(partner != np.arange(self.n))
+        partner[partner[second]] = second
         partner.setflags(write=False)
         return partner
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .designs import AssignmentMatrix
-from .errors import ConstructionError, FieldError, ParameterError
+from .errors import ConstructionError, FieldError, ParameterError, check_count
 from .linalg import CERT_COND_MAX, QR_COND_MAX, certify_gram, null_space_basis
 
 RANDOM_DIAGONAL = "random_diagonal"
@@ -122,7 +122,8 @@ class EncodingMatrix:
         when the whole Gram G clears the 1e8 tier (gram_tier), else None.
         By Cauchy interlacing every survivor block G_SS is then certified
         too, and decoding.decode_each solves a group of more than one set of
-        this encoding (or of equal stacked copies) through this one inverse.
+        this encoding (or of stacked copies of its design and m) through
+        this one inverse.
         R is K H refined by one step against G. Computed once per encoding
         and read-only."""
         if self.gram_tier != CERT_COND_MAX:
@@ -138,14 +139,13 @@ class EncodingMatrix:
 
     @cached_property
     def stacked_copies(self) -> bool:
-        """True for a baseline encoding whose m row blocks all equal
-        block(0): B = 1_m (x) A, the structure decoding and the per-set
-        bound exploit. Checked once per encoding, so a stored baseline whose
-        blocks were altered takes the general path."""
-        if self.scheme != BASELINE:
-            return False
-        first = self.block(0)
-        return all(np.array_equal(self.block(i), first) for i in range(1, self.m))
+        """True for a baseline encoding whose m row blocks all equal its
+        parent A: B = 1_m (x) A, the structure decoding and the per-set
+        bound exploit (encode_baseline builds no other copies). Checked once
+        per encoding, so a stored baseline whose blocks were altered, equal
+        to one another or not, takes the general path."""
+        A = self.parent.mat
+        return self.scheme == BASELINE and all(np.array_equal(self.block(i), A) for i in range(self.m))
 
     @cached_property
     def diagonals(self) -> np.ndarray | None:
@@ -160,24 +160,6 @@ class EncodingMatrix:
         if not np.array_equal(_diagonal_blocks(self.parent, draws.diagonals), self.mat):
             return None
         return draws.diagonals
-
-    @cached_property
-    def column_classes(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """For stacked copies whose block(0) repeats a column, (labels,
-        firsts): column j of block(0) equals column firsts[labels[j]], the
-        first of its class. None for any other encoding, and when no two
-        columns are equal. Computed once per encoding and read-only."""
-        if not self.stacked_copies:
-            return None
-        _, firsts, labels = np.unique(
-            self.block(0).T, axis=0, return_index=True, return_inverse=True
-        )
-        if firsts.size == self.n:
-            return None
-        labels = labels.reshape(-1)
-        labels.setflags(write=False)
-        firsts.setflags(write=False)
-        return labels, firsts
 
 
 def sample_diagonal(n: int, law: DiagonalLaw, rng: np.random.Generator) -> np.ndarray:
@@ -198,8 +180,7 @@ def draw_diagonals(A: AssignmentMatrix, m: int, law: DiagonalLaw, seed: int) -> 
     """The m random diagonals encode_random_diagonal(A, m, law, seed) draws,
     without building the encoding (decoding.decode_draws decodes from
     them)."""
-    if m < 1:
-        raise ParameterError("m must be at least 1")
+    m = check_count(m, "m", 1)
     rng = np.random.default_rng(seed)
     return DiagonalDraws(diagonals=np.array([sample_diagonal(A.n, law, rng) for _ in range(m)]))
 
@@ -211,7 +192,7 @@ def encode_random_diagonal(
     draws = draw_diagonals(A, m, law, seed)
     return EncodingMatrix(
         mat=_diagonal_blocks(A, draws.diagonals),
-        m=m,
+        m=len(draws.diagonals),
         scheme=RANDOM_DIAGONAL,
         parent=A,
         seed=seed,
@@ -221,8 +202,7 @@ def encode_random_diagonal(
 
 def encode_baseline(A: AssignmentMatrix, m: int) -> EncodingMatrix:
     """m stacked copies of A; deterministic."""
-    if m < 1:
-        raise ParameterError("m must be at least 1")
+    m = check_count(m, "m", 1)
     return EncodingMatrix(
         mat=np.vstack([A.mat] * m),
         m=m,
@@ -339,8 +319,7 @@ def encode_nullspace_hadamard(
     unconstrained null-space vector is drawn after the search and the
     record's pm1_found flag stays False.
     """
-    if m < 1:
-        raise ParameterError("m must be at least 1")
+    m = check_count(m, "m", 1)
     k, n = A.k, A.n
     if n != m * k:
         raise ParameterError(f"construction needs n = m*k; got n={n}, m*k={m * k}")

@@ -1,4 +1,6 @@
-"""Structured error types raised across the package."""
+"""Structured error types raised across the package, and the one check of
+a public count argument."""
+import numbers
 
 
 class CodingError(Exception):
@@ -36,3 +38,13 @@ class ConstructionError(CodingError):
 
 class ConfigError(CodingError):
     """A run configuration document is malformed."""
+
+
+def check_count(value, name: str, least: int = 0, error: type = ParameterError) -> int:
+    """value as an int when it is an integer of at least least; anything
+    else, a bool or a float of integral value included, is refused with
+    error (a ParameterError) naming it as name. numpy integers pass and
+    numpy bools do not: only the first are numbers.Integral."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

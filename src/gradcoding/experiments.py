@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -24,7 +23,6 @@ import numpy as np
 from . import bounds as bnd
 from .decoding import (
     NonStragglerSet,
-    _count,
     apply_fitted,
     build_target,
     decode_draws,
@@ -45,7 +43,7 @@ from .encoders import (
     encode_nullspace_hadamard,
     encode_random_diagonal,
 )
-from .errors import FieldError, ParameterError, SingularMatrixError
+from .errors import FieldError, ParameterError, SingularMatrixError, check_count
 from .serialize import read_matrix_csv, write_rows_csv
 
 EXACT = "exact"
@@ -100,7 +98,7 @@ class FixedCount:
     s: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", _count(self.s, "straggler count s"))
+        object.__setattr__(self, "s", check_count(self.s, "straggler count s"))
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ def sample_straggler_set(model, n: int, rng: np.random.Generator) -> NonStraggle
     """Draw the surviving-worker set under the given model. n is checked as
     NonStragglerSet checks it, before the draw; the drawn set is built
     unchecked, its indices distinct, sorted and in range by construction."""
-    n = _count(n, "worker count n")
+    n = check_count(n, "worker count n")
     if isinstance(model, FixedCount):
         if not (0 <= model.s <= n):
             raise ParameterError(f"s must lie in [0, {n}], got {model.s}")
@@ -214,9 +212,7 @@ def _check_counts(owner, *keys: str) -> None:
     """Refuse a key of owner that is not an integer of at least 1; a bool is
     an int to Python, and True would silently mean 1."""
     for key in keys:
-        value = getattr(owner, key)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise FieldError(f"{key} must be an integer >= 1, got {value!r}")
+        check_count(getattr(owner, key), key, 1, FieldError)
 
 
 @dataclass(frozen=True)
@@ -486,8 +482,7 @@ def estimate_unbiasedness(
         raise ParameterError("coset family needs k = p^a with p not dividing delta")
     if A.family == BI_REGULAR:
         raise ParameterError(f"family {A.family} lacks the required symmetry")
-    if trials < 2:
-        raise ParameterError("need at least 2 trials")
+    trials = check_count(trials, "trials", 2)
     model = Bernoulli(q)
     law = DiagonalLaw(scheme.epsilon)
     target = build_target(A.k, m)

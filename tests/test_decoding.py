@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import math
 import types
 
 import numpy as np
@@ -427,26 +428,24 @@ def _check_against_projection(B, members):
 def test_stacked_baseline_decode_matches_svd_projection(paley13, coset27, bireg40, monkeypatch):
     # every stacked-copies set is decoded on its block A_S, merged where
     # survivors share a column of A: by the column Gram certificate (at
-    # most k columns), the row Gram certificate or the SVD of A_S, each on
-    # some of these sets. The column certificate is never tried on more
-    # than k columns, whose B_S has rank <= k < |S|
+    # most k columns) or the row Gram certificate (more than k), and a set
+    # that clears neither by the SVD of B_S itself, each on some of these
+    # sets. The column certificate is never tried on more than k columns,
+    # whose B_S has rank <= k < |S|
     paths, certs = [], []
     stacked, proj, cert = decoding._decode_stacked, decoding.project, decoding.certify_each
 
     def spy_stacked(a_s, m):
         _, k, cols = a_s.shape
-        paths.append(None)
         certs.clear()
-        solved = stacked(a_s, m)
-        if paths[-1] is None:
-            paths[-1] = "column" if cols <= k and certs[0] == (cols, True) else "row"
-        if cols > k:
-            assert cols not in [size for size, _ in certs]
-        return solved
+        x, err, ok = stacked(a_s, m)
+        assert certs == [(cols if cols <= k else k, bool(ok[0]))]
+        paths.append(("column" if cols <= k else "row") if ok[0] else None)
+        return x, err, ok
 
     def spy_project(mat, rhs):
-        if np.ndim(rhs) == 1:
-            paths[-1] = "svd"
+        assert paths[-1] is None and mat.shape == (B.m * B.k, len(members))
+        paths[-1] = "svd"
         return proj(mat, rhs)
 
     def spy_cert(grams, *args):
@@ -466,7 +465,7 @@ def test_stacked_baseline_decode_matches_svd_projection(paley13, coset27, bireg4
                 before = len(paths)
                 _check_against_projection(B, members)
                 assert len(paths) == before + 1
-    assert {"column", "row", "svd"} <= set(paths)
+    assert set(paths) == {"column", "row", "svd"}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -675,7 +674,7 @@ def test_recurring_encoding_keeps_order_across_sizes(bireg40):
 def _spy_stacks(monkeypatch, name):
     """Record the survivors (one member list per set) of each stack
     decoding.<name> is handed, with which members it solved (the others go
-    through the route table)."""
+    to the SVD of their B_S)."""
     stacks = []
     stack = getattr(decoding, name)
 
@@ -689,6 +688,21 @@ def _spy_stacks(monkeypatch, name):
     return stacks
 
 
+def _spy_projected(monkeypatch):
+    """Record the matrix B_S of each projection decoding runs (route 4, the
+    fallback of every stack)."""
+    projected = []
+    proj = decoding.project
+    monkeypatch.setattr(decoding, "project", lambda b_s, rhs: projected.append(b_s) or proj(b_s, rhs))
+    return projected
+
+
+def _columns(B, sets):
+    """B_S of each set (a list of members), as bytes, sorted: what
+    _spy_projected records for those sets."""
+    return sorted(B.mat[:, list(members)].tobytes() for members in sets)
+
+
 def _block_certified(B, members):
     """Whether route 1 clears the stacked-copies set by a Gram certificate:
     the column Gram of A_S for |S| <= k, else its row Gram."""
@@ -699,25 +713,20 @@ def _block_certified(B, members):
 def test_recurring_baseline_without_a_certified_gram_decodes_in_capped_stacks(bireg40, monkeypatch):
     # the bi-regular baseline has rank k = 20 < n, so its whole Gram clears
     # no tier. Each size's sets are decoded in stacks of its k-row blocks,
-    # none over STACK_ELEMENTS gathered entries; a stack of more than one set
-    # solves each member that clears its block certificate, and the others go
-    # one by one through the route table, as does the empty set. A stack of
-    # one set takes the route table's chain itself. Every result is exactly
-    # decode's
+    # none over STACK_ELEMENTS gathered entries; a stack, of one set or
+    # more, solves each member that clears its block certificate, and the
+    # others each go to the SVD of their own B_S, as does the empty set.
+    # Every result is exactly decode's
     B = gc.encode_baseline(bireg40, 2)
-    assert B.gram_tier is None and B.gram_inverse is None and B.column_classes is None
-    routed, grouped = [], []
-    route, group = decoding._route, decoding._decode_group
-
-    def spy_route(B_, workers):
-        routed.append(workers.members)
-        return route(B_, workers)
+    assert B.gram_tier is None and B.gram_inverse is None and bireg40.column_classes is None
+    grouped = []
+    group = decoding._decode_group
 
     def spy_group(B_, inverse, idx):
         grouped.append(len(idx))
         return group(B_, inverse, idx)
 
-    monkeypatch.setattr(decoding, "_route", spy_route)
+    projected = _spy_projected(monkeypatch)
     monkeypatch.setattr(decoding, "_decode_group", spy_group)
     stacks = _spy_stacks(monkeypatch, "_copies_stack")
     rng = np.random.default_rng(3)
@@ -729,17 +738,17 @@ def test_recurring_baseline_without_a_certified_gram_decodes_in_capped_stacks(bi
     for rows, solved in stacks:
         g, size = len(rows), len(rows[0])
         assert g * max(B.k, size) * size <= decoding.STACK_ELEMENTS or g == 1
-        assert solved == [g == 1 or _block_certified(B, members) for members in rows]
+        assert solved == [_block_certified(B, members) for members in rows]
     assert {True, False} <= {ok for _, solved in stacks for ok in solved}
-    fell_back = [tuple(members) for rows, solved in stacks for members, ok in zip(rows, solved) if not ok]
-    assert sorted(routed) == sorted(fell_back + [()])
+    fell_back = [members for rows, solved in stacks for members, ok in zip(rows, solved) if not ok]
+    assert sorted(b_s.tobytes() for b_s in projected) == _columns(B, fell_back + [[]])
     for workers, res in zip(sets, got):
         ref = gc.decode(B, workers)
         assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
-    # a certified encoding that recurs never takes the route table
-    routed.clear()
+    # a certified encoding that recurs never takes the SVD
+    projected.clear()
     gc.decode_each([_encode(bireg40, gc.NULLSPACE_HADAMARD, 1)] * len(sets), sets)
-    assert routed == [] and sum(grouped) == len(sets)
+    assert projected == [] and sum(grouped) == len(sets)
 
 
 def test_recurring_encoding_between_the_whole_gram_tiers_decodes_in_stacks(bireg40, monkeypatch):
@@ -747,19 +756,17 @@ def test_recurring_encoding_between_the_whole_gram_tiers_decodes_in_stacks(bireg
     # it has no whole-Gram inverse: each size's sets are decoded in stacks,
     # each member by its own certificate, the Gram solve where it clears
     # 1e8 and the QR otherwise, and every result is exactly decode's. No
-    # set reaches the fallback of the route table or the SVD
+    # set reaches the fallback, the SVD
     B = gc.encode_nullspace_hadamard(bireg40, 2, v1_policy=gc.V1_GAUSSIAN, seed=18)
     G, _ = B.gram
     assert B.gram_tier == gc.QR_COND_MAX and B.gram_inverse is None
     assert 1e8 < np.linalg.cond(G) < 1e12
     routes = _spy_routes(monkeypatch)
     stacks = _spy_stacks(monkeypatch, "_survivor_stack")
-    route = decoding._route
-    monkeypatch.setattr(decoding, "_route", lambda B_, w: routes.append("route") or route(B_, w))
     rng = np.random.default_rng(8)
     sets = [gc.sample_straggler_set(gc.FixedCount(s), 40, rng) for s in (0, 1, 2, 6) for _ in range(25)]
     got = gc.decode_each([B] * len(sets), sets)
-    assert "route" not in routes and "svd" not in routes and "qr" in routes
+    assert "svd" not in routes and "qr" in routes
     assert max(len(rows) for rows, _ in stacks) > 1
     cleared = set()
     for rows, solved in stacks:
@@ -916,15 +923,20 @@ def test_property_stacked_baseline_decode_matches_svd_projection(request, family
 
 
 def test_stacked_copies_needs_equal_blocks(fano):
+    # stacked copies are 1_m (x) A: every block equals the parent A. A
+    # baseline with a block altered, or with every block altered alike,
+    # takes the general path and still decodes
     B = gc.encode_baseline(fano, 2)
     assert B.stacked_copies
     mat = B.mat.copy()
     mat[7:] *= 2.0
     altered = gc.EncodingMatrix(mat=mat, m=2, scheme=B.scheme, parent=fano, seed=None, randomness=None)
-    assert not altered.stacked_copies
+    scaled = dataclasses.replace(altered, mat=2.0 * B.mat)
+    assert not altered.stacked_copies and not scaled.stacked_copies
     assert not gc.encode_random_diagonal(fano, 1, gc.DiagonalLaw(0.0), seed=0).stacked_copies
-    # an altered baseline takes the general path and still decodes
-    _check_against_projection(altered, [0, 2, 3, 5])
+    assert decoding._blocks_diagonals(scaled) is None
+    for enc in (altered, scaled):
+        _check_against_projection(enc, [0, 2, 3, 5])
 
 
 @pytest.mark.parametrize(
@@ -1160,7 +1172,7 @@ def test_merged_stacked_baseline_matches_svd_projection(k, delta, copies, monkey
     )
     for m in (2, 3):
         B = gc.encode_baseline(A, m)
-        labels, firsts = B.column_classes
+        labels, firsts = A.column_classes
         assert firsts.size == k and np.array_equal(A.mat[:, firsts[labels]], A.mat)
         rng = np.random.default_rng(k + m)
         for size in range(1, A.n + 1):
@@ -1173,18 +1185,81 @@ def test_merged_stacked_baseline_matches_svd_projection(k, delta, copies, monkey
 
 
 def test_column_classes_only_where_copies_repeat_a_column(fano, bireg40, coset27):
-    assert gc.encode_baseline(fano, 2).column_classes is None
-    assert gc.encode_baseline(bireg40, 2).column_classes is None
-    assert gc.encode_random_diagonal(coset27, 2, gc.DiagonalLaw(0.0), seed=0).column_classes is None
-    labels, firsts = gc.encode_baseline(coset27, 2).column_classes
+    # the table is the design's, computed once: a design with no two equal
+    # columns has none
+    assert fano.column_classes is None and bireg40.column_classes is None
+    labels, firsts = coset27.column_classes
+    assert coset27.column_classes[0] is labels
     assert np.array_equal(labels, np.tile(labels[:27], 2)) and firsts.size == 27
-    assert not labels.flags.writeable
+    assert np.array_equal(firsts[labels[:27]], np.arange(27))
+    assert not labels.flags.writeable and not firsts.flags.writeable
     # the design pairs its equal columns; three equal columns pair none
     assert fano.partners is None and bireg40.partners is None
     partner = coset27.partners
     assert np.array_equal(partner, np.r_[np.arange(27, 54), np.arange(27)])
     assert np.array_equal(coset27.mat[:, partner], coset27.mat) and not partner.flags.writeable
     assert gc.coset_bipartite(gc.CosetParams(k=7, m=3, delta=3, generating_set=(0, 1, 2))).partners is None
+
+
+def _planted_design(mat, delta):
+    """An AssignmentMatrix holding mat, a 0/1 matrix whose columns all
+    weigh delta, without the constructor's check of equal row sums, which
+    random matrices with planted equal columns rarely pass: column_classes,
+    partners and the decode read only mat, delta and their Gram."""
+    A = object.__new__(gc.AssignmentMatrix)
+    A.__dict__.update(mat=mat, delta=delta, gamma=None, family="planted", params=None)
+    return A
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.lists(st.integers(1, 3), min_size=1, max_size=7))
+def test_property_column_classes_of_planted_equal_columns(k, seed, sizes):
+    # distinct columns of weight delta, each repeated 1 to 3 times, in a
+    # random order: the design's table finds the planted classes, partners
+    # pairs exactly the classes of two, and stacked copies of the design
+    # decode every set, merged or not, as project on B_S does
+    rng = np.random.default_rng(seed)
+    delta = int(rng.integers(1, k + 1))
+    distinct = set()
+    while len(distinct) < min(len(sizes), math.comb(k, delta)):
+        distinct.add(tuple(sorted(rng.choice(k, size=delta, replace=False).tolist())))
+    sizes = sizes[: len(distinct)]
+    cls = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))  # each worker's planted class
+    n = cls.size
+    mat = np.zeros((k, n))
+    for j, c in enumerate(cls):
+        mat[list(sorted(distinct)[c]), j] = 1.0
+    A = _planted_design(mat, delta)
+    table = A.column_classes
+    _, firsts, labels = np.unique(mat.T, axis=0, return_index=True, return_inverse=True)
+    if max(sizes) == 1:
+        assert table is None
+    else:
+        assert np.array_equal(table[0], labels.reshape(-1)) and np.array_equal(table[1], firsts)
+        same = table[0][:, None] == table[0][None, :]
+        assert np.array_equal(same, cls[:, None] == cls[None, :])
+        assert np.array_equal(table[1][table[0]], [np.flatnonzero(cls == c)[0] for c in cls])
+    partner = A.partners
+    if max(sizes) != 2:
+        assert partner is None
+    else:
+        assert np.array_equal(partner[partner], np.arange(n))
+        assert np.array_equal(cls[partner], cls)
+        assert np.array_equal(partner != np.arange(n), np.bincount(cls)[cls] == 2)
+    for m in (1, 2, 3):
+        B = gc.encode_baseline(A, m)
+        assert B.stacked_copies
+        F = gc.build_target(k, m)
+        sets = [gc.NonStragglerSet(n=n, members=np.flatnonzero(rng.random(n) < q)) for q in (0.3, 0.6, 0.9, 1.0)]
+        sets += [gc.NonStragglerSet(n=n, members=np.flatnonzero(cls == cls[0]))]  # one whole class
+        for got in (gc.decode_each([B] * len(sets), sets), gc.decode_exact([B] * len(sets), sets)):
+            for workers, res in zip(sets, got):
+                members = list(workers.members)
+                ref_coeffs, ref_err = project(B.mat[:, members], F)
+                assert abs(res.err - ref_err) <= 1e-9 * m * k
+                assert np.allclose(res.fitted, B.mat[:, members] @ ref_coeffs, rtol=0.0, atol=1e-8)
+                scale = max(1.0, float(np.abs(ref_coeffs).max(initial=0.0)))
+                assert np.allclose(res.coeffs[members], ref_coeffs, rtol=0.0, atol=1e-9 * scale)
 
 
 @_PROPERTY_SETTINGS
@@ -1348,16 +1423,16 @@ def test_draws_of_a_design_without_repeated_columns_skip_the_classes(request, fa
             if ok[0]:
                 coeffs[idx[0]], err = solved[0], err[0]
             else:
-                coeffs, err = decoding._project_draw(A, draws[j].diagonals, sets[j])
+                coeffs[idx[0]], err = project(_block_columns(A, draws[j].diagonals, idx[0]), gc.build_target(A.k, m))
             assert res.err == err and np.array_equal(res.coeffs, coeffs)
 
 
 def test_decode_exact_decodes_equal_copies_as_one_group(coset27, monkeypatch):
-    # distinct but equal stacked-copies encodings (a training run builds
-    # one per repetition) decode as one group, each set exactly as decode;
-    # copies with an altered block(0), and a baseline whose blocks differ,
-    # keep their own groups, in decode_each too. Every encoding of a group
-    # has its shapes checked
+    # distinct stacked-copies encodings of one design and m (a training run
+    # builds one per repetition) decode as one group, each set exactly as
+    # decode; a baseline whose blocks are equal but not A, and one whose
+    # blocks differ, are not copies and keep their own groups, in
+    # decode_each too. Every encoding of a group has its shapes checked
     calls = []
     one = decoding._decode_one
     monkeypatch.setattr(decoding, "_decode_one", lambda B, sets, whole: calls.append(len(sets)) or one(B, sets, whole))
@@ -1368,7 +1443,7 @@ def test_decode_exact_decodes_equal_copies_as_one_group(coset27, monkeypatch):
     mat = mat.copy()
     mat[:27, 6] = 0.0
     uneven = dataclasses.replace(equal[0], mat=mat)
-    assert copies.stacked_copies and not uneven.stacked_copies
+    assert not copies.stacked_copies and not uneven.stacked_copies
     rng = np.random.default_rng(4)
     encodings = [B for _ in range(4) for B in (*equal, copies, uneven)]
     sets = [gc.sample_straggler_set(gc.Bernoulli(0.25), 54, rng) for _ in encodings]
@@ -1411,15 +1486,13 @@ def test_recurring_merged_copies_decode_in_stacks_exactly_as_decode(coset27, mon
     # the coset baseline repeats columns of A (its A is m equal circulant
     # blocks), so its sets are grouped by merged width, and each group is
     # decoded in stacks of merged blocks A_U C^1/2: every result is bitwise
-    # decode's, and only a member that fails its stack's certificate would
-    # take the route table
+    # decode's, and only a member that fails its stack's certificate goes
+    # to the SVD of its B_S, as does the empty set
     B = gc.encode_baseline(coset27, 2)
-    assert B.column_classes is not None and B.gram_tier is None
-    labels, _ = B.column_classes
+    assert coset27.column_classes is not None and B.gram_tier is None
+    labels, _ = coset27.column_classes
     stacks = _spy_stacks(monkeypatch, "_copies_stack")
-    routed = []
-    route = decoding._route
-    monkeypatch.setattr(decoding, "_route", lambda B_, w: routed.append(w.members) or route(B_, w))
+    projected = _spy_projected(monkeypatch)
     rng = np.random.default_rng(9)
     sets = [gc.sample_straggler_set(gc.Bernoulli(q), 54, rng) for q in (0.1, 0.25, 0.5, 0.8) for _ in range(40)]
     sets += [gc.NonStragglerSet(n=54, members=()), gc.NonStragglerSet.full(54)]
@@ -1427,8 +1500,8 @@ def test_recurring_merged_copies_decode_in_stacks_exactly_as_decode(coset27, mon
     assert max(len(rows) for rows, _ in stacks) > 1
     for rows, solved in stacks:
         assert len({np.unique(labels[members]).size for members in rows}) == 1
-    failed = [tuple(members) for rows, solved in stacks for members, ok in zip(rows, solved) if not ok]
-    assert sorted(routed) == sorted(failed + [()])
+    failed = [members for rows, solved in stacks for members, ok in zip(rows, solved) if not ok]
+    assert sorted(b_s.tobytes() for b_s in projected) == _columns(B, failed + [[]])
     for workers, res in zip(sets, got):
         ref = gc.decode(B, workers)
         assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
@@ -1561,7 +1634,7 @@ def test_closed_form_refusals_fall_back_and_match_projection(fano, bibd91, monke
     # hand-built draws that the closed-form certificate refuses: a survivor
     # with a zero diagonal (Lambda_j = 0, B_S rank-deficient) and one whose
     # diagonal entries are 1e-9 (cond_2(G_SS) near 1e18). They take the
-    # stacks of _draw_stack, then _project_draw, and match project(B_S)
+    # stacks of _draw_stack, then the SVD of B_S, and match project(B_S)
     # within 1e-9 * mk
     verdicts = _spy_closed_form(monkeypatch)
     routes = _spy_routes(monkeypatch)

@@ -83,6 +83,43 @@ def test_fixed_count_stores_a_numpy_straggler_count_as_int():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+# Each public count argument, as a call on the coset design k = 3, m = 2
+# (n = mk, as the null-space construction needs), with a valid count.
+_COUNT_CALLS = {
+    "build_target-k": (lambda A, c: gc.build_target(c, 2), 3),
+    "build_target-m": (lambda A, c: gc.build_target(3, c), 2),
+    "encode_baseline": (lambda A, c: gc.encode_baseline(A, c), 2),
+    "encode_random_diagonal": (lambda A, c: gc.encode_random_diagonal(A, c, gc.DiagonalLaw(0.1), seed=1), 2),
+    "draw_diagonals": (lambda A, c: gc.draw_diagonals(A, c, gc.DiagonalLaw(0.1), seed=1).diagonals, 2),
+    "encode_nullspace_hadamard": (lambda A, c: gc.encode_nullspace_hadamard(A, c, seed=1), 2),
+    "split_gradients": (lambda A, c: gc.split_gradients(np.arange(15.0).reshape(3, 5), c), 2),
+    "estimate_unbiasedness": (
+        lambda A, c: gc.estimate_unbiasedness(A, gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL), 2, 0.25, c, seed=1),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+def test_public_counts_refuse_non_integers(coset_small, name):
+    # one check (errors.check_count) refuses every bad count with a
+    # ParameterError naming it, where a float used to be truncated, a bool
+    # taken as 1 or a numpy TypeError raised; a numpy integer gives the
+    # int's result
+    call, valid = _COUNT_CALLS[name]
+    for bad in (0, -1, valid - 0.5, float(valid), True, np.bool_(True), str(valid), None):
+        with pytest.raises(ParameterError, match=" must be an integer >= "):
+            call(coset_small, bad)
+    got, ref = call(coset_small, np.int64(valid)), call(coset_small, valid)
+    if isinstance(ref, gc.EncodingMatrix):
+        assert type(got.m) is int and got.m == ref.m
+        got, ref = got.mat, ref.mat
+    if isinstance(ref, np.ndarray):
+        assert np.array_equal(got, ref)
+    else:
+        assert got == ref and type(got.trials) is int
+
+
 def test_bernoulli_keeps_expected_fraction():
     rng = np.random.default_rng(2)
     sizes = [
