@@ -25,7 +25,7 @@ from .designs import (
 )
 from .decoding import NonStragglerSet
 from .encoders import BASELINE, RANDOM_DIAGONAL, EncodingMatrix
-from .errors import ParameterError, SingularMatrixError
+from .errors import ParameterError, SingularMatrixError, check_count
 from .linalg import certify_gram, rank_of
 
 EXPECTED_UPPER = "expected_upper"
@@ -74,8 +74,7 @@ def bound_expected(
     """
     if workers.n != A.n:
         raise ParameterError("non-straggler set size does not match assignment")
-    if m < 1:
-        raise ParameterError("m must be positive")
+    m = check_count(m, "m", 1)
     k = A.k
     idx = workers.index
     if not idx.size:
@@ -100,8 +99,7 @@ def bound_bibd(p: BibdParams, m: int, s: int) -> BoundReport:
     positive there since delta > lambda."""
     if not (0 <= s <= p.n):
         raise ParameterError(f"s must lie in [0, {p.n}], got {s}")
-    if m < 1:
-        raise ParameterError("m must be positive")
+    m = check_count(m, "m", 1)
     value = m * p.k - m * p.delta**2 * (p.n - s) / (m * p.delta + (p.n - s - 1) * p.lam)
     return BoundReport(kind=BIBD_UPPER, value=float(value))
 
@@ -119,8 +117,7 @@ def bound_srg(p: SrgParams, m: int, s: int) -> BoundReport:
     mn - m delta^2 (n-s) / ((m delta - mu) + mu (n-s) + (lam - mu) theta)."""
     if not (0 <= s <= p.n):
         raise ParameterError(f"s must lie in [0, {p.n}], got {s}")
-    if m < 1:
-        raise ParameterError("m must be positive")
+    m = check_count(m, "m", 1)
     theta = srg_theta(p)
     denom = (m * p.delta - p.mu) + p.mu * (p.n - s) + (p.lam - p.mu) * theta
     value = m * p.n - m * p.delta**2 * (p.n - s) / denom
@@ -194,8 +191,9 @@ def lower_bound(n: int, k: int, delta: int, m: int, s: int) -> BoundReport:
     an integer next to the vertex, which takes O(min(L, m)) <= O(n delta)
     steps for any m.
     """
-    if min(n, k, delta, m) < 1:
-        raise ParameterError("n, k, delta, m must be positive")
+    m = check_count(m, "m", 1)
+    if min(n, k, delta) < 1:
+        raise ParameterError("n, k, delta must be positive")
     if not (0 <= s <= n):
         raise ParameterError(f"s must lie in [0, {n}], got {s}")
     N = n * delta
@@ -253,8 +251,7 @@ def baseline_bibd_error(p: BibdParams, m: int, s: int) -> BoundReport:
     merely a bound): mk - delta^2 (n-s) / (delta + (n-s-1) lambda)."""
     if not (0 <= s <= p.n):
         raise ParameterError(f"s must lie in [0, {p.n}], got {s}")
-    if m < 1:
-        raise ParameterError("m must be positive")
+    m = check_count(m, "m", 1)
     if s == p.n:
         value = float(m * p.k)
     else:

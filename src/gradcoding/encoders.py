@@ -13,7 +13,7 @@ B must occupy exactly the support of the parent assignment. Three schemes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -176,13 +176,56 @@ def _diagonal_blocks(A: AssignmentMatrix, diagonals: np.ndarray) -> np.ndarray:
     return (A.mat * diagonals[:, None, :]).reshape(-1, A.n)
 
 
+@lru_cache(maxsize=None)
+def _raw_layout(n: int, m: int, signs_only: bool) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """Where m sample_diagonal(n, ...) calls on a fresh PCG64 generator
+    read its raw stream: (words, halves, mags), the count of 64-bit words,
+    the m x n indices of the 32-bit halves whose top bits are the signs
+    (half 2w is word w's low half, 2w + 1 its high half) and the m x n
+    indices of the words that are the magnitudes (None when signs_only),
+    read-only since every call shares them.
+
+    Sign t overall (t = i n + j) is half t % 2 of sign word c = t // 2,
+    which is read when its low half is, by diagonal 2c // n, after the
+    magnitudes of the diagonals before that one. Diagonal i's magnitudes
+    follow its signs: ceil((i + 1) n / 2) sign words and i n magnitude
+    words in."""
+    step = 0 if signs_only else n  # words a diagonal's magnitudes take
+    t = np.arange(m * n).reshape(m, n)
+    c = t // 2
+    halves = 2 * (c + step * (2 * c // n)) + t % 2
+    first = ((np.arange(m) + 1) * n + 1) // 2 + np.arange(m) * n
+    mags = None if signs_only else first[:, None] + np.arange(n)
+    for index in (halves, mags):
+        if index is not None:
+            index.setflags(write=False)
+    return (m * n + 1) // 2 + m * step, halves, mags
+
+
 def draw_diagonals(A: AssignmentMatrix, m: int, law: DiagonalLaw, seed: int) -> DiagonalDraws:
     """The m random diagonals encode_random_diagonal(A, m, law, seed) draws,
     without building the encoding (decoding.decode_draws decodes from
-    them)."""
+    them): bit for bit the rows of m sample_diagonal(A.n, law, rng) calls
+    on rng = np.random.default_rng(seed), read from one random_raw call of
+    the seed's PCG64 stream instead.
+
+    numpy draws each sign as the top bit of one 32-bit half of a raw 64-bit
+    word, low half first, and keeps an unused high half for the next sign,
+    across calls, so an odd n's last sign word lends its high half to the
+    next diagonal's first sign. A magnitude takes one whole word w: u = (w
+    >> 11) 2^-53 and (1 - eps) + ((1 + eps) - (1 - eps)) u. The positions
+    depend only on (n, m, eps == 0) and are cached (_raw_layout).
+    """
     m = check_count(m, "m", 1)
-    rng = np.random.default_rng(seed)
-    return DiagonalDraws(diagonals=np.array([sample_diagonal(A.n, law, rng) for _ in range(m)]))
+    words, halves, mags = _raw_layout(A.n, m, law.epsilon == 0.0)
+    raw = np.random.PCG64(seed).random_raw(words).astype("<u8", copy=False)
+    signs = (raw.view("<u4")[halves] >> 31) * 2.0 - 1.0
+    if mags is None:
+        return DiagonalDraws(diagonals=signs)
+    low, high = 1.0 - law.epsilon, 1.0 + law.epsilon
+    # (high - low) u = ((high - low) 2^-53) (w >> 11) in one rounding: the
+    # scaling by 2^-53 is exact, high - low being 0 or at least 2^-53
+    return DiagonalDraws(diagonals=signs * (low + (high - low) * 2.0**-53 * (raw[mags] >> 11)))
 
 
 def encode_random_diagonal(

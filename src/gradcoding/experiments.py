@@ -634,13 +634,11 @@ class TrainResult:
 
     def rows(self) -> list[dict]:
         out = []
-        for rep in range(self.losses.shape[0]):
-            for t, loss in enumerate(self.losses[rep]):
-                if np.isnan(loss):
+        for rep, row in enumerate(self.losses.tolist()):
+            for t, loss in enumerate(row):
+                if math.isnan(loss):
                     break
-                out.append(
-                    {"scheme": self.scheme_label, "seed": rep, "iteration": t, "loss": float(loss)}
-                )
+                out.append({"scheme": self.scheme_label, "seed": rep, "iteration": t, "loss": loss})
         return out
 
     def write_csv(self, path) -> None:

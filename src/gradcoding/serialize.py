@@ -7,6 +7,7 @@ empty cells.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,9 @@ from .errors import ParameterError
 def format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        if np.isnan(value):
-            return ""
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return format_cell(float(value))
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, (float, np.floating)):
+        return "" if math.isnan(value) else repr(float(value))
+    if isinstance(value, np.integer):
         return str(int(value))
     return str(value)
 

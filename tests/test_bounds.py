@@ -15,6 +15,32 @@ BIG = gc.BibdParams(n=91, k=91, gamma=10, delta=10, lam=1)
 PALEY13 = gc.SrgParams(n=13, delta=6, lam=2, mu=3)
 
 
+def _closed_forms_at(m):
+    """Each closed form that takes m, called at that m."""
+    fano = gc.bibd_transpose_from_difference_set([0, 1, 3], 7)
+    return {
+        "bound_expected": lambda: gc.bound_expected(fano, gc.NonStragglerSet(n=7, members=(0, 2, 4)), m, 1.0),
+        "bound_bibd": lambda: gc.bound_bibd(FANO, m, 2),
+        "bound_srg": lambda: gc.bound_srg(PALEY13, m, 2),
+        "baseline_bibd_error": lambda: gc.baseline_bibd_error(FANO, m, 2),
+        "lower_bound": lambda: gc.lower_bound(7, 7, 3, m, 2),
+    }
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, True, np.bool_(True), "2", None, 0, -1])
+@pytest.mark.parametrize("name", sorted(_closed_forms_at(2)))
+def test_closed_forms_refuse_a_non_integer_m(name, m):
+    # a fractional or float m gave a value, True the m = 1 value, and
+    # lower_bound a TypeError from range
+    with pytest.raises(ParameterError, match=r"^m must be an integer >= 1, got "):
+        _closed_forms_at(m)[name]()
+
+
+@pytest.mark.parametrize("name", sorted(_closed_forms_at(2)))
+def test_closed_forms_take_a_numpy_integer_m(name):
+    assert _closed_forms_at(np.int64(2))[name]() == _closed_forms_at(2)[name]()
+
+
 def test_c_frozen_values():
     assert gc.compute_c(0.0) == 1.0
     assert gc.compute_c(0.1) == pytest.approx(1.0134680134680136, abs=1e-15)

@@ -915,6 +915,180 @@ def test_operator_norm_check_raises(fano, monkeypatch):
         gc.reconstruct(partials, B, workers)
 
 
+def _partials_of(Z, m):
+    """The k per-subset gradients whose blockwise split is the sub x mk
+    matrix Z: block u of gradient i is column u k + i."""
+    sub, mk = Z.shape
+    return Z.reshape(sub, m, mk // m).transpose(2, 1, 0).reshape(mk // m, m * sub)
+
+
+def _eigensolve_check(grads, fitted, errs):
+    """apply_fitted's operator-norm check with every member's ||Z_j||_2^2
+    from _spectral_norm_sq: raises as it raises."""
+    g, k, _ = grads.shape
+    m = fitted.shape[-1]
+    Z = decoding._split(grads, m)
+    diff = Z @ fitted - Z.reshape(g, -1, m, k).sum(axis=3)
+    gap_sq = np.einsum("jum,jum->j", diff, diff)
+    limit = decoding._spectral_norm_sq(Z) * np.asarray(errs, dtype=float)
+    bad = ~(gap_sq <= limit * (1.0 + 1e-8) + 1e-8)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise NumericalError(f"operator-norm bound violated: gap^2={gap_sq[j]} > {limit[j]}")
+
+
+def _outcome(check, *args):
+    """The type and message of the error check(*args) raises, or None."""
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _spy_eigensolves(monkeypatch):
+    """The stack sizes _spectral_norm_sq is called on."""
+    sizes = []
+    solve = decoding._spectral_norm_sq
+
+    def spy(Z):
+        sizes.append(len(Z))
+        return solve(Z)
+
+    monkeypatch.setattr(decoding, "_spectral_norm_sq", spy)
+    return sizes
+
+
+def _norm_check_stack(Zs, ratios, m=2):
+    """grads, fitted and errs of one member per sub x mk matrix in Zs, each
+    member's err set so that gap^2 = ratio ||Z||_2^2 err for its ratio
+    (err = 0 for ratio inf)."""
+    rng = np.random.default_rng(5)
+    grads = np.array([_partials_of(Z, m) for Z in Zs])
+    k = grads.shape[1]
+    fitted = rng.standard_normal((len(Zs), m * k, m))
+    Z = decoding._split(grads, m)
+    assert np.array_equal(Z, np.array(Zs))
+    diff = Z @ fitted - Z.reshape(len(Zs), -1, m, k).sum(axis=3)
+    gap_sq = np.einsum("jum,jum->j", diff, diff)
+    norm_sq = np.array([np.linalg.norm(z, 2) ** 2 for z in Zs])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        errs = np.where(np.isinf(ratios), 0.0, gap_sq / (np.asarray(ratios) * norm_sq))
+    return grads, fitted, errs
+
+
+def _near_tie(gap):
+    """A 4 x 6 matrix whose two largest singular values squared are 1 and
+    1 - gap, with the ones vector orthogonal to the top left singular
+    vector, so power steps from it reach only the second."""
+    U = np.linalg.qr(np.array([[1.0, 1, 1, 1], [1, -1, 0, 0], [0, 0, 1, -1], [1, 1, -1, -1]]).T)[0]
+    U[:, [0, 1]] = U[:, [1, 0]]  # the first column is now orthogonal to ones
+    V = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 4)))[0]
+    return U @ np.diag(np.sqrt([1.0, 1.0 - gap, 0.3, 0.1])) @ V.T
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(-150, 150))
+def test_property_norm_floor_is_below_the_eigensolve(rows, cols, seed, scale):
+    # the shrunk Rayleigh floor never exceeds the eigensolve's ||Z||_2^2,
+    # at any scale short of overflow
+    Z = np.random.default_rng(seed).standard_normal((3, rows, cols)) * 2.0**scale
+    floor = decoding._norm_sq_floor(decoding._small_gram(Z)) * (1.0 - 1e-12)
+    assert np.all(floor <= decoding._spectral_norm_sq(Z))
+
+
+def test_near_tie_defeats_the_power_steps():
+    Z = _near_tie(1e-3)
+    floor = decoding._norm_sq_floor(decoding._small_gram(Z[None]))[0]
+    assert floor <= (1 - 1e-3) * (1 + 1e-12) and abs(np.linalg.norm(Z, 2) ** 2 - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "members, failing",
+    [
+        ([("random", 0.01), ("random", 0.2), ("random", 0.5)], None),
+        ([("random", 0.999), ("random", 0.999)], None),
+        ([("random", 0.5), ("random", 1.001), ("random", 0.999), ("random", 1.001)], 1),
+        ([("random", 0.3), ("random", np.inf)], 1),
+        ([("tie", 1 - 1e-7)], None),
+        ([("random", 0.2), ("tie", 1 + 1e-7)], 1),
+    ],
+    ids=["far inside", "just inside", "just outside", "err zero", "near tie inside", "near tie outside"],
+)
+def test_operator_norm_check_verdict_is_the_eigensolves(monkeypatch, members, failing):
+    # the Rayleigh floor only clears members the eigensolve's test passes:
+    # on a hand-built stack whose members sit at the given ratios of gap^2
+    # to ||Z||_2^2 err (inf: err = 0), apply_fitted passes or raises exactly
+    # as the test on every member's eigensolve, its message naming the
+    # first failing member's gap and eigensolve limit. The power steps on a
+    # near-tie member fall short of ||Z||_2^2 by a relative 1e-6, so only
+    # the eigensolve decides it
+    rng = np.random.default_rng(len(members))
+    Zs = [
+        _near_tie(1e-6) if kind == "tie" else rng.standard_normal((4, 6)) * 10.0 ** rng.integers(-2, 3)
+        for kind, _ in members
+    ]
+    grads, fitted, errs = _norm_check_stack(Zs, [ratio for _, ratio in members])
+    want = _outcome(_eigensolve_check, grads, fitted, errs)
+    if failing is None:
+        assert want is None
+    else:
+        assert want[0] is NumericalError
+        alone = _outcome(_eigensolve_check, *(a[failing : failing + 1] for a in (grads, fitted, errs)))
+        assert alone == want
+    sizes = _spy_eigensolves(monkeypatch)
+    assert _outcome(gc.apply_fitted, grads, fitted, errs) == want
+    if max(ratio for _, ratio in members) <= 0.5:
+        assert sizes == []
+    ties = sum(kind == "tie" for kind, _ in members)
+    if ties:
+        assert sizes == [ties]
+
+
+@pytest.mark.parametrize(
+    "kind, rows, error",
+    [("zero", 4, None), ("nan", 4, np.linalg.LinAlgError), ("nan", 2, NumericalError)],
+)
+def test_operator_norm_check_on_a_zero_or_nan_member(monkeypatch, kind, rows, error):
+    # Z = 0 passes and a NaN entry fails, as the eigensolve's test does,
+    # with the same error and message: LAPACK refuses the 4 x 4 Gram with a
+    # NaN and returns NaN for the 2 x 2 one, whose NaN gap then fails the
+    # test. Neither member clears the floor, so each goes to the eigensolve
+    rng = np.random.default_rng(8)
+    Zs = [rng.standard_normal((rows, 6)), np.zeros((rows, 6))]
+    if kind == "nan":
+        Zs[1][1, 3] = np.nan
+    grads = np.array([_partials_of(Z, 2) for Z in Zs])
+    fitted = rng.standard_normal((2, 6, 2))
+    errs = np.array([50.0, 1.0])
+    want = _outcome(_eigensolve_check, grads, fitted, errs)
+    assert (want and want[0]) is error
+    sizes = _spy_eigensolves(monkeypatch)
+    assert _outcome(gc.apply_fitted, grads, fitted, errs) == want
+    assert sizes == [1]
+
+
+def test_train_coset_iteration_runs_no_eigensolve(coset27, monkeypatch):
+    # one train-coset-shaped iteration (8 repetitions, m = 2, Bernoulli
+    # survivors at q = 0.25, gradients of a 10-feature, 3-class softmax on
+    # 600 samples): every member clears the Rayleigh floor
+    sizes = _spy_eigensolves(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: pytest.fail("eigensolve ran"))
+    cfg = gc.TrainConfig(
+        schemes=(gc.SchemeSpec(gc.RANDOM_DIAGONAL, epsilon=0.1), gc.SchemeSpec(gc.BASELINE)),
+        m=2,
+        q=0.25,
+        iterations=1,
+        repetitions=8,
+        dataset=gc.DatasetSpec(samples=600, dim=10, classes=3, seed=0),
+    )
+    floors = []
+    floor = decoding._norm_sq_floor
+    monkeypatch.setattr(decoding, "_norm_sq_floor", lambda gram: floors.append(len(gram)) or floor(gram))
+    gc.simulate_training(coset27, cfg)
+    assert floors == [8, 8] and sizes == []
+
+
 @_PROPERTY_SETTINGS
 @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.data())
 def test_property_stacked_baseline_decode_matches_svd_projection(request, family, m, data):

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gradcoding as gc
@@ -47,6 +49,55 @@ def test_random_diagonal_draws_each_diagonal_in_turn(bireg40):
         drawn = [gc.sample_diagonal(40, gc.DiagonalLaw(eps), rng) for _ in range(m)]
         assert np.array_equal(B.randomness.diagonals, np.array(drawn))
         assert np.array_equal(B.mat, np.vstack([bireg40.mat * d for d in drawn]))
+
+
+def _identity_design(n):
+    """The n-worker design in which worker j holds subset j alone."""
+    return gc.AssignmentMatrix(mat=np.eye(n), delta=1, gamma=1, family="identity", params=None)
+
+
+_DRAW_SIZES = list(range(1, 14)) + [27, 40, 54, 91]
+
+
+def _assert_draw_reads_the_stream(n, m, eps, seed):
+    law = gc.DiagonalLaw(eps)
+    rng = np.random.default_rng(seed)
+    want = np.array([gc.sample_diagonal(n, law, rng) for _ in range(m)])
+    got = gc.draw_diagonals(_identity_design(n), m, law, seed).diagonals
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_DRAW_SIZES),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.1, 0.5]),
+    st.integers(0, 2**64 - 1),
+)
+@example(n=3, m=2, eps=0.1, seed=0)
+@example(n=91, m=3, eps=0.5, seed=2**64 - 1)
+def test_property_draw_diagonals_is_the_sample_diagonal_draws(n, m, eps, seed):
+    # one raw read gives m sample_diagonal draws on default_rng(seed), bit
+    # for bit; at odd n with eps > 0 the last sign word's high half waits
+    # through the magnitudes for the next diagonal's first sign
+    _assert_draw_reads_the_stream(n, m, eps, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 1])
+def test_draw_diagonals_on_every_size_and_law(seed):
+    for n in _DRAW_SIZES:
+        for m in (1, 2, 3):
+            for eps in (0.0, 0.1, 0.5):
+                _assert_draw_reads_the_stream(n, m, eps, seed)
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-17, 2.0**-54, 2.0**-53, 1e-9, np.nextafter(1.0, 0.0)])
+def test_draw_diagonals_at_extreme_epsilon(eps):
+    # the magnitudes' width 2 eps rounds to 0 or to at least 2^-53, so
+    # folding the 2^-53 of u into it stays exact
+    for n, seed in itertools.product((1, 7, 54), range(5)):
+        _assert_draw_reads_the_stream(n, 3, eps, seed)
 
 
 def test_random_diagonal_reproducible(fano):

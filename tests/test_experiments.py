@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gradcoding as gc
-from gradcoding import experiments
+from gradcoding import experiments, serialize
 from gradcoding.errors import ParameterError
 from gradcoding.experiments import SWEEP_CSV_HEADER, TRAIN_CSV_HEADER, _log_softmax
 
@@ -751,6 +751,19 @@ def test_train_result_rows_and_csv(tmp_path, fano):
     path = tmp_path / "train.csv"
     result.write_csv(path)
     assert path.read_text().splitlines()[0] == ",".join(TRAIN_CSV_HEADER)
+
+
+def test_train_result_rows_stop_at_the_first_nan():
+    losses = np.array([[0.5, 0.25, np.nan, 0.125], [1.0, np.nan, np.nan, np.nan], [np.nan] * 4])
+    rows = experiments.TrainResult(scheme_label="x", losses=losses, diverged=[True] * 3).rows()
+    assert [(r["seed"], r["iteration"], r["loss"]) for r in rows] == [(0, 0, 0.5), (0, 1, 0.25), (1, 0, 1.0)]
+    assert all(type(r["loss"]) is float for r in rows)
+
+
+def test_format_cell_writes_numbers_by_value():
+    cells = [None, float("nan"), np.float64("nan"), np.float32("nan"), 0.1, np.float64(0.1), np.float32(0.5)]
+    assert [serialize.format_cell(c) for c in cells] == ["", "", "", "", "0.1", "0.1", "0.5"]
+    assert [serialize.format_cell(c) for c in (np.int64(3), 3, True, "a")] == ["3", "3", "True", "a"]
 
 
 def _train_config(scheme=gc.BASELINE, q=0.25, iterations=5, **kw):
