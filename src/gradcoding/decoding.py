@@ -12,6 +12,8 @@ groups its positions by distinct encoding, stacked copies of one design
 and m together: the baseline B = 1_m (x) A whose every block is A
 (EncodingMatrix.stacked_copies). On a design of constant overlap (below)
 its random-diagonal draws and stacked copies are decoded in closed form.
+On a design whose distinct columns have a class inverse (below) its
+draws at m = 2 and stacked copies are decoded from that one inverse.
 Every other group is solved by size in stacks that give each set
 decode's result (below), but for one shortcut: a group of more than one
 set (a sweep hands decode_each many sets of one encoding) whose whole
@@ -50,6 +52,44 @@ partner diagonals make B_S ill-conditioned and exact ties (epsilon = 0)
 rank-deficient; M_S is neither. A member whose reduced system clears
 neither certificate takes route 4 on B_S, as above; the draws of a
 design with a class of more than two equal columns are solved on B_S.
+
+Where A's k distinct columns form a matrix C whose Gram clears
+certify_gram (AssignmentMatrix.class_inverse: K = (C^T C)^-1 and
+c1 = C^-1 1_k; the coset graph's circulant block), two kinds of decode
+share that one inverse and solve each set from its straggler side: the
+draws at m = 2 on paired workers, after the reduction above
+(_class_draws), and the stacked copies of A (_class_copies). The reduced
+survivor columns are (I_m (x) C) Q diag(scale), Q's columns q (x) e_U
+orthonormal, one per kept direction q of class U, each scaled by the norm
+of its column of P_U (1 for a Gram-Schmidt q, ||d|| for a lone survivor).
+With P an orthonormal basis of col(Q)'s complement, t columns p_a = v_a
+(x) e_{u_a} (per class: nothing, the unit normal of the one kept
+direction, or e_1 and e_2), the residual of F lies in the span of
+(I_m (x) C^-T) P, so
+
+    W = P^T (I_m (x) K) P,       W[a, b] = (v_a . v_b) K[u_a, u_b],
+    H = P^T (I_m (x) C^-1) F,    H[a, i] = (v_a)_i c1[u_a],
+    err = <H, W^-1 H>,
+
+one t x t solve per set (the straggler identity of the whole-Gram inverse
+below, on C). The fit's preimage Y = (I_m (x) C^-1) F - (I_m (x) K) P
+W^-1 H gives each kept column q^T Y_U / scale, and R = T^+ of that as
+above. Stacked copies are the case m = 1 on the k-row block: P holds e_u
+of each absent class u, ||r||^2 = c1_T^T K_TT^-1 c1_T, err = mk - k +
+||r||^2, and y = c1 - K[:, T] w (w = K_TT^-1 c1_T) gives each of the c_u
+survivors of class u the coefficient y_u / (c_u m). P is orthonormal, so
+W's eigenvalues lie within K's spectrum (Cauchy interlacing):
+cond(W) <= cond(C^T C) < 1e8 for every set, certified once per design.
+Each member's own certificate needs no factorization either: the reduced
+Gram's eigenvalues lie in [lambda_min(C^T C) min scale^2,
+lambda_max(C^T C) max scale^2] (scale^2 = c_u for merged copies), so where
+cond(C^T C) max scale^2 < 1e8 min scale^2 (_clears) the reduced system
+has cond_2 < 1e8, full column rank under the rank rule, and the rank of
+the reduction. A member it refuses (a lone diagonal of tiny norm, whose
+column the rank rule may drop, and the empty set) takes the route it
+would take without the class inverse. The sets are solved by t in stacks
+of at most STACK_ELEMENTS gathered entries; no member's result depends on
+its stack. These draws never take the whole-Gram inverse.
 
 Where every two workers share exactly lambda < delta subsets
 (AssignmentMatrix.overlap: A^T A = (delta - lambda) I + lambda J, a BIBD
@@ -171,7 +211,7 @@ import numpy as np
 
 from .designs import AssignmentMatrix
 from .encoders import DiagonalDraws, EncodingMatrix
-from .errors import NumericalError, ParameterError, ShapeError, check_count
+from .errors import NonFiniteError, NumericalError, ParameterError, ShapeError, check_count
 from .linalg import CERT_COND_MAX, QR_COND_MAX, RANK_EPS, certify_each, project
 
 _ERR_CONSISTENCY_EPS = 1e-8
@@ -381,7 +421,8 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
     group, and the random-diagonal draws (EncodingMatrix.diagonals) are
     gathered by design and m, with draws True: on a design of constant
     overlap every draw and stacked copies of the design, elsewhere every
-    draw whose sets _inverse does not solve."""
+    draw the class inverse solves (_class_side) or whose sets _inverse
+    does not solve."""
     groups: list[tuple[list[int], bool]] = []
     shared: dict[tuple, list[int]] = {}
     for _, picked in _by_key(list(map(id, encodings))):
@@ -389,7 +430,9 @@ def _groups(encodings: list, whole_gram: bool) -> list[tuple[list[int], bool]]:
         if B.parent.overlap is not None:
             draws = _blocks_diagonals(B) is not None
         else:
-            draws = B.diagonals is not None and _inverse(B, len(picked), whole_gram) is None
+            draws = B.diagonals is not None and (
+                _class_side(B.parent, B.m) or _inverse(B, len(picked), whole_gram) is None
+            )
         if not (draws or B.stacked_copies):
             groups.append((picked, False))
             continue
@@ -428,23 +471,30 @@ def _by_key(keys: list) -> list[tuple]:
 
 def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeResult]:
     """The decodes of sets of one encoding (or of stacked copies of one
-    design and m): through the whole-Gram inverse where _inverse gives it,
-    else by size (by merged width for stacked copies) in stacks that give
-    each set decode's result."""
+    design and m): stacked copies from the straggler side of the design's
+    class inverse where its certificate clears them (_class_copies);
+    through the whole-Gram inverse where _inverse gives it; else by size
+    (by merged width for stacked copies) in stacks that give each set
+    decode's result."""
     rows, n = B.mat.shape
     target = build_target(B.k, B.m)
     coeffs = np.empty((len(sets), n, B.m))
     errs = np.empty(len(sets))
     inverse = _inverse(B, len(sets), whole_gram)
     classes = B.parent.column_classes if B.stacked_copies else None
+    rest = np.arange(len(sets))
+    if B.stacked_copies and B.parent.class_inverse is not None:
+        rest = rest[~_class_copies(B.parent, B.m, sets, coeffs, errs)]
+    left = [sets[j] for j in rest.tolist()]
     merges = None
     if inverse is None and classes is not None:
-        merges = [_column_merge(classes, w.index) for w in sets]
-    widths = [len(w.members) for w in sets] if merges is None else [len(m[0]) for m in merges]
+        merges = [_column_merge(classes, w.index) for w in left]
+    widths = [len(w.members) for w in left] if merges is None else [len(m[0]) for m in merges]
     for width, at in _by_key(widths):
-        part = [sets[j] for j in at]
+        part = [left[j] for j in at]
+        pos = rest[at]
         if inverse is not None:
-            coeffs[at], errs[at] = _decode_group(B, inverse, _members(part, width))
+            coeffs[pos], errs[pos] = _decode_group(B, inverse, _members(part, width))
             continue
         if B.stacked_copies:
             merged = None if merges is None else [merges[j] for j in at]
@@ -462,26 +512,24 @@ def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeR
             return idx, B.mat.take(idx, axis=1)
 
         height = B.k if B.stacked_copies else rows
-        coeffs[at], errs[at] = _decode_capped(target, n, len(part), width, height, solve, columns)
+        coeffs[pos], errs[pos] = _decode_capped(target, n, len(part), width, height, solve, columns)
     return _checked(coeffs, errs, np.matmul(B.mat, coeffs), target)
 
 
 def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> list[DecodeResult]:
     """The decodes of random-diagonal draws of A (diagonals, g x m x n), set
     j through draw j: on a design of constant overlap (A.overlap) in closed
-    form (_closed_form); the members it refuses, and on any other design
-    every member, by size in stacks by _draw_stack, on A's column classes
-    (_class_factors) where A's workers pair up (A.partners); a member a
-    stack does not solve, and the empty set, by route 4 on its B_S. B R
-    comes from A and the diagonals: block u of it is A (d_u o R)."""
+    form (_closed_form); where A's workers pair up (A.partners) on A's
+    column classes (_class_factors), and at m = 2 from the straggler side
+    of A.class_inverse where its certificate clears them (_class_draws);
+    the other members by size in stacks by _draw_stack; a member a stack
+    does not solve, and the empty set, by route 4 on its B_S. B R comes
+    from A and the diagonals: block u of it is A (d_u o R)."""
     g, m, n = diagonals.shape
     mk = m * A.k
     target = build_target(A.k, m)
     colsum = A.mat.sum(axis=0)
-    survives = np.zeros((g, n), dtype=bool)
-    survives[
-        np.repeat(np.arange(g), [len(w.members) for w in sets]), np.concatenate([w.index for w in sets])
-    ] = True
+    survives = _survivors(n, sets)
     coeffs = np.empty((g, n, m))
     errs = np.empty(g)
     rest = np.arange(g)
@@ -491,6 +539,8 @@ def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> lis
     basis, kept = diagonals, survives
     if partner is not None:
         basis, kept, own, other = _class_factors(partner, diagonals, survives)
+        if _class_side(A, m):
+            rest = rest[~_class_draws(A, basis, kept, own, other, rest, coeffs, errs)]
     for size, at in _by_key(kept[rest].sum(axis=1).tolist()):
         at = rest[at]
 
@@ -591,6 +641,112 @@ def _class_factors(partner: np.ndarray, diagonals: np.ndarray, survives: np.ndar
     return basis, kept, own, other
 
 
+def _class_side(A: AssignmentMatrix, m: int) -> bool:
+    """Whether A's draws at m decode from the straggler side of
+    A.class_inverse: at m = 2 on paired workers (A.partners)."""
+    return m == 2 and A.partners is not None and A.class_inverse is not None
+
+
+def _clears(cond: float, scale_sq: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Which members (g) the class-inverse certificate clears, as set out
+    above: at least one kept column, and cond times the ratio of the
+    largest to the smallest kept scale_sq (g x columns) below 1e8. A zero
+    or non-finite scale clears nothing."""
+    small = np.where(kept, scale_sq, np.inf).min(axis=1)
+    big = np.where(kept, scale_sq, 0.0).max(axis=1)
+    return np.isfinite(small) & (cond * big < CERT_COND_MAX * small)
+
+
+def _class_draws(A: AssignmentMatrix, basis, kept, own, other, at, coeffs, errs) -> np.ndarray:
+    """Which of the draws at (members of a stack at m = 2, reduced by
+    _class_factors to basis, kept, own and other) the class-inverse
+    certificate clears, each solved from the straggler side of
+    A.class_inverse into coeffs and errs, as set out above. Per class, P
+    holds e_1 and e_2 where no column is kept, the unit normal of the kept
+    direction where one is, and nothing where two are."""
+    labels, lo = A.column_classes
+    partner = A.partners
+    hi = partner[lo]
+    b_at, kept_at = basis[at], kept[at]
+    scale_sq = (b_at * b_at).sum(axis=1)
+    ok = _clears(A.class_inverse[2], scale_sq, kept_at)
+    at, b_at, kept_at = at[ok], b_at[ok], kept_at[ok]
+    # 1 / ||basis||^2 on the kept columns, 0 elsewhere
+    weight = np.divide(1.0, scale_sq[ok], out=np.zeros(kept_at.shape), where=kept_at)
+    on_lo, on_hi = kept_at[:, lo], kept_at[:, hi] & (hi != lo)
+    rank = on_lo.astype(np.intp) + on_hi
+    # the kept direction of each class of rank 1 and its unit normal
+    b = np.where(on_lo[:, None, :], b_at[:, :, lo], b_at[:, :, hi])
+    one = rank == 1
+    norm = np.sqrt(np.where(one, (b * b).sum(axis=1), 1.0))
+    vectors = np.zeros((at.size, A.k, 2, 2))
+    vectors[:, :, 0, 0] = np.where(one, -b[:, 1] / norm, 1.0)
+    vectors[:, :, 0, 1] = np.where(one, b[:, 0] / norm, 0.0)
+    vectors[:, :, 1, 1] = 1.0
+    valid = np.stack([rank <= 1, rank == 0], axis=2)
+    total = float(2 * A.k)
+    columns = 2 * A.k
+    for picked, err, Y in _straggler_side(A, valid.reshape(-1, columns), vectors.reshape(-1, columns, 2)):
+        j = at[picked]
+        # each kept column takes basis^T Y_u / ||basis||^2; then R = T^+ Y
+        reduced = np.einsum("jiw,jwic->jwc", b_at[picked], Y[:, labels]) * weight[picked, :, None]
+        coeffs[j] = own[j, :, None] * reduced + other[j, :, None] * reduced[:, partner]
+        errs[j] = err.clip(0.0, total)
+    return ok
+
+
+def _class_copies(A: AssignmentMatrix, m: int, sets: list, coeffs, errs) -> np.ndarray:
+    """Which of the sets of stacked copies of A the class-inverse
+    certificate clears (the scales being the square roots of the class
+    counts), each solved from the straggler side of A.class_inverse into
+    coeffs and errs, as set out above: P holds e_u of each absent class u,
+    and each of the c_u survivors of a present class u gets y_u / (c_u m)."""
+    labels, _ = A.column_classes
+    k = A.k
+    survives = _survivors(A.n, sets)
+    counts = survives @ (labels[:, None] == np.arange(k)).astype(float)  # c_u, g x k
+    present = counts > 0
+    ok = _clears(A.class_inverse[2], counts, present)
+    at = np.flatnonzero(ok)
+    total = float(m * k)
+    for picked, err, Y in _straggler_side(A, ~present[at], np.ones((at.size, k, 1))):
+        j = at[picked]
+        share = Y[:, :, 0, 0] / np.where(present[j], counts[j], 1.0) / m
+        coeffs[j] = np.where(survives[j], share[:, labels], 0.0)[..., None]
+        errs[j] = (total - k + err).clip(0.0, total)
+    return ok
+
+
+def _straggler_side(A: AssignmentMatrix, valid: np.ndarray, vectors: np.ndarray):
+    """The straggler side of A.class_inverse for g members, by t in stacks:
+    yields (the stack's positions, <H, W^-1 H>, Y) per stack, as set out
+    above. P's candidate columns are p per class, column c in class c // p
+    with the p-vector vectors[j, c] (g x kp x p); valid (g x kp) marks the
+    columns of each member's P, t of them. A stack gathers at most
+    STACK_ELEMENTS entries per array (K's t x t and t x k blocks, and Y at
+    the n workers, n x p x p), or one member where one needs more. Y (g' x
+    k x p x p) is the preimage (I_p (x) C^-1) F - (I_p (x) K) P W^-1 H,
+    Y[j, u, i, c] its row of block i and class u."""
+    K, c1, _ = A.class_inverse
+    p = vectors.shape[2]
+    k = A.k
+    for t, at in _by_key(valid.sum(axis=1).tolist()):
+        step = max(1, STACK_ELEMENTS // max(t * max(t, k), A.n * p * p))
+        for lo in range(0, len(at), step):
+            picked = np.array(at[lo : lo + step])
+            cols = np.nonzero(valid[picked])[1].reshape(picked.size, t)
+            units = cols // p
+            vecs = np.take_along_axis(vectors[picked], cols[..., None], axis=1)
+            W = (vecs @ vecs.transpose(0, 2, 1)) * K[units[:, :, None], units[:, None, :]]
+            H = vecs * c1[units][..., None]
+            z = np.linalg.solve(W, H) if t else H
+            outer = (vecs[..., :, None] * z[..., None, :]).reshape(picked.size, t, p * p)  # v_a z_a^T
+            Y = -(K[units].transpose(0, 2, 1) @ outer).reshape(picked.size, k, p, p)
+            for i in range(p):
+                Y[:, :, i, i] += c1
+            yield picked, (H * z).sum(axis=(1, 2)), Y
+
+
 def _checked(
     coeffs: np.ndarray, errs: np.ndarray, fitted: np.ndarray, target: np.ndarray
 ) -> list[DecodeResult]:
@@ -599,6 +755,14 @@ def _checked(
     diff = fitted - target
     _check_residuals(errs.tolist(), np.einsum("jrm,jrm->j", diff, diff))
     return [DecodeResult(*res) for res in zip(coeffs, errs.tolist(), fitted)]
+
+
+def _survivors(n: int, sets: list) -> np.ndarray:
+    """Which of the n workers survive in each of g sets, g x n."""
+    survives = np.zeros((len(sets), n), dtype=bool)
+    rows = np.repeat(np.arange(len(sets)), [len(w.members) for w in sets])
+    survives[rows, np.concatenate([w.index for w in sets])] = True
+    return survives
 
 
 def _members(sets: list, size: int) -> np.ndarray:
@@ -993,13 +1157,17 @@ def apply_fitted(partials, fitted: np.ndarray, errs) -> tuple[np.ndarray, np.nda
 
 
 def _as_stack(partials, g: int) -> np.ndarray:
-    """g stacks of k per-subset gradients, a g x k x d float array."""
+    """g stacks of k per-subset gradients, a g x k x d float array of finite
+    numbers: a NaN or Inf would reach the operator-norm check's eigensolve,
+    which refuses it with numpy's LinAlgError."""
     try:
         grads = np.asarray(partials, dtype=float)
     except ValueError:
         raise ShapeError("partial gradients are not g x k x d numbers") from None
     if grads.ndim != 3 or grads.shape[0] != g:
         raise ShapeError(f"partial gradients of shape {grads.shape} for {g} encodings")
+    if not np.isfinite(grads).all():
+        raise NonFiniteError("partial gradients contain NaN or Inf")
     return grads
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConstructionError, ParameterError
-from .linalg import RANK_EPS, circulant_eigenvalues
+from .linalg import RANK_EPS, certify_gram, circulant_eigenvalues
 
 BIBD_TRANSPOSE = "bibd_transpose"
 SRG_ADJACENCY = "srg_adjacency"
@@ -164,6 +164,31 @@ class AssignmentMatrix:
         partner[partner[second]] = second
         partner.setflags(write=False)
         return partner
+
+    @cached_property
+    def class_inverse(self) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """(K, c1, cond) when two workers hold the same subsets and A's
+        distinct columns, in the order of column_classes, form a k x k
+        matrix C whose Gram C^T C clears certify_gram (1e8): K = (C^T C)^-1,
+        c1 = C^-1 1_k and cond = cond_2(C^T C) from its eigenvalues. None
+        otherwise. The coset graph's C is its circulant block. The
+        design's draws at m = 2 on paired workers and its stacked copies
+        decode from the straggler side of this one inverse (decoding).
+        Computed once per design and read-only."""
+        classes = self.column_classes
+        if classes is None or classes[1].size != self.k:
+            return None
+        C = self.mat[:, classes[1]]
+        gram = C.T @ C
+        if not certify_gram(gram):
+            return None
+        K = np.linalg.inv(gram)
+        K = 0.5 * (K + K.T)  # exactly symmetric, as its principal blocks must be
+        c1 = np.linalg.solve(C, np.ones(self.k))
+        eig = np.linalg.eigvalsh(gram)
+        K.setflags(write=False)
+        c1.setflags(write=False)
+        return K, c1, float(eig[-1] / eig[0])
 
     @cached_property
     def gram(self) -> np.ndarray:

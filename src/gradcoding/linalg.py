@@ -24,6 +24,18 @@ Numerical contract:
     1e12 to every block the same way, so every B_S has cond_2(B_S) < 1e6
     and full column rank: bounds.bound_diag_dominant then runs neither a
     certificate nor rank_of.
+  * Class-inverse certificate. When certify_gram clears C^T C, the Gram of
+    a design's k distinct columns, and P has orthonormal columns, the
+    eigenvalues of W = P^T (I_m (x) K) P, K = (C^T C)^-1, lie within K's
+    spectrum (the same interlacing theorem, for an orthonormal
+    compression), so cond_2(W) <= cond_2(C^T C) < 1e8 for every P: one
+    certificate per design covers the t x t solve of every survivor set.
+    A reduced survivor matrix (I_m (x) C) Q diag(scale), Q orthonormal,
+    has its Gram's eigenvalues in [lambda_min(C^T C) min scale^2,
+    lambda_max(C^T C) max scale^2], so cond_2(C^T C) max scale^2 < 1e8
+    min scale^2 gives it cond_2 < 1e4 and full column rank under the rank
+    rule; a set that fails this takes the routes below
+    (designs.AssignmentMatrix.class_inverse, decoding._clears).
   * QR tier. certify_gram(G, QR_COND_MAX) runs the same test with the shift
     1/QR_COND_MAX = 1e-12 and proves cond_2(G) < 1e12, so cond_2(M) < 1e6:
     M still has full column rank under the rank rule, four orders inside

@@ -27,6 +27,13 @@ def coset27():
 
 
 @pytest.fixture(scope="session")
+def coset27_singular():
+    # the mask 1 + x + x^2 vanishes at the cube roots of unity: C has rank
+    # 25 and distinct columns, so the workers pair up with no class inverse
+    return gc.coset_bipartite(gc.CosetParams(k=27, m=2, delta=3, generating_set=(0, 1, 2)))
+
+
+@pytest.fixture(scope="session")
 def bireg40():
     return gc.biregular_random(n=40, k=20, delta=3, gamma=6, seed=11)
 

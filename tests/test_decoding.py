@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import types
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import gradcoding as gc
 from gradcoding import decoding, experiments
-from gradcoding.errors import NumericalError, ParameterError, ShapeError, SingularMatrixError
+from gradcoding.errors import NonFiniteError, NumericalError, ParameterError, ShapeError, SingularMatrixError
 from gradcoding.linalg import certify_gram, project, rank_of
 
 
@@ -430,10 +431,18 @@ def test_stacked_baseline_decode_matches_svd_projection(paley13, coset27, bireg4
     # survivors share a column of A: by the column Gram certificate (at
     # most k columns) or the row Gram certificate (more than k), and a set
     # that clears neither by the SVD of B_S itself, each on some of these
-    # sets. The column certificate is never tried on more than k columns,
-    # whose B_S has rank <= k < |S|
+    # sets; on the coset design, whose classes have an inverse, a set the
+    # class-inverse certificate clears goes to the straggler side instead.
+    # The column certificate is never tried on more than k columns, whose
+    # B_S has rank <= k < |S|
     paths, certs = [], []
     stacked, proj, cert = decoding._decode_stacked, decoding.project, decoding.certify_each
+    class_copies = decoding._class_copies
+
+    def spy_class(A_, m, sets, coeffs, errs):
+        ok = class_copies(A_, m, sets, coeffs, errs)
+        paths.extend("class" for _ in np.flatnonzero(ok))
+        return ok
 
     def spy_stacked(a_s, m):
         _, k, cols = a_s.shape
@@ -456,6 +465,7 @@ def test_stacked_baseline_decode_matches_svd_projection(paley13, coset27, bireg4
     monkeypatch.setattr(decoding, "_decode_stacked", spy_stacked)
     monkeypatch.setattr(decoding, "project", spy_project)
     monkeypatch.setattr(decoding, "certify_each", spy_cert)
+    monkeypatch.setattr(decoding, "_class_copies", spy_class)
     for A in (paley13, coset27, bireg40):
         for m in (2, 3):
             B = gc.encode_baseline(A, m)
@@ -465,7 +475,8 @@ def test_stacked_baseline_decode_matches_svd_projection(paley13, coset27, bireg4
                 before = len(paths)
                 _check_against_projection(B, members)
                 assert len(paths) == before + 1
-    assert set(paths) == {"column", "row", "svd"}
+                assert (paths[-1] == "class") is (A is coset27)
+    assert set(paths) == {"class", "column", "row", "svd"}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -1050,10 +1061,12 @@ def test_operator_norm_check_verdict_is_the_eigensolves(monkeypatch, members, fa
     [("zero", 4, None), ("nan", 4, np.linalg.LinAlgError), ("nan", 2, NumericalError)],
 )
 def test_operator_norm_check_on_a_zero_or_nan_member(monkeypatch, kind, rows, error):
-    # Z = 0 passes and a NaN entry fails, as the eigensolve's test does,
-    # with the same error and message: LAPACK refuses the 4 x 4 Gram with a
-    # NaN and returns NaN for the 2 x 2 one, whose NaN gap then fails the
-    # test. Neither member clears the floor, so each goes to the eigensolve
+    # Z = 0 passes, as the eigensolve's test does: it clears no floor and
+    # goes to the eigensolve. A NaN entry would fail that test with an error
+    # of its size (LAPACK refuses the 4 x 4 Gram with a NaN and returns NaN
+    # for the 2 x 2 one, whose NaN gap then fails the test), LinAlgError not
+    # being a CodingError; apply_fitted, reconstruct and reconstruct_each
+    # refuse the non-finite gradients up front, before any eigensolve
     rng = np.random.default_rng(8)
     Zs = [rng.standard_normal((rows, 6)), np.zeros((rows, 6))]
     if kind == "nan":
@@ -1064,8 +1077,20 @@ def test_operator_norm_check_on_a_zero_or_nan_member(monkeypatch, kind, rows, er
     want = _outcome(_eigensolve_check, grads, fitted, errs)
     assert (want and want[0]) is error
     sizes = _spy_eigensolves(monkeypatch)
-    assert _outcome(gc.apply_fitted, grads, fitted, errs) == want
-    assert sizes == [1]
+    got = _outcome(gc.apply_fitted, grads, fitted, errs)
+    if kind == "nan":
+        assert got == (NonFiniteError, "partial gradients contain NaN or Inf")
+        assert sizes == []
+        B = gc.encode_baseline(gc.bibd_transpose_from_difference_set([0, 1, 3], 7), 2)
+        partials = np.zeros((1, 7, 4))
+        partials[0, 2, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            gc.reconstruct(partials[0], B, gc.NonStragglerSet.full(7))
+        with pytest.raises(NonFiniteError):
+            gc.reconstruct_each(partials, [B], [gc.NonStragglerSet.full(7)])
+    else:
+        assert got == want
+        assert sizes == [1]
 
 
 def test_train_coset_iteration_runs_no_eigensolve(coset27, monkeypatch):
@@ -1337,9 +1362,29 @@ def test_property_qr_certificate_rejects_numerically_singular_columns(cols, seed
 @pytest.mark.parametrize("k,delta", [(27, 5), (25, 4), (7, 3)])
 @pytest.mark.parametrize("copies", [2, 3])
 def test_merged_stacked_baseline_matches_svd_projection(k, delta, copies, monkeypatch):
-    # the coset design repeats every column `copies` times: sets holding
-    # two equal columns are merged and decode like the SVD projection
+    # the coset design repeats every column `copies` times, and its k
+    # distinct columns have a class inverse: every set decodes from its
+    # straggler side like the SVD projection, merging nothing
     A = gc.coset_bipartite(gc.CosetParams(k=k, m=copies, delta=delta, generating_set=tuple(range(delta))))
+    assert A.class_inverse is not None
+    _check_merged_copies(A, monkeypatch, [])
+
+
+@pytest.mark.parametrize("k,gen", [(27, (0, 1, 2)), (9, (0, 1, 2)), (4, (0, 1))])
+@pytest.mark.parametrize("copies", [2, 3])
+def test_merged_stacked_baseline_without_a_class_inverse_matches_svd_projection(k, gen, copies, monkeypatch):
+    # a singular circulant block: no class inverse, so sets holding two
+    # equal columns are merged and decode like the SVD projection
+    A = gc.coset_bipartite(gc.CosetParams(k=k, m=copies, delta=len(gen), generating_set=gen))
+    assert A.class_inverse is None
+    _check_merged_copies(A, monkeypatch, None)
+
+
+def _check_merged_copies(A, monkeypatch, merges_when_classes):
+    """decode of the stacked copies of A at m = 2 and 3, for one set of each
+    size, against the SVD projection; a set with fewer classes than
+    survivors is merged (merges_when_classes None) or not merged at all."""
+    k = A.k
     stacked, merged = decoding._decode_stacked, []
     monkeypatch.setattr(
         decoding, "_decode_stacked", lambda a_s, m: merged.append(a_s.shape[2]) or stacked(a_s, m)
@@ -1355,7 +1400,7 @@ def test_merged_stacked_baseline_matches_svd_projection(k, delta, copies, monkey
             _check_against_projection(B, members)
             classes = np.unique(labels[members]).size
             if classes < size:
-                assert merged == [classes]
+                assert merged == ([classes] if merges_when_classes is None else merges_when_classes)
 
 
 def test_column_classes_only_where_copies_repeat_a_column(fano, bireg40, coset27):
@@ -1551,6 +1596,154 @@ def test_draws_on_column_classes_match_projection_at_ties(coset27):
         assert reduced.sum() == rank_of(b_s)
 
 
+# coset designs and their class inverse: (k, generating set); the last two
+# have a singular circulant block (the mask vanishes at a k-th root of
+# unity), so they have no class inverse and today's routes decode them
+_COSETS = [
+    (27, (0, 1, 2, 3, 4)),
+    (7, (0, 1, 3)),
+    (13, (0, 1, 3, 9)),
+    (9, (0, 1, 3)),
+    (25, (0, 1, 2, 3)),
+    (16, (0, 1, 2)),
+    (11, (0, 2, 5)),
+    (27, (0, 1, 2)),
+    (4, (0, 1)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _coset(k, gen, copies):
+    return gc.coset_bipartite(gc.CosetParams(k=k, m=copies, delta=len(gen), generating_set=gen))
+
+
+def _spy_class_side(mp, labels):
+    """Record, for each set the straggler side of the class inverse solves,
+    the rank its reduction implies: the kept columns of a draw, the classes
+    present among a stacked-copies set's survivors."""
+    implied = {}
+    class_draws, class_copies = decoding._class_draws, decoding._class_copies
+
+    def spy_draws(A, basis, kept, own, other, at, coeffs, errs):
+        ok = class_draws(A, basis, kept, own, other, at, coeffs, errs)
+        implied.update((j, int(kept[j].sum())) for j in at[ok].tolist())
+        return ok
+
+    def spy_copies(A, m, sets, coeffs, errs):
+        ok = class_copies(A, m, sets, coeffs, errs)
+        implied.update((j, np.unique(labels[sets[j].index]).size) for j in np.flatnonzero(ok).tolist())
+        return ok
+
+    mp.setattr(decoding, "_class_draws", spy_draws)
+    mp.setattr(decoding, "_class_copies", spy_copies)
+    return implied
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_COSETS),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["draws", "copies"]),
+    st.sampled_from([0.0, 0.1, 0.5]),
+    st.floats(0.05, 0.9),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_property_class_inverse_straggler_side_matches_projection(coset, copies, kind, eps, q, m, seed):
+    # every set of coset draws (m = 2) and stacked copies (m = 1 to 3) the
+    # straggler side of the class inverse decodes agrees with project on
+    # its B_S within 1e-9 * mk, and the rank its reduction implies is the
+    # rank rule's, ties at epsilon = 0 included; the other sets, and every
+    # set of a design without a class inverse, take today's routes
+    k, gen = coset
+    A = _coset(k, gen, copies)
+    labels, _ = A.column_classes
+    m = 2 if kind == "draws" else m
+    rng = np.random.default_rng(seed)
+    sets = [gc.sample_straggler_set(gc.Bernoulli(q), A.n, rng) for _ in range(8)]
+    with pytest.MonkeyPatch.context() as mp:
+        implied = _spy_class_side(mp, labels)
+        if kind == "draws":
+            draws = [gc.draw_diagonals(A, m, gc.DiagonalLaw(eps), seed=int(s)) for s in rng.integers(2**31, size=8)]
+            got = gc.decode_draws(A, draws, sets)
+            columns = [(A.mat[None] * d.diagonals[:, None, :]).reshape(m * k, A.n) for d in draws]
+        else:
+            B = gc.encode_baseline(A, m)
+            got = gc.decode_each([B] * len(sets), sets)
+            columns = [B.mat] * len(sets)
+    side = A.class_inverse is not None and (kind == "copies" or (copies == 2 and m == 2))
+    F = gc.build_target(k, m)
+    for j, (workers, res, mat) in enumerate(zip(sets, got, columns)):
+        b_s = mat[:, workers.index]
+        _, ref_err = project(b_s, F)
+        assert abs(res.err - ref_err) <= 1e-9 * m * k
+        if j in implied:
+            assert implied[j] == rank_of(b_s)
+        else:
+            assert not side or not len(workers.members)
+    assert bool(implied) is (side and any(len(w.members) for w in sets))
+
+
+@pytest.mark.parametrize("kind", ["draw", "copies"])
+def test_one_coset_set_decodes_alike_through_every_entry_point(coset27, kind, monkeypatch):
+    # decode, decode_each (alone and with the set twice, a group that once
+    # took the whole-Gram inverse), decode_exact and, for a draw,
+    # decode_draws give one coset set the same bits, from the straggler side
+    # of the class inverse
+    labels, _ = coset27.column_classes
+    implied = _spy_class_side(monkeypatch, labels)
+    rng = np.random.default_rng(12)
+    workers = gc.sample_straggler_set(gc.Bernoulli(0.25), 54, rng)
+    if kind == "draw":
+        B = gc.encode_random_diagonal(coset27, 2, gc.DiagonalLaw(0.1), seed=2)
+        assert B.gram_inverse is not None
+    else:
+        B = gc.encode_baseline(coset27, 2)
+    want = gc.decode(B, workers)
+    assert implied == {0: rank_of(B.mat[:, workers.index])}
+    got = [gc.decode_each([B], [workers])[0], *gc.decode_each([B, B], [workers, workers])]
+    got.append(gc.decode_exact([B], [workers])[0])
+    if kind == "draw":
+        got.append(gc.decode_draws(coset27, [B.randomness], [workers])[0])
+    for res in got:
+        assert res.err == want.err
+        assert np.array_equal(res.coeffs, want.coeffs) and np.array_equal(res.fitted, want.fitted)
+
+
+def test_tiny_lone_diagonal_keeps_todays_route(coset27, monkeypatch):
+    # a lone survivor whose diagonal has norm 1e-9 would take the reduced
+    # system's cond far past 1e8: the class-inverse certificate refuses it,
+    # and today's route, the SVD of B_S, drops its column by the rank rule
+    labels, _ = coset27.column_classes
+    implied = _spy_class_side(monkeypatch, labels)
+    projected = _spy_projected(monkeypatch)
+    members = [j for j in range(54) if j != coset27.partners[3]]
+    d = gc.draw_diagonals(coset27, 2, gc.DiagonalLaw(0.1), seed=0).diagonals.copy()
+    d[:, 3] *= 1e-9 / np.linalg.norm(d[:, 3])
+    res = gc.decode_draws(coset27, [gc.DiagonalDraws(d)], [gc.NonStragglerSet(n=54, members=members)])[0]
+    b_s = (coset27.mat[None] * d[:, None, :]).reshape(54, 54)[:, members]
+    assert implied == {}
+    assert len(projected) == 1 and np.array_equal(projected[0], b_s)
+    ref_coeffs, ref_err = project(b_s, gc.build_target(27, 2))
+    assert res.err == ref_err and np.array_equal(res.coeffs[members], ref_coeffs)
+    assert rank_of(b_s) == len(members) - 1
+
+
+def test_class_inverse_only_on_invertible_class_blocks(fano, paley13, bibd91, bireg40, coset27):
+    # the k x k block of distinct columns and its inverse, once per design
+    # and read-only; none where no two columns are equal, where the classes
+    # are not k, or where the block is singular
+    for A in (fano, paley13, bibd91, bireg40, _coset(27, (0, 1, 2), 2), _coset(4, (0, 1), 3)):
+        assert A.class_inverse is None
+    K, c1, cond = coset27.class_inverse
+    assert coset27.class_inverse[0] is K
+    C = coset27.mat[:, coset27.column_classes[1]]
+    assert np.allclose(K @ (C.T @ C), np.eye(27), atol=1e-12) and np.array_equal(K, K.T)
+    assert np.allclose(C @ c1, 1.0, atol=1e-13)
+    assert abs(cond - np.linalg.cond(C.T @ C)) <= 1e-9 * cond
+    assert not K.flags.writeable and not c1.flags.writeable
+
+
 def test_draws_on_column_classes_get_the_same_bits_alone_as_in_a_stack(coset27, monkeypatch):
     # tied (epsilon = 0) and untied (epsilon = 0.1) draws of the coset
     # design in one call, with the empty and the full set, and a draw with a
@@ -1656,14 +1849,16 @@ def test_decode_draws_checks_its_inputs(fano, coset27):
     assert np.array_equal(gc.draw_diagonals(fano, 2, gc.DiagonalLaw(0.3), seed=4).diagonals, B.diagonals)
 
 
-def test_recurring_merged_copies_decode_in_stacks_exactly_as_decode(coset27, monkeypatch):
+def test_recurring_merged_copies_decode_in_stacks_exactly_as_decode(coset27_singular, monkeypatch):
     # the coset baseline repeats columns of A (its A is m equal circulant
-    # blocks), so its sets are grouped by merged width, and each group is
-    # decoded in stacks of merged blocks A_U C^1/2: every result is bitwise
-    # decode's, and only a member that fails its stack's certificate goes
-    # to the SVD of its B_S, as does the empty set
+    # blocks); with a singular block there is no class inverse, so its sets
+    # are grouped by merged width, and each group is decoded in stacks of
+    # merged blocks A_U C^1/2: every result is bitwise decode's, and only a
+    # member that fails its stack's certificate goes to the SVD of its B_S,
+    # as does the empty set
+    coset27 = coset27_singular
     B = gc.encode_baseline(coset27, 2)
-    assert coset27.column_classes is not None and B.gram_tier is None
+    assert coset27.column_classes is not None and B.gram_tier is None and coset27.class_inverse is None
     labels, _ = coset27.column_classes
     stacks = _spy_stacks(monkeypatch, "_copies_stack")
     projected = _spy_projected(monkeypatch)
