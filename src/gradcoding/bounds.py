@@ -92,13 +92,21 @@ def bound_expected(
     return BoundReport(kind=EXPECTED_UPPER, value=value)
 
 
+def _straggler_count(s, n: int) -> int:
+    """s as an int when it is an integer in [0, n] (errors.check_count);
+    a ParameterError naming s otherwise."""
+    s = check_count(s, "s")
+    if s > n:
+        raise ParameterError(f"s must lie in [0, {n}], got {s}")
+    return s
+
+
 def bound_bibd(p: BibdParams, m: int, s: int) -> BoundReport:
     """Family closed form for BIBD transposes under the sign-only diagonal
     law: mk - m delta^2 (n-s) / (m delta + (n-s-1) lambda). At s = n it is
     mk, the error with no survivor; the denominator m delta - lambda stays
     positive there since delta > lambda."""
-    if not (0 <= s <= p.n):
-        raise ParameterError(f"s must lie in [0, {p.n}], got {s}")
+    s = _straggler_count(s, p.n)
     m = check_count(m, "m", 1)
     value = m * p.k - m * p.delta**2 * (p.n - s) / (m * p.delta + (p.n - s - 1) * p.lam)
     return BoundReport(kind=BIBD_UPPER, value=float(value))
@@ -115,8 +123,7 @@ def srg_theta(p: SrgParams) -> float:
 def bound_srg(p: SrgParams, m: int, s: int) -> BoundReport:
     """Family closed form for strongly regular graph adjacency (k = n):
     mn - m delta^2 (n-s) / ((m delta - mu) + mu (n-s) + (lam - mu) theta)."""
-    if not (0 <= s <= p.n):
-        raise ParameterError(f"s must lie in [0, {p.n}], got {s}")
+    s = _straggler_count(s, p.n)
     m = check_count(m, "m", 1)
     theta = srg_theta(p)
     denom = (m * p.delta - p.mu) + p.mu * (p.n - s) + (p.lam - p.mu) * theta
@@ -127,8 +134,7 @@ def bound_srg(p: SrgParams, m: int, s: int) -> BoundReport:
 def bound_coset(p: CosetParams, s: int, c: float) -> BoundReport:
     """Family closed form for coset bipartite graphs:
     mk - m delta^2 (mk - s) / (m delta^2 + c (m-1) delta)."""
-    if not (0 <= s <= p.n):
-        raise ParameterError(f"s must lie in [0, {p.n}], got {s}")
+    s = _straggler_count(s, p.n)
     value = p.m * p.k - p.m * p.delta**2 * (p.m * p.k - s) / (
         p.m * p.delta**2 + c * (p.m - 1) * p.delta
     )
@@ -192,10 +198,8 @@ def lower_bound(n: int, k: int, delta: int, m: int, s: int) -> BoundReport:
     steps for any m.
     """
     m = check_count(m, "m", 1)
-    if min(n, k, delta) < 1:
-        raise ParameterError("n, k, delta must be positive")
-    if not (0 <= s <= n):
-        raise ParameterError(f"s must lie in [0, {n}], got {s}")
+    n, k, delta = (check_count(v, name, 1) for v, name in ((n, "n"), (k, "k"), (delta, "delta")))
+    s = _straggler_count(s, n)
     N = n * delta
     step, drop = N // gcd(k, N), k // gcd(k, N)
     lo = max(1, s + m - N + 1)  # the first u whose count is below k
@@ -221,10 +225,10 @@ def adversarial_straggler_set(
     the neighborhood if it is large enough, otherwise the whole neighborhood
     padded with the lowest unused worker indices. Returns the survivors.
     """
-    if not (1 <= u <= m):
+    m, u = check_count(m, "m", 1), check_count(u, "u", 1)
+    if u > m:
         raise ParameterError(f"u must lie in [1, {m}], got {u}")
-    if not (0 <= s <= A.n):
-        raise ParameterError(f"s must lie in [0, {A.n}], got {s}")
+    s = _straggler_count(s, A.n)
     k, n = A.k, A.n
     q_size = min(floor(k * (s + m - u) / (n * A.delta)), k)
     degrees = A.mat.sum(axis=1)
@@ -249,8 +253,7 @@ def adversarial_straggler_set(
 def baseline_bibd_error(p: BibdParams, m: int, s: int) -> BoundReport:
     """Exact error of the stacked-copies baseline on a BIBD transpose (not
     merely a bound): mk - delta^2 (n-s) / (delta + (n-s-1) lambda)."""
-    if not (0 <= s <= p.n):
-        raise ParameterError(f"s must lie in [0, {p.n}], got {s}")
+    s = _straggler_count(s, p.n)
     m = check_count(m, "m", 1)
     if s == p.n:
         value = float(m * p.k)

@@ -37,31 +37,31 @@ decode, as in any stack; they agree with the route table on B's cached
 Gram (the reference for any other encoding) within 1e-9 * mk.
 
 Which workers hold the same subsets is one table per design,
-AssignmentMatrix.column_classes; stacked copies are merged on it (below).
-Where every class has at most two workers (AssignmentMatrix.partners, the
-coset graph's pairs), a draw is first reduced to A's column classes: the
-survivors of a class U share the column a_U, so B_S restricted to them is
-(I_m (x) a_U) D_U, D_U the m x c matrix of their diagonals. Factor D_U =
-P_U T_U, P_U of full column rank with its rank from the rank rule (two
-partners by Gram-Schmidt, a lone survivor as P_U = d, T_U = 1). Then
-B_S = M_S T with T block diagonal of full row rank, and M_S is built as
-above with P's columns in place of the diagonals. Where a certificate
-clears M_S it has full column rank, so R = T^+ Y, for M_S's solution Y,
-is B_S's minimum-norm solution, with M_S's error. Nearly parallel
-partner diagonals make B_S ill-conditioned and exact ties (epsilon = 0)
-rank-deficient; M_S is neither. A member whose reduced system clears
-neither certificate takes route 4 on B_S, as above; the draws of a
-design with a class of more than two equal columns are solved on B_S.
+AssignmentMatrix.column_classes. Where A's k distinct columns form a
+matrix C whose Gram clears certify_gram (AssignmentMatrix.class_inverse:
+K = (C^T C)^-1 and c1 = C^-1 1_k; the coset graph's circulant block), two
+kinds of decode share that one inverse and solve each set from its
+straggler side: the draws at m = 2 on paired workers (_class_draws), and
+the stacked copies of A (_class_copies). This is the one decode on
+column classes: every other set, of these designs or of a design with
+equal columns and no class inverse, is solved on B_S itself, as on any
+other design.
 
-Where A's k distinct columns form a matrix C whose Gram clears
-certify_gram (AssignmentMatrix.class_inverse: K = (C^T C)^-1 and
-c1 = C^-1 1_k; the coset graph's circulant block), two kinds of decode
-share that one inverse and solve each set from its straggler side: the
-draws at m = 2 on paired workers, after the reduction above
-(_class_draws), and the stacked copies of A (_class_copies). The reduced
-survivor columns are (I_m (x) C) Q diag(scale), Q's columns q (x) e_U
-orthonormal, one per kept direction q of class U, each scaled by the norm
-of its column of P_U (1 for a Gram-Schmidt q, ||d|| for a lone survivor).
+On paired workers (AssignmentMatrix.partners: every class has at most
+two, as in the coset graph), a draw at m = 2 is first reduced to A's
+column classes: the survivors of a class U share the column a_U, so B_S
+restricted to them is (I_m (x) a_U) D_U, D_U the m x c matrix of their
+diagonals. Factor D_U = P_U T_U, P_U of full column rank with its rank
+from the rank rule (two partners by Gram-Schmidt, a lone survivor as
+P_U = d, T_U = 1). Then B_S = M_S T with T block diagonal of full row
+rank, and M_S has P's columns in place of the diagonals. Where M_S has
+full column rank, R = T^+ Y, for M_S's solution Y, is B_S's minimum-norm
+solution, with M_S's error. Nearly parallel partner diagonals make B_S
+ill-conditioned and exact ties (epsilon = 0) rank-deficient; M_S is
+neither. The reduced survivor columns are (I_m (x) C) Q diag(scale),
+Q's columns q (x) e_U orthonormal, one per kept direction q of class U,
+each scaled by the norm of its column of P_U (1 for a Gram-Schmidt q,
+||d|| for a lone survivor).
 With P an orthonormal basis of col(Q)'s complement, t columns p_a = v_a
 (x) e_{u_a} (per class: nothing, the unit normal of the one kept
 direction, or e_1 and e_2), the residual of F lies in the span of
@@ -82,14 +82,15 @@ W's eigenvalues lie within K's spectrum (Cauchy interlacing):
 cond(W) <= cond(C^T C) < 1e8 for every set, certified once per design.
 Each member's own certificate needs no factorization either: the reduced
 Gram's eigenvalues lie in [lambda_min(C^T C) min scale^2,
-lambda_max(C^T C) max scale^2] (scale^2 = c_u for merged copies), so where
-cond(C^T C) max scale^2 < 1e8 min scale^2 (_clears) the reduced system
-has cond_2 < 1e8, full column rank under the rank rule, and the rank of
-the reduction. A member it refuses (a lone diagonal of tiny norm, whose
-column the rank rule may drop, and the empty set) takes the route it
-would take without the class inverse. The sets are solved by t in stacks
-of at most STACK_ELEMENTS gathered entries; no member's result depends on
-its stack. These draws never take the whole-Gram inverse.
+lambda_max(C^T C) max scale^2] (scale^2 = c_u, the survivors of class u,
+for stacked copies), so where cond(C^T C) max scale^2 < 1e8 min scale^2
+(_clears) the reduced system has cond_2 < 1e8, full column rank under
+the rank rule, and the rank of the reduction. A member it refuses (a lone
+diagonal of tiny norm, whose column the rank rule may drop, and the
+empty set) is solved on its B_S, as on a design without the class
+inverse. The sets are solved by t in stacks of at most STACK_ELEMENTS
+gathered entries; no member's result depends on its stack. These draws
+never take the whole-Gram inverse.
 
 Where every two workers share exactly lambda < delta subsets
 (AssignmentMatrix.overlap: A^T A = (delta - lambda) I + lambda J, a BIBD
@@ -140,21 +141,15 @@ full column rank with orders of magnitude to spare.
 
 The stacked-copies baseline B = 1_m (x) A is decoded on its k-row block
 A_S: B_S^+ = (1_m^T / m) (x) A_S^+, so every column of R is x / m with
-x = A_S^+ 1_k, and the error is mk - ||A_S x||^2. Equal columns of A
-among the survivors are merged first: with U the column classes among S,
-c_u their sizes and E the |U| x |S| matrix whose column j indicates the
-class of worker j, A_S = A_U E = (A_U C^1/2) Q with C = diag(c_u) and
-Q = C^-1/2 E, whose rows are orthonormal, so A_S^+ = Q^T (A_U C^1/2)^+.
-When A_U has full column rank this is E^T (E E^T)^-1 A_U^+: each of the
-c_u copies of u gets x_U / c_u. The classes are A's
-(AssignmentMatrix.column_classes); where no two survivors share a
-column, every class is one survivor and the block is A_S itself. A block
+x = A_S^+ 1_k, and the error is mk - ||A_S x||^2. A block
 of at most k columns takes x from its column Gram when certify_gram
 clears it (this is the certificate of G_S = m A_S^T A_S up to rounding);
 a block of more than k columns takes x = A_S^T y with A_S A_S^T y = 1_k
 when certify_gram clears that k x k row Gram (x lies in the row space of
 A_S, so it is the minimum-norm solution). A set whose block clears
-neither goes to route 4 on its own B_S.
+neither goes to route 4 on its own B_S: so does a set of at most k
+survivors two of which share a column of A, whose column Gram is
+singular.
 
 When certify_gram clears the whole n x n Gram G, Cauchy interlacing gives
 lambda_min(G_SS) >= lambda_min(G) > tr(G) / 1e8 >= tr(G_SS) / 1e8 for
@@ -340,15 +335,15 @@ def decode_each(
     """The decode of encodings[j] for sets[j], for every j, in order.
 
     The sets of each group (one encoding, or the stacked copies or the
-    draws of one design and m) are solved by size (by merged width for
-    stacked copies) as batched stacks, as set out above, and each gets
-    exactly decode's result, but in a group of more than one set solved
-    through its whole-Gram inverse (EncodingMatrix.gram_inverse, the 1e8
-    tier). There errors match decode(B, w) within 1e-9 * mk, with the same
-    coefficient support (the survivors' rows); the coefficients come from
-    another solve, so they agree only to rounding. Every set is checked
-    against its direct residual, with one product per group and one per
-    design for the draws."""
+    draws of one design and m) are solved by size as batched stacks, as
+    set out above, and each gets exactly decode's result, but in a group
+    of more than one set solved through its whole-Gram inverse
+    (EncodingMatrix.gram_inverse, the 1e8 tier). There errors match
+    decode(B, w) within 1e-9 * mk, with the same coefficient support (the
+    survivors' rows); the coefficients come from another solve, so they
+    agree only to rounding. Every set is checked against its direct
+    residual, with one product per group and one per design for the
+    draws."""
     return _decode_calls(encodings, sets, whole_gram=True)
 
 
@@ -396,9 +391,9 @@ def decode_draws(
     encoding's sets. Every draw has the same m.
 
     The sets are solved in closed form on a design of constant overlap,
-    and otherwise by size in stacks, their survivor systems built from
-    A^T A and the diagonals, on A's column classes where A's workers pair
-    up, as set out above."""
+    at m = 2 on paired workers from the straggler side of the design's
+    class inverse, and otherwise by size in stacks, their survivor
+    systems built from A^T A and the diagonals, as set out above."""
     draws, sets = list(draws), list(sets)
     if len(draws) != len(sets):
         raise ShapeError(f"{len(draws)} diagonal draws for {len(sets)} survivor sets")
@@ -474,38 +469,28 @@ def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeR
     design and m): stacked copies from the straggler side of the design's
     class inverse where its certificate clears them (_class_copies);
     through the whole-Gram inverse where _inverse gives it; else by size
-    (by merged width for stacked copies) in stacks that give each set
-    decode's result."""
+    in stacks that give each set decode's result, stacked copies on their
+    k-row blocks (_copies_stack) and any other encoding from its cached
+    Gram (_survivor_stack)."""
     rows, n = B.mat.shape
     target = build_target(B.k, B.m)
     coeffs = np.empty((len(sets), n, B.m))
     errs = np.empty(len(sets))
     inverse = _inverse(B, len(sets), whole_gram)
-    classes = B.parent.column_classes if B.stacked_copies else None
     rest = np.arange(len(sets))
     if B.stacked_copies and B.parent.class_inverse is not None:
         rest = rest[~_class_copies(B.parent, B.m, sets, coeffs, errs)]
     left = [sets[j] for j in rest.tolist()]
-    merges = None
-    if inverse is None and classes is not None:
-        merges = [_column_merge(classes, w.index) for w in left]
-    widths = [len(w.members) for w in left] if merges is None else [len(m[0]) for m in merges]
-    for width, at in _by_key(widths):
+    stack = _copies_stack if B.stacked_copies else _survivor_stack
+    for width, at in _by_key([len(w.members) for w in left]):
         part = [left[j] for j in at]
         pos = rest[at]
         if inverse is not None:
             coeffs[pos], errs[pos] = _decode_group(B, inverse, _members(part, width))
             continue
-        if B.stacked_copies:
-            merged = None if merges is None else [merges[j] for j in at]
 
-            def solve(lo: int, hi: int):
-                return _copies_stack(B, part[lo:hi], merged and merged[lo:hi])
-
-        else:
-
-            def solve(lo: int, hi: int):
-                return _survivor_stack(B, _members(part[lo:hi], width))
+        def solve(lo: int, hi: int):
+            return stack(B, _members(part[lo:hi], width))
 
         def columns(j: int):
             idx = part[j].index
@@ -519,12 +504,12 @@ def _decode_one(B: EncodingMatrix, sets: list, whole_gram: bool) -> list[DecodeR
 def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> list[DecodeResult]:
     """The decodes of random-diagonal draws of A (diagonals, g x m x n), set
     j through draw j: on a design of constant overlap (A.overlap) in closed
-    form (_closed_form); where A's workers pair up (A.partners) on A's
-    column classes (_class_factors), and at m = 2 from the straggler side
-    of A.class_inverse where its certificate clears them (_class_draws);
-    the other members by size in stacks by _draw_stack; a member a stack
-    does not solve, and the empty set, by route 4 on its B_S. B R comes
-    from A and the diagonals: block u of it is A (d_u o R)."""
+    form (_closed_form); at m = 2 on paired workers (_class_side) from the
+    straggler side of A.class_inverse where its certificate clears them
+    (_class_draws); the other members by size in stacks of their own
+    survivor systems by _draw_stack; a member a stack does not solve, and
+    the empty set, by route 4 on its B_S. B R comes from A and the
+    diagonals: block u of it is A (d_u o R)."""
     g, m, n = diagonals.shape
     mk = m * A.k
     target = build_target(A.k, m)
@@ -533,25 +518,18 @@ def _decode_draws(A: AssignmentMatrix, diagonals: np.ndarray, sets: list) -> lis
     coeffs = np.empty((g, n, m))
     errs = np.empty(g)
     rest = np.arange(g)
-    if A.overlap is not None:
+    if A.overlap is not None:  # no two equal columns, so no class side
         rest = rest[~_closed_form(A, diagonals, survives, coeffs, errs)]
-    partner = A.partners
-    basis, kept = diagonals, survives
-    if partner is not None:
-        basis, kept, own, other = _class_factors(partner, diagonals, survives)
-        if _class_side(A, m):
-            rest = rest[~_class_draws(A, basis, kept, own, other, rest, coeffs, errs)]
-    for size, at in _by_key(kept[rest].sum(axis=1).tolist()):
+    elif _class_side(A, m):
+        rest = rest[~_class_draws(A, diagonals, survives, coeffs, errs)]
+    for size, at in _by_key(survives[rest].sum(axis=1).tolist()):
         at = rest[at]
 
         def solve(lo: int, hi: int):
             picked = at[lo:hi]
-            idx = np.nonzero(kept[picked])[1].reshape(len(picked), size)
-            d_s = np.take_along_axis(basis[picked], idx[:, None, :], axis=2)
-            solved, err, ok = _scatter(n, idx, *_draw_stack(A, A.gram, colsum, idx, d_s))
-            if partner is not None:  # R = T^+ Y
-                solved = own[picked, :, None] * solved + other[picked, :, None] * solved[:, partner]
-            return solved, err, ok
+            idx = np.nonzero(survives[picked])[1].reshape(len(picked), size)
+            d_s = np.take_along_axis(diagonals[picked], idx[:, None, :], axis=2)
+            return _scatter(n, idx, *_draw_stack(A, A.gram, colsum, idx, d_s))
 
         def columns(j: int):
             idx, diag = sets[at[j]].index, diagonals[at[j]]
@@ -657,29 +635,30 @@ def _clears(cond: float, scale_sq: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return np.isfinite(small) & (cond * big < CERT_COND_MAX * small)
 
 
-def _class_draws(A: AssignmentMatrix, basis, kept, own, other, at, coeffs, errs) -> np.ndarray:
-    """Which of the draws at (members of a stack at m = 2, reduced by
-    _class_factors to basis, kept, own and other) the class-inverse
-    certificate clears, each solved from the straggler side of
-    A.class_inverse into coeffs and errs, as set out above. Per class, P
-    holds e_1 and e_2 where no column is kept, the unit normal of the kept
-    direction where one is, and nothing where two are."""
+def _class_draws(A: AssignmentMatrix, diagonals, survives, coeffs, errs) -> np.ndarray:
+    """Which of a stack of draws at m = 2 on paired workers (g) the
+    class-inverse certificate clears after their reduction by
+    _class_factors, each solved from the straggler side of A.class_inverse
+    into coeffs and errs, as set out above. Per class, P holds e_1 and e_2
+    where no column is kept, the unit normal of the kept direction where
+    one is, and nothing where two are."""
     labels, lo = A.column_classes
     partner = A.partners
     hi = partner[lo]
-    b_at, kept_at = basis[at], kept[at]
-    scale_sq = (b_at * b_at).sum(axis=1)
-    ok = _clears(A.class_inverse[2], scale_sq, kept_at)
-    at, b_at, kept_at = at[ok], b_at[ok], kept_at[ok]
+    basis, kept, own, other = _class_factors(partner, diagonals, survives)
+    scale_sq = (basis * basis).sum(axis=1)
+    ok = _clears(A.class_inverse[2], scale_sq, kept)
+    sel = np.flatnonzero(ok)
+    basis, kept, own, other = basis[sel], kept[sel], own[sel], other[sel]
     # 1 / ||basis||^2 on the kept columns, 0 elsewhere
-    weight = np.divide(1.0, scale_sq[ok], out=np.zeros(kept_at.shape), where=kept_at)
-    on_lo, on_hi = kept_at[:, lo], kept_at[:, hi] & (hi != lo)
+    weight = np.divide(1.0, scale_sq[sel], out=np.zeros(kept.shape), where=kept)
+    on_lo, on_hi = kept[:, lo], kept[:, hi] & (hi != lo)
     rank = on_lo.astype(np.intp) + on_hi
     # the kept direction of each class of rank 1 and its unit normal
-    b = np.where(on_lo[:, None, :], b_at[:, :, lo], b_at[:, :, hi])
+    b = np.where(on_lo[:, None, :], basis[:, :, lo], basis[:, :, hi])
     one = rank == 1
     norm = np.sqrt(np.where(one, (b * b).sum(axis=1), 1.0))
-    vectors = np.zeros((at.size, A.k, 2, 2))
+    vectors = np.zeros((sel.size, A.k, 2, 2))
     vectors[:, :, 0, 0] = np.where(one, -b[:, 1] / norm, 1.0)
     vectors[:, :, 0, 1] = np.where(one, b[:, 0] / norm, 0.0)
     vectors[:, :, 1, 1] = 1.0
@@ -687,10 +666,10 @@ def _class_draws(A: AssignmentMatrix, basis, kept, own, other, at, coeffs, errs)
     total = float(2 * A.k)
     columns = 2 * A.k
     for picked, err, Y in _straggler_side(A, valid.reshape(-1, columns), vectors.reshape(-1, columns, 2)):
-        j = at[picked]
+        j = sel[picked]
         # each kept column takes basis^T Y_u / ||basis||^2; then R = T^+ Y
-        reduced = np.einsum("jiw,jwic->jwc", b_at[picked], Y[:, labels]) * weight[picked, :, None]
-        coeffs[j] = own[j, :, None] * reduced + other[j, :, None] * reduced[:, partner]
+        reduced = np.einsum("jiw,jwic->jwc", basis[picked], Y[:, labels]) * weight[picked, :, None]
+        coeffs[j] = own[picked, :, None] * reduced + other[picked, :, None] * reduced[:, partner]
         errs[j] = err.clip(0.0, total)
     return ok
 
@@ -770,22 +749,6 @@ def _members(sets: list, size: int) -> np.ndarray:
     return np.concatenate([w.index for w in sets]).reshape(len(sets), size)
 
 
-def _column_merge(classes: tuple[np.ndarray, np.ndarray], idx: np.ndarray):
-    """(the first column of each class among the survivors idx, each
-    survivor's position among those classes, the class sizes), from A's
-    column classes (AssignmentMatrix.column_classes); the identity classes
-    (idx, 0..|S|-1, ones) when no two survivors have equal columns of A."""
-    labels, firsts = classes
-    lab = labels.take(idx)
-    counts = np.bincount(lab, minlength=firsts.size)
-    present = np.flatnonzero(counts)
-    if present.size < idx.size:
-        position = np.empty(firsts.size, dtype=np.intp)
-        position[present] = np.arange(present.size)
-        return firsts.take(present), position.take(lab), counts.take(present).astype(float)
-    return idx, np.arange(idx.size), np.ones(idx.size)
-
-
 def _solve_qr(b_s: np.ndarray, target: np.ndarray):
     """min ||B_S R - F||_F by Householder QR for each B_S of a stack (g x
     mk x |S|) of full column rank: (R, ||F||_F^2 - ||Q^T F||_F^2) per
@@ -852,13 +815,12 @@ def _decode_group(B: EncodingMatrix, inverse: tuple[np.ndarray, np.ndarray], idx
 
 def _decode_capped(target: np.ndarray, n: int, count: int, width: int, height: int, solve, columns):
     """(coefficients count x n x m, errors count) of count survivor sets
-    whose stacks share one width (|S|, or the merged width of stacked
-    copies), in stacks of at most STACK_ELEMENTS gathered entries (count' x
-    max(height, width) x width, or one set where a single set needs more):
-    solve(lo, hi) gives (coefficients, errors, solved) of sets lo..hi-1 as
-    one stack. Each member solve does not solve, and every set of width 0,
-    takes route 4: project on its own B_S, columns(j) giving set j's
-    (survivors, B_S)."""
+    of one width |S|, in stacks of at most STACK_ELEMENTS gathered entries
+    (count' x max(height, width) x width, or one set where a single set
+    needs more): solve(lo, hi) gives (coefficients, errors, solved) of
+    sets lo..hi-1 as one stack. Each member solve does not solve, and every
+    set of width 0, takes route 4: project on its own B_S, columns(j)
+    giving set j's (survivors, B_S)."""
     total = float(len(target))  # ||F||_F^2 = mk
     step = max(1, STACK_ELEMENTS // max(1, max(height, width) * width))
     coeffs = np.empty((count, n, target.shape[1]))
@@ -876,26 +838,14 @@ def _decode_capped(target: np.ndarray, n: int, count: int, width: int, height: i
     return coeffs, errs
 
 
-def _copies_stack(B: EncodingMatrix, sets: list, merges: list | None):
-    """Route 1 on g sets of stacked copies as one stack: _decode_stacked of
-    their k-row blocks A_S, or, when A repeats a column, of their merged
-    blocks A_U C^1/2 (merges holding each set's _column_merge).
+def _copies_stack(B: EncodingMatrix, idx: np.ndarray):
+    """Route 1 on g sets of stacked copies of one size (idx, g x |S|,
+    |S| >= 1) as one stack: _decode_stacked of their k-row blocks A_S.
     (coefficients g x n x m, errors g, solved g)."""
-    g, m = len(sets), B.m
-    coeffs = np.zeros((g, B.n, m))
-    if merges is None:
-        idx = _members(sets, len(sets[0].members))
-        a = np.ascontiguousarray(B.block(0)[:, idx].transpose(1, 0, 2))  # g x k x |S|
-        x, err, ok = _decode_stacked(a, m)
-        coeffs[np.arange(g)[:, None], idx] = (x / m)[..., None]
-        return coeffs, err, ok
-    firsts = np.array([merge[0] for merge in merges], dtype=np.intp)
-    root = np.sqrt(np.array([merge[2] for merge in merges]))
-    a = np.ascontiguousarray(B.block(0)[:, firsts].transpose(1, 0, 2)) * root[:, None, :]
-    x, err, ok = _decode_stacked(a, m)
-    x = x / m / root
-    for j, (workers, merge) in enumerate(zip(sets, merges)):
-        coeffs[j, workers.index] = x[j, merge[1], None]
+    a = np.ascontiguousarray(B.block(0)[:, idx].transpose(1, 0, 2))  # g x k x |S|
+    x, err, ok = _decode_stacked(a, B.m)
+    coeffs = np.zeros((len(idx), B.n, B.m))
+    coeffs[np.arange(len(idx))[:, None], idx] = (x / B.m)[..., None]
     return coeffs, err, ok
 
 
@@ -958,10 +908,9 @@ def _draw_stack(
     """Routes 2 and 3 on g survivor systems of random-diagonal draws of A,
     by _solve_survivors: column t of member j has block u a_i d_s[j, u, t]
     for worker i = idx[j, t] (d_s, g x m x |S|, holds the survivors'
-    diagonals, or a basis of their span on A's column classes). The systems
-    come from A^T A (gram_a), 1^T A (colsum) and d_s, with no mk x n matrix:
-    G_SS = (A^T A)_SS o D_S^T D_S and H_S[:, u] = (d_u o 1^T A)_S.
-    (solutions g x |S| x m, errors g, solved g)."""
+    diagonals). The systems come from A^T A (gram_a), 1^T A (colsum) and
+    d_s, with no mk x n matrix: G_SS = (A^T A)_SS o D_S^T D_S and
+    H_S[:, u] = (d_u o 1^T A)_S. (solutions g x |S| x m, errors g, solved g)."""
     m, size = d_s.shape[1:]
     gram_s = gram_a[idx[:, :, None], idx[:, None, :]] * (d_s.transpose(0, 2, 1) @ d_s)
     image_s = (d_s * colsum[idx][:, None, :]).transpose(0, 2, 1)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, check_count
 from .linalg import RANK_EPS, certify_gram, circulant_eigenvalues
 
 BIBD_TRANSPOSE = "bibd_transpose"
@@ -135,9 +135,9 @@ class AssignmentMatrix:
         """(labels, firsts) when two workers hold the same subsets: column j
         equals column firsts[labels[j]], the first of its class, the classes
         in np.unique's order of the distinct columns. None when every column
-        is distinct. The one table of which workers share a column; partners
-        and the merged stacked-copies decode read it. Computed once per
-        design and read-only."""
+        is distinct. The one table of which workers share a column; partners,
+        class_inverse and the decodes from the class inverse read it.
+        Computed once per design and read-only."""
         _, firsts, labels = np.unique(self.mat.T, axis=0, return_index=True, return_inverse=True)
         if firsts.size == self.n:
             return None
@@ -570,8 +570,7 @@ def biregular_random(n: int, k: int, delta: int, gamma: int, seed: int) -> Assig
     rejection of parallel edges. Deterministic given seed."""
     if k < 1 or n < 1 or delta < 1 or gamma < 1:
         raise ParameterError("n, k, delta, gamma must be positive")
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    seed = check_count(seed, "seed")
     if k * gamma != n * delta:
         raise ParameterError(f"infeasible degrees: k*gamma={k * gamma} != n*delta={n * delta}")
     if delta > k or gamma > n:

@@ -216,7 +216,7 @@ def draw_diagonals(A: AssignmentMatrix, m: int, law: DiagonalLaw, seed: int) -> 
     >> 11) 2^-53 and (1 - eps) + ((1 + eps) - (1 - eps)) u. The positions
     depend only on (n, m, eps == 0) and are cached (_raw_layout).
     """
-    m = check_count(m, "m", 1)
+    m, seed = check_count(m, "m", 1), check_count(seed, "seed")
     words, halves, mags = _raw_layout(A.n, m, law.epsilon == 0.0)
     raw = np.random.PCG64(seed).random_raw(words).astype("<u8", copy=False)
     signs = (raw.view("<u4")[halves] >> 31) * 2.0 - 1.0
@@ -362,7 +362,7 @@ def encode_nullspace_hadamard(
     unconstrained null-space vector is drawn after the search and the
     record's pm1_found flag stays False.
     """
-    m = check_count(m, "m", 1)
+    m, seed = check_count(m, "m", 1), check_count(seed, "seed")
     k, n = A.k, A.n
     if n != m * k:
         raise ParameterError(f"construction needs n = m*k; got n={n}, m*k={m * k}")

@@ -482,7 +482,7 @@ def estimate_unbiasedness(
         raise ParameterError("coset family needs k = p^a with p not dividing delta")
     if A.family == BI_REGULAR:
         raise ParameterError(f"family {A.family} lacks the required symmetry")
-    trials = check_count(trials, "trials", 2)
+    trials, seed = check_count(trials, "trials", 2), check_count(seed, "seed")
     model = Bernoulli(q)
     law = DiagonalLaw(scheme.epsilon)
     target = build_target(A.k, m)

@@ -41,6 +41,46 @@ def test_closed_forms_take_a_numpy_integer_m(name):
     assert _closed_forms_at(np.int64(2))[name]() == _closed_forms_at(2)[name]()
 
 
+def _counted_forms(n=7, k=7, delta=3, m=2, s=2, u=1):
+    """Each closed form and the adversarial set, called with these counts."""
+    fano = gc.bibd_transpose_from_difference_set([0, 1, 3], 7)
+    coset = gc.CosetParams(k=3, m=2, delta=2, generating_set=(0, 1))
+    return {
+        "bound_bibd": lambda: gc.bound_bibd(FANO, m, s),
+        "bound_srg": lambda: gc.bound_srg(PALEY13, m, s),
+        "bound_coset": lambda: gc.bound_coset(coset, s, 1.0),
+        "baseline_bibd_error": lambda: gc.baseline_bibd_error(FANO, m, s),
+        "lower_bound": lambda: gc.lower_bound(n, k, delta, m, s),
+        "adversarial_straggler_set": lambda: gc.adversarial_straggler_set(fano, m, s, u),
+    }
+
+
+_COUNTS = [
+    (name, count)
+    for name, counts in {
+        "bound_bibd": ("s",),
+        "bound_srg": ("s",),
+        "bound_coset": ("s",),
+        "baseline_bibd_error": ("s",),
+        "lower_bound": ("n", "k", "delta", "s"),
+        "adversarial_straggler_set": ("m", "s", "u"),
+    }.items()
+    for count in counts
+]
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, np.bool_(True), "2", None, -1])
+@pytest.mark.parametrize("name, count", _COUNTS)
+def test_closed_forms_refuse_a_non_integer_count(name, count, value):
+    # a fractional count gave a value (bound_bibd(p, 2, 1.5) = 4.571,
+    # lower_bound(7, 7, 3, 2, 1.5) = 0.0) and adversarial_straggler_set a
+    # set; lower_bound took True for n
+    least = 1 if count in ("n", "k", "delta", "m", "u") else 0
+    with pytest.raises(ParameterError, match=rf"^{count} must be an integer >= {least}, got "):
+        _counted_forms(**{count: value})[name]()
+    assert _counted_forms(**{count: np.int64(2)})[name]() == _counted_forms(**{count: 2})[name]()
+
+
 def test_c_frozen_values():
     assert gc.compute_c(0.0) == 1.0
     assert gc.compute_c(0.1) == pytest.approx(1.0134680134680136, abs=1e-15)

@@ -268,7 +268,7 @@ def _bad_input(tmp_path, case):
         return "validate", dict(config, encoding_meta=str(made / "encoding.json")), named
     return {
         "negative_seed": ("construct", {"design": FANO, "seed": -1}, "seed must be nonnegative"),
-        "negative_design_seed": ("construct", {"design": dict(bireg, seed=-1)}, "seed must be nonnegative"),
+        "negative_design_seed": ("construct", {"design": dict(bireg, seed=-1)}, "seed must be an integer >= 0"),
         "negative_dataset_seed": ("train", dict(train, dataset={"seed": -1}), "error: config.dataset.seed must be"),
         "negative_dataset_dim": ("train", dict(train, dataset={"dim": -1}), "error: config.dataset.dim must be"),
         "dataset_one_class": ("train", dict(train, dataset={"classes": 1}), "error: config.dataset.classes must be"),

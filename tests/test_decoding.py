@@ -427,11 +427,10 @@ def _check_against_projection(B, members):
 
 
 def test_stacked_baseline_decode_matches_svd_projection(paley13, coset27, bireg40, monkeypatch):
-    # every stacked-copies set is decoded on its block A_S, merged where
-    # survivors share a column of A: by the column Gram certificate (at
-    # most k columns) or the row Gram certificate (more than k), and a set
-    # that clears neither by the SVD of B_S itself, each on some of these
-    # sets; on the coset design, whose classes have an inverse, a set the
+    # every stacked-copies set is decoded on its block A_S: by the column
+    # Gram certificate (at most k columns) or the row Gram certificate
+    # (more than k), and a set that clears neither by the SVD of B_S
+    # itself, each on some of these sets; on the coset design, whose classes have an inverse, a set the
     # class-inverse certificate clears goes to the straggler side instead.
     # The column certificate is never tried on more than k columns, whose
     # B_S has rank <= k < |S|
@@ -689,10 +688,9 @@ def _spy_stacks(monkeypatch, name):
     stacks = []
     stack = getattr(decoding, name)
 
-    def spy(B_, members, *args, **kwargs):
-        coeffs, errs, solved = stack(B_, members, *args, **kwargs)
-        rows = members.tolist() if isinstance(members, np.ndarray) else [list(w.members) for w in members]
-        stacks.append((rows, solved.tolist()))
+    def spy(B_, members):
+        coeffs, errs, solved = stack(B_, members)
+        stacks.append((members.tolist(), solved.tolist()))
         return coeffs, errs, solved
 
     monkeypatch.setattr(decoding, name, spy)
@@ -1154,7 +1152,7 @@ def test_spectral_norm_from_the_gram_matches_the_svd(Z):
 
 
 # ---------------------------------------------------------------------------
-# one survivor set per encoding, the QR tier and merged stacked copies
+# one survivor set per encoding, the QR tier and stacked copies with equal columns
 
 
 def _check_against_route_references(B, workers, res, exact=True):
@@ -1364,30 +1362,31 @@ def test_property_qr_certificate_rejects_numerically_singular_columns(cols, seed
 def test_merged_stacked_baseline_matches_svd_projection(k, delta, copies, monkeypatch):
     # the coset design repeats every column `copies` times, and its k
     # distinct columns have a class inverse: every set decodes from its
-    # straggler side like the SVD projection, merging nothing
+    # straggler side like the SVD projection, none on its block A_S
     A = gc.coset_bipartite(gc.CosetParams(k=k, m=copies, delta=delta, generating_set=tuple(range(delta))))
     assert A.class_inverse is not None
-    _check_merged_copies(A, monkeypatch, [])
+    assert _check_copies(A, monkeypatch) == []
 
 
 @pytest.mark.parametrize("k,gen", [(27, (0, 1, 2)), (9, (0, 1, 2)), (4, (0, 1))])
 @pytest.mark.parametrize("copies", [2, 3])
 def test_merged_stacked_baseline_without_a_class_inverse_matches_svd_projection(k, gen, copies, monkeypatch):
-    # a singular circulant block: no class inverse, so sets holding two
-    # equal columns are merged and decode like the SVD projection
+    # a singular circulant block: no class inverse, so every set, sets
+    # holding two equal columns among them, is decoded on its own block A_S
+    # or B_S and agrees with the SVD projection
     A = gc.coset_bipartite(gc.CosetParams(k=k, m=copies, delta=len(gen), generating_set=gen))
     assert A.class_inverse is None
-    _check_merged_copies(A, monkeypatch, None)
+    assert _check_copies(A, monkeypatch) == list(range(1, A.n + 1)) * 2
 
 
-def _check_merged_copies(A, monkeypatch, merges_when_classes):
+def _check_copies(A, monkeypatch):
     """decode of the stacked copies of A at m = 2 and 3, for one set of each
-    size, against the SVD projection; a set with fewer classes than
-    survivors is merged (merges_when_classes None) or not merged at all."""
+    size, against the SVD projection: the widths of the blocks A_S decoded
+    on the k-row block (route 1), in order."""
     k = A.k
-    stacked, merged = decoding._decode_stacked, []
+    stacked, widths = decoding._decode_stacked, []
     monkeypatch.setattr(
-        decoding, "_decode_stacked", lambda a_s, m: merged.append(a_s.shape[2]) or stacked(a_s, m)
+        decoding, "_decode_stacked", lambda a_s, m: widths.append(a_s.shape[2]) or stacked(a_s, m)
     )
     for m in (2, 3):
         B = gc.encode_baseline(A, m)
@@ -1396,11 +1395,8 @@ def _check_merged_copies(A, monkeypatch, merges_when_classes):
         rng = np.random.default_rng(k + m)
         for size in range(1, A.n + 1):
             members = list(np.sort(rng.choice(A.n, size=size, replace=False)))
-            merged.clear()
             _check_against_projection(B, members)
-            classes = np.unique(labels[members]).size
-            if classes < size:
-                assert merged == ([classes] if merges_when_classes is None else merges_when_classes)
+    return widths
 
 
 def test_column_classes_only_where_copies_repeat_a_column(fano, bireg40, coset27):
@@ -1436,7 +1432,7 @@ def test_property_column_classes_of_planted_equal_columns(k, seed, sizes):
     # distinct columns of weight delta, each repeated 1 to 3 times, in a
     # random order: the design's table finds the planted classes, partners
     # pairs exactly the classes of two, and stacked copies of the design
-    # decode every set, merged or not, as project on B_S does
+    # decode every set as project on B_S does
     rng = np.random.default_rng(seed)
     delta = int(rng.integers(1, k + 1))
     distinct = set()
@@ -1526,13 +1522,14 @@ def test_reconstruct_each_matches_reconstruct(coset27):
 
 
 # ---------------------------------------------------------------------------
-# random-diagonal draws decoded from A^T A, and merged copies, in stacks
+# random-diagonal draws decoded from A^T A, and stacked copies, in stacks
 
 
 def test_stacked_draws_match_decode_and_projection(coset27, bireg40, monkeypatch):
-    # draws of two designs, one set each and interleaved, are solved by size
-    # as stacks built from A^T A and the diagonals (on the coset design's
-    # column classes). Each result is exactly decode's, and within 1e-9 * mk
+    # draws of two designs, one set each and interleaved: the bi-regular
+    # draws are solved by size as stacks built from A^T A and the
+    # diagonals, the coset draws from the class inverse on the design's
+    # column classes. Each result is exactly decode's, and within 1e-9 * mk
     # of the SVD projection: sets that clear the 1e8 certificate, the
     # bi-regular sets of the epsilon = 0.001 draws that clear only the 1e12
     # one (QR), the rank-deficient sets of the short draws (the SVD) and the
@@ -1624,9 +1621,10 @@ def _spy_class_side(mp, labels):
     implied = {}
     class_draws, class_copies = decoding._class_draws, decoding._class_copies
 
-    def spy_draws(A, basis, kept, own, other, at, coeffs, errs):
-        ok = class_draws(A, basis, kept, own, other, at, coeffs, errs)
-        implied.update((j, int(kept[j].sum())) for j in at[ok].tolist())
+    def spy_draws(A, diagonals, survives, coeffs, errs):
+        ok = class_draws(A, diagonals, survives, coeffs, errs)
+        kept = decoding._class_factors(A.partners, diagonals, survives)[1]
+        implied.update((j, int(kept[j].sum())) for j in np.flatnonzero(ok).tolist())
         return ok
 
     def spy_copies(A, m, sets, coeffs, errs):
@@ -1727,6 +1725,68 @@ def test_tiny_lone_diagonal_keeps_todays_route(coset27, monkeypatch):
     ref_coeffs, ref_err = project(b_s, gc.build_target(27, 2))
     assert res.err == ref_err and np.array_equal(res.coeffs[members], ref_coeffs)
     assert rank_of(b_s) == len(members) - 1
+
+
+def test_coset_draws_and_copies_reach_no_general_stack(coset27, monkeypatch):
+    # the coset design's classes have an inverse: its draws at m = 2, tied
+    # (epsilon = 0) or not, in decode_draws and in decode_each, and every
+    # set of its stacked copies are solved from the straggler side of that
+    # inverse. None reaches a general stack or the SVD but the empty set
+    reached = []
+    for name in ("_draw_stack", "_copies_stack", "_survivor_stack", "_decode_group"):
+        solve = getattr(decoding, name)
+        monkeypatch.setattr(decoding, name, lambda *args, name=name, solve=solve: reached.append(name) or solve(*args))
+    projected = _spy_projected(monkeypatch)
+    rng = np.random.default_rng(6)
+    sets = [gc.sample_straggler_set(gc.Bernoulli(q), 54, rng) for q in (0.1, 0.25, 0.5, 0.9) for _ in range(6)]
+    sets += [gc.NonStragglerSet(n=54, members=()), gc.NonStragglerSet.full(54)]
+    empty = 0
+    for eps in (0.0, 0.1):
+        law = gc.DiagonalLaw(eps)
+        gc.decode_draws(coset27, [gc.draw_diagonals(coset27, 2, law, seed=s) for s in range(len(sets))], sets)
+        recurring = gc.encode_random_diagonal(coset27, 2, law, seed=0)
+        gc.decode_each([recurring] * len(sets), sets)
+        empty += 2
+    for m in (1, 2, 3):
+        gc.decode_each([gc.encode_baseline(coset27, m)] * len(sets), sets)
+        empty += 1
+    assert reached == []
+    assert len(projected) == empty and all(b_s.shape[1] == 0 for b_s in projected)
+
+
+@pytest.mark.parametrize("k,gen", [(27, (0, 1, 2)), (9, (0, 1, 2)), (4, (0, 1))])
+@pytest.mark.parametrize("copies", [2, 3])
+def test_singular_block_cosets_decode_on_their_survivor_columns(k, gen, copies, monkeypatch):
+    # a coset design whose block is singular has no class inverse: its draws
+    # (epsilon 0 and 0.1, m = 2 and 3) and stacked copies are solved on B_S.
+    # Each set agrees with project(B_S) within 1e-9 * mk, a set a stack
+    # solves has the full rank its route implies (rank_of(B_S) = |S|, or k
+    # on the row Gram of more than k copies), and decode_each gives decode's
+    # bits
+    A = _coset(k, gen, copies)
+    assert A.class_inverse is None
+    projected = _spy_projected(monkeypatch)
+    rng = np.random.default_rng(k + copies)
+    sets = [gc.sample_straggler_set(gc.Bernoulli(q), A.n, rng) for q in (0.1, 0.3, 0.6) for _ in range(4)]
+    sets += [gc.NonStragglerSet(n=A.n, members=()), gc.NonStragglerSet.full(A.n)]
+    for m in (2, 3):
+        encodings = [gc.encode_baseline(A, m)] * len(sets)
+        for eps in (0.0, 0.1):
+            encodings += [gc.encode_random_diagonal(A, m, gc.DiagonalLaw(eps), seed=j) for j in range(len(sets))]
+        cases = list(zip(encodings, sets * 3))
+        projected.clear()
+        got = gc.decode_each([B for B, _ in cases], [w for _, w in cases])
+        fell_back = {b_s.tobytes() for b_s in projected}
+        F = gc.build_target(k, m)
+        for (B, workers), res in zip(cases, got):
+            b_s = B.mat[:, workers.index]
+            _, ref_err = project(b_s, F)
+            assert abs(res.err - ref_err) <= 1e-9 * m * k
+            if b_s.tobytes() not in fell_back:
+                assert rank_of(b_s) == min(b_s.shape[1], k if B.stacked_copies else b_s.shape[1])
+            ref = gc.decode(B, workers)
+            assert res.err == ref.err and np.array_equal(res.coeffs, ref.coeffs)
+            assert np.array_equal(res.fitted, ref.fitted)
 
 
 def test_class_inverse_only_on_invertible_class_blocks(fano, paley13, bibd91, bireg40, coset27):
@@ -1852,14 +1912,13 @@ def test_decode_draws_checks_its_inputs(fano, coset27):
 def test_recurring_merged_copies_decode_in_stacks_exactly_as_decode(coset27_singular, monkeypatch):
     # the coset baseline repeats columns of A (its A is m equal circulant
     # blocks); with a singular block there is no class inverse, so its sets
-    # are grouped by merged width, and each group is decoded in stacks of
-    # merged blocks A_U C^1/2: every result is bitwise decode's, and only a
-    # member that fails its stack's certificate goes to the SVD of its B_S,
-    # as does the empty set
+    # are grouped by size, and each group is decoded in stacks of their
+    # blocks A_S: every result is bitwise decode's, and only a member that
+    # fails its stack's certificate goes to the SVD of its B_S, as does the
+    # empty set
     coset27 = coset27_singular
     B = gc.encode_baseline(coset27, 2)
     assert coset27.column_classes is not None and B.gram_tier is None and coset27.class_inverse is None
-    labels, _ = coset27.column_classes
     stacks = _spy_stacks(monkeypatch, "_copies_stack")
     projected = _spy_projected(monkeypatch)
     rng = np.random.default_rng(9)
@@ -1868,7 +1927,7 @@ def test_recurring_merged_copies_decode_in_stacks_exactly_as_decode(coset27_sing
     got = gc.decode_each([B] * len(sets), sets)
     assert max(len(rows) for rows, _ in stacks) > 1
     for rows, solved in stacks:
-        assert len({np.unique(labels[members]).size for members in rows}) == 1
+        assert len({len(members) for members in rows}) == 1
     failed = [members for rows, solved in stacks for members, ok in zip(rows, solved) if not ok]
     assert sorted(b_s.tobytes() for b_s in projected) == _columns(B, failed + [[]])
     for workers, res in zip(sets, got):

@@ -123,6 +123,35 @@ def test_encoders_reject_nonpositive_m(fano):
         gc.encode_random_diagonal(fano, 0, gc.DiagonalLaw(0.0), seed=0)
 
 
+# each library entry point that takes a seed, called with it on the
+# fixtures fano and bireg40
+_SEEDED = {
+    "encode_random_diagonal": lambda fano, bireg40, seed: gc.encode_random_diagonal(
+        fano, 2, gc.DiagonalLaw(0.1), seed=seed
+    ).mat,
+    "draw_diagonals": lambda fano, bireg40, seed: gc.draw_diagonals(fano, 2, gc.DiagonalLaw(0.1), seed=seed).diagonals,
+    "encode_nullspace_hadamard": lambda fano, bireg40, seed: gc.encode_nullspace_hadamard(bireg40, 2, seed=seed).mat,
+    "estimate_unbiasedness": lambda fano, bireg40, seed: gc.estimate_unbiasedness(
+        fano, gc.SchemeSpec(scheme=gc.RANDOM_DIAGONAL, epsilon=0.1), 2, 0.25, 3, seed=seed
+    ).beta_hat,
+    "biregular_random": lambda fano, bireg40, seed: gc.biregular_random(n=40, k=20, delta=3, gamma=6, seed=seed).mat,
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, np.bool_(True), "3"])
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_library_seeds_refuse_a_non_count(name, seed, fano, bireg40):
+    # -1 raised numpy's ValueError, 2.5 its TypeError, and
+    # encode_random_diagonal drew seed 1's stream for True
+    with pytest.raises(ParameterError, match=r"^seed must be an integer >= 0, got "):
+        _SEEDED[name](fano, bireg40, seed)
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_library_seeds_take_a_numpy_integer(name, fano, bireg40):
+    assert np.array_equal(_SEEDED[name](fano, bireg40, np.int64(3)), _SEEDED[name](fano, bireg40, 3))
+
+
 @pytest.mark.parametrize("policy", [gc.V1_ALL_ONES, gc.V1_GAUSSIAN])
 def test_nullspace_encoding_recovers_exactly(bireg40, policy):
     B = gc.encode_nullspace_hadamard(bireg40, 2, v1_policy=policy, seed=0)
