@@ -230,11 +230,14 @@ class NonStragglerSet:
     a bool, and is stored as an int; members may be any flat sequence or
     array of integers and is stored as a sorted tuple of ints; fractional,
     float and bool entries are refused rather than truncated. The sets the
-    library draws itself (sample_straggler_set and the exhaustive sweep)
-    are built unchecked from their index arrays, which are distinct, sorted
-    and in range by construction. index, the members as a read-only intp
-    array, is what the decoders and bounds read: a drawn set carries its
-    draw's array, any other set builds it once on first use."""
+    library draws itself (the chunk draws of experiments, whose one-set
+    call is sample_straggler_set, and the exhaustive sweep) are built
+    unchecked from their index arrays, which are distinct, sorted and in
+    range by construction. index, the members as a read-only intp array,
+    is what the decoders and bounds read: a drawn set carries its draw's
+    array (a FixedCount chunk's sets, rows of one read-only array), which
+    no writable array shares; any other set builds it once on first
+    use."""
 
     n: int
     members: tuple[int, ...]
@@ -265,7 +268,8 @@ class NonStragglerSet:
     def _drawn(cls, n: int, index: np.ndarray) -> "NonStragglerSet":
         """The set of a library draw, without the constructor's checks: n an
         int, index a 1-d intp array of distinct sorted indices below n,
-        which becomes the set's read-only index."""
+        which becomes the set's read-only index. index is its own array or
+        a view of a read-only one, so no writable array shares it."""
         index.setflags(write=False)
         workers = object.__new__(cls)
         workers.__dict__.update(n=n, members=tuple(index.tolist()), index=index)

@@ -113,26 +113,81 @@ class Bernoulli:
 
 
 def sample_straggler_set(model, n: int, rng: np.random.Generator) -> NonStragglerSet:
-    """Draw the surviving-worker set under the given model. n is checked as
-    NonStragglerSet checks it, before the draw; the drawn set is built
-    unchecked, its indices distinct, sorted and in range by construction."""
+    """Draw the surviving-worker set under the given model: the one-set
+    call of _draw_sets, so a FixedCount set is that of
+    np.sort(rng.choice(n, n - s, replace=False)) and a Bernoulli set that
+    of rng.random(n) >= q. n and s are checked before the draw; the drawn
+    set is built unchecked, its indices distinct, sorted and in range by
+    construction."""
+    return _draw_sets(model, n, rng, 1)[0]
+
+
+def _draw_sets(model, n: int, rng: np.random.Generator, count: int) -> list[NonStragglerSet]:
+    """count survivor sets of n workers under model: the sets, and rng's
+    state after, of count sample_straggler_set calls. n (as NonStragglerSet
+    checks it) and s are checked once, before anything is drawn."""
     n = check_count(n, "worker count n")
     if isinstance(model, FixedCount):
         if not (0 <= model.s <= n):
             raise ParameterError(f"s must lie in [0, {n}], got {model.s}")
-        members = rng.choice(n, size=n - model.s, replace=False)
-        members.sort()
-        return NonStragglerSet._drawn(n, members)
+        return _fixed_count_sets(model.s, n, rng, count)
     if isinstance(model, Bernoulli):
-        return _bernoulli_sets(model.q, n, rng, 1)[0]
+        return _bernoulli_sets(model.q, n, rng, count)
     raise ParameterError(f"unknown straggler model {model!r}")
+
+
+def _fixed_count_sets(s: int, n: int, rng: np.random.Generator, count: int) -> list[NonStragglerSet]:
+    """count survivor sets of n - s of n workers from one rng.integers call:
+    the sets of np.sort(rng.choice(n, n - s, replace=False)), and rng's
+    state after, count times over.
+
+    For n <= 10000, or n - s <= n // 50, numpy's choice is Floyd's sampling
+    (Bentley & Floyd, CACM 30(9), 1987), whose step j = s..n-1 takes
+    v_j uniform on [0, j] and selects v_j, or j if v_j is already selected,
+    followed by a Fisher-Yates shuffle of the n - s selected, whose step i
+    takes a uniform on [0, i], i = n-s-1..1. integers(0, high,
+    endpoint=True) over an array high takes each value by the same bounded
+    draw, in order, so one call with high = (s..n-1, n-s-1..1) per set
+    gives every value; the shuffle's are dropped, as the set is sorted.
+
+    A set is rebuilt from its v by tracking its s stragglers: they start at
+    0..s-1, and step j makes j a straggler in place of v_j when v_j is one.
+    So a straggler x moves to succ[x], the first j > x with v_j = x, and on
+    until no step takes it. Elsewhere numpy shuffles the tail of a full
+    permutation instead, and the sets are drawn one choice call each.
+
+    Floyd's sets' indices are the rows of one read-only array."""
+    size = n - s
+    if n > 10000 and size > n // 50:
+        return [NonStragglerSet._drawn(n, np.sort(rng.choice(n, size, replace=False))) for _ in range(count)]
+    highs = np.concatenate([np.arange(s, n), np.arange(size - 1, 0, -1)])
+    values = rng.integers(0, np.tile(highs, count), endpoint=True).reshape(count, highs.size)[:, :size]
+    # set r's worker x sits at r n + x of the flat arrays; total means none
+    total = count * n
+    offset = np.arange(count)[:, None] * n
+    steps = np.arange(s, n)
+    takes = values < steps  # v_j = j selects j itself
+    succ = np.full(total, total)
+    np.minimum.at(succ, (values + offset)[takes], np.broadcast_to(steps + offset, values.shape)[takes])
+    stragglers = (np.arange(s) + offset).ravel()
+    ahead = succ[stragglers]
+    while (moved := ahead < total).any():
+        stragglers[moved] = ahead[moved]
+        ahead = succ[stragglers]
+    kept = np.ones(total, dtype=bool)
+    kept[stragglers] = False
+    index = np.flatnonzero(kept).reshape(count, size) - offset
+    index.setflags(write=False)
+    return [NonStragglerSet._drawn(n, row) for row in index]
 
 
 def _bernoulli_sets(q: float, n: int, rng: np.random.Generator, count: int) -> list[NonStragglerSet]:
     """count Bernoulli(q) survivor sets of n workers from one
     rng.random((count, n)): a worker survives where its uniform is at least
-    q. The sets, and rng's state after, are those of count draws of one."""
-    return [NonStragglerSet._drawn(n, np.flatnonzero(kept)) for kept in rng.random((count, n)) >= q]
+    q. The sets, and rng's state after, are those of count draws of one.
+    Each set's index is its own array."""
+    workers = np.arange(n, dtype=np.intp)
+    return [NonStragglerSet._drawn(n, workers[kept]) for kept in rng.random((count, n)) >= q]
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +348,22 @@ class ExperimentResult:
 
 
 def _iter_sets(cfg: SweepConfig, n: int, x, rng: np.random.Generator):
+    """The survivor sets of one (grid point, draw), as lists of at most
+    DECODE_CHUNK sets: each chunk of set_draws sets by one _draw_sets call
+    (the sets, and rng's state after, of one sample_straggler_set call per
+    set), or every set of n - x workers, in lexicographic order, where
+    set_draws is "all"."""
     if cfg.set_draws == "all":
-        for members in itertools.combinations(range(n), n - x):
-            yield NonStragglerSet._drawn(n, np.array(members, dtype=np.intp))
+        every = itertools.combinations(range(n), n - x)
+        while chunk := [
+            NonStragglerSet._drawn(n, np.array(members, dtype=np.intp))
+            for members in itertools.islice(every, DECODE_CHUNK)
+        ]:
+            yield chunk
         return
     model = FixedCount(x) if cfg.grid_kind == "s" else Bernoulli(float(x))
-    for _ in range(cfg.set_draws):
-        yield sample_straggler_set(model, n, rng)
+    for start in range(0, cfg.set_draws, DECODE_CHUNK):
+        yield _draw_sets(model, n, rng, min(DECODE_CHUNK, cfg.set_draws - start))
 
 
 def sweep_error(A: AssignmentMatrix, cfg: SweepConfig) -> list[ExperimentResult]:
@@ -312,8 +376,8 @@ def sweep_error(A: AssignmentMatrix, cfg: SweepConfig) -> list[ExperimentResult]
     matrix_draws (all from the seed of (gi, t)) and draws the straggler
     sets once, from the stream of (gi, t), for all of them: a scheme's
     draw t sees the sets it would see swept alone, and the schemes share
-    them. The sets arrive in chunks of at most DECODE_CHUNK, and each
-    chunk goes to every such scheme's decode_each (the sets of its one
+    them. The sets are drawn in chunks of at most DECODE_CHUNK, one call a
+    chunk (_iter_sets), and each chunk goes to every such scheme's decode_each (the sets of its one
     encoding, decoded together) and per-set bounds, one scheme after
     another. Only one draw's encodings are alive at a time, and where its
     sets fit in one chunk, only one encoding.
@@ -359,10 +423,10 @@ def _sweep_draw(A: AssignmentMatrix, cfg: SweepConfig, gi: int, t: int, errs: li
     drawn = [j for j, sc in enumerate(cfg.schemes) if sc.matrix_draws > t]
     seed = _stream_seed(cfg.seed, gi, t, 0)
     kept = {}  # scheme -> its encoding, while chunks remain
-    sets = _iter_sets(cfg, A.n, cfg.grid[gi], np.random.default_rng(_stream(cfg.seed, gi, t, 1)))
-    chunk = list(itertools.islice(sets, DECODE_CHUNK))
+    chunks = _iter_sets(cfg, A.n, cfg.grid[gi], np.random.default_rng(_stream(cfg.seed, gi, t, 1)))
+    chunk = next(chunks, [])
     while chunk:
-        following = list(itertools.islice(sets, DECODE_CHUNK))
+        following = next(chunks, [])
         for j in drawn:
             B = kept.pop(j) if j in kept else cfg.schemes[j].build(A, cfg.m, seed)
             errs[j].extend(dec.err for dec in decode_each([B] * len(chunk), chunk))

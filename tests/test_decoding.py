@@ -2125,7 +2125,7 @@ def _drawn_sets(n, rng):
     drawn = [gc.sample_straggler_set(gc.FixedCount(s), n, rng) for s in (0, n, 1, n // 3, n // 2, n - 1)]
     drawn += [gc.sample_straggler_set(gc.Bernoulli(q), n, rng) for q in (0.1, 0.3, 0.6)]
     every = experiments._iter_sets(types.SimpleNamespace(set_draws="all"), n, 2, rng)
-    return drawn + list(itertools.islice(every, 3))
+    return drawn + next(every)[:3]
 
 
 def _same_bits(a, b):

@@ -161,6 +161,74 @@ def test_sample_straggler_set_stores_a_numpy_worker_count_as_int():
         assert w.n == 6
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(1, 10_000), st.sampled_from([10_001, 20_000])),
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+    st.data(),
+)
+def test_property_chunk_draw_is_numpys_choice(n, seed, half, data):
+    # one rng.integers call over Floyd's and the shuffle's bounds gives a
+    # chunk's sets: those of np.sort(rng.choice(n, n - s, replace=False)),
+    # set by set, on both sides of numpy's switch to a tail shuffle (n >
+    # 10000 and n - s > n // 50), leaving the generator where per-set
+    # choice calls leave it, a buffered 32-bit half included
+    s = data.draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)), label="s")
+    count = data.draw(st.integers(1, 60), label="count")
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if half:
+        for g in (rng, ref):
+            g.integers(2**32, dtype=np.uint32)
+        assert ref.bit_generator.state["has_uint32"] == 1
+    drawn = experiments._fixed_count_sets(s, n, rng, count)
+    for w in drawn:
+        expected = np.sort(ref.choice(n, size=n - s, replace=False))
+        assert w.n == n
+        assert w.index.dtype == np.intp
+        assert np.array_equal(w.index, expected)
+        assert w.members == tuple(expected.tolist())
+    assert len(drawn) == count
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        (gc.FixedCount(11), 10),
+        (gc.FixedCount(0), -1),
+        (gc.FixedCount(0), 2.5),
+        (gc.Bernoulli(0.5), None),
+        ("uniform", 10),
+    ],
+)
+def test_chunk_draw_refuses_a_bad_count_before_drawing(model, n):
+    # n and s are checked once a chunk, before any of its sets is drawn
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ParameterError):
+        experiments._draw_sets(model, n, rng, 5)
+    assert rng.bit_generator.state == before
+
+
+def test_drawn_indices_have_no_writable_alias():
+    # a drawn set's index is read-only, and so is every array it is a view
+    # of: no writable array shares its memory
+    rng = np.random.default_rng(6)
+    drawn = experiments._draw_sets(gc.FixedCount(3), 12, rng, 5)
+    drawn += experiments._draw_sets(gc.FixedCount(9_000), 10_001, rng, 2)  # numpy's tail shuffle
+    drawn += experiments._draw_sets(gc.Bernoulli(0.3), 12, rng, 5)
+    drawn += [gc.sample_straggler_set(model, 12, rng) for model in (gc.FixedCount(4), gc.Bernoulli(0.5))]
+    cfg = types.SimpleNamespace(set_draws="all")
+    drawn += [w for chunk in experiments._iter_sets(cfg, 6, 2, rng) for w in chunk]
+    for w in drawn:
+        array = w.index
+        while isinstance(array, np.ndarray):
+            assert not array.flags.writeable
+            array = array.base
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 16), st.data())
 def test_property_drawn_sets_are_the_checked_sets(seed, n, data):
@@ -180,7 +248,8 @@ def test_property_drawn_sets_are_the_checked_sets(seed, n, data):
     expected += [np.flatnonzero(kept) for kept in ref.random((count, n)) >= q]
     assert rng.bit_generator.state == ref.bit_generator.state
     if math.comb(n, s) <= 200:
-        drawn += experiments._iter_sets(types.SimpleNamespace(set_draws="all"), n, s, rng)
+        for chunk in experiments._iter_sets(types.SimpleNamespace(set_draws="all"), n, s, rng):
+            drawn += chunk
         expected += [np.array(c, dtype=np.intp) for c in itertools.combinations(range(n), n - s)]
     assert rng.bit_generator.state == ref.bit_generator.state
     for w, members in zip(drawn, expected, strict=True):
@@ -460,16 +529,20 @@ def test_multi_scheme_sweep_equals_each_scheme_swept_alone(request, monkeypatch,
     cfg = gc.SweepConfig(schemes=schemes, m=2, grid_kind=grid_kind, grid=grid, set_draws=set_draws, seed=3)
     alone = [gc.sweep_error(A, dataclasses.replace(cfg, schemes=(sc,)))[0].rows for sc in schemes]
     calls, builds = [], []
-    original, build = experiments.sample_straggler_set, gc.SweepScheme.build
-    monkeypatch.setattr(
-        experiments, "sample_straggler_set", lambda *args: calls.append(1) or original(*args)
-    )
+    draw, build = experiments._draw_sets, gc.SweepScheme.build
+    monkeypatch.setattr(experiments, "_draw_sets", lambda *args: calls.append(args[3]) or draw(*args))
     monkeypatch.setattr(gc.SweepScheme, "build", lambda sc, *args: builds.append(sc) or build(sc, *args))
     together = [result.rows for result in gc.sweep_error(A, cfg)]
     assert together == alone
     if grid_kind == "s":  # epsilon > 0: per-set bounds on the diagonal scheme's rows
         assert all(row["upper_bound"] is not None for row in together[0])
-    assert len(calls) == (0 if set_draws == "all" else len(grid) * 3 * set_draws)
+    # each (grid point, draw) draws its sets in chunks of DECODE_CHUNK, one
+    # _draw_sets call a chunk
+    if set_draws == "all":
+        assert calls == []
+    else:
+        assert len(calls) == len(grid) * 3 * math.ceil(set_draws / experiments.DECODE_CHUNK)
+        assert sum(calls) == len(grid) * 3 * set_draws
     assert [builds.count(sc) for sc in schemes] == [len(grid) * sc.matrix_draws for sc in schemes]
 
 
